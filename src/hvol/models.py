@@ -247,7 +247,7 @@ def check_weight(model: Model, weight: Sequence) -> tuple[Scalar, ...]:
     return coords
 
 
-def _unit_rows(count: int, width: int, places) -> list[ExponentVector]:
+def _unit_rows(width: int, places) -> list[ExponentVector]:
     rows = []
     for exponent, position in places:
         row = [0] * width
@@ -263,8 +263,8 @@ def a_singularity(n: int, k: int) -> Hypersurface:
     if k < 1:
         raise InvalidModelError("A-family needs k >= 1")
     width = n + 1
-    support = [_unit_rows(1, width, [(2, i)])[0] for i in range(n)]
-    support.append(_unit_rows(1, width, [(k, n)])[0])
+    support = [_unit_rows(width, [(2, i)])[0] for i in range(n)]
+    support.append(_unit_rows(width, [(k, n)])[0])
     return Hypersurface(tuple(support), allow_smooth_germ=(k == 1))
 
 
@@ -275,11 +275,11 @@ def d_singularity(n: int, k: int) -> Hypersurface:
     if k < 3:
         raise InvalidModelError("D-family needs k >= 3")
     width = n + 2
-    support = [_unit_rows(1, width, [(2, i)])[0] for i in range(n)]
+    support = [_unit_rows(width, [(2, i)])[0] for i in range(n)]
     mixed = [0] * width
     mixed[n], mixed[n + 1] = 2, 1
     support.append(tuple(mixed))
-    support.append(_unit_rows(1, width, [(k, n + 1)])[0])
+    support.append(_unit_rows(width, [(k, n + 1)])[0])
     return Hypersurface(tuple(support))
 
 
@@ -295,7 +295,7 @@ def e_singularity(index: int, n: int) -> Hypersurface:
         raise InvalidModelError("E-family needs n >= 1 (dimension n+1 >= 2)")
     tails = {6: ((3, 0), (0, 4)), 7: ((3, 1), (0, 3)), 8: ((3, 0), (0, 5))}
     width = n + 2
-    support = [_unit_rows(1, width, [(2, i)])[0] for i in range(n)]
+    support = [_unit_rows(width, [(2, i)])[0] for i in range(n)]
     for a, b in tails[index]:
         row = [0] * width
         row[n], row[n + 1] = a, b

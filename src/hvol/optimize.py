@@ -1,44 +1,49 @@
 """Minimization of the normalized volume over the weight cone.
 
-The objective is scale-invariant and piecewise smooth: on the cell where a
-fixed monomial of f attains the weighted order it is a smooth rational
-expression, and cells meet along tie strata where several monomials share
-the minimum.  The search therefore runs three cooperating devices:
+Smooth points and simplicial toric cones have closed-form minimizers: the
+standard blow-up (1, ..., 1) with value n^n, and the sum of the generators
+g_j.  In generator coordinates x = sum t_j g_j the toric value is
+(sum t)^n |det W| / prod t_i <w_i, g_i>, which the arithmetic-geometric
+mean inequality minimizes at t = (1, ..., 1) (the simplicial case of
+Martelli-Sparks-Yau volume minimization).
 
-1. symmetry reduction: coordinates whose exponent columns agree across the
-   support can be assumed equal, which shrinks the A-D-E problems to two
-   or three variables;
-2. explicit cell enumeration: for every subset of the (reduced) support,
-   minimize the objective restricted to the stratum where those monomials
-   tie, via Nelder-Mead in an exact-rational parametrization of the
-   stratum;
-3. a multi-start Nelder-Mead safety net on the raw nonsmooth objective.
+On a hypersurface { f = 0 } the objective A^n v / prod(x) is
+scale-invariant and piecewise smooth, with tie strata where the monomials
+of a subset S share the minimum v.  A minimizer is a Clarke stationary
+point of log hvol: with multipliers mu in the simplex over its active set
+S, ebar = sum_{e in S} mu_e e, A normalized to 1 and s = 1/v,
 
-The winner is polished, checked against symmetry-breaking perturbations,
-and snapped to exact rational coordinates when the exact evaluation
-confirms the snapped point is at least as good.  Results are normalized
-so the largest coordinate is 1.  All randomness flows from one seeded
-generator, so a fixed (seed, starts) pair reproduces results bit for bit.
+    x_i = 1 / (n + (s - n) ebar_i),    s <e, x> = 1 for every e in S,
+
+which is |S| unknowns whatever the ambient dimension.  Coordinates that
+play identical roles in f (``symmetrize``) get equal weights.  The strata
+worth solving are read off the vertices of R = {u >= 0 : <e, u> >= 1};
+each is solved by damped Newton, the lowest klt-valid root wins and is
+snapped to exact rationals when the exact value confirms it.  Weights are
+max-normalized, and the answer depends on the model alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+
+# perfbench/tracer.py looks this binding up by name under ``--trace 1``;
+# nothing here calls it, and the import can go once the tracer drops it
+from scipy.optimize import minimize as _scipy_minimize  # noqa: F401
 
 from . import core
-from .exact import Scalar, det_fraction, nullspace_fraction
+from .exact import Scalar, inverse_fraction
 from .models import (
     DomainError,
     Hypersurface,
     Model,
     NonKltModelError,
-    NonKltWeightError,
     SmoothPoint,
     ToricCone,
     UnsupportedModelError,
@@ -51,6 +56,11 @@ _SNAP_DENOMINATORS = (
 )
 _VALUE_MATCH_RTOL = 1e-9
 _BOUNDARY_FRACTION = 0.01
+_ROOT_TOL = 1e-12
+_TIE_TOL = 1e-9
+_STEP_TOL = 1e-9
+_LOG_S_CAP = 20.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,12 @@ class MinimizationResult:
     ``weight`` is max-normalized; ``value`` is the normalized volume there
     (exact when the weight snapped to rationals).  ``active_monomials``
     lists the support exponents attaining the weighted order at the
-    minimizer.  ``first_order_residual`` is the central-difference gradient
-    norm along the active tie stratum, projected to the normalized slice.
+    minimizer.  ``starts_used`` counts the tie strata solved (0 for the
+    smooth and toric closed forms).  ``first_order_residual`` is the
+    largest relative Clarke gradient component x_i * d/dx_i log hvol at
+    the reported weight, with the multipliers of the winning stratum (0.0
+    for the closed forms); when no stratum has a klt-valid stationary
+    point, the barycentre of the active monomials stands in for them.
     """
 
     weight: tuple[Scalar, ...]
@@ -103,11 +117,7 @@ def evaluate_branch(model: Hypersurface, weight: Sequence[Scalar], active) -> Sc
     if active not in model.support:
         raise DomainError(f"{active} is not a monomial of the support")
     v = sum(xi * ei for xi, ei in zip(x, active))
-    a = sum(x) - v
-    prod = x[0]
-    for xi in x[1:]:
-        prod = prod * xi
-    return a**model.dim * v / prod
+    return (sum(x) - v) ** model.dim * v / math.prod(x)
 
 
 def minimize_hvol(
@@ -116,61 +126,62 @@ def minimize_hvol(
     seed: int = 0,
     tolerance: float = 1e-7,
 ) -> MinimizationResult:
-    """Minimize the normalized volume of monomial valuations on the model."""
+    """Minimize the normalized volume of monomial valuations on the model.
+
+    The minimizer is deterministic: ``starts`` (which must be >= 1) and
+    ``seed`` are accepted for compatibility and do not change the answer.
+    ``status`` is "converged" when the first-order residual is at most
+    ``tolerance``, "boundary-suspect" when the weight sits next to the
+    A = 0 edge, and "max-iter" otherwise.
+    """
     if starts < 1:
         raise DomainError("starts must be >= 1")
-    if isinstance(model, Hypersurface) and all(min(e) >= 1 for e in model.support):
+    if isinstance(model, (SmoothPoint, ToricCone)):
+        return _closed_form(model)
+    if not isinstance(model, Hypersurface):
+        raise UnsupportedModelError(f"unknown model kind {model!r}")
+    if all(min(e) >= 1 for e in model.support):
         raise NonKltModelError(
             "every monomial of f is divisible by every coordinate; "
             "the log discrepancy is non-positive on the whole weight cone"
         )
     problem = _build_problem(model)
-    rng = np.random.default_rng(seed)
-
-    candidates, starts_used = _collect_candidates(problem, rng, starts)
-    if problem.m < model.ambient_dim and not any(
-        math.isfinite(problem.value(u)) for u in candidates
-    ):
+    roots, solved = _stationary_points(problem)
+    if not roots and len(problem.classes) < model.ambient_dim:
         # the symmetric slice can miss the klt-valid region entirely (log
         # canonical boundary models); retry without symmetry reduction
         problem = _build_problem(model, trivial_classes=True)
-        more, used = _collect_candidates(problem, rng, starts)
-        candidates = more
-        starts_used += used
-
-    best = _select_best(problem, candidates)
-    # polish only if it strictly improves: on a flat family of minimizers the
-    # tie-break above already picked the reported point and must not drift
-    polished = _descend_pinned(problem, best, maxiter=4000)
-    if problem.value(polished) < problem.value(best) * (1 - 1e-13):
-        best = polished
-    full = _newton_polish(model, problem.expand(best))
-
-    # symmetry-break verification in the full coordinate space
-    full_problem = _build_problem(model, trivial_classes=True)
-    improved = False
-    for _ in range(6):
-        starts_used += 1
-        noise = rng.normal(0.0, 0.02, size=full.size)
-        trial = _descend_pinned(full_problem, full * np.exp(noise), maxiter=300)
-        if full_problem.value(trial) < full_problem.value(full) * (1 - 1e-9):
-            full, improved = trial, True
-    if improved:
-        full = _descend_pinned(full_problem, full, maxiter=4000)
-        full = _newton_polish(model, full)
-
-    weight, value = _finalize(model, full)
-    residual = _first_order_residual(model, weight)
-    status = _status(model, weight, residual, tolerance)
-    actives = _reported_actives(model, weight)
+        roots, more = _stationary_points(problem)
+        solved += more
+    if roots:
+        u, ebar = _select_best(problem, roots)
+        weight, value = _finalize(model, problem.expand(u), problem.value(u))
+    else:
+        # here the problem has one class per coordinate, after the retry if needed
+        weight, ebar = _boundary_weight(model), None
+        value = core.normalized_volume(model, weight).normalized_volume
+    residual = _clarke_residual(problem, weight, ebar)
     return MinimizationResult(
         weight=weight,
         value=value,
-        active_monomials=actives,
-        status=status,
-        starts_used=starts_used,
+        # exact weights resolve ties exactly; the tolerance only matters on
+        # the float path
+        active_monomials=core.active_monomials(weight, model.support, rel_tol=1e-9),
+        status=_status(model, weight, residual, tolerance),
+        starts_used=solved,
         first_order_residual=residual,
     )
+
+
+def _closed_form(model: Model) -> MinimizationResult:
+    if isinstance(model, SmoothPoint):
+        weight = (Fraction(1),) * model.dim
+    else:
+        centre = [sum(g[i] for g in model.generators) for i in range(model.rank)]
+        top = max(abs(c) for c in centre)
+        weight = tuple(Fraction(c, top) for c in centre)
+    value = core.normalized_volume(model, weight).normalized_volume
+    return MinimizationResult(weight, value, (), "converged", 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,550 +190,260 @@ def minimize_hvol(
 
 @dataclass
 class _Problem:
-    model: Model
+    """The objective on weights u that are constant on each coordinate class."""
+
+    model: Hypersurface
     classes: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
-    dim: int
-    support: Optional[tuple[tuple[int, ...], ...]]  # reduced exponents
-    gamma: Optional[tuple[float, ...]] = None
-    dual: Optional[tuple[tuple[float, ...], ...]] = None
-    dual_det: float = 1.0
+    sizes: np.ndarray  # class sizes
+    rows: np.ndarray  # reduced exponents: per monomial, the sum over each class
 
-    @property
-    def m(self) -> int:
-        return len(self.classes)
+    def value(self, u: np.ndarray) -> float:
+        """The objective at a positive u with A > 0, which every root is."""
+        v = float(np.min(self.rows @ u))
+        return (float(self.sizes @ u) - v) ** self.model.dim * v / float(np.prod(u**self.sizes))
 
-    def value(self, u) -> float:
-        u = [float(v) for v in u]
-        if self.gamma is not None:
-            a = 0.0
-            denom = 1.0
-            for g, ui in zip(self.gamma, u):
-                a += g * ui
-            for ray in self.dual:
-                pair = 0.0
-                for r, ui in zip(ray, u):
-                    pair += r * ui
-                if pair <= 0:
-                    return math.inf
-                denom *= pair
-            return a**self.dim * self.dual_det / denom
-        total = 0.0
-        prod = 1.0
-        for s, ui in zip(self.sizes, u):
-            if ui <= 0:
-                return math.inf
-            total += s * ui
-            prod *= ui**s
-        if self.support is None:
-            return total**self.dim / prod
-        v = math.inf
-        for row in self.support:
-            pair = 0.0
-            for e, ui in zip(row, u):
-                if e:
-                    pair += e * ui
-            if pair < v:
-                v = pair
-        a = total - v
-        if a <= 0:
-            return math.inf
-        return a**self.dim * v / prod
-
-    def expand(self, u) -> np.ndarray:
-        full = np.empty(self.model.ambient_dim, dtype=float)
-        for j, cls in enumerate(self.classes):
-            for i in cls:
-                full[i] = float(u[j])
-        return full
+    def expand(self, u: np.ndarray) -> np.ndarray:
+        owner = [j for i in range(self.model.ambient_dim) for j, c in enumerate(self.classes) if i in c]
+        return np.asarray(u, dtype=float)[owner]
 
 
 def _columns_partition(support, width) -> tuple[tuple[int, ...], ...]:
     """Coordinates i, j are equivalent when swapping them permutes the support.
 
-    Equivalent coordinates play interchangeable roles in f (for instance
-    the quadratic variables of the A-D-E forms), so the objective is
-    symmetric under their transposition and the class-constant slice
-    contains a minimizer.
+    The relation is transitive, because (i k) = (i j)(j k)(i j), so
+    comparing with one member of each class suffices.
     """
     rows = set(tuple(e) for e in support)
-    parent = list(range(width))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(width):
-        for j in range(i + 1, width):
-            swapped = set()
-            for e in rows:
-                vec = list(e)
-                vec[i], vec[j] = vec[j], vec[i]
-                swapped.add(tuple(vec))
-            if swapped == rows:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(width):
-        groups.setdefault(find(i), []).append(i)
-    classes = sorted(groups.values(), key=lambda idx: idx[0])
-    return tuple(tuple(idx) for idx in classes)
+    classes: list[list[int]] = []
+    for j in range(width):
+        for cls in classes:
+            i = cls[0]
+            if {e[:i] + (e[j],) + e[i + 1 : j] + (e[i],) + e[j + 1 :] for e in rows} == rows:
+                cls.append(j)
+                break
+        else:
+            classes.append([j])
+    return tuple(tuple(cls) for cls in classes)
 
 
-def _build_problem(model: Model, trivial_classes: bool = False) -> _Problem:
-    if isinstance(model, SmoothPoint):
-        classes = (
-            tuple((i,) for i in range(model.dim))
-            if trivial_classes
-            else (tuple(range(model.dim)),)
-        )
-        sizes = tuple(len(c) for c in classes)
-        return _Problem(model, classes, sizes, model.dim, support=None)
-    if isinstance(model, Hypersurface):
-        classes = (
-            tuple((i,) for i in range(model.ambient_dim))
-            if trivial_classes
-            else _columns_partition(model.support, model.ambient_dim)
-        )
-        sizes = tuple(len(c) for c in classes)
-        reduced = tuple(
-            sorted({tuple(sum(e[i] for i in cls) for cls in classes) for e in model.support})
-        )
-        return _Problem(model, classes, sizes, model.dim, support=reduced)
-    if isinstance(model, ToricCone):
-        classes = tuple((i,) for i in range(model.rank))
-        rays = model.dual_rays()
-        det = abs(det_fraction([[Fraction(r) for r in ray] for ray in rays]))
-        return _Problem(
-            model,
-            classes,
-            tuple(1 for _ in range(model.rank)),
-            model.rank,
-            support=None,
-            gamma=tuple(float(g) for g in model.gorenstein_vector),
-            dual=tuple(tuple(float(r) for r in ray) for ray in rays),
-            dual_det=float(det),
-        )
-    raise UnsupportedModelError(f"unknown model kind {model!r}")
-
-
-def _collect_candidates(problem: _Problem, rng, starts: int):
-    """Stratum, tilted, and random-start descents for one search space."""
-    candidates: list[np.ndarray] = []
-    used = 0
-    # (a) cell enumeration over tie strata of the reduced support
-    for point, basis in _stratum_parametrizations(problem):
-        used += 1
-        candidates.append(_descend_affine(problem, point, basis))
-    # per-monomial tilted starts nudge every open cell
-    for tilt in _cell_tilts(problem):
-        used += 1
-        candidates.append(_descend_pinned(problem, tilt))
-    # (b) seeded multi-start on the raw objective
-    for u0 in _random_starts(problem, rng, starts):
-        used += 1
-        candidates.append(_descend_pinned(problem, u0))
-    return candidates, used
+def _build_problem(model: Hypersurface, trivial_classes: bool = False) -> _Problem:
+    classes = (
+        tuple((i,) for i in range(model.ambient_dim))
+        if trivial_classes
+        else _columns_partition(model.support, model.ambient_dim)
+    )
+    sizes = np.array([len(c) for c in classes], dtype=float)
+    reduced = sorted({tuple(sum(e[i] for i in cls) for cls in classes) for e in model.support})
+    return _Problem(model, classes, sizes, np.array(reduced, dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# descent drivers
+# stratum stationarity solve
 
 
-def _descend_pinned(problem: _Problem, u0: np.ndarray, maxiter: int = 500) -> np.ndarray:
-    """Nelder-Mead over log coordinates with one coordinate pinned to 1.
+def _stationary_points(problem: _Problem):
+    """The klt-valid roots (u, ebar) of every tie stratum, and the number of strata.
 
-    Pinning removes the exact scale invariance of the objective, leaving a
-    well-conditioned unconstrained problem; positivity is automatic in log
-    coordinates.
+    Newton starts at the barycentre and the vertices of each multiplier
+    simplex.  A root counts if no monomial outside S is cheaper and, for
+    |S| >= 2, the multipliers are nonnegative.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if problem.gamma is not None:
-        return _descend_toric(problem, u0, maxiter)
-    m = u0.size
-    if m == 1:
-        return np.ones(1)
-    pin = int(np.argmax(u0))
-    rest = [j for j in range(m) if j != pin]
-    base = u0 / u0[pin]
-
-    def unpack(t):
-        u = np.empty(m)
-        u[pin] = 1.0
-        u[rest] = np.exp(t)
-        return u
-
-    t0 = np.log(np.maximum(base[rest], 1e-9))
-    res = _scipy_minimize(
-        lambda t: problem.value(unpack(t)),
-        t0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": maxiter, "maxfev": maxiter},
-    )
-    u = unpack(res.x)
-    return u / np.max(u)
+    strata = _strata(problem.rows, len(problem.classes))
+    n, sizes = problem.model.dim, problem.sizes
+    roots = []
+    for k in sorted({len(subset) for subset in strata}):
+        starts = np.vstack([np.full((1, k), 1.0 / k)] + ([np.eye(k)] if k > 1 else []))
+        ties = np.array([problem.rows[list(subset)] for subset in strata if len(subset) == k])
+        tie = np.repeat(ties, len(starts), axis=0)
+        mu, s, found = _newton(tie, sizes, n, np.tile(starts, (len(ties), 1)))
+        mu, s, tie = mu[found], s[found], tie[found]
+        ebar = np.einsum("bk,bkm->bm", mu, tie)
+        u = sizes / (n * sizes + (s - n)[:, None] * ebar)
+        keep = (mu.min(axis=1) >= -_TIE_TOL) | (k == 1)
+        keep &= s * np.min(u @ problem.rows.T, axis=1) >= 1 - _TIE_TOL
+        roots += zip(u[keep], ebar[keep])
+    return roots, len(strata)
 
 
-def _descend_toric(problem: _Problem, x0: np.ndarray, maxiter: int) -> np.ndarray:
-    """Toric weights move in ray coordinates, which keep them inside the cone."""
-    model = problem.model
-    rays = np.array(model.generators, dtype=float).T  # columns are generators
-    c0, *_ = np.linalg.lstsq(rays, x0, rcond=None)
-    c0 = np.maximum(c0, 1e-6)
-    m = c0.size
-    if m == 1:
-        x = rays @ c0
-        return x / np.max(np.abs(x))
+def _strata(rows: np.ndarray, m: int):
+    """Index sets of at most m affinely independent rows tight at one vertex of R.
 
-    def unpack(t):
-        c = np.empty(m)
-        c[0] = 1.0
-        c[1:] = np.exp(t)
-        return rays @ c
-
-    t0 = np.log(np.maximum(c0[1:] / c0[0], 1e-9))
-    res = _scipy_minimize(
-        lambda t: problem.value(unpack(t)),
-        t0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": maxiter, "maxfev": maxiter},
-    )
-    x = unpack(res.x)
-    return x / np.max(np.abs(x))
-
-
-def _descend_affine(problem: _Problem, point: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Minimize on an affine slice point + span(basis) of a tie stratum."""
-    if basis.size == 0:
-        return point / np.max(point)
-
-    def objective(t):
-        u = point + basis @ t
-        if np.any(u <= 0):
-            return math.inf
-        return problem.value(u)
-
-    res = _scipy_minimize(
-        objective,
-        np.zeros(basis.shape[1]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": 600, "maxfev": 600},
-    )
-    u = point + basis @ res.x
-    if np.any(u <= 0):
-        return point / np.max(point)
-    return u / np.max(u)
-
-
-# ---------------------------------------------------------------------------
-# candidate generation
-
-
-def _stratum_parametrizations(problem: _Problem):
-    """Affine parametrizations of every tie stratum of the reduced support.
-
-    For a subset S of the support, the stratum is the subspace where all
-    monomials of S share the same weight.  The parametrization pins the
-    largest coordinate of a positive stratum point to 1, removing the
-    scale direction; strata with no positive points are skipped.
+    The face {w in R : <e, w> = 1 for e in F} of R, for the active set F
+    of a minimizer u, holds u / v(u) and, being pointed, a vertex of R.
+    By Caratheodory ebar lies in the hull of an affinely independent
+    subset of F, and m + 1 independent ties in m variables force u = 0.
     """
-    if problem.support is None:
-        return
-    sup = [tuple(Fraction(v) for v in row) for row in problem.support]
-    m = problem.m
-    count = len(sup)
-    if count <= 6:
-        masks = [mask for mask in range(1, 1 << count) if bin(mask).count("1") >= 2]
-    else:
-        # large supports: pairs plus the all-tied stratum keep the cell pass
-        # tractable; the multi-start safety net covers the rest
-        masks = [
-            (1 << i) | (1 << j) for i in range(count) for j in range(i + 1, count)
-        ] + [(1 << count) - 1]
-    for mask in masks:
-        members = [sup[i] for i in range(count) if mask >> i & 1]
-        if len(members) < 2:
-            continue
-        rows = [
-            tuple(a - b for a, b in zip(members[i], members[0]))
-            for i in range(1, len(members))
-        ]
-        basis = nullspace_fraction(rows, m)
-        if not basis:
-            continue
-        b = np.array([[float(v) for v in vec] for vec in basis]).T  # (m, p)
-        s0, *_ = np.linalg.lstsq(b, np.ones(m), rcond=None)
-        point = b @ s0
-        if np.min(point) <= 1e-9 * np.max(np.abs(point)):
-            continue
-        pin = int(np.argmax(point))
-        point = point / point[pin]
-        pin_rows = list(rows) + [
-            tuple(Fraction(int(j == pin)) for j in range(m))
-        ]
-        slice_basis = nullspace_fraction(pin_rows, m)
-        b2 = (
-            np.array([[float(v) for v in vec] for vec in slice_basis]).T
-            if slice_basis
-            else np.zeros((m, 0))
-        )
-        yield point, b2
+    tight = {tuple(np.flatnonzero(np.abs(rows @ w - 1) <= 1e-9)) for w in _vertices(rows)[0]}
+    subsets = {sub for t in tight for k in range(min(m, len(t))) for sub in itertools.combinations(t, k + 1)}
+    return [
+        sub for sub in sorted(subsets)
+        if len(sub) == 1 or np.linalg.matrix_rank(rows[list(sub[1:])] - rows[sub[0]]) == len(sub) - 1
+    ]
 
 
-def _cell_tilts(problem: _Problem):
-    """One start per reduced monomial, tilted so that monomial is cheap."""
-    if problem.support is None:
-        return
-    for row in problem.support:
-        top = float(max(1, max(row)))
-        yield np.array([1.0 / (1.0 + e / top) for e in row])
+def _vertices(rows: np.ndarray):
+    """The vertices of R = {u >= 0 : rows @ u >= 1} and a basis of each.
 
-
-def _random_starts(problem: _Problem, rng: np.random.Generator, starts: int):
-    m = problem.m
-    yield np.ones(m)
-    produced = 1
-    attempts = 0
-    while produced < starts and attempts < 60 * starts:
-        attempts += 1
-        u = np.exp(rng.uniform(math.log(0.15), math.log(1.2), size=m))
-        if problem.gamma is None and problem.support is not None:
-            total = sum(s * ui for s, ui in zip(problem.sizes, u))
-            v = min(sum(e * ui for e, ui in zip(row, u)) for row in problem.support)
-            if total - v < 0.05 * total:
-                continue  # keep starts well inside the klt-valid region
-        produced += 1
-        yield u
-
-
-def _select_best(problem: _Problem, candidates: list[np.ndarray]) -> np.ndarray:
-    """Lowest value wins; equal-valued candidates break ties lexicographically.
-
-    The minimizer need not be unique (flat segments occur, for instance
-    when one monomial alone stays active along a whole ray), so candidates
-    within relative 1e-9 of the floor count as ties and the smallest
-    max-normalized full weight in lexicographic order is kept.  Tie strata
-    contribute their exactly-tied points, so the reported weight lands on
-    the most degenerate stratum of a flat family.
+    A basis indexes m independent tight constraints, rows before the
+    coordinates u_c = 0, and holds a row.  Batches bound the memory.
     """
-    scored = []
-    for u in candidates:
-        value = problem.value(u)
-        if math.isfinite(value):
-            full = problem.expand(u)
-            full = full / np.max(np.abs(full))
-            scored.append((value, tuple(full.tolist()), u))
-    if not scored:
-        raise NonKltModelError("no feasible weight found; the model has no klt-valid region")
-    floor = min(s[0] for s in scored)
-    window = 1e-9 * max(1.0, abs(floor))
-    ties = [s for s in scored if s[0] <= floor + window]
-    ties.sort(key=lambda s: s[1])
-    return ties[0][2]
+    count, m = rows.shape
+    constraints = np.vstack([rows, np.eye(m)])
+    rhs = np.concatenate([np.ones(count), np.zeros(m)])
+    bases = (b for b in itertools.combinations(range(count + m), m) if b[0] < count)
+    vertices, kept = [], []
+    while batch := list(itertools.islice(bases, 1 << 14)):
+        batch = np.array(batch)
+        batch = batch[np.abs(np.linalg.det(constraints[batch])) > 0.5]  # integer dets
+        u = np.linalg.solve(constraints[batch], rhs[batch][..., None])[..., 0]
+        feasible = np.all(u >= -1e-12, axis=1) & np.all(u @ rows.T >= 1 - 1e-9, axis=1)
+        vertices.append(u[feasible])
+        kept.append(batch[feasible])
+    return np.concatenate(vertices), np.concatenate(kept)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
+    """Damped Newton on a batch of stratum systems in (mu, t = log s), from s = n.
+
+    The equations are s <e, u> = 1 for e in the stratum and sum(mu) = 1,
+    with u_c = size_c / D_c and D_c = n size_c + (s - n) ebar_c; in the form
+    <e, u> = 1/s both sides fade as s grows and every stratum looks solved.
+    Steps are halved until every D_c > 0 and |log s| <= _LOG_S_CAP.
+    Returns the last (mu, s) of every run and which runs converged.
+    """
+    runs, k = mu.shape
+
+    def evaluate(rows, mu, t):
+        s = np.exp(t)
+        ebar = np.einsum("bk,bkm->bm", mu, tie[rows])
+        denom = n * sizes + (s - n)[:, None] * ebar
+        u = sizes / denom
+        g = np.column_stack([s[:, None] * np.einsum("bkm,bm->bk", tie[rows], u) - 1, mu.sum(axis=1) - 1])
+        return g, denom, u, s, ebar
+
+    t = np.full(runs, math.log(n))
+    g, denom, u, s, ebar = state = evaluate(slice(None), mu, t)
+    live, found = np.arange(runs), np.zeros(runs, dtype=bool)
+    for _ in range(60):
+        if not len(live):
+            break
+        tl, sl, tw = tie[live], s[live], tie[live] * (u / denom)[live, None, :]
+        jac = np.zeros((len(live), k + 1, k + 1))
+        jac[:, :k, :k] = -(sl * (sl - n))[:, None, None] * tw @ tl.transpose(0, 2, 1)
+        jac[:, :k, k] = sl[:, None] * np.einsum("bkm,bm->bk", tl, u[live])
+        jac[:, :k, k] -= (sl * sl)[:, None] * np.einsum("bkm,bm->bk", tw, ebar[live])
+        jac[:, k, :k] = 1.0
+        step = -(np.linalg.pinv(jac, rcond=(k + 1) * _EPS) @ g[live, :, None])[..., 0]  # lstsq's cutoff
+        # a small residual alone is not a root: on a pure power the
+        # residual also fades while s runs off to infinity, with unit steps
+        done = (np.max(np.abs(g[live]), axis=1) <= _ROOT_TOL) & (np.max(np.abs(step), axis=1) <= _STEP_TOL)
+        found[live[done]] = True
+        live, step = live[~done], step[~done]
+        # the first halving that keeps |log s| within the cap, found at once
+        room = (_LOG_S_CAP - np.sign(step[:, k]) * t[live]) / np.abs(step[:, k])
+        lam = 0.5 ** np.maximum(0, np.ceil(-np.log2(room)))
+        moved = np.zeros(len(live), dtype=bool)
+        while np.any(pending := ~moved & (lam >= 1e-12)):
+            rows = live[pending]
+            trial_mu = mu[rows] + lam[pending, None] * step[pending, :k]
+            trial_t = t[rows] + lam[pending] * step[pending, k]
+            trial = evaluate(rows, trial_mu, trial_t)
+            ok = (np.abs(trial_t) <= _LOG_S_CAP) & np.all(trial[1] > 0, axis=1)
+            ok &= np.all(np.isfinite(trial[0]), axis=1)
+            mu[rows[ok]], t[rows[ok]] = trial_mu[ok], trial_t[ok]
+            for held, new in zip(state, trial):
+                held[rows[ok]] = new[ok]
+            moved[np.flatnonzero(pending)[ok]] = True
+            lam[~moved] /= 2
+        live = live[moved]
+    return mu, s, found
+
+
+def _select_best(problem: _Problem, candidates: list) -> tuple:
+    """Lowest value wins; within relative 1e-9 of it, the least full weight.
+
+    Minimizers need not be unique (one monomial can stay active along a
+    whole ray), so near-ties go to the lexicographically smallest
+    max-normalized weight, which lands on the most degenerate stratum.
+    """
+    values = [problem.value(u) for u, _ in candidates]
+    window = min(values) + 1e-9 * max(1.0, abs(min(values)))
+    ties = [(tuple(problem.expand(u) / np.max(u)), i) for i, (u, _) in enumerate(candidates)]
+    return candidates[min(tie for tie in ties if values[tie[1]] <= window)[1]]
+
+
+def _boundary_weight(model: Hypersurface) -> tuple[Scalar, ...]:
+    """An exact klt-valid weight next to the A = 0 edge.
+
+    With v = 1, A <= 0 on the points of R with coordinate sum <= 1, so the
+    edge is nearest at the vertex w of R of least sum.  Some monomial misses
+    a coordinate c, so p = 1 + K e_c (K the largest degree) has A(p) > 0.
+    With both sums scaled to 1, A is convex on [w, p] and crosses 0 once,
+    at t0; a thousandth of the way on, 0 < A <= A(p) / 1000.  If A(w) > 0
+    there is no edge and p is returned.
+    """
+    sup, width = model.support, model.ambient_dim
+    vertices, bases = _vertices(np.array(sup, dtype=float))
+    basis = bases[np.argmin(vertices.sum(axis=1))]
+    inverse = inverse_fraction(
+        [sup[i] if i < len(sup) else [int(i - len(sup) == c) for c in range(width)] for i in basis]
+    )
+    w = [sum(row[j] for j, i in enumerate(basis) if i < len(sup)) for row in inverse]
+    c = next(i for e in sup for i in range(width) if e[i] == 0)
+    p = [Fraction(1 + max(map(sum, sup)) * (i == c)) for i in range(width)]
+    w, p = ([x / sum(y) for x in y] for y in (w, p))
+    alpha, beta = ([1 - sum(a * b for a, b in zip(e, y)) for e in sup] for y in (w, p))
+    t0 = min(a / (a - b) for a, b in zip(alpha, beta) if b > 0) if max(alpha) <= 0 else 1
+    t = t0 + (1 - t0) / 1000
+    x = [(1 - t) * a + t * b for a, b in zip(w, p)]
+    return tuple(xi / max(x) for xi in x)
 
 
 # ---------------------------------------------------------------------------
 # exact snapping and diagnostics
 
 
-def _finalize(model: Model, full: np.ndarray):
-    if isinstance(model, ToricCone):
-        scale = np.max(np.abs(full))
-    else:
-        scale = np.max(full)
-    full = full / scale
+def _finalize(model: Hypersurface, full: np.ndarray, float_value: float):
+    full = full / np.max(full)
     float_weight = tuple(float(v) for v in full)
-    float_value = _full_objective(model)(full)
-
-    best_weight: tuple[Scalar, ...] = float_weight
-    best_value: Scalar = float_value
     accept = float_value * (1 + _VALUE_MATCH_RTOL) + 1e-15
     for den in _SNAP_DENOMINATORS:
         cand = tuple(Fraction(v).limit_denominator(den) for v in float_weight)
         try:
             cand = check_weight(model, cand)
-        except DomainError:
-            continue
-        try:
             value = core.normalized_volume(model, cand).normalized_volume
-        except NonKltWeightError:
+        except DomainError:  # a coordinate snapped to 0, or A <= 0 there
             continue
         if float(value) <= accept:
-            best_weight, best_value = cand, value
-            break
-    if isinstance(best_value, Fraction):
-        top = max(best_weight) if not isinstance(model, ToricCone) else max(
-            abs(v) for v in best_weight
-        )
-        best_weight = tuple(v / top for v in best_weight)
-        best_value = core.normalized_volume(model, best_weight).normalized_volume
-    return best_weight, best_value
+            # the largest coordinate is 1.0 and snaps to 1, so the snapped
+            # weight is max-normalized already
+            return cand, value
+    return float_weight, float_value
 
 
-def _support_matrix(model: Model):
-    if isinstance(model, Hypersurface):
-        return np.array(model.support, dtype=float)
-    return None
+def _clarke_residual(problem: _Problem, weight, ebar) -> float:
+    """Largest |x_i * d/dx_i log hvol| with the Clarke multiplier ebar.
 
-
-def _full_objective(model: Model):
-    sup = _support_matrix(model)
-    dim = model.dim
-    if isinstance(model, ToricCone):
-        dual = np.array(model.dual_rays(), dtype=float)
-        det = float(
-            abs(det_fraction([[Fraction(r) for r in ray] for ray in model.dual_rays()]))
-        )
-        gamma = np.array([float(g) for g in model.gorenstein_vector])
-
-        def toric_value(x):
-            pair = dual @ x
-            if np.any(pair <= 0):
-                return math.inf
-            return float(gamma @ x) ** dim * det / float(np.prod(pair))
-
-        return toric_value
-
-    def value(x):
-        if np.any(x <= 0):
-            return math.inf
-        total = float(np.sum(x))
-        if sup is None:
-            return total**dim / float(np.prod(x))
-        v = float(np.min(sup @ x))
-        a = total - v
-        if a <= 0:
-            return math.inf
-        return a**dim * v / float(np.prod(x))
-
-    return value
-
-
-def _stratum_tangent(model: Model, x: np.ndarray) -> np.ndarray:
-    """Orthonormal directions that keep the active monomials tied.
-
-    The rows also exclude the scale direction, so the span is the tangent
-    space of the active tie stratum inside the normalized slice; along it
-    the objective stays on one smooth branch.
+    The gradient of log(A^n v / prod x) is n (1 - ebar_i) / A + ebar_i / v
+    - 1 / x_i, with ebar_i = ebar_c / size_c on class c; scaling by x_i
+    makes it homogeneous of degree zero, like the objective.
     """
-    rows = [x]
-    if isinstance(model, Hypersurface):
-        actives = core.active_monomials(tuple(x), model.support, rel_tol=1e-6)
-        base = np.array(actives[0], dtype=float)
-        for e in actives[1:]:
-            rows.append(np.array(e, dtype=float) - base)
-    matrix = np.vstack(rows)
-    _, s, vt = np.linalg.svd(matrix)
-    rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
-    return vt[rank:]
+    u = np.array([float(weight[cls[0]]) for cls in problem.classes])
+    pairs = problem.rows @ u
+    v = float(np.min(pairs))
+    if ebar is None:  # no stationary point: the barycentre of the active rows
+        ebar = problem.rows[pairs <= v * (1 + 1e-9)].mean(axis=0)
+    a = float(problem.sizes @ u) - v
+    grad = problem.model.dim * (problem.sizes - ebar) / a + ebar / v
+    return float(np.max(np.abs(u * grad / problem.sizes - 1)))
 
 
-def _tangent_gradient(objective, x: np.ndarray, tangent: np.ndarray, step: float = 1e-6):
-    grad = []
-    for direction in tangent:
-        up = objective(x + step * direction)
-        down = objective(x - step * direction)
-        grad.append((up - down) / (2 * step))
-    return np.array(grad)
-
-
-def _relative_residual(objective, x: np.ndarray, tangent: np.ndarray) -> float:
-    """Norm of the tangential gradient of log(objective).
-
-    The objective is scale-invariant and its magnitude varies over many
-    orders across models, so stationarity is measured relative to the
-    value; this also keeps the finite-difference noise floor well below
-    the convergence threshold.
-    """
-    value = objective(x)
-    if not math.isfinite(value) or value <= 0:
-        return math.inf
-    grad = _tangent_gradient(objective, x, tangent)
-    return float(np.linalg.norm(grad)) / value
-
-
-def _newton_polish(model: Model, x: np.ndarray, rounds: int = 4) -> np.ndarray:
-    """Finite-difference Newton steps on the active tie stratum.
-
-    Nelder-Mead converges in value but leaves the position a few 1e-8 off,
-    which a gradient check still sees; a couple of Newton steps on the
-    stratum drive the tangential gradient to the finite-difference noise
-    floor.  Steps are guarded: a non-finite or oversized update or a value
-    regression keeps the incumbent point.
-    """
-    objective = _full_objective(model)
-    h = 1e-4
-    for _ in range(rounds):
-        x = x / np.max(np.abs(x))
-        tangent = _stratum_tangent(model, x)
-        p = tangent.shape[0]
-        if p == 0:
-            return x
-        f0 = objective(x)
-        grad = _tangent_gradient(objective, x, tangent)
-        if not np.all(np.isfinite(grad)) or np.linalg.norm(grad) < 1e-9 * f0:
-            return x
-        hess = np.empty((p, p))
-        for i in range(p):
-            hess[i, i] = (
-                objective(x + h * tangent[i]) - 2 * f0 + objective(x - h * tangent[i])
-            ) / h**2
-            for j in range(i + 1, p):
-                mixed = (
-                    objective(x + h * (tangent[i] + tangent[j]))
-                    - objective(x + h * (tangent[i] - tangent[j]))
-                    - objective(x - h * (tangent[i] - tangent[j]))
-                    + objective(x - h * (tangent[i] + tangent[j]))
-                ) / (4 * h**2)
-                hess[i, j] = hess[j, i] = mixed
-        try:
-            delta = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            return x
-        if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 0.05:
-            return x
-        trial = x + tangent.T @ delta
-        if np.any(trial <= 0) and not isinstance(model, ToricCone):
-            return x
-        if objective(trial) > f0 * (1 + 1e-12) + 1e-300:
-            return x
-        x = trial
-    return x / np.max(np.abs(x))
-
-
-def _first_order_residual(model: Model, weight: tuple[Scalar, ...]) -> float:
-    """Relative central-difference gradient norm along the active tie stratum.
-
-    Directions keep the active monomials tied (so the objective stays on
-    its smooth branch) and are orthogonal to the scale direction, which a
-    scale-invariant objective annihilates anyway.  The gradient is divided
-    by the objective value: the objective is homogeneous of degree zero,
-    so the relative gradient is its only scale-free stationarity measure.
-    """
-    x = np.array([float(v) for v in weight])
-    tangent = _stratum_tangent(model, x)
-    if tangent.shape[0] == 0:
-        return 0.0
-    return _relative_residual(_full_objective(model), x, tangent)
-
-
-def _status(model: Model, weight, residual: float, tolerance: float) -> str:
-    if isinstance(model, Hypersurface):
-        total = sum(float(v) for v in weight)
-        v = float(core.weighted_order([float(w) for w in weight], model.support))
-        if total - v < _BOUNDARY_FRACTION * total:
-            return "boundary-suspect"
+def _status(model: Hypersurface, weight, residual: float, tolerance: float) -> str:
+    total = sum(float(v) for v in weight)
+    v = float(core.weighted_order([float(w) for w in weight], model.support))
+    if total - v < _BOUNDARY_FRACTION * total:
+        return "boundary-suspect"
     if residual <= tolerance:
         return "converged"
     return "max-iter"
-
-
-def _reported_actives(model: Model, weight) -> tuple[tuple[int, ...], ...]:
-    # exact weights resolve ties exactly inside active_monomials; the
-    # tolerance only matters on the float path
-    if isinstance(model, Hypersurface):
-        return core.active_monomials(weight, model.support, rel_tol=1e-9)
-    return ()

@@ -106,6 +106,22 @@ class TestMinimize:
         assert code == 4
         assert json.loads(out)["status"] == "boundary-suspect"
 
+    def test_boundary_payload_is_strict_json(self, tmp_path, capsys):
+        from hvol import Hypersurface
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        for name, support in [
+            ("cubic.json", ((3, 0, 0), (0, 3, 0), (0, 0, 3))),
+            ("cubic4.json", ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0))),
+        ]:
+            path = write_model(tmp_path, name, Hypersurface(support))
+            code, out, _ = run(capsys, ["minimize", path, "--seed", "1"])
+            assert code == 4
+            payload = json.loads(out, parse_constant=reject)
+            assert payload["status"] == "boundary-suspect"
+
 
 class TestTable:
     def test_a_family_surface_column(self, tmp_path, capsys):

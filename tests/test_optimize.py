@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from hvol import (
     DomainError,
     Hypersurface,
     NonKltModelError,
+    NonKltWeightError,
     SmoothPoint,
     ToricCone,
     UnsupportedModelError,
@@ -16,11 +18,13 @@ from hvol import (
     d_singularity,
     e_singularity,
     evaluate_branch,
+    log_discrepancy,
     minimize_hvol,
     normalized_volume,
     orthant_cone,
     symmetrize,
 )
+from hvol import optimize
 from hvol.tables import alpha_star
 
 
@@ -161,3 +165,130 @@ class TestMinimizeToric:
         result = minimize_hvol(cone, seed=0)
         assert result.status == "converged"
         assert abs(float(result.value) - 2.0) <= 1e-7
+
+
+RANK3_CONE = ToricCone(((1, 0, 0), (0, 1, 0), (1, 1, 3)), (F(1), F(1), F(-1, 3)))
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize(
+        "model", [d_singularity(2, 4), e_singularity(7, 2), RANK3_CONE], ids=["D24", "E7n2", "rank3"]
+    )
+    def test_seed_and_starts_change_nothing(self, model):
+        results = [
+            minimize_hvol(model, starts=starts, seed=seed)
+            for seed in (0, 1, 123)
+            for starts in (1, 12)
+        ]
+        assert all(r == results[0] for r in results)
+
+
+class TestClosedForms:
+    def test_rank3_cone_sum_of_generators(self):
+        result = minimize_hvol(RANK3_CONE)
+        assert result.weight == (F(2, 3), F(2, 3), F(1))
+        assert result.value == 9
+        assert result.exact
+        assert result.status == "converged"
+
+    def test_quadric_cone_exact(self):
+        result = minimize_hvol(ToricCone(((0, 1), (2, -1)), (F(1), F(1))))
+        assert result.weight == (F(1), F(0))
+        assert result.value == 2
+        assert result.exact
+
+
+ADE_UP_TO_AMBIENT_4 = {
+    **{f"A n={n} k={k}": a_singularity(n, k) for n in (2, 3) for k in range(1, 7)},
+    **{f"D n={n} k={k}": d_singularity(n, k) for n in (1, 2) for k in range(3, 7)},
+    **{f"E{i} n={n}": e_singularity(i, n) for i in (6, 7, 8) for n in (1, 2)},
+}
+
+
+class TestUnreducedSolve:
+    @pytest.mark.parametrize("model", ADE_UP_TO_AMBIENT_4.values(), ids=ADE_UP_TO_AMBIENT_4.keys())
+    def test_unreduced_value_matches_reduced(self, model):
+        # without symmetry reduction the solve runs in every coordinate, so
+        # a minimizer off the class-constant slice would show up here
+        values = []
+        for trivial in (False, True):
+            problem = optimize._build_problem(model, trivial_classes=trivial)
+            roots, _ = optimize._stationary_points(problem)
+            values.append(problem.value(optimize._select_best(problem, roots)[0]))
+        reduced, unreduced = values
+        assert abs(unreduced - reduced) <= 1e-9 * reduced
+
+
+FROZEN = [
+    (
+        ((0, 0, 0, 3), (0, 0, 5, 0), (0, 6, 0, 0), (2, 2, 0, 0), (5, 0, 0, 0)),
+        (F(3, 4), F(3, 4), F(3, 5), F(1)),
+        F(2, 225),
+    ),
+    (
+        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 7)),
+        (F(1), F(1), F(2, 3), F(1, 3)),
+        F(9),
+    ),
+    (
+        ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 5, 0), (0, 0, 0, 7)),
+        (F(1), F(2, 3), F(2, 5), F(2, 7)),
+        F(50653, 44100),
+    ),
+    (
+        ((2, 0, 0), (0, 2, 1), (1, 0, 3), (0, 0, 5)),
+        (F(1), F(4, 5), F(2, 5)),
+        F(1, 4),
+    ),
+    (
+        ((2, 0, 0, 0), (0, 2, 0, 1), (0, 0, 3, 0), (0, 1, 0, 4), (0, 0, 1, 3)),
+        (F(1), F(7, 9), F(2, 3), F(4, 9)),
+        F(128, 21),
+    ),
+]
+
+
+class TestFrozenSupports:
+    @pytest.mark.parametrize("support, weight, value", FROZEN)
+    def test_exact_minimizer(self, support, weight, value):
+        result = minimize_hvol(Hypersurface(support))
+        assert result.weight == weight
+        assert result.value == value
+        assert result.status == "converged"
+
+    @pytest.mark.parametrize("support, weight, value", FROZEN)
+    def test_minimum_below_random_weights(self, support, weight, value):
+        model = Hypersurface(support)
+        minimum = minimize_hvol(model).value
+        rng = np.random.default_rng(20261017)
+        checked = 0
+        while checked < 200:
+            x = tuple(F(int(p), int(q)) for p, q in rng.integers(1, 13, size=(model.ambient_dim, 2)))
+            try:
+                hvol = normalized_volume(model, x).normalized_volume
+            except NonKltWeightError:
+                continue
+            assert minimum <= hvol
+            checked += 1
+
+
+class TestBoundaryWeight:
+    @pytest.mark.parametrize(
+        "support",
+        [
+            ((3, 0, 0), (0, 3, 0), (0, 0, 3)),
+            # fewer monomials than variables: no tie ray is determined by
+            # the monomials alone, and A = x4 > 0 on the whole open cone
+            ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)),
+        ],
+        ids=["cubic-cone", "cubic-cone-times-line"],
+    )
+    def test_weight_is_exact_and_klt_valid(self, support):
+        model = Hypersurface(support)
+        result = minimize_hvol(model)
+        assert result.status == "boundary-suspect"
+        assert all(isinstance(w, F) and w > 0 for w in result.weight)
+        a = log_discrepancy(model, result.weight)
+        assert 0 < a < F(1, 100) * sum(result.weight)
+        assert result.value == normalized_volume(model, result.weight).normalized_volume
+        assert math.isfinite(result.first_order_residual)
