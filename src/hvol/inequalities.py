@@ -16,18 +16,24 @@ Checks:
 * ``dfem`` -- the multiplicity bound: normalized volume >= n^n on smooth
   points, with equality only on the diagonal.
 * ``proper`` -- the properness ratio hvol * v(m) / A: per-sample >= 1 on
-  smooth points (the displayed chain with constant 1) and a positive,
-  sample-stable empirical infimum elsewhere.
+  smooth points (the displayed chain with constant 1, whose coordinate
+  form min(x) <= x_i <= sum(x) is asserted on every sample) and a
+  positive, sample-stable empirical infimum elsewhere.
 
-The smooth-point linear chain min(x) <= x_i <= sum(x) (the coordinate
-consequence of the two-sided comparison with the order valuation) is
-asserted on every proper-suite sample.
+One driver runs every sweep on integer numerators.  Each sampled
+coordinate is p / 10^6 with p a positive integer, and the thm13, dfem and
+proper margins have degree 0 in the weight, so their value at p is their
+value at p / 10^6 (the skew2 defect, of degree -2, is rescaled by 10^12).
+A sample costs a few integer sums, minima, products and (on
+hypersurfaces) support pairings; minima compare by cross-multiplying.
+Only the witness becomes Fractions, and the public Fraction route
+(``thm13_margin`` and friends) must reproduce its margin exactly.  Toric
+cones have no integer kernel and take ``proper_ratio`` on every sample.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,10 +42,16 @@ import numpy as np
 
 from . import core
 from .exact import Scalar
-from .models import DomainError, Model, SmoothPoint, a_singularity
+from .models import (
+    DomainError, Hypersurface, InternalConsistencyError, Model, SmoothPoint,
+    UnsupportedModelError, a_singularity,
+)
 
 _EXACT_TOL = Fraction(1, 10**12)
 _STABILITY_BUDGET = 0.05
+_LOW, _HIGH, _EDGE_MASS = Fraction(1, 1000), Fraction(1000), 0.3
+_GRID = 10**6  # every sampled coordinate is p / _GRID, p a positive integer
+_CHUNK = 4096  # draws per generator call, which bounds a sweep's memory
 
 
 @dataclass(frozen=True)
@@ -62,52 +74,16 @@ class InequalityVerdict:
     extra: dict = field(default_factory=dict)
 
 
-def worker_cap() -> int:
-    """Upper bound on worker parallelism from HVOL_THREADS (default 1).
-
-    Sweeps are evaluated sequentially (and vectorized where it matters),
-    which trivially respects any cap; the variable is validated so that a
-    malformed setting fails loudly instead of being ignored.
-    """
-    raw = os.environ.get("HVOL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"HVOL_THREADS must be a positive integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DomainError(f"HVOL_THREADS must be >= 1, got {cap}")
-    return cap
-
-
-def sample_weight(
-    rng: np.random.Generator,
-    dim: int,
-    low: Fraction = Fraction(1, 1000),
-    high: Fraction = Fraction(1000),
-    edge_mass: float = 0.3,
-) -> tuple[Fraction, ...]:
+def sample_weight(rng: np.random.Generator, dim: int) -> tuple[Fraction, ...]:
     """One exact rational weight with corner-stressed coordinates.
 
-    Each coordinate independently sits at the box edge ``low`` or ``high``
-    with probability ``edge_mass`` apiece, and is log-uniform over the box
-    otherwise.  The atoms make every box corner a near-certain hit over
-    thousands of samples, so empirical infima saturate at the true box
-    minimum instead of creeping with the sample count; the continuum keeps
-    the interior covered.
+    Each coordinate sits at the box edge 1/1000 or 1000 with probability
+    0.3 apiece, and is otherwise log-uniform over the box, rounded to a
+    multiple of 10^-6.  The atoms make every box corner a near-certain hit,
+    so empirical infima saturate at the box minimum instead of creeping
+    with the sample count; the continuum keeps the interior covered.
     """
-    rolls = rng.uniform(0.0, 1.0, size=dim)
-    exps = rng.uniform(math.log10(float(low)), math.log10(float(high)), size=dim)
-    out = []
-    for roll, e in zip(rolls, exps):
-        if roll < edge_mass:
-            out.append(Fraction(low))
-        elif roll < 2 * edge_mass:
-            out.append(Fraction(high))
-        else:
-            out.append(Fraction(round(10.0**e * 10**6), 10**6))
-    return tuple(out)
+    return _weight(next(_numerators(rng, 1, dim)))
 
 
 def skewness_s(weight: Sequence[Scalar]) -> int:
@@ -166,9 +142,7 @@ def dfem_margin(model: SmoothPoint, weight) -> Fraction:
 def proper_ratio(model: Model, weight) -> Fraction:
     """The properness ratio hvol * v(m) / A at one weight."""
     report = core.normalized_volume(model, weight)
-    return (
-        report.normalized_volume * report.ideal_value / report.log_discrepancy
-    )
+    return report.normalized_volume * report.ideal_value / report.log_discrepancy
 
 
 # ---------------------------------------------------------------------------
@@ -176,39 +150,15 @@ def proper_ratio(model: Model, weight) -> Fraction:
 
 
 def check_theorem13(model: SmoothPoint, samples: int = 10**4, seed: int = 0) -> InequalityVerdict:
-    rng = np.random.default_rng(seed)
-    worst: Optional[Fraction] = None
-    witness = None
-    for _ in range(samples):
-        x = sample_weight(rng, model.dim)
-        margin = thm13_margin(model, x)
-        if worst is None or margin < worst:
-            worst, witness = margin, x
-    return _verdict(f"thm13-smooth-n{model.dim}", samples, worst, witness)
+    return _verdict(f"thm13-smooth-n{model.dim}", samples, *_sweep("thm13", model, samples, seed)[:2])
 
 
 def check_skewness_identity_dim2(samples: int = 10**3, seed: int = 0) -> InequalityVerdict:
-    rng = np.random.default_rng(seed)
-    worst: Optional[Fraction] = None
-    witness = None
-    for _ in range(samples):
-        x = sample_weight(rng, 2)
-        margin = skew2_margin(x)
-        if worst is None or margin < worst:
-            worst, witness = margin, x
-    return _verdict("skew2-identity", samples, worst, witness)
+    return _verdict("skew2-identity", samples, *_sweep("skew2", SmoothPoint(2), samples, seed)[:2])
 
 
 def check_dfem(model: SmoothPoint, samples: int = 10**4, seed: int = 0) -> InequalityVerdict:
-    rng = np.random.default_rng(seed)
-    worst: Optional[Fraction] = None
-    witness = None
-    for _ in range(samples):
-        x = sample_weight(rng, model.dim)
-        margin = dfem_margin(model, x)
-        if worst is None or margin < worst:
-            worst, witness = margin, x
-    return _verdict(f"dfem-smooth-n{model.dim}", samples, worst, witness)
+    return _verdict(f"dfem-smooth-n{model.dim}", samples, *_sweep("dfem", model, samples, seed)[:2])
 
 
 def check_properness_ratio(model: Model, samples: int = 10**4, seed: int = 0) -> InequalityVerdict:
@@ -216,43 +166,17 @@ def check_properness_ratio(model: Model, samples: int = 10**4, seed: int = 0) ->
 
     Draws 2 * samples weights; the infimum over the first half against the
     infimum over all of them measures stability (the full infimum can only
-    be lower).  On smooth models the ratio is additionally asserted to be
-    at least 1 per sample, and the coordinate chain min(x) <= x_i <= sum(x)
-    is asserted exactly.
+    be lower).  On smooth models the margin is also at most k_hat - 1, so
+    the verdict fails if any ratio drops below 1, and the coordinate chain
+    min(x) <= x_i <= sum(x) is asserted exactly on every sample.
     """
-    rng = np.random.default_rng(seed)
-    dim = model.ambient_dim
-    smooth = isinstance(model, SmoothPoint)
-    ratios: list[Fraction] = []
-    witness_of: dict[int, tuple] = {}
-    for i in range(2 * samples):
-        x = sample_weight(rng, dim)
-        ratio = proper_ratio(model, x)
-        ratios.append(ratio)
-        witness_of[i] = x
-        if smooth:
-            # two-sided comparison with the order valuation, constant 1:
-            # min(x) <= v_x(z_i) = x_i <= sum(x) = A for every coordinate
-            total = sum(x)
-            lo = min(x)
-            for xi in x:
-                if not lo <= xi <= total:
-                    raise AssertionError("coordinate chain violated")
-    k_half = min(ratios[:samples])
-    k_full = min(ratios)
+    k_full, witness, k_half = _sweep("proper", model, 2 * samples, seed, half=samples)
     drift = float((k_half - k_full) / k_half) if k_half > 0 else math.inf
-    worst_index = ratios.index(k_full)
-    witness = witness_of[worst_index]
-    if smooth:
-        margin_exact = min(k_full - 1, Fraction(_STABILITY_BUDGET) - Fraction(drift).limit_denominator(10**9))
-        name = f"proper-smooth-n{model.dim}"
-    else:
-        margin_exact = min(k_full, Fraction(_STABILITY_BUDGET) - Fraction(drift).limit_denominator(10**9))
-        name = f"proper-hypersurface-dim{model.dim}"
-    verdict = _verdict(name, 2 * samples, margin_exact, witness)
-    verdict.extra.update(
-        {"k_hat": float(k_full), "k_hat_half_sample": float(k_half), "drift": drift}
-    )
+    slack = Fraction(_STABILITY_BUDGET) - Fraction(drift).limit_denominator(10**9)
+    smooth = isinstance(model, SmoothPoint)
+    name = f"proper-smooth-n{model.dim}" if smooth else f"proper-hypersurface-dim{model.dim}"
+    verdict = _verdict(name, 2 * samples, min(k_full - 1 if smooth else k_full, slack), witness)
+    verdict.extra.update({"k_hat": float(k_full), "k_hat_half_sample": float(k_half), "drift": drift})
     return verdict
 
 
@@ -263,36 +187,111 @@ def run_suite(
     dims: Sequence[int] = (2, 3, 4, 5),
 ) -> list[InequalityVerdict]:
     """Run one named suite (or all of them) and return the verdicts."""
-    worker_cap()  # validate the parallelism cap even though sweeps run sequentially
     known = {"all", "thm13", "skew2", "dfem", "proper"}
     if suite not in known:
         raise DomainError(f"unknown suite {suite!r}; choose one of {sorted(known)}")
     verdicts: list[InequalityVerdict] = []
     if suite in ("all", "thm13"):
-        for n in dims:
-            verdicts.append(check_theorem13(SmoothPoint(n), samples, seed + n))
+        verdicts += [check_theorem13(SmoothPoint(n), samples, seed + n) for n in dims]
     if suite in ("all", "skew2"):
         verdicts.append(check_skewness_identity_dim2(samples, seed))
     if suite in ("all", "dfem"):
-        for n in dims:
-            verdicts.append(check_dfem(SmoothPoint(n), samples, seed + 10 * n))
+        verdicts += [check_dfem(SmoothPoint(n), samples, seed + 10 * n) for n in dims]
     if suite in ("all", "proper"):
-        for n in dims:
-            verdicts.append(check_properness_ratio(SmoothPoint(n), samples, seed + 100 * n))
-        for n in dims:
-            verdicts.append(
-                check_properness_ratio(a_singularity(n, 2), samples, seed + 1000 * n)
-            )
+        verdicts += [check_properness_ratio(SmoothPoint(n), samples, seed + 100 * n) for n in dims]
+        verdicts += [check_properness_ratio(a_singularity(n, 2), samples, seed + 1000 * n) for n in dims]
     return verdicts
 
 
+# the public Fraction route of each suite, which re-derives the witness's margin
+_ROUTES = {"thm13": thm13_margin, "skew2": lambda _model, x: skew2_margin(x),
+           "dfem": dfem_margin, "proper": proper_ratio}
+
+
+def _sweep(suite, model, count, seed, half=None):
+    """Worst margin of ``count`` seeded draws, its witness, and the worst of the first ``half``."""
+    if count < 1:
+        raise DomainError(f"a sweep needs at least one sample, got {count}")
+    margin = _kernel(suite, model)
+    best_num = best_den = witness = half_worst = None
+    for i, p in enumerate(_numerators(np.random.default_rng(seed), count, model.ambient_dim)):
+        if min(p) < 1:
+            raise AssertionError(f"sampled numerators {p} are not positive")
+        num, den = margin(p)
+        if witness is None or num * best_den < best_num * den:
+            best_num, best_den, witness = num, den, p
+        if i + 1 == half:
+            half_worst = Fraction(best_num, best_den)
+    worst, x = Fraction(best_num, best_den), _weight(witness)
+    public = _ROUTES[suite](model, x)
+    if public != worst:
+        raise InternalConsistencyError(f"{suite} at {x}: kernel {worst}, Fraction route {public}")
+    return worst, x, half_worst
+
+
+def _numerators(rng, count, dim):
+    """Numerators p (weight p / _GRID) of ``count`` successive draws; see ``sample_weight``."""
+    lo, hi = math.log10(float(_LOW)), math.log10(float(_HIGH))
+    edges = (int(_LOW * _GRID), int(_HIGH * _GRID))
+    for start in range(0, count, _CHUNK):
+        u = rng.random((min(_CHUNK, count - start), 2, dim))
+        exps = lo + (hi - lo) * u[:, 1]
+        for rolls, es in zip(u[:, 0].tolist(), exps.tolist()):
+            yield tuple(
+                edges[0] if r < _EDGE_MASS else edges[1] if r < 2 * _EDGE_MASS
+                else round(10.0**e * _GRID)
+                for r, e in zip(rolls, es)
+            )
+
+
+def _kernel(suite, model):
+    """The margin of ``suite`` at weight p / _GRID as an integer pair (num, den > 0) of p."""
+    n = model.dim
+    if suite == "proper" and isinstance(model, Hypersurface):
+        rows = [tuple((i, e) for i, e in enumerate(row) if e) for row in model.support]
+        def margin(p):
+            w = min(sum(e * p[i] for i, e in row) for row in rows)
+            a = sum(p) - w
+            if a <= 0:  # the public route raises NonKltWeightError
+                return proper_ratio(model, _weight(p)).as_integer_ratio()
+            return a ** (n - 1) * w * min(p), math.prod(p)
+        return margin
+    if suite == "proper" and not isinstance(model, SmoothPoint):
+        return lambda p: proper_ratio(model, _weight(p)).as_integer_ratio()
+    if not isinstance(model, SmoothPoint):
+        raise UnsupportedModelError(f"the {suite} suite runs on smooth points, got {model!r}")
+    if suite == "thm13":
+        def margin(p):
+            s = sorted(p)
+            lead, middle = s[-1] ** len(s[1:-1]), math.prod(s[1:-1])
+            # vol * top^(n-1) * low against prod(top / p_i) over the middle
+            if s[-1] ** (n - 1) * s[0] * middle != lead * math.prod(p):
+                raise AssertionError("closed form and product form disagree")
+            if lead < middle:
+                raise AssertionError("the product of max-coordinate ratios dropped below 1")
+            return 2**n * lead - middle, 2**n * middle
+    elif suite == "skew2":
+        def margin(p):
+            low, top, prod = min(p), max(p), p[0] * p[1]
+            return -_GRID**2 * abs(top * low - prod), prod * top * low
+    elif suite == "dfem":
+        def margin(p):
+            prod = n**n * math.prod(p)
+            return sum(p) ** n - prod, prod
+    else:  # proper on a smooth point
+        def margin(p):
+            total, low = sum(p), min(p)
+            # order-valuation comparison: min(x) <= v_x(z_i) = x_i <= sum(x) = A
+            if not all(low <= q <= total for q in p):
+                raise AssertionError("coordinate chain violated")
+            return total ** (n - 1) * low, math.prod(p)
+    return margin
+
+
+def _weight(p):
+    return tuple(Fraction(q, _GRID) for q in p)
+
+
 def _verdict(name, samples, margin_exact, witness) -> InequalityVerdict:
-    passed = margin_exact >= -_EXACT_TOL
-    return InequalityVerdict(
-        name=name,
-        samples=samples,
-        min_margin=float(margin_exact),
-        witnesses=(witness,) if witness is not None else (),
-        passed=bool(passed),
-        min_margin_exact=margin_exact if isinstance(margin_exact, Fraction) else None,
-    )
+    passed = bool(margin_exact >= -_EXACT_TOL)
+    return InequalityVerdict(name, samples, float(margin_exact), (witness,), passed, margin_exact)

@@ -1,13 +1,20 @@
 """Inequality sweeps: frozen examples, exact identities, witness reproducibility."""
 
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvol import SmoothPoint, a_singularity, run_suite, skewness_s
+from hvol import inequalities
 from hvol.inequalities import (
+    _kernel,
+    _numerators,
     check_dfem,
     check_properness_ratio,
     check_skewness_identity_dim2,
@@ -17,9 +24,23 @@ from hvol.inequalities import (
     sample_weight,
     skew2_margin,
     thm13_margin,
-    worker_cap,
 )
-from hvol.models import DomainError
+from hvol.models import (
+    DomainError,
+    Hypersurface,
+    InternalConsistencyError,
+    NonKltWeightError,
+    UnsupportedModelError,
+    orthant_cone,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
+ROUTES = {
+    "thm13": thm13_margin,
+    "skew2": lambda _model, x: skew2_margin(x),
+    "dfem": dfem_margin,
+    "proper": proper_ratio,
+}
 
 
 class TestSkewnessBracket:
@@ -123,24 +144,6 @@ class TestSweeps:
         assert "proper-hypersurface-dim3" in names
 
 
-class TestWorkerCap:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("HVOL_THREADS", raising=False)
-        assert worker_cap() == 1
-
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("HVOL_THREADS", "4")
-        assert worker_cap() == 4
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("HVOL_THREADS", "zero")
-        with pytest.raises(DomainError):
-            worker_cap()
-        monkeypatch.setenv("HVOL_THREADS", "0")
-        with pytest.raises(DomainError):
-            worker_cap()
-
-
 class TestSampler:
     def test_exactness_and_box(self):
         rng = np.random.default_rng(0)
@@ -157,3 +160,101 @@ class TestSampler:
             lows += sum(v == F(1, 1000) for v in x)
             highs += sum(v == F(1000) for v in x)
         assert lows > 100 and highs > 100
+
+    def test_batched_draws_match_per_sample_draws(self, monkeypatch):
+        # a small chunk makes the batched draws cross several chunk boundaries
+        monkeypatch.setattr(inequalities, "_CHUNK", 7)
+        for seed in range(20):
+            for dim in range(2, 7):
+                batched = [
+                    tuple(F(q, 10**6) for q in p)
+                    for p in _numerators(np.random.default_rng(seed), 40, dim)
+                ]
+                rng = np.random.default_rng(seed)
+                reference = [_reference_draw(rng, dim) for _ in range(40)]
+                assert batched == reference
+                rng = np.random.default_rng(seed)
+                assert [sample_weight(rng, dim) for _ in range(40)] == reference
+
+
+def _reference_draw(rng, dim):
+    """The sampler's distribution, drawn one coordinate pair at a time."""
+    rolls = rng.uniform(0.0, 1.0, size=dim)
+    exps = rng.uniform(math.log10(1 / 1000), math.log10(1000.0), size=dim)
+    out = []
+    for roll, e in zip(rolls, exps):
+        if roll < 0.3:
+            out.append(F(1, 1000))
+        elif roll < 0.6:
+            out.append(F(1000))
+        else:
+            out.append(F(round(10.0**e * 10**6), 10**6))
+    return tuple(out)
+
+
+class TestGolden:
+    """Full verdicts frozen from the per-sample Fraction implementation of the sweeps."""
+
+    @pytest.mark.parametrize(
+        "case", json.loads(GOLDEN.read_text()), ids=lambda c: f"{c['suite']}-{c['samples']}-{c['seed']}"
+    )
+    def test_verdicts_bit_for_bit(self, case):
+        verdicts = run_suite(case["suite"], case["samples"], case["seed"], dims=tuple(case["dims"]))
+        assert len(verdicts) == len(case["verdicts"])
+        for got, want in zip(verdicts, case["verdicts"]):
+            assert got.name == want["name"]
+            assert got.samples == want["samples"]
+            assert got.min_margin_exact == F(want["min_margin_exact"])
+            assert got.min_margin == float(F(want["min_margin_exact"]))
+            assert got.witnesses == tuple(tuple(F(c) for c in w) for w in want["witnesses"])
+            assert got.passed == want["passed"]
+            assert got.extra == want["extra"]
+
+
+KERNEL_CASES = (
+    [("thm13", SmoothPoint(n)) for n in range(2, 6)]
+    + [("dfem", SmoothPoint(n)) for n in range(2, 6)]
+    + [("skew2", SmoothPoint(2))]
+    + [("proper", SmoothPoint(n)) for n in range(2, 6)]
+    + [("proper", a_singularity(n, 2)) for n in range(2, 6)]
+)
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize(
+        "suite, model", KERNEL_CASES, ids=[f"{s}-{m.kind}-n{m.dim}" for s, m in KERNEL_CASES]
+    )
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_kernel_equals_fraction_route(self, suite, model, data):
+        p = data.draw(st.tuples(*[st.integers(1, 10**12)] * model.ambient_dim))
+        num, den = _kernel(suite, model)(p)
+        assert den > 0
+        assert F(num, den) == ROUTES[suite](model, tuple(F(q, 10**6) for q in p))
+
+    def test_non_klt_weight_raises_as_before(self):
+        quartic = Hypersurface(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
+        with pytest.raises(NonKltWeightError):
+            _kernel("proper", quartic)((1, 1, 1))
+        with pytest.raises(NonKltWeightError):
+            check_properness_ratio(quartic, samples=50, seed=0)
+
+    def test_toric_cone_uses_fraction_route(self):
+        # the orthant's ratio equals the smooth one at every weight
+        toric = check_properness_ratio(orthant_cone(2), samples=100, seed=3)
+        smooth = check_properness_ratio(SmoothPoint(2), samples=100, seed=3)
+        assert toric.witnesses == smooth.witnesses
+        assert toric.extra == smooth.extra
+
+    def test_cross_route_mismatch_raises(self, monkeypatch):
+        monkeypatch.setitem(inequalities._ROUTES, "dfem", lambda model, x: dfem_margin(model, x) + 1)
+        with pytest.raises(InternalConsistencyError):
+            check_dfem(SmoothPoint(3), samples=20, seed=0)
+
+    def test_smooth_only_suites_reject_other_models(self):
+        with pytest.raises(UnsupportedModelError):
+            check_theorem13(a_singularity(2, 2), samples=10)
+
+    def test_empty_sweep_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            check_dfem(SmoothPoint(2), samples=0)
