@@ -21,8 +21,6 @@ on rational inputs.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -143,7 +141,11 @@ def ideal_value(model: Model, weight: Sequence[Scalar]) -> Scalar:
     if isinstance(model, (SmoothPoint, Hypersurface)):
         return min(x)
     if isinstance(model, ToricCone):
-        return _toric_ideal_value(model, x)
+        # a nonzero dual-cone lattice point is p + sum t_i w_i with t >= 0
+        # (see ToricCone.parallelepiped_points); its pairing is at least that
+        # of p when p != 0, and at least that of some w_i when p = 0
+        points = model.dual_rays() + model.parallelepiped_points()
+        return min(sum(yk * xk for yk, xk in zip(y, x)) for y in points if any(y))
     raise UnsupportedModelError(f"unknown model kind {model!r}")
 
 
@@ -188,38 +190,3 @@ def _product(values) -> Scalar:
         out = out * v
     return out
 
-
-def _toric_ideal_value(model: ToricCone, x) -> Scalar:
-    """Smallest positive pairing <y, x> over nonzero lattice points of the dual cone.
-
-    The minimum is attained inside the bounded slab { <y, x> <= min_i <w_i, x> },
-    which contains at least the primitive dual rays; a direct bounded
-    enumeration is exact and independent of the colength oracle.
-    """
-    rays = model.dual_rays()
-    ray_values = [sum(r * xi for r, xi in zip(ray, x)) for ray in rays]
-    bound = min(ray_values)
-    # box containing { y = sum t_i w_i : t_i >= 0, sum t_i <w_i, x> <= bound }
-    rank = model.rank
-    caps = [bound / rv for rv in ray_values]
-    lo, hi = [0] * rank, [0] * rank
-    for ray, cap in zip(rays, caps):
-        for k in range(rank):
-            reach = ray[k] * cap
-            if reach < 0:
-                lo[k] += math.floor(reach)
-            else:
-                hi[k] += math.ceil(reach)
-    best = None
-    gens = model.generators
-    for y in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if all(v == 0 for v in y):
-            continue
-        if any(sum(yk * gk for yk, gk in zip(y, gen)) < 0 for gen in gens):
-            continue
-        value = sum(yk * xk for yk, xk in zip(y, x))
-        if value > 0 and (best is None or value < best):
-            best = value
-    if best is None:
-        raise DomainError("could not locate a nonzero dual-cone lattice point")
-    return best

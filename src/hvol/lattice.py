@@ -2,21 +2,29 @@
 
 The volume of a valuation is the limit of n! * dim(R/a_r) / r^n, where
 a_r collects the elements of value at least r.  For monomial valuations
-the colength is a lattice count:
+the colength is a lattice count, and every model kind writes it as a
+signed sum of coin counts #{ t in Z^k_{>=0} : <c, t> < r - s } with
+coins c and shifts s:
 
-* smooth n-space: #{ e in Z^n_{>=0} : <x, e> < r }
-* hypersurface { f = 0 }: inclusion-exclusion of two smooth counts,
-  #{ <x,e> < r } - #{ <x,e> < r - v_x(f) } in the ambient space.  This is
-  an asymptotic surrogate: its leading term matches dim(R/a_r), which is
-  all the volume limit sees.
-* toric cone: #{ y in (dual cone) cap Z^n : <y, x> < r }
+* smooth n-space: #{ e in Z^n_{>=0} : <x, e> < r }, one unshifted term
+  with coins x.
+* hypersurface { f = 0 }: #{ <x,e> < r } - #{ <x,e> < r - v_x(f) } in the
+  ambient space, the unshifted term minus the term shifted by v_x(f).
+  This is an asymptotic surrogate: its leading term matches dim(R/a_r),
+  which is all the volume limit sees.
+* simplicial toric cone: #{ y in (dual cone) cap Z^n : <y, x> < r }.  Every
+  such y is p + sum t_i w_i, with w_i the primitive dual rays, t >= 0 an
+  integer vector and p one of the |det W| lattice points of the half-open
+  parallelepiped the w_i span (Beck-Robins, *Computing the Continuous
+  Discretely*, ch. 3).  The count is one term per p, with coins <w_i, x>
+  and shift <p, x>.
 
-Counts are exact.  Weights and radii are cleared to a common integer
-scale (counts are invariant under simultaneous rescaling of weight and
-radius) and the smooth count runs as a coin-counting cumulative table,
-which is deterministic and fast enough for four ambient dimensions at the
-default radii.  The estimates here never consult the closed forms in
-``core``; they are the independent check on them.
+Counts are exact.  Coins and radii are cleared to a common integer scale
+(counts are invariant under simultaneous rescaling of coins and radius),
+and one cumulative coin table at the largest scaled radius serves every
+radius and shift of a schedule, so the counting capacity is bounded by
+the scaled radius only.  The estimates here never consult the closed
+forms in ``core``; they are the independent check on them.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from .core import weighted_order
 
 _COUNT_CAP = 1 << 62
 _SCALE_CAP = 20_000_000
-_BOX_CAP = 20_000_000
 
 #: multipliers of max(x) for the default radii schedule: eight geometric
 #: steps from 16 to 512, rounded to integers.
@@ -72,43 +79,25 @@ def default_radii(model: Model, weight: Sequence[Scalar]) -> tuple[Scalar, ...]:
 
 def colength_smooth(n: int, weight: Sequence[Scalar], radius) -> int:
     """Exact #{ e in Z^n_{>=0} : <x, e> < r }."""
-    x = check_weight(SmoothPoint(n), weight)
-    r = as_scalar(radius)
-    if not r > 0:
-        return 0
-    scaled, bounds = _scaled_weight_and_bounds(x, [r])
-    return _smooth_counts(scaled, bounds)[0]
+    return colength(SmoothPoint(n), weight, radius)
 
 
 def colength_hypersurface(model: Hypersurface, weight: Sequence[Scalar], radius) -> int:
     """Inclusion-exclusion ambient count whose leading term is dim(R/a_r)."""
-    x = check_weight(model, weight)
-    r = as_scalar(radius)
-    if not r > 0:
-        return 0
-    v = weighted_order(x, model.support)
-    scaled, bounds = _scaled_weight_and_bounds(x, [r, r - v])
-    outer, inner = _smooth_counts(scaled, bounds)
-    return outer - inner
+    return colength(model, weight, radius)
 
 
 def colength_toric(model: ToricCone, weight: Sequence[Scalar], radius) -> int:
     """Exact #{ y in dual-cone lattice : <y, x> < r }."""
-    x = check_weight(model, weight)  # interior check keeps the count finite
-    r = as_scalar(radius)
-    if not r > 0:
-        return 0
-    return _toric_count(model, x, r)
+    return colength(model, weight, radius)
 
 
 def colength(model: Model, weight: Sequence[Scalar], radius) -> int:
-    if isinstance(model, SmoothPoint):
-        return colength_smooth(model.dim, weight, radius)
-    if isinstance(model, Hypersurface):
-        return colength_hypersurface(model, weight, radius)
-    if isinstance(model, ToricCone):
-        return colength_toric(model, weight, radius)
-    raise UnsupportedModelError(f"unknown model kind {model!r}")
+    x = check_weight(model, weight)  # for toric models the interior check keeps the count finite
+    r = as_scalar(radius)
+    if not r > 0:
+        return 0
+    return _schedule_counts(model, x, [r])[0]
 
 
 def estimate_volume(
@@ -136,55 +125,49 @@ def estimate_volume(
 
 
 def _schedule_counts(model, x, schedule):
+    """Colengths at every radius of the schedule, from one coin table."""
+    xs = _exact_fractions(x)
     if isinstance(model, SmoothPoint):
-        scaled, bounds = _scaled_weight_and_bounds(x, schedule)
-        return _smooth_counts(scaled, bounds)
-    if isinstance(model, Hypersurface):
-        v = weighted_order(x, model.support)
-        cuts = list(schedule) + [r - v for r in schedule]
-        scaled, bounds = _scaled_weight_and_bounds(x, cuts)
-        counts = _smooth_counts(scaled, bounds)
-        m = len(schedule)
-        return [counts[i] - counts[m + i] for i in range(m)]
-    if isinstance(model, ToricCone):
-        return [_toric_count(model, x, r) for r in schedule]
-    raise UnsupportedModelError(f"unknown model kind {model!r}")
+        coins, shifts = xs, [(1, 0)]
+    elif isinstance(model, Hypersurface):
+        coins, shifts = xs, [(1, 0), (-1, weighted_order(xs, model.support))]
+    elif isinstance(model, ToricCone):
+        coins = [_pairing(ray, xs) for ray in model.dual_rays()]
+        shifts = [(1, _pairing(p, xs)) for p in model.parallelepiped_points()]
+    else:
+        raise UnsupportedModelError(f"unknown model kind {model!r}")
+    cuts = [r - shift for r in _exact_fractions(schedule) for _sign, shift in shifts]
+    counts = _smooth_counts(*_scaled_coins_and_bounds(coins, cuts))
+    k = len(shifts)
+    return [
+        sum(sign * c for (sign, _shift), c in zip(shifts, counts[i * k : (i + 1) * k]))
+        for i in range(len(schedule))
+    ]
+
+
+def _pairing(y, x):
+    return sum(yk * xk for yk, xk in zip(y, x))
 
 
 def _exact_fractions(values):
     return [v if isinstance(v, Fraction) else Fraction(v) for v in values]
 
 
-def _scaled_weight_and_bounds(x, radii):
-    """Clear denominators: integer weights a_i and strict integer bounds.
+def _scaled_coins_and_bounds(coins, cuts):
+    """Clear denominators: integer coins a_i and strict integer bounds.
 
-    Returns (a, bounds) where the count for radius r is
-    #{ e : sum a_i e_i <= bound } with bound = ceil(lcm * r) - 1.
-    Non-positive radii get bound -1 (empty count).  Floats are converted
-    exactly, so callers should prefer rational inputs; an oversized common
-    scale raises CapacityError rather than degrade precision.
+    The count for a cut c is #{ t : sum a_i t_i <= bound } with
+    bound = ceil(lcm * c) - 1; a non-positive cut gets bound -1 (empty
+    count).  Floats are converted exactly, so callers should prefer
+    rational inputs: their common scale is usually beyond capacity.
     """
-    xs = _exact_fractions(x)
-    rs = _exact_fractions(radii)
-    lcm = common_denominator(xs + [r for r in rs if r > 0])
-    if lcm * max(max(xs), max((r for r in rs if r > 0), default=Fraction(1))) > _SCALE_CAP:
-        raise CapacityError(
-            "weight/radius denominators need an integer scale beyond capacity; "
-            "use rationals with moderate denominators"
-        )
-    a = [int(v * lcm) for v in xs]
-    bounds = []
-    for r in rs:
-        if r <= 0:
-            bounds.append(-1)
-            continue
-        # strict inequality <x,e> < r  <=>  sum a_i e_i <= ceil(lcm*r) - 1
-        bounds.append(math.ceil(r * lcm) - 1)
-    return a, bounds
+    lcm = common_denominator(coins + [c for c in cuts if c > 0])
+    # strict inequality <c, t> < cut  <=>  sum a_i t_i <= ceil(lcm*cut) - 1
+    return [int(c * lcm) for c in coins], [math.ceil(c * lcm) - 1 if c > 0 else -1 for c in cuts]
 
 
 def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
-    """#{ e >= 0 : sum a_i e_i <= B } for every B in bounds, exactly.
+    """#{ t >= 0 : sum a_i t_i <= B } for every B in bounds, exactly.
 
     One cumulative coin table at the largest bound serves all of them.
     Intermediate table entries are bounded by the final count, so a single
@@ -194,7 +177,10 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
     if top < 0:
         return [0] * len(bounds)
     if top > _SCALE_CAP:
-        raise CapacityError(f"scaled radius {top} exceeds the counting capacity")
+        raise CapacityError(
+            f"scaled radius {top} exceeds the counting capacity; "
+            "use rationals with moderate denominators"
+        )
     n = len(a)
     smallest = min(a)
     # upper bound on the final count: a full simplex with the cheapest coin
@@ -207,44 +193,15 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
     table = np.zeros(top + 1, dtype=np.int64)
     table[0] = 1
     for coin in a:
-        if coin <= top:
-            for s in range(coin):
-                table[s::coin] = np.cumsum(table[s::coin])
-        # a coin larger than the budget contributes multiplicity 0 only
-    prefix = np.cumsum(table)
-    return [int(prefix[b]) if b >= 0 else 0 for b in bounds]
-
-
-def _toric_count(model: ToricCone, x, r) -> int:
-    rays = model.dual_rays()
-    ray_values = [sum(w * xi for w, xi in zip(ray, x)) for ray in rays]
-    rank = model.rank
-    caps = [r / rv for rv in ray_values]
-    lo, hi = [0] * rank, [0] * rank
-    for ray, cap in zip(rays, caps):
-        for k in range(rank):
-            reach = ray[k] * cap
-            if reach < 0:
-                lo[k] += math.floor(reach)
-            else:
-                hi[k] += math.ceil(reach)
-    box = 1
-    for l, h in zip(lo, hi):
-        box *= h - l + 1
-    if box > _BOX_CAP:
-        raise CapacityError(f"toric bounding box of size {box} exceeds capacity")
-    axes = np.ix_(*(np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)))
-    inside = None
-    for gen in model.generators:
-        pairing = sum(int(g) * axis for g, axis in zip(gen, axes))
-        cond = pairing >= 0
-        inside = cond if inside is None else (inside & cond)
-    # strict budget <y, x> < r on the common integer scale
-    xs = _exact_fractions(x)
-    lcm = common_denominator(xs + [Fraction(r)])
-    a = [int(v * lcm) for v in xs]
-    scaled = Fraction(r) * lcm
-    bound = int(scaled) - 1 if scaled == int(scaled) else int(math.floor(scaled))
-    budget = sum(int(ai) * axis for ai, axis in zip(a, axes))
-    inside = inside & (budget <= bound)
-    return int(np.count_nonzero(inside))
+        # table[s] becomes the sum of table[s - j * coin] over j >= 0: a
+        # running sum down each column of the (rows, coin) reshape, carried
+        # on into the short tail.  A coin beyond the budget contributes
+        # multiplicity 0 only.
+        rows = (top + 1) // coin
+        if rows:
+            head = table[: rows * coin].reshape(rows, coin)
+            np.cumsum(head, axis=0, out=head)
+            tail = table[rows * coin :]
+            tail += head[-1, : len(tail)]
+    np.cumsum(table, out=table)
+    return [int(table[b]) if b >= 0 else 0 for b in bounds]

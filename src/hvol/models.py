@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence, Union
 
 from .exact import (
@@ -209,11 +209,54 @@ class ToricCone:
         return self.rank
 
     def dual_rays(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive generators of the dual cone (simplicial case)."""
+        """Primitive generators of the dual cone (simplicial case).
+
+        Ray i pairs to zero with every generator but generator i.
+        """
+        return self._dual_rays
+
+    def parallelepiped_points(self) -> tuple[tuple[int, ...], ...]:
+        """Lattice points of the half-open parallelepiped spanned by the dual rays.
+
+        The box { sum l_i w_i : 0 <= l_i < 1 } holds |det W| lattice points,
+        one per class of Z^rank modulo the lattice of the dual rays w_i, and
+        every lattice point of the dual cone is one of them plus a
+        non-negative integer combination of the w_i.
+        """
+        return self._parallelepiped_points
+
+    @cached_property
+    def _dual_rays(self) -> tuple[tuple[int, ...], ...]:
         rank = self.rank
         matrix = [[Fraction(self.generators[j][i]) for j in range(rank)] for i in range(rank)]
         inverse = inverse_fraction(matrix)
         return tuple(primitive_integer_vector(row) for row in inverse)
+
+    @cached_property
+    def _parallelepiped_points(self) -> tuple[tuple[int, ...], ...]:
+        rays = self.dual_rays()
+        # y = sum l_i w_i has l_i = <y, g_i> / <w_i, g_i>, so subtracting
+        # floor(l_i) w_i reduces y into the box
+        scales = [sum(w * g for w, g in zip(ray, gen)) for ray, gen in zip(rays, self.generators)]
+
+        def into_box(y):
+            for ray, gen, scale in zip(rays, self.generators, scales):
+                steps = sum(v * g for v, g in zip(y, gen)) // scale
+                y = tuple(v - steps * w for v, w in zip(y, ray))
+            return y
+
+        # the unit vectors generate Z^rank, so closing {0} under unit steps
+        # reaches every class
+        points = {(0,) * self.rank}
+        frontier = list(points)
+        while frontier:
+            p = frontier.pop()
+            for k in range(self.rank):
+                q = into_box(tuple(v + (i == k) for i, v in enumerate(p)))
+                if q not in points:
+                    points.add(q)
+                    frontier.append(q)
+        return tuple(sorted(points))
 
 
 Model = Union[SmoothPoint, Hypersurface, ToricCone]

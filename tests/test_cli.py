@@ -189,6 +189,15 @@ class TestOracle:
         assert code == 0
         assert list(csv.DictReader(io.StringIO(out)))[0]["colength"] == "5050"
 
+    def test_rank_three_toric_default_radii(self, tmp_path, capsys):
+        from hvol import ToricCone
+
+        cone = ToricCone(((1, 0, 0), (0, 1, 0), (1, 1, 3)), (F(1), F(1), F(-1, 3)))
+        path = write_model(tmp_path, "cone3.json", cone)
+        code, out, _ = run(capsys, ["oracle", path, "--weight", "2,2,3"])
+        assert code == 0
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 8
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):

@@ -1,11 +1,14 @@
 """Lattice oracle: exact counts against brute force, convergence to closed forms."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hvol import (
     CapacityError,
@@ -18,10 +21,13 @@ from hvol import (
     colength_toric,
     default_radii,
     estimate_volume,
+    ideal_value,
     orthant_cone,
     volume,
 )
-from hvol.lattice import DEFAULT_RADIUS_MULTIPLIERS
+from hvol.lattice import DEFAULT_RADIUS_MULTIPLIERS, _smooth_counts
+
+CONE3 = ToricCone(((1, 0, 0), (0, 1, 0), (1, 1, 3)), (F(1), F(1), F(-1, 3)))
 
 
 def brute_count_smooth(x, r):
@@ -129,20 +135,36 @@ class TestToricCount:
         cone = orthant_cone(1)
         assert colength_toric(cone, (F(1),), 5) == 5
 
-    def test_quadric_cone_against_brute_force(self):
-        cone = ToricCone(((0, 1), (2, -1)), (F(1), F(1)))
-        x = (F(1), F(1))
-        for r in (F(5), F(10), F(21, 2)):
-            expected = 0
-            for y1 in range(0, 3 * int(r) + 3):
-                for y2 in range(-2 * int(r) - 2, 2 * int(r) + 3):
-                    if y2 < 0:  # <y, (0,1)> >= 0
-                        continue
-                    if 2 * y1 - y2 < 0:  # <y, (2,-1)> >= 0
-                        continue
-                    if y1 * x[0] + y2 * x[1] < r:
-                        expected += 1
-            assert colength_toric(cone, x, r) == expected
+    @pytest.mark.parametrize(
+        "cone, x, radii",
+        [
+            (ToricCone(((0, 1), (2, -1)), (F(1), F(1))), (F(1), F(1)), (F(5), F(10), F(21, 2))),
+            (CONE3, (F(2), F(2), F(3)), (F(3), F(11, 2), F(7))),
+            (CONE3, (F(5, 4), F(17, 12), F(9, 4)), (F(2), F(9, 2))),
+            (ToricCone(((1, 0), (1, 3)), (F(1), F(0))), (F(23, 12), F(15, 4)), (F(7), F(31, 2))),
+            (ToricCone(((1, 0), (2, 5)), (F(1), F(-1, 5))), (F(13, 6), F(5, 3)), (F(6), F(27, 2))),
+        ],
+        ids=["quadric", "rank3", "rank3-rational", "(1,0),(1,3)", "(1,0),(2,5)"],
+    )
+    def test_against_brute_force(self, cone, x, radii):
+        # every dual-cone point y with <y, x> < r has 0 <= <g_j, y> < r / c_j
+        # for x = sum c_j g_j, which bounds y through the inverse of G
+        gens = np.array(cone.generators, dtype=float)
+        c = np.linalg.solve(gens.T, np.array(x, dtype=float))
+        reach = np.abs(np.linalg.inv(gens)) @ (float(radii[-1]) / c)
+        box = [range(-math.ceil(b) - 1, math.ceil(b) + 2) for b in reach]
+        values = []
+        for y in itertools.product(*box):
+            if all(sum(yk * gk for yk, gk in zip(y, g)) >= 0 for g in cone.generators):
+                values.append((sum(yk * xk for yk, xk in zip(y, x)), any(y)))
+        expected = [sum(1 for v, _nonzero in values if v < r) for r in radii]
+        assert [colength_toric(cone, x, r) for r in radii] == expected
+        assert estimate_volume(cone, x, radii).colengths == tuple(expected)
+        lowest = min(v for v, nonzero in values if nonzero)
+        assert lowest < radii[-1]  # so the box holds the minimizer
+        assert ideal_value(cone, x) == lowest
+        det = round(abs(np.linalg.det(np.array(cone.dual_rays(), dtype=float))))
+        assert len(cone.parallelepiped_points()) == det
 
     def test_exterior_weight_rejected(self):
         cone = ToricCone(((0, 1), (2, -1)), (F(1), F(1)))
@@ -153,6 +175,20 @@ class TestToricCount:
         # oracle-vs-closed-form on the quadric cone germ at an interior weight
         cone = ToricCone(((0, 1), (2, -1)), (F(1), F(1)))
         x = (F(1), F(1))
+        series = estimate_volume(cone, x)
+        true = volume(cone, x)
+        assert abs(float(series.estimate) - float(true)) <= 0.02 * float(true)
+
+    @pytest.mark.parametrize(
+        "cone, x",
+        [
+            (CONE3, (F(2), F(2), F(3))),
+            # the route-crosscheck shape: denominator 18000, top coordinate 2
+            (orthant_cone(3), (F(27001, 18000), F(2), F(19007, 18000))),
+        ],
+        ids=["rank3", "orthant3-den18000"],
+    )
+    def test_rank_three_default_radii(self, cone, x):
         series = estimate_volume(cone, x)
         true = volume(cone, x)
         assert abs(float(series.estimate) - float(true)) <= 0.02 * float(true)
@@ -227,3 +263,31 @@ class TestEstimateVolume:
                 series = estimate_volume(model, x)
                 true = float(volume(model, x))
                 assert abs(float(series.estimate) - true) <= 0.02 * true
+
+
+def reference_count(coins, bound):
+    """#{ t >= 0 : sum coins_i t_i <= bound } by recursion on the first coin."""
+
+    @functools.lru_cache(maxsize=None)
+    def count(i, budget):
+        if budget < 0:
+            return 0
+        if i == len(coins):
+            return 1
+        return sum(count(i + 1, budget - t * coins[i]) for t in range(budget // coins[i] + 1))
+
+    return count(0, bound)
+
+
+class TestCoinTable:
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(
+        coins=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+        bounds=st.lists(st.integers(-1, 250), min_size=1, max_size=5),
+    )
+    @example(coins=[7, 3], bounds=[22, 5])  # 23 entries: a 2-entry tail row for coin 7
+    @example(coins=[60, 2], bounds=[41, 17])  # a coin beyond the top bound
+    @example(coins=[5], bounds=[-1])  # only the empty bound
+    @example(coins=[4, 9, 1], bounds=[-1, 30, 0])
+    def test_matches_reference(self, coins, bounds):
+        assert _smooth_counts(coins, bounds) == [reference_count(tuple(coins), b) for b in bounds]
