@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import fujita, inequalities, lattice, modelio, optimize, tables
 from .core import normalized_volume
-from .exact import Scalar, format_scalar, parse_rational
+from .exact import format_scalar, parse_rational
 from .models import (
     CapacityError,
     DomainError,
@@ -118,19 +118,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # helpers
 
 
-def _parse_weight(text: str) -> tuple[Scalar, ...]:
+def _parse_weight(text: str) -> tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise DomainError("empty weight")
     out = []
     for part in parts:
-        if "." in part or "e" in part or "E" in part:
-            out.append(float(part))
-        else:
-            try:
-                out.append(parse_rational(part))
-            except ValueError as exc:
-                raise DomainError(str(exc)) from exc
+        try:
+            # decimal literals ("1.1", "2e-3") are read exactly
+            decimal = "." in part or "e" in part or "E" in part
+            out.append(Fraction(part) if decimal else parse_rational(part))
+        except ValueError as exc:
+            raise DomainError(str(exc)) from exc
     return tuple(out)
 
 

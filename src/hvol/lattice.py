@@ -23,7 +23,11 @@ Counts are exact.  Coins and radii are cleared to a common integer scale
 (counts are invariant under simultaneous rescaling of coins and radius),
 and one cumulative coin table at the largest scaled radius serves every
 radius and shift of a schedule, so the counting capacity is bounded by
-the scaled radius only.  The estimates here never consult the closed
+the scaled radius only.  Each coin's pass is a running sum down the
+columns of a (rows, coin) view of the table and loops over its shorter
+side: whole contiguous rows added in order when rows <= coin (at most
+sqrt(top + 1) iterations for a table of top + 1 entries), one column
+cumsum otherwise.  The estimates here never consult the closed
 forms in ``core``; they are the independent check on them.
 """
 
@@ -195,12 +199,19 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
     for coin in a:
         # table[s] becomes the sum of table[s - j * coin] over j >= 0: a
         # running sum down each column of the (rows, coin) reshape, carried
-        # on into the short tail.  A coin beyond the budget contributes
-        # multiplicity 0 only.
+        # on into the short tail.  The pass loops over the shorter side:
+        # with few rows it adds whole rows in order (contiguous, in place),
+        # otherwise it runs one column cumsum.  Since rows * coin <= top + 1,
+        # the row loop runs at most sqrt(top + 1) times.  A coin beyond the
+        # budget contributes multiplicity 0 only.
         rows = (top + 1) // coin
         if rows:
             head = table[: rows * coin].reshape(rows, coin)
-            np.cumsum(head, axis=0, out=head)
+            if rows <= coin:
+                for i in range(1, rows):
+                    np.add(head[i], head[i - 1], out=head[i])
+            else:
+                np.cumsum(head, axis=0, out=head)
             tail = table[rows * coin :]
             tail += head[-1, : len(tail)]
     np.cumsum(table, out=table)

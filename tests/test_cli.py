@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,21 @@ class TestCompute:
         code, _, err = run(capsys, ["compute", quartic, "--weight", "1,1,1"])
         assert code == 3
         assert "klt" in err
+
+    def test_decimal_weight_is_exact(self, tmp_path, capsys):
+        path = write_model(tmp_path, "s2.json", SmoothPoint(2))
+        decimal = run(capsys, ["compute", path, "--weight", "0.5,1"])
+        fraction = run(capsys, ["compute", path, "--weight", "1/2,1"])
+        assert decimal[0] == 0
+        assert decimal == fraction
+
+    @pytest.mark.parametrize("weight", ["1.2.3,1", "1e,1"])
+    def test_malformed_decimal_exit_3(self, tmp_path, capsys, weight):
+        path = write_model(tmp_path, "s2.json", SmoothPoint(2))
+        code, out, err = run(capsys, ["compute", path, "--weight", weight])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_weight_length_error(self, tmp_path, capsys):
         path = write_model(tmp_path, "s2.json", SmoothPoint(2))
@@ -189,6 +208,14 @@ class TestOracle:
         assert code == 0
         assert list(csv.DictReader(io.StringIO(out)))[0]["colength"] == "5050"
 
+    def test_decimal_weight_is_exact(self, tmp_path, capsys):
+        # 1.1 read as a float would clear to the denominator 2**51 and exceed capacity
+        path = write_model(tmp_path, "s2.json", SmoothPoint(2))
+        decimal = run(capsys, ["oracle", path, "--weight", "1.1,2"])
+        fraction = run(capsys, ["oracle", path, "--weight", "11/10,2"])
+        assert decimal[0] == 0
+        assert decimal == fraction
+
     def test_rank_three_toric_default_radii(self, tmp_path, capsys):
         from hvol import ToricCone
 
@@ -249,3 +276,15 @@ class TestFujita:
         path = write_model(tmp_path, "s2.json", SmoothPoint(2))
         code, _, _ = run(capsys, ["fujita", path])
         assert code == 3
+
+
+class TestModuleEntryPoint:
+    def test_python_m_hvol_help(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hvol", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: hvol")

@@ -289,5 +289,25 @@ class TestCoinTable:
     @example(coins=[60, 2], bounds=[41, 17])  # a coin beyond the top bound
     @example(coins=[5], bounds=[-1])  # only the empty bound
     @example(coins=[4, 9, 1], bounds=[-1, 30, 0])
+    @example(coins=[15], bounds=[224])  # 15 rows of 15: the row-by-row side
+    @example(coins=[15], bounds=[239])  # 16 rows of 15: the column cumsum side
+    @example(coins=[15, 2, 40], bounds=[239, 100])  # coins 15 and 2 by column, 40 by row
     def test_matches_reference(self, coins, bounds):
         assert _smooth_counts(coins, bounds) == [reference_count(tuple(coins), b) for b in bounds]
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            # coins 1999 and 3989 over about 2e6 entries: both passes add rows
+            (F(1), F(3989, 1999)),
+            # coin 1 runs the column cumsum over 512000 rows, coin 1000 adds rows
+            (F(1), F(1, 1000)),
+        ],
+    )
+    def test_smooth_default_radii_against_line_sums(self, x):
+        # #{ (a, b) >= 0 : a x1 + b x2 < r } summed one line a = const at a time
+        def line_sums(r):
+            return sum(math.ceil((r - a * x[0]) / x[1]) for a in range(math.ceil(r / x[0])))
+
+        series = estimate_volume(SmoothPoint(2), x)
+        assert series.colengths == tuple(line_sums(r) for r in series.radii)
