@@ -57,7 +57,7 @@ from .models import (
     e_singularity,
     orthant_cone,
 )
-from .optimize import MinimizationResult, evaluate_branch, minimize_hvol, symmetrize
+from .optimize import MinimizationResult, minimize_hvol, symmetrize
 from .tables import ReferenceEntry, alpha_star, reference_entry, reference_model, table_rows
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,8 +3,8 @@
 All closed-form operations in this package run on ``fractions.Fraction``
 when given rational inputs and fall back to floats otherwise.  The helpers
 here define that coercion, the "p/q" text form used by the CLI and the
-model files, and the few pieces of exact linear algebra (determinants,
-inverses, nullspaces) needed for toric dual cones and tie-stratum bases.
+model files, and the few pieces of exact linear algebra (determinants and
+inverses) needed for toric dual cones and tie-stratum bases.
 """
 
 from __future__ import annotations
@@ -103,37 +103,6 @@ def inverse_fraction(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return [row[n:] for row in m]
-
-
-def nullspace_fraction(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[Fraction, ...]]:
-    """Exact basis of {h : rows @ h = 0} in dimension ``width``."""
-    m = [[Fraction(x) for x in row] for row in rows if any(row)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    basis = []
-    free = [c for c in range(width) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:

@@ -18,9 +18,13 @@ S, ebar = sum_{e in S} mu_e e, A normalized to 1 and s = 1/v,
 which is |S| unknowns whatever the ambient dimension.  Coordinates that
 play identical roles in f (``symmetrize``) get equal weights.  The strata
 worth solving are read off the vertices of R = {u >= 0 : <e, u> >= 1};
-each is solved by damped Newton, the lowest klt-valid root wins and is
-snapped to exact rationals when the exact value confirms it.  Weights are
-max-normalized, and the answer depends on the model alone.
+each is solved by a batch of damped Newton runs, the lowest klt-valid root
+wins and is snapped to exact rationals when the exact value confirms it.
+A run ends when it converges, when its step is exactly zero, when it runs
+off toward s = 0 or infinity (next to the cap on |log s| its step still
+points past it), when its multipliers leave |mu| <= 10^3, or when no
+halving of its step is acceptable; a batch stops when no run is live.
+Weights are max-normalized, and the answer depends on the model alone.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +63,11 @@ _ROOT_TOL = 1e-12
 _TIE_TOL = 1e-9
 _STEP_TOL = 1e-9
 _LOG_S_CAP = 20.0
+# the multipliers of an accepted root lie in the simplex, so |mu| <= 1; on
+# the Newton paths to the accepted roots of the A-D-E rows and of 230 random
+# supports |mu| stayed below 54, about a twentieth of this bound, while runs
+# that never converge drift on to 1e7 and beyond
+_MU_BOUND = 1e3
 _EPS = float(np.finfo(float).eps)
 
 
@@ -101,23 +109,6 @@ def symmetrize(model: Hypersurface) -> tuple[tuple[int, ...], ...]:
     if not isinstance(model, Hypersurface):
         raise UnsupportedModelError("symmetrize applies to hypersurface models")
     return _columns_partition(model.support, model.ambient_dim)
-
-
-def evaluate_branch(model: Hypersurface, weight: Sequence[Scalar], active) -> Scalar:
-    """Value of the smooth branch that pretends ``active`` attains v_x(f).
-
-    Equals the normalized volume when ``active`` really is minimal at x.
-    Otherwise the returned number has no comparison guarantee against the
-    true value; callers should treat it as advisory.
-    """
-    if not isinstance(model, Hypersurface):
-        raise UnsupportedModelError("evaluate_branch applies to hypersurface models")
-    x = check_weight(model, weight)
-    active = tuple(int(e) for e in active)
-    if active not in model.support:
-        raise DomainError(f"{active} is not a monomial of the support")
-    v = sum(xi * ei for xi, ei in zip(x, active))
-    return (sum(x) - v) ** model.dim * v / math.prod(x)
 
 
 def minimize_hvol(
@@ -310,7 +301,23 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
     with u_c = size_c / D_c and D_c = n size_c + (s - n) ebar_c; in the form
     <e, u> = 1/s both sides fade as s grows and every stratum looks solved.
     Steps are halved until every D_c > 0 and |log s| <= _LOG_S_CAP.
-    Returns the last (mu, s) of every run and which runs converged.
+
+    Each run ends on its own, in one of four ways:
+
+    * it converges: residual at most _ROOT_TOL and step at most _STEP_TOL;
+    * its Newton step is exactly zero, a point it can never leave;
+    * it runs off in s: it is within one unit of the cap and its undamped
+      step would carry |log s| past it.  Where the residual fades like 1/s
+      (a pure power), Newton steps t by 1, as -g/g' = 1 for g = c e^-t, so
+      such a run climbs to that last unit and would then only be halved
+      toward the cap.  A step past the cap from further in is halved as
+      before: far from a root Newton overshoots, and on some supports such
+      runs still reach the winning root;
+    * its multipliers leave |mu| <= _MU_BOUND.
+
+    A run whose step no halving down to 1e-12 makes acceptable stops too.
+    The batch stops when no run is live, or after 60 iterations.  Returns
+    the last (mu, s) of every run and which runs converged.
     """
     runs, k = mu.shape
 
@@ -339,7 +346,10 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
         # residual also fades while s runs off to infinity, with unit steps
         done = (np.max(np.abs(g[live]), axis=1) <= _ROOT_TOL) & (np.max(np.abs(step), axis=1) <= _STEP_TOL)
         found[live[done]] = True
-        live, step = live[~done], step[~done]
+        runoff = (np.abs(t[live]) > _LOG_S_CAP - 1) & (np.abs(t[live] + step[:, k]) > _LOG_S_CAP)
+        stuck = np.all(step == 0, axis=1) | (np.max(np.abs(mu[live]), axis=1) > _MU_BOUND)
+        go_on = ~(done | runoff | stuck)
+        live, step = live[go_on], step[go_on]
         # the first halving that keeps |log s| within the cap, found at once
         room = (_LOG_S_CAP - np.sign(step[:, k]) * t[live]) / np.abs(step[:, k])
         lam = 0.5 ** np.maximum(0, np.ceil(-np.log2(room)))
@@ -408,8 +418,12 @@ def _finalize(model: Hypersurface, full: np.ndarray, float_value: float):
     full = full / np.max(full)
     float_weight = tuple(float(v) for v in full)
     accept = float_value * (1 + _VALUE_MATCH_RTOL) + 1e-15
+    exact, tried = [Fraction(v) for v in float_weight], set()
     for den in _SNAP_DENOMINATORS:
-        cand = tuple(Fraction(v).limit_denominator(den) for v in float_weight)
+        cand = tuple(v.limit_denominator(den) for v in exact)
+        if cand in tried:  # rejected already, and would be again
+            continue
+        tried.add(cand)
         try:
             cand = check_weight(model, cand)
             value = core.normalized_volume(model, cand).normalized_volume

@@ -1,7 +1,9 @@
 """Optimizer behavior: exact recoveries, diagnostics, determinism, edge cases."""
 
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +19,13 @@ from hvol import (
     a_singularity,
     d_singularity,
     e_singularity,
-    evaluate_branch,
     log_discrepancy,
     minimize_hvol,
     normalized_volume,
     orthant_cone,
     symmetrize,
 )
-from hvol import optimize
+from hvol import cli, optimize
 from hvol.tables import alpha_star
 
 
@@ -44,32 +45,6 @@ class TestSymmetrize:
     def test_non_hypersurface_rejected(self):
         with pytest.raises(UnsupportedModelError):
             symmetrize(SmoothPoint(3))
-
-
-class TestEvaluateBranch:
-    def test_active_branch_equals_hvol(self):
-        model = a_singularity(2, 3)
-        x = (F(1), F(1), F(2, 3))
-        value = evaluate_branch(model, x, (2, 0, 0))
-        assert value == F(4, 3)
-        assert value == normalized_volume(model, x).normalized_volume
-
-    def test_quadric_uniform_weight(self):
-        for n in (2, 3, 4):
-            model = a_singularity(n, 2)
-            value = evaluate_branch(model, (F(1),) * (n + 1), (2,) + (0,) * n)
-            assert value == 2 * (n - 1) ** n
-
-    def test_inactive_branch_is_advisory(self):
-        model = a_singularity(2, 3)
-        x = (F(1), F(1), F(2))  # cube monomial has weight 6, not minimal
-        branch = evaluate_branch(model, x, (0, 0, 3))
-        true = normalized_volume(model, x).normalized_volume
-        assert branch != true  # no comparison guarantee either way
-
-    def test_membership_checked(self):
-        with pytest.raises(DomainError):
-            evaluate_branch(a_singularity(2, 3), (F(1), F(1), F(1)), (1, 1, 1))
 
 
 class TestMinimizeSmooth:
@@ -292,3 +267,74 @@ class TestBoundaryWeight:
         assert 0 < a < F(1, 100) * sum(result.weight)
         assert result.value == normalized_volume(model, result.weight).normalized_volume
         assert math.isfinite(result.first_order_residual)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "minimizer_golden.json").read_text())
+
+
+def _scalar_string(value):
+    """Exact values as "p/q", floats by repr, so a float row must match bit for bit."""
+    return str(value) if isinstance(value, F) else repr(float(value))
+
+
+class TestGolden:
+    """Answers frozen before each Newton run could end on its own (see the file's note)."""
+
+    @pytest.mark.parametrize("row", GOLDEN["minimizers"], ids=lambda row: row["label"])
+    def test_minimizer_answer(self, row):
+        support = tuple(tuple(e) for e in row["support"])
+        result = minimize_hvol(Hypersurface(support, allow_smooth_germ=row["allow_smooth_germ"]))
+        assert [_scalar_string(w) for w in result.weight] == row["weight"]
+        assert _scalar_string(result.value) == row["value"]
+        assert result.status == row["status"]
+        assert result.starts_used == row["starts_used"]
+        assert [list(e) for e in result.active_monomials] == row["active_monomials"]
+        assert result.first_order_residual == pytest.approx(row["first_order_residual"], rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN["tables"]))
+    def test_table_csv_bytes(self, family, capsys):
+        assert cli.main(["table", "--family", family, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == GOLDEN["tables"][family]
+
+
+def _newton_runs(problem, ties, starts):
+    tie, mu = np.array(ties, dtype=float), np.array(starts, dtype=float)
+    return optimize._newton(tie, problem.sizes, problem.model.dim, mu)
+
+
+class TestNewtonStops:
+    """Each run ends on its own, exactly as it would in a batch of one."""
+
+    def _assert_runs_alone_agree(self, problem, ties, starts, batch):
+        for i, (tie, start) in enumerate(zip(ties, starts)):
+            mu, s, found = _newton_runs(problem, [tie], [start])
+            assert np.array_equal(mu[0], batch[0][i])
+            assert s[0] == batch[1][i]
+            assert found[0] == batch[2][i]
+
+    def test_root_run_off_and_zero_step(self):
+        # D n=3 k=4 has classes of sizes (3, 1, 1) and n = 4: the squares'
+        # row (2, 0, 0) has a root at s = 1, the pure power (0, 0, 4) has
+        # none and its residual fades like 1/s, and the row (3, 0, 0) of
+        # x1 x2 x3 has residual 2 and a Newton step of exactly 0 at s = n
+        problem = optimize._build_problem(d_singularity(3, 4))
+        ties, starts = [[(2, 0, 0)], [(0, 0, 4)], [(3, 0, 0)]], [[1.0]] * 3
+        batch = mu, s, found = _newton_runs(problem, ties, starts)
+        assert found.tolist() == [True, False, False]
+        assert abs(s[0] - 1) <= 1e-12
+        # the run-off ends within the last unit below the cap, not walked up to it
+        assert optimize._LOG_S_CAP - 1 < math.log(s[1]) < optimize._LOG_S_CAP - 1e-3
+        assert s[2] == problem.model.dim
+        self._assert_runs_alone_agree(problem, ties, starts, batch)
+
+    def test_multiplier_bound(self):
+        # D n=2 k=5: from the vertex (0, 1) the first step on the stratum
+        # {z^5, y^2 z} sends the multipliers past the bound, while the
+        # stratum {z^5, squares} has a root from the barycentre
+        problem = optimize._build_problem(d_singularity(2, 5))
+        ties = [[(0, 0, 5), (2, 0, 0)], [(0, 0, 5), (0, 2, 1)]]
+        starts = [[0.5, 0.5], [0.0, 1.0]]
+        batch = mu, s, found = _newton_runs(problem, ties, starts)
+        assert found.tolist() == [True, False]
+        assert np.max(np.abs(mu[1])) > optimize._MU_BOUND
+        self._assert_runs_alone_agree(problem, ties, starts, batch)
