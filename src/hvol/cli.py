@@ -351,7 +351,7 @@ def _cmd_fujita(args) -> int:
     f1 = fujita.f_of_t(model, 1)
     betas = [Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(1),
              Fraction(2), Fraction(10), Fraction(100), math.inf]
-    samples = fujita.phi_samples(model, betas)
+    samples = [(b, fujita.phi(model, b)) for b in betas]
     phi0 = float(samples[0][1])
     drops = any(float(value) < phi0 - 1e-12 for _, value in samples[1:])
     payload = {

@@ -281,10 +281,6 @@ def convexity_check(cone: ConeModel, grid: int = 101) -> bool:
     )
 
 
-def phi_samples(cone: ConeModel, betas: Sequence[Beta]) -> list[tuple[Beta, Scalar]]:
-    return [(b, phi(cone, b)) for b in betas]
-
-
 # ---------------------------------------------------------------------------
 # catalog
 

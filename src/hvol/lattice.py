@@ -23,12 +23,19 @@ Counts are exact.  Coins and radii are cleared to a common integer scale
 (counts are invariant under simultaneous rescaling of coins and radius),
 and one cumulative coin table at the largest scaled radius serves every
 radius and shift of a schedule, so the counting capacity is bounded by
-the scaled radius only.  Each coin's pass is a running sum down the
-columns of a (rows, coin) view of the table and loops over its shorter
-side: whole contiguous rows added in order when rows <= coin (at most
-sqrt(top + 1) iterations for a table of top + 1 entries), one column
-cumsum otherwise.  The estimates here never consult the closed
-forms in ``core``; they are the independent check on them.
+the scaled radius only.  The cumulative count over n coins is the series
+1 / ((1 - z) prod (1 - z^a_i)); each factor is one running-sum pass and
+the passes commute, so the table starts as the closed-form one-coin count
+floor(s / a_min) + 1 of the smallest coin, takes one pass for each of the
+n - 2 middle coins, and the largest coin is never a pass: each bound
+reads a strided sum of the table at steps of that coin.  A pass loops
+over the shorter side of a (rows, coin) view of the table: whole
+contiguous rows added in order when rows <= coin (at most sqrt(top + 1)
+iterations for a table of top + 1 entries), one column cumsum otherwise.
+With one or two coins no table is built: the count is a closed form or a
+floor sum, a few integer operations per bound.  The estimates here never
+consult the closed forms in ``core``; they are the independent check on
+them.
 """
 
 from __future__ import annotations
@@ -173,9 +180,21 @@ def _scaled_coins_and_bounds(coins, cuts):
 def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
     """#{ t >= 0 : sum a_i t_i <= B } for every B in bounds, exactly.
 
-    One cumulative coin table at the largest bound serves all of them.
-    Intermediate table entries are bounded by the final count, so a single
-    a-priori capacity estimate guards int64 arithmetic.
+    The cumulative count C_k(s) over k coins is the coefficient of z^s in
+    1 / ((1 - z) prod (1 - z^a_i)).  Each factor is one running-sum pass,
+    and the passes commute, so the coins can be taken in any order:
+
+    * the smallest coin a_min alone gives C_1(s) = floor(s / a_min) + 1,
+      written directly (``_one_coin_table``);
+    * each middle coin is one running-sum pass over that table, n - 2
+      passes in all;
+    * the largest coin a_max never touches the table: each bound B reads
+      C_n(B) = sum_j C_(n-1)(B - j a_max) as one strided sum.
+
+    With n <= 2 coins no table is built: C_1 is a closed form and the
+    strided sum of C_1 is a floor sum (``_floor_sum``).  Table entries and
+    strided sums are bounded by the final count, so a single a-priori
+    capacity estimate guards int64 arithmetic.
     """
     top = max(bounds)
     if top < 0:
@@ -186,7 +205,8 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
             "use rationals with moderate denominators"
         )
     n = len(a)
-    smallest = min(a)
+    coins = sorted(a)
+    smallest, middle, largest = coins[0], coins[1:-1], coins[-1]
     # upper bound on the final count: a full simplex with the cheapest coin
     reach = top // smallest + n
     estimate = math.comb(reach, n)
@@ -194,9 +214,18 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
         raise CapacityError(
             f"count estimate {estimate} exceeds platform integer capacity"
         )
-    table = np.zeros(top + 1, dtype=np.int64)
-    table[0] = 1
-    for coin in a:
+    if n == 1:
+        return [b // smallest + 1 if b >= 0 else 0 for b in bounds]
+    if n == 2:
+        # sum over j <= J = B // a_max of C_1(B - j a_max); with i = J - j
+        # the argument is a_max i + B % a_max
+        return [
+            _floor_sum(b // largest + 1, smallest, largest, b % largest) + b // largest + 1
+            if b >= 0 else 0
+            for b in bounds
+        ]
+    table = _one_coin_table(smallest, top)
+    for coin in middle:
         # table[s] becomes the sum of table[s - j * coin] over j >= 0: a
         # running sum down each column of the (rows, coin) reshape, carried
         # on into the short tail.  The pass loops over the shorter side:
@@ -214,5 +243,47 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
                 np.cumsum(head, axis=0, out=head)
             tail = table[rows * coin :]
             tail += head[-1, : len(tail)]
-    np.cumsum(table, out=table)
-    return [int(table[b]) if b >= 0 else 0 for b in bounds]
+    return [int(table[b::-largest].sum()) if b >= 0 else 0 for b in bounds]
+
+
+def _one_coin_table(coin: int, top: int) -> np.ndarray:
+    """C_1(s) = floor(s / coin) + 1 for s = 0..top, without division.
+
+    Row i of the (rows, coin) view holds i + 1.  Row 0 is set to 1, then
+    the filled rows are doubled (rows [k, 2k) are rows [0, k) plus k), so
+    the fill takes log2(rows) steps and no temporary beyond the table.
+    """
+    table = np.empty(top + 1, dtype=np.int64)
+    rows = (top + 1) // coin
+    table[rows * coin :] = rows + 1
+    if rows:
+        head = table[: rows * coin].reshape(rows, coin)
+        head[0] = 1
+        done = 1
+        while done < rows:
+            step = min(done, rows - done)
+            np.add(head[:step], done, out=head[done : done + step])
+            done += step
+    return table
+
+
+def _floor_sum(count: int, m: int, a: int, b: int) -> int:
+    """sum_{i < count} floor((a i + b) / m) for integers count, a, b >= 0, m >= 1.
+
+    Euclid-like reduction: take whole quotients of a and b out, then swap
+    the roles of m and a on the remaining lattice points under the line,
+    so the loop runs O(log m) times.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += count * (count - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += count * (b // m)
+            b %= m
+        y_max = a * count + b
+        if y_max < m:
+            return total
+        count, b = divmod(y_max, m)
+        m, a = a, m

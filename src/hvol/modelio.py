@@ -109,13 +109,16 @@ SCHEMA = {
 
 AnyModel = Union[Model, ConeModel]
 
+# Built once: ``jsonschema.validate`` would re-check SCHEMA against the
+# draft-07 metaschema on every call (the tests check it once instead).
+_VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
+
 
 def model_from_dict(data: dict) -> AnyModel:
     """Validate a JSON document against the schema and build the model."""
-    try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InvalidModelError(f"model file rejected by schema: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if error is not None:
+        raise InvalidModelError(f"model file rejected by schema: {error.message}") from error
     kind = data["kind"]
     if kind == "smooth":
         return SmoothPoint(dim=data["dim"])

@@ -37,7 +37,6 @@ from hvol.fujita import (
     negative_eta_cone,
     phi,
     phi_prime_zero,
-    phi_samples,
     projective_space_cone,
 )
 from hvol.modelio import dumps_canonical
@@ -194,7 +193,7 @@ def test_criterion_7_fujita_catalog():
             assert independent == F((n + 1) ** n, 2)
             assert f_of_t(cone, 1) == independent
         cone = negative_eta_cone()
-        samples = phi_samples(cone, [F(0), F(1, 100), F(1, 10), F(1, 2), F(1), math.inf])
+        samples = [(b, phi(cone, b)) for b in (F(0), F(1, 100), F(1, 10), F(1, 2), F(1), math.inf)]
         phi0 = samples[0][1]
         assert phi_prime_zero(cone) < 0
         assert any(value < phi0 for _, value in samples[1:])

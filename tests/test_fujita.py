@@ -18,7 +18,6 @@ from hvol.fujita import (
     negative_eta_cone,
     phi,
     phi_prime_zero,
-    phi_samples,
     positive_eta_cone,
     projective_space_cone,
     vol_w_alpha,
@@ -199,7 +198,7 @@ class TestInterpolation:
 
     def test_destabilizing_samples_on_negative_eta(self):
         cone = negative_eta_cone()
-        samples = phi_samples(cone, [F(0), F(1, 100), F(1, 10), F(1, 2), F(1), math.inf])
+        samples = [(b, phi(cone, b)) for b in (F(0), F(1, 100), F(1, 10), F(1, 2), F(1), math.inf)]
         phi0 = samples[0][1]
         assert phi_prime_zero(cone) < 0
         assert any(value < phi0 for _, value in samples[1:])

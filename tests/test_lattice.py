@@ -2,8 +2,10 @@
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from hvol import (
     volume,
 )
 from hvol.lattice import DEFAULT_RADIUS_MULTIPLIERS, _smooth_counts
+from hvol.modelio import model_from_dict
 
 CONE3 = ToricCone(((1, 0, 0), (0, 1, 0), (1, 1, 3)), (F(1), F(1), F(-1, 3)))
 
@@ -282,7 +285,7 @@ def reference_count(coins, bound):
 class TestCoinTable:
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(
-        coins=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+        coins=st.lists(st.integers(1, 60), min_size=1, max_size=5),
         bounds=st.lists(st.integers(-1, 250), min_size=1, max_size=5),
     )
     @example(coins=[7, 3], bounds=[22, 5])  # 23 entries: a 2-entry tail row for coin 7
@@ -292,6 +295,12 @@ class TestCoinTable:
     @example(coins=[15], bounds=[224])  # 15 rows of 15: the row-by-row side
     @example(coins=[15], bounds=[239])  # 16 rows of 15: the column cumsum side
     @example(coins=[15, 2, 40], bounds=[239, 100])  # coins 15 and 2 by column, 40 by row
+    @example(coins=[7], bounds=[0, 6, 7, 250])  # one coin
+    @example(coins=[5, 3], bounds=[250, 17, 2])  # two coins: no table
+    @example(coins=[61, 90, 75], bounds=[50, 60])  # smallest coin beyond the top bound
+    @example(coins=[40, 1, 50], bounds=[3000, 2999])  # smallest coin 1 under a large top
+    @example(coins=[4, 9, 4, 4], bounds=[100, 3])  # repeated coins
+    @example(coins=[2, 11, 5], bounds=[-1, 40, -1, 7])  # empty bounds among positive ones
     def test_matches_reference(self, coins, bounds):
         assert _smooth_counts(coins, bounds) == [reference_count(tuple(coins), b) for b in bounds]
 
@@ -311,3 +320,17 @@ class TestCoinTable:
 
         series = estimate_volume(SmoothPoint(2), x)
         assert series.colengths == tuple(line_sums(r) for r in series.radii)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "colength_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "row",
+    GOLDEN["series"],
+    ids=[f"{row['model']['kind']}-{','.join(row['weight'])}" for row in GOLDEN["series"]],
+)
+def test_golden_colengths(row):
+    series = estimate_volume(model_from_dict(row["model"]), [F(w) for w in row["weight"]])
+    assert [str(r) for r in series.radii] == row["radii"]
+    assert list(series.colengths) == row["colengths"]

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction as F
 
+import jsonschema
 import pytest
 
 import hvol.modelio as modelio
@@ -31,24 +32,39 @@ class TestRationals:
 
 class TestSchema:
     def test_unknown_field_rejected(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError) as caught:
             modelio.model_from_dict({"kind": "smooth", "dim": 2, "label": "x"})
+        assert str(caught.value) == (
+            "model file rejected by schema: {'kind': 'smooth', 'dim': 2, 'label': 'x'} "
+            "is not valid under any of the given schemas"
+        )
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError) as caught:
             modelio.model_from_dict({"kind": "elliptic", "dim": 2})
+        assert str(caught.value) == (
+            "model file rejected by schema: {'kind': 'elliptic', 'dim': 2} "
+            "is not valid under any of the given schemas"
+        )
 
     def test_bad_rational_rejected(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError) as caught:
             modelio.model_from_dict(
                 {"kind": "toric", "generators": [[1]], "gorenstein_vector": ["1.5"]}
             )
+        assert str(caught.value) == (
+            "model file rejected by schema: '1.5' does not match '^-?[0-9]+(/[0-9]+)?$'"
+        )
 
     def test_semantic_validation_still_runs(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError) as caught:
             modelio.model_from_dict(
                 {"kind": "toric", "generators": [[1, 0], [1, 2]], "gorenstein_vector": [1, 1]}
             )
+        assert str(caught.value) == "gorenstein pairing with generator (1, 2) is 3, must be exactly 1"
+
+    def test_schema_is_valid_draft7(self):
+        jsonschema.Draft7Validator.check_schema(modelio.SCHEMA)
 
     def test_schema_file_in_sync(self):
         with open("docs/schema.json", encoding="utf-8") as handle:
