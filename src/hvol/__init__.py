@@ -12,7 +12,6 @@ from .core import (
     ValuationReport,
     active_monomials,
     ideal_value,
-    lct_of_valuation_ideals,
     log_discrepancy,
     normalized_volume,
     skewness,

@@ -172,18 +172,6 @@ def normalized_volume(model: Model, weight: Sequence[Scalar]) -> ValuationReport
     )
 
 
-def lct_of_valuation_ideals(model: Model, weight: Sequence[Scalar]) -> Scalar:
-    """Log canonical threshold of the graded family of valuation ideals of v_x.
-
-    Only the smooth model has the closed form sum(x); the lct of a_r(v_x)
-    is sum(x)/r for every radius, so the graded limit is sum(x).
-    """
-    if not isinstance(model, SmoothPoint):
-        raise UnsupportedModelError("lct of valuation ideals is only available on smooth points")
-    x = check_weight(model, weight)
-    return sum(x)
-
-
 def _product(values) -> Scalar:
     out = values[0]
     for v in values[1:]:

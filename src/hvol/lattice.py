@@ -21,21 +21,33 @@ coins c and shifts s:
 
 Counts are exact.  Coins and radii are cleared to a common integer scale
 (counts are invariant under simultaneous rescaling of coins and radius),
-and one cumulative coin table at the largest scaled radius serves every
-radius and shift of a schedule, so the counting capacity is bounded by
-the scaled radius only.  The cumulative count over n coins is the series
-1 / ((1 - z) prod (1 - z^a_i)); each factor is one running-sum pass and
-the passes commute, so the table starts as the closed-form one-coin count
-floor(s / a_min) + 1 of the smallest coin, takes one pass for each of the
-n - 2 middle coins, and the largest coin is never a pass: each bound
-reads a strided sum of the table at steps of that coin.  A pass loops
-over the shorter side of a (rows, coin) view of the table: whole
-contiguous rows added in order when rows <= coin (at most sqrt(top + 1)
-iterations for a table of top + 1 entries), one column cumsum otherwise.
-With one or two coins no table is built: the count is a closed form or a
-floor sum, a few integer operations per bound.  The estimates here never
-consult the closed forms in ``core``; they are the independent check on
-them.
+and one count up to the largest scaled radius serves every radius and
+shift of a schedule, so the counting capacity is bounded by the scaled
+radius only.  The cumulative count over n coins is the series
+1 / ((1 - z) prod (1 - z^a_i)):
+
+* one coin is the closed form floor(s / a) + 1, and two coins a floor sum
+  (a Euclid-like reduction), a few vector steps over the bounds;
+* three coins a1 <= a2 <= a3 sum the two-coin count over the positions
+  B - j a3 of every bound B, as one vector of floor sums whose length is
+  the number of positions.  That costs (positions) x (Euclid steps of
+  (a1, a2)) element operations; when this exceeds the top + 1 entries of
+  a table, as for small coins such as (1, 1, 1), the table below is built
+  instead;
+* four or more coins fill a cumulative coin table.  Each factor of the
+  series is one running-sum pass and the passes commute, so the table
+  starts as the one-coin count of the smallest coin, takes one pass for
+  each of the n - 2 middle coins, and the largest coin is never a pass:
+  each bound reads a strided sum of the table at steps of that coin.  A
+  pass loops over the shorter side of a (rows, coin) view of the table:
+  whole contiguous rows added in order when rows <= coin (at most
+  sqrt(top + 1) iterations for a table of top + 1 entries), one column
+  cumsum otherwise.  Entries are counts over n - 1 coins, at most
+  C(top // a_min + n - 1, n - 1); when that fits int32 the table is int32
+  and the strided sums accumulate in int64.
+
+The estimates here never consult the closed forms in ``core``; they are
+the independent check on them.
 """
 
 from __future__ import annotations
@@ -83,7 +95,11 @@ class ColengthSeries:
 
 
 def default_radii(model: Model, weight: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    x = check_weight(model, weight)
+    return _default_radii(model, check_weight(model, weight))
+
+
+def _default_radii(model: Model, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """``default_radii`` for a weight ``check_weight`` has already returned."""
     top = max(abs(v) for v in x) if isinstance(model, ToricCone) else max(x)
     return tuple(m * top for m in DEFAULT_RADIUS_MULTIPLIERS)
 
@@ -120,7 +136,7 @@ def estimate_volume(
     hypersurface the ambient count is divided by r^(ambient-1).
     """
     x = check_weight(model, weight)
-    schedule = tuple(as_scalar(r) for r in (radii if radii is not None else default_radii(model, x)))
+    schedule = tuple(as_scalar(r) for r in (radii if radii is not None else _default_radii(model, x)))
     if not schedule:
         raise DomainError("radius schedule must be non-empty")
     if any(not r > 0 for r in schedule):
@@ -136,7 +152,7 @@ def estimate_volume(
 
 
 def _schedule_counts(model, x, schedule):
-    """Colengths at every radius of the schedule, from one coin table."""
+    """Colengths at every radius of the schedule, from one coin count."""
     xs = _exact_fractions(x)
     if isinstance(model, SmoothPoint):
         coins, shifts = xs, [(1, 0)]
@@ -191,10 +207,20 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
     * the largest coin a_max never touches the table: each bound B reads
       C_n(B) = sum_j C_(n-1)(B - j a_max) as one strided sum.
 
-    With n <= 2 coins no table is built: C_1 is a closed form and the
-    strided sum of C_1 is a floor sum (``_floor_sum``).  Table entries and
-    strided sums are bounded by the final count, so a single a-priori
-    capacity estimate guards int64 arithmetic.
+    Fewer coins need no table.  C_1 is a closed form, and the strided sum
+    of C_1 is a floor sum (``_two_coin_counts``), so two coins cost a few
+    vector steps over the bounds.  Three coins a1 <= a2 <= a3 write
+    C_3(B) = sum_{j <= B // a3} C_2(B - j a3) and evaluate C_2 at all
+    those positions of all bounds as one vector; that takes
+    (Euclid steps of (a1, a2)) vector operations over the positions, so
+    it is used whenever positions times steps is at most the top + 1
+    entries of the table it replaces, and the table is built otherwise.
+
+    Table entries are C_(n-1)(s) <= C(top // a_min + n - 1, n - 1); when
+    that bound fits int32 the table is int32 (half the memory traffic) and
+    the strided sums accumulate in int64.  Strided sums and vector counts
+    are bounded by the final count, so a single a-priori capacity estimate
+    guards int64 arithmetic.
     """
     top = max(bounds)
     if top < 0:
@@ -214,17 +240,31 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
         raise CapacityError(
             f"count estimate {estimate} exceeds platform integer capacity"
         )
+    live = np.array([b for b in bounds if b >= 0], dtype=np.int64)
+    # each bound B has the B // a_max + 1 positions B - j a_max, j >= 0
+    lengths = live // largest + 1
+    positions = int(lengths.sum())
     if n == 1:
-        return [b // smallest + 1 if b >= 0 else 0 for b in bounds]
-    if n == 2:
-        # sum over j <= J = B // a_max of C_1(B - j a_max); with i = J - j
-        # the argument is a_max i + B % a_max
-        return [
-            _floor_sum(b // largest + 1, smallest, largest, b % largest) + b // largest + 1
-            if b >= 0 else 0
-            for b in bounds
-        ]
-    table = _one_coin_table(smallest, top)
+        counts = live // smallest + 1
+    elif n == 2:
+        counts = _two_coin_counts(smallest, largest, live)
+    elif n == 3 and positions * _euclid_steps(smallest, middle[0]) <= top + 1:
+        # position i of bound B's group has j = i - (group start)
+        starts = np.cumsum(lengths) - lengths
+        j = np.arange(positions) - np.repeat(starts, lengths)
+        y = np.repeat(live, lengths) - largest * j
+        counts = np.add.reduceat(_two_coin_counts(smallest, middle[0], y), starts)
+    else:
+        counts = _table_counts(smallest, middle, largest, top, live)
+    it = iter(counts.tolist())
+    return [next(it) if b >= 0 else 0 for b in bounds]
+
+
+def _table_counts(smallest, middle, largest, top, live):
+    """C_n(B) for every B in live from one cumulative table over n - 1 coins."""
+    # entries are C_(n-1)(s) <= C(top // smallest + n - 1, n - 1)
+    fits = math.comb(top // smallest + len(middle) + 1, len(middle) + 1) <= np.iinfo(np.int32).max
+    table = _one_coin_table(smallest, top, np.int32 if fits else np.int64)
     for coin in middle:
         # table[s] becomes the sum of table[s - j * coin] over j >= 0: a
         # running sum down each column of the (rows, coin) reshape, carried
@@ -240,20 +280,20 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
                 for i in range(1, rows):
                     np.add(head[i], head[i - 1], out=head[i])
             else:
-                np.cumsum(head, axis=0, out=head)
+                np.cumsum(head, axis=0, dtype=table.dtype, out=head)
             tail = table[rows * coin :]
             tail += head[-1, : len(tail)]
-    return [int(table[b::-largest].sum()) if b >= 0 else 0 for b in bounds]
+    return np.array([table[b::-largest].sum(dtype=np.int64) for b in live], dtype=np.int64)
 
 
-def _one_coin_table(coin: int, top: int) -> np.ndarray:
+def _one_coin_table(coin: int, top: int, dtype) -> np.ndarray:
     """C_1(s) = floor(s / coin) + 1 for s = 0..top, without division.
 
     Row i of the (rows, coin) view holds i + 1.  Row 0 is set to 1, then
     the filled rows are doubled (rows [k, 2k) are rows [0, k) plus k), so
     the fill takes log2(rows) steps and no temporary beyond the table.
     """
-    table = np.empty(top + 1, dtype=np.int64)
+    table = np.empty(top + 1, dtype=dtype)
     rows = (top + 1) // coin
     table[rows * coin :] = rows + 1
     if rows:
@@ -267,23 +307,40 @@ def _one_coin_table(coin: int, top: int) -> np.ndarray:
     return table
 
 
-def _floor_sum(count: int, m: int, a: int, b: int) -> int:
-    """sum_{i < count} floor((a i + b) / m) for integers count, a, b >= 0, m >= 1.
+def _two_coin_counts(a1: int, a2: int, y: np.ndarray) -> np.ndarray:
+    """C_2(y) = #{ t >= 0 : a1 t1 + a2 t2 <= y } for every y >= 0 in an int64 array.
+
+    C_2(y) sums C_1(y - j a2) over j <= J = y // a2; with i = J - j the
+    argument is a2 i + y % a2, so the sum is a floor sum plus J + 1.
+    """
+    count = y // a2 + 1
+    return _floor_sum(count, a1, a2, y % a2) + count
+
+
+def _euclid_steps(m: int, a: int) -> int:
+    """Loop iterations of ``_floor_sum`` for these m and a."""
+    steps = 1
+    while a % m:
+        m, a = a % m, m
+        steps += 1
+    return steps
+
+
+def _floor_sum(count: np.ndarray, m: int, a: int, b: np.ndarray) -> np.ndarray:
+    """sum_{i < count} floor((a i + b) / m) elementwise, for count, b >= 0 and m >= 1.
 
     Euclid-like reduction: take whole quotients of a and b out, then swap
-    the roles of m and a on the remaining lattice points under the line,
-    so the loop runs O(log m) times.
+    the roles of m and a on the remaining lattice points under the line.
+    Only count and b differ between positions; m and a run through the
+    Euclid sequence of (m, a) alone, so every position takes the same
+    ``_euclid_steps(m, a)`` steps.  A position whose points are used up
+    carries count 0 and adds nothing further.
     """
-    total = 0
+    total = np.zeros_like(count)
     while True:
-        if a >= m:
-            total += count * (count - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += count * (b // m)
-            b %= m
-        y_max = a * count + b
-        if y_max < m:
+        total += count * (count - 1) // 2 * (a // m) + count * (b // m)
+        a, b = a % m, b % m
+        if not a:
             return total
-        count, b = divmod(y_max, m)
+        count, b = divmod(a * count + b, m)
         m, a = a, m

@@ -12,12 +12,10 @@ from hvol import (
     NonKltWeightError,
     SmoothPoint,
     ToricCone,
-    UnsupportedModelError,
     a_singularity,
     active_monomials,
     d_singularity,
     e_singularity,
-    lct_of_valuation_ideals,
     log_discrepancy,
     normalized_volume,
     orthant_cone,
@@ -137,20 +135,6 @@ class TestNormalizedVolume:
         report = normalized_volume(SmoothPoint(4), (F(1), F(3, 2), F(2), F(5)))
         assert report.ideal_value == 1
         assert report.skewness >= report.ideal_value
-
-
-class TestLct:
-    def test_pairs(self):
-        assert lct_of_valuation_ideals(SmoothPoint(2), (F(1), F(1))) == 2
-        assert lct_of_valuation_ideals(SmoothPoint(3), (F(1), F(2), F(3))) == 6
-
-    def test_homogeneity(self):
-        lam = F(7, 5)
-        assert lct_of_valuation_ideals(SmoothPoint(4), (lam,) * 4) == 4 * lam
-
-    def test_unsupported_model(self):
-        with pytest.raises(UnsupportedModelError):
-            lct_of_valuation_ideals(a_singularity(2, 2), (F(1),) * 3)
 
 
 class TestScaleInvariance:

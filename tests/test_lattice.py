@@ -27,6 +27,7 @@ from hvol import (
     orthant_cone,
     volume,
 )
+from hvol import lattice
 from hvol.lattice import DEFAULT_RADIUS_MULTIPLIERS, _smooth_counts
 from hvol.modelio import model_from_dict
 
@@ -301,8 +302,43 @@ class TestCoinTable:
     @example(coins=[40, 1, 50], bounds=[3000, 2999])  # smallest coin 1 under a large top
     @example(coins=[4, 9, 4, 4], bounds=[100, 3])  # repeated coins
     @example(coins=[2, 11, 5], bounds=[-1, 40, -1, 7])  # empty bounds among positive ones
+    @example(coins=[40, 47, 50], bounds=[250, 3])  # three coins: 7 floor-sum positions, no table
+    @example(coins=[1, 1, 1], bounds=[250, 249])  # 501 positions > 251 entries: the table
+    @example(coins=[3, 7, 9], bounds=[-1, 250, 0, -1])  # three coins, no table, empty bounds
     def test_matches_reference(self, coins, bounds):
         assert _smooth_counts(coins, bounds) == [reference_count(tuple(coins), b) for b in bounds]
+
+    @pytest.mark.parametrize(
+        "k, bounds, dtype",
+        [
+            (4, [2300], np.int32),  # entries up to C(2303, 3) = 2033127551 < 2**31
+            (4, [2400], np.int64),  # entries up to C(2403, 3) > 2**31 - 1
+            (3, [10**5, 10**5 - 1], np.int64),  # too many positions: three coins on the table
+        ],
+    )
+    def test_all_ones_closed_form(self, monkeypatch, k, bounds, dtype):
+        # #{ t in Z^k_{>=0} : sum t <= B } = C(B + k, k)
+        dtypes = []
+        real_table = lattice._one_coin_table
+
+        def table(coin, top, dt):
+            dtypes.append(dt)
+            return real_table(coin, top, dt)
+
+        monkeypatch.setattr(lattice, "_one_coin_table", table)
+        assert _smooth_counts([1] * k, bounds) == [math.comb(b + k, k) for b in bounds]
+        assert dtypes == [dtype]
+
+    def test_three_coins_build_no_table(self, monkeypatch):
+        # the route-crosscheck shape: denominator 18000, where a table would
+        # hold 18.4M entries
+        def table(coin, top, *_dtype):
+            raise AssertionError(f"a coin table of {top + 1} entries was built")
+
+        monkeypatch.setattr(lattice, "_one_coin_table", table)
+        (row,) = [r for r in GOLDEN["series"] if r["weight"] == ["27001/18000", "2", "19007/18000"]]
+        series = estimate_volume(model_from_dict(row["model"]), [F(w) for w in row["weight"]])
+        assert list(series.colengths) == row["colengths"]
 
     @pytest.mark.parametrize(
         "x",
