@@ -25,6 +25,20 @@ continuous piecewise polynomial; the geometry producing it is out of
 scope.  Every integral here is evaluated exactly per polynomial piece
 (denominator powers never hit the logarithmic exponent because the curve
 degree is at most n-1), so rational inputs give exact rational outputs.
+
+On a rational grid f is one integer pass.  With r = p/q, t = i/m,
+a = m(p+q) - q i and b = p i,
+
+    f(i/m) = r^n (r+1)^n (q m)^n [L^{n-1}/a^n
+                                  - n b Sum_pieces Integral P(x)/(a+bx)^{n+1} dx],
+
+at t = 0 and t = 1 alike.  Substituting y = a + b x turns each piece's
+integral into one Horner sum of integers per breakpoint u/w, over
+lcm(1..n) D_c E^n b^{n-1} with E = a w + b u and D_c the common
+denominator of the curve coefficients (``_grid_kernel``).  ``f_of_t`` on
+exact t and ``convexity_check`` use it.  Two routes stay independent of
+it: the slope form ``f_of_t_slope_form``, and ``phi`` through
+``_phi_any``, which ``f_of_t`` still takes for float t.
 """
 
 from __future__ import annotations
@@ -210,11 +224,13 @@ def phi_prime_zero(cone: ConeModel) -> Scalar:
     """n * eta(D), verified against a central finite difference of phi at 0.
 
     The difference quotient is evaluated in exact rational arithmetic, so
-    the only error is the h^2 truncation term; the step is small enough to
-    keep it below the tolerances.
+    the only error is the h^2 truncation term.  phi varies on the scale
+    1/(1 + tau) in beta (alpha = 1/beta meets x up to tau in alpha + 1 + x),
+    so the step _FD_STEP / (1 + ceil(tau)) keeps that term below the
+    tolerances and keeps alpha + 1 + x away from 0 at beta = -h.
     """
     derivative = cone.dim * eta(cone)
-    h = _FD_STEP
+    h = _FD_STEP / (1 + math.ceil(cone.curve.tau))
     fd = (_phi_any(cone, h) - _phi_any(cone, -h)) / (2 * h)
     if derivative == 0:
         ok = abs(fd) <= 1e-9
@@ -228,14 +244,20 @@ def phi_prime_zero(cone: ConeModel) -> Scalar:
 
 
 def f_of_t(cone: ConeModel, t) -> Scalar:
-    """Normalized-volume interpolation f(t) on [0, 1]; t = 1 is a limit branch."""
-    if t == 1:
-        return phi(cone, math.inf)
+    """Normalized-volume interpolation f(t) on [0, 1].
+
+    Exact t (int or Fraction) is evaluated by the integer grid kernel, t = 1
+    included, and comes back as a Fraction.  Float t < 1 goes through
+    ``_phi_any`` at beta = t r / ((1 - t)(r + 1)), the numeric path.
+    """
     t = as_scalar(t)
-    if not 0 <= t < 1:
+    if not 0 <= t <= 1:
         raise DomainError("t must lie in [0, 1]")
-    beta = t * cone.r / ((1 - t) * (cone.r + 1))
-    return _phi_any(cone, beta)
+    if isinstance(t, float) and t < 1:
+        beta = t * cone.r / ((1 - t) * (cone.r + 1))
+        return _phi_any(cone, beta)
+    t = Fraction(t)
+    return Fraction(*_grid_kernel(cone)(t.numerator, t.denominator))
 
 
 def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
@@ -271,10 +293,16 @@ def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
 
 
 def convexity_check(cone: ConeModel, grid: int = 101) -> bool:
-    """Second-order central differences of f on a uniform grid stay >= -1e-9."""
+    """Second-order central differences of f on a uniform grid stay >= -1e-9.
+
+    Each f(i/(grid-1)) comes from the integer grid kernel as num/den.  Int
+    true division is correctly rounded, so every value equals
+    float(f_of_t(cone, Fraction(i, grid - 1))) without building a Fraction.
+    """
     if grid < 3:
         raise DomainError("convexity check needs at least 3 grid points")
-    values = [float(f_of_t(cone, Fraction(i, grid - 1))) for i in range(grid)]
+    at = _grid_kernel(cone)
+    values = [num / den for num, den in (at(i, grid - 1) for i in range(grid))]
     return all(
         values[i - 1] - 2 * values[i] + values[i + 1] >= -_CONVEXITY_SLACK
         for i in range(1, grid - 1)
@@ -371,6 +399,66 @@ def _integral_poly_over_power(coeffs: Sequence, a, b, c, power: int):
         p = j - power
         total += qj * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
     return total
+
+
+def _grid_kernel(cone: ConeModel):
+    """at(i, m) -> (num, den) with num/den = f(i/m) exactly, for 0 <= i <= m.
+
+    Everything that does not depend on the grid point is set up once here.
+    At a point each piece becomes Q(y) = D_c b^{n-1} P((y - a)/b)
+    = Sum_k c_k b^{n-1-k} (y - a)^k with integer coefficients c_k, and
+    lcm(1..n) times its antiderivative against y^{-n-1} is
+    Sum_j Q_j (lcm/(j-n)) y^{j-n}.  At y = E/w that is N/E^n with
+    N = Sum_j Q_j (lcm/(j-n)) E^j w^{n-j}; each breakpoint takes N of the
+    piece it ends minus N of the piece it starts.
+    """
+    n, curve = cone.dim, cone.curve
+    p, q = cone.r.numerator, cone.r.denominator
+    dc = math.lcm(*(c.denominator for piece in curve.pieces for c in piece))
+    pieces = [
+        [c.numerator * (dc // c.denominator) for c in piece] + [0] * (n - len(piece))
+        for piece in curve.pieces
+    ]
+    lcm = math.lcm(*range(1, n + 1))
+    weights = [lcm // (j - n) for j in range(n)]
+    binom = [[math.comb(k, j) for j in range(n)] for k in range(n)]
+    breakpoints = [
+        (u.numerator, u.denominator, [u.denominator**e for e in range(n + 1)])
+        for u in curve.breakpoints
+    ]
+    lnum, lden = curve.vol_at_zero.numerator, curve.vol_at_zero.denominator
+    scale, qn, k_den = (p * (p + q)) ** n, q**n, lcm * dc
+    absent = [0] * n  # the missing piece left of 0 and right of tau
+
+    def at(i: int, m: int) -> tuple[int, int]:
+        a = m * (p + q) - q * i
+        b = p * i
+        an = a**n
+        if not b:  # t = 0: the integral term carries the factor b
+            return scale * m**n * lnum, qn * lden * an
+        neg_a = [(-a) ** e for e in range(n)]
+        b_pow = [b ** (n - 1 - k) for k in range(n)]
+        anti = [absent]
+        for coeffs in pieces:
+            g = [c * bk for c, bk in zip(coeffs, b_pow)]
+            anti.append([
+                wj * sum(g[k] * binom[k][j] * neg_a[k - j] for k in range(j, n))
+                for j, wj in enumerate(weights)
+            ])
+        anti.append(absent)
+        s_num, s_den = 0, 1
+        for (u, w, w_pow), left, right in zip(breakpoints, anti, anti[1:]):
+            e = a * w + b * u
+            h = 0
+            for j in reversed(range(n)):
+                h = h * e + (left[j] - right[j]) * w_pow[n - j]
+            en = e**n
+            s_num, s_den = s_num * en + h * s_den, s_den * en
+        bn1 = b_pow[0]
+        num = scale * m**n * (lnum * s_den * k_den * bn1 - n * s_num * lden * an)
+        return num, qn * lden * an * s_den * k_den * bn1
+
+    return at
 
 
 def _zero_like(value):

@@ -13,9 +13,11 @@ import pytest
 
 from hvol import a_singularity, e_singularity
 from hvol.cli import main
-from hvol.fujita import negative_eta_cone, projective_space_cone
+from hvol.fujita import ConeModel, VolumeCurve, negative_eta_cone, projective_space_cone
 from hvol.modelio import dumps_canonical
 from hvol.models import SmoothPoint
+
+FUJITA_GOLDEN = json.loads((Path(__file__).parent / "data" / "fujita_golden.json").read_text())
 
 
 def write_model(tmp_path, name, model):
@@ -276,6 +278,34 @@ class TestFujita:
         path = write_model(tmp_path, "s2.json", SmoothPoint(2))
         code, _, _ = run(capsys, ["fujita", path])
         assert code == 3
+
+    def test_grid_too_small_exit_3(self, tmp_path, capsys):
+        path = write_model(tmp_path, "p1.json", projective_space_cone(2))
+        code, out, err = run(capsys, ["fujita", path, "--grid", "2"])
+        assert code == 3
+        assert out == ""
+        assert "at least 3 grid points" in err
+
+    def test_large_tau_cone(self, tmp_path, capsys):
+        # curve 1 - x/10^4: the finite-difference check of phi'(0) must hold
+        tau = F(10**4)
+        curve = VolumeCurve(breakpoints=(F(0), tau), pieces=((F(1), -1 / tau),), vol_at_zero=F(1))
+        cone = ConeModel(base_dim=1, r=F(2), curve=curve)
+        code, out, _ = run(capsys, ["fujita", write_model(tmp_path, "tau.json", cone)])
+        assert code == 0
+        assert json.loads(out)["phi_prime_zero"] == "-39996"
+
+    @pytest.mark.parametrize(
+        "case",
+        FUJITA_GOLDEN["runs"],
+        ids=[f"{c['cone']}-grid{c['grid']}-{c['format']}" for c in FUJITA_GOLDEN["runs"]],
+    )
+    def test_golden_output(self, tmp_path, capsys, case):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(case["model"]))
+        argv = ["fujita", str(path), "--grid", str(case["grid"]), "--format", case["format"]]
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (case["exit"], case["stdout"])
 
 
 class TestModuleEntryPoint:

@@ -4,10 +4,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from hvol import DomainError, InvalidCurveError
+from hvol import DomainError, InvalidCurveError, fujita
 from hvol.fujita import (
+    _CONVEXITY_SLACK,
     ConeModel,
     VolumeCurve,
     catalog,
@@ -28,6 +31,21 @@ from hvol.core import normalized_volume
 
 def unit_interval_curve(coeffs, vol0=F(1)):
     return VolumeCurve(breakpoints=(F(0), F(1)), pieces=(tuple(coeffs),), vol_at_zero=vol0)
+
+
+def power_cone(n, tau):
+    """Cone of dimension n with r = n and the curve (1 - x/tau)^(n-1) on [0, tau]."""
+    tau = F(tau)
+    coeffs = tuple(math.comb(n - 1, j) * (-1 / tau) ** j for j in range(n))
+    curve = VolumeCurve(breakpoints=(F(0), tau), pieces=(coeffs,), vol_at_zero=F(1))
+    return ConeModel(base_dim=n - 1, r=F(n), curve=curve)
+
+
+def linear_surface_cone(tau):
+    """Surface cone with r = 2 and the curve 1 - x/tau: n * eta = 4 - 4 tau."""
+    tau = F(tau)
+    curve = VolumeCurve(breakpoints=(F(0), tau), pieces=((F(1), -1 / tau),), vol_at_zero=F(1))
+    return ConeModel(base_dim=1, r=F(2), curve=curve)
 
 
 class TestVolumeCurve:
@@ -168,6 +186,19 @@ class TestPhiPrimeZero:
         for cone in catalog().values():
             phi_prime_zero(cone)
 
+    @pytest.mark.parametrize("tau", [10**4, 10**5, 10**7 - 1, 10**9, 3 * 10**13])
+    def test_large_tau_linear(self, tau):
+        # a fixed step of 1e-7 is not small against 1/tau: from tau = 1e4
+        # the difference quotient misses n * eta, from 1e7 - 1 phi(-h) leaves
+        # the domain
+        assert phi_prime_zero(linear_surface_cone(tau)) == 4 - 4 * tau
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("tau", [10**3, 10**6, 10**9])
+    def test_large_tau_top_degree(self, n, tau):
+        cone = power_cone(n, tau)
+        assert phi_prime_zero(cone) == n * eta(cone)
+
 
 class TestInterpolation:
     def test_endpoints(self):
@@ -206,3 +237,76 @@ class TestInterpolation:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             f_of_t(projective_space_cone(2), F(3, 2))
+
+
+def non_integer():
+    """Positive rationals w + j/d with 0 < j < d: never integers."""
+    return st.builds(
+        lambda w, d, j: F(w) + F(j % (d - 1) + 1, d),
+        st.integers(0, 9), st.integers(2, 12), st.integers(0, 10),
+    )
+
+
+@st.composite
+def cones(draw):
+    """Valid cones: 1-3 pieces, each a linear, ramp or c (hi - x)^k tail piece."""
+    base_dim = draw(st.integers(1, 5))
+    ends = sorted(draw(st.lists(non_integer(), min_size=1, max_size=3, unique=True)))
+    breakpoints = (F(0), *ends)
+    drops = draw(st.lists(non_integer(), min_size=len(ends), max_size=len(ends)))
+    values = [sum(drops[i:], F(0)) for i in range(len(ends))] + [F(0)]
+    pieces = []
+    for lo, hi, top, bottom in zip(breakpoints, breakpoints[1:], values, values[1:]):
+        k = draw(st.integers(1, base_dim))
+        # bottom + (top - bottom) ((hi - x)/(hi - lo))^k falls from top to bottom
+        # convexly; the ramp top + (bottom - top) ((x - lo)/(hi - lo))^k concavely
+        if draw(st.booleans()):
+            centre, scale, base = hi, (top - bottom) * (-1) ** k / (hi - lo) ** k, bottom
+        else:
+            centre, scale, base = lo, (bottom - top) / (hi - lo) ** k, top
+        coeffs = [scale * math.comb(k, j) * (-centre) ** (k - j) for j in range(k + 1)]
+        coeffs[0] += base
+        pieces.append(tuple(coeffs))
+    curve = VolumeCurve(breakpoints=breakpoints, pieces=tuple(pieces), vol_at_zero=values[0])
+    return ConeModel(base_dim=base_dim, r=draw(non_integer()), curve=curve)
+
+
+def second_difference_rule(values):
+    return all(
+        values[i - 1] - 2 * values[i] + values[i + 1] >= -_CONVEXITY_SLACK
+        for i in range(1, len(values) - 1)
+    )
+
+
+class TestGridKernel:
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(cone=cones())
+    def test_routes_agree_on_grids(self, cone):
+        r = cone.r
+        for m in (1, 2, 7, 100):
+            slope = []
+            for i in range(m + 1):
+                t = F(i, m)
+                value = f_of_t(cone, t)
+                beta = math.inf if t == 1 else t * r / ((1 - t) * (r + 1))
+                assert value == f_of_t_slope_form(cone, t) == phi(cone, beta)
+                slope.append(float(value))
+            if m > 1:
+                assert convexity_check(cone, grid=m + 1) == second_difference_rule(slope)
+
+    def test_no_phi_route(self, monkeypatch):
+        def refuse(cone, beta):
+            raise AssertionError("the grid kernel must not call _phi_any")
+
+        monkeypatch.setattr(fujita, "_phi_any", refuse)
+        for cone in catalog().values():
+            assert convexity_check(cone)
+            for t in (0, F(1, 7), F(1, 2), F(99, 100), 1):
+                assert f_of_t(cone, t) == f_of_t_slope_form(cone, t)
+
+    def test_float_t_takes_the_numeric_path(self):
+        cone = projective_space_cone(3)
+        value = f_of_t(cone, 0.25)
+        assert isinstance(value, float)
+        assert abs(value - float(f_of_t(cone, F(1, 4)))) <= 1e-12 * abs(value)
+        assert f_of_t(cone, 1.0) == phi(cone, math.inf)
