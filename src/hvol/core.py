@@ -39,6 +39,8 @@ from .models import (
     check_weight,
 )
 
+_ACTIVE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ValuationReport:
@@ -73,10 +75,8 @@ def weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> Sc
     return min(values)
 
 
-def active_monomials(
-    x: Sequence[Scalar], support: Sequence[ExponentVector], rel_tol: float = 1e-9
-) -> tuple[ExponentVector, ...]:
-    """The exponent vectors attaining the weighted order (exact on rationals)."""
+def active_monomials(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> tuple[ExponentVector, ...]:
+    """The exponent vectors attaining the weighted order (exactly; on floats within _ACTIVE_RTOL)."""
     if not support:
         raise InvalidModelError("empty support has no weighted order")
     values = _pairings(x, support)
@@ -84,7 +84,7 @@ def active_monomials(
     if is_exact(x):
         hits = [e for e, v in zip(support, values) if v == low]
     else:
-        cut = low * (1 + rel_tol) + rel_tol * 1e-300
+        cut = low * (1 + _ACTIVE_RTOL) + _ACTIVE_RTOL * 1e-300
         hits = [e for e, v in zip(support, values) if float(v) <= float(cut)]
     return tuple(sorted(tuple(e) for e in hits))
 

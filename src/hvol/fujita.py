@@ -167,7 +167,7 @@ class ConeModel:
 def vol_w_alpha(cone: ConeModel, alpha) -> Scalar:
     """Volume of the interpolating valuation at parameter alpha >= 0."""
     alpha = as_scalar(alpha)
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too
         raise DomainError("alpha must be non-negative")
     return _vol_w_alpha_any(cone, alpha)
 
@@ -194,9 +194,9 @@ def phi(cone: ConeModel, beta: Beta) -> Scalar:
     limit branch (r+1)^n vol(w_0).
     """
     if beta == math.inf:
-        return (cone.r + 1) ** cone.dim * _vol_w_alpha_any(cone, _zero_like(cone.r))
+        return (cone.r + 1) ** cone.dim * _vol_w_alpha_any(cone, Fraction(0))
     beta = as_scalar(beta)
-    if beta < 0:
+    if not beta >= 0:  # NaN too
         raise DomainError("beta must be non-negative")
     return _phi_any(cone, beta)
 
@@ -459,7 +459,3 @@ def _grid_kernel(cone: ConeModel):
         return num, qn * lden * an * s_den * k_den * bn1
 
     return at
-
-
-def _zero_like(value):
-    return Fraction(0) if isinstance(value, Fraction) else 0.0

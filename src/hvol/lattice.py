@@ -122,7 +122,9 @@ def colength_toric(model: ToricCone, weight: Sequence[Scalar], radius) -> int:
 def colength(model: Model, weight: Sequence[Scalar], radius) -> int:
     x = check_weight(model, weight)  # for toric models the interior check keeps the count finite
     r = as_scalar(radius)
-    if not r > 0:
+    if not -math.inf < r < math.inf:  # NaN too
+        raise DomainError(f"radius must be finite, got {r}")
+    if r <= 0:
         return 0
     return _schedule_counts(model, x, [r])[0]
 
@@ -139,8 +141,8 @@ def estimate_volume(
     schedule = tuple(as_scalar(r) for r in (radii if radii is not None else _default_radii(model, x)))
     if not schedule:
         raise DomainError("radius schedule must be non-empty")
-    if any(not r > 0 for r in schedule):
-        raise DomainError("radii must be positive")
+    if any(not 0 < r < math.inf for r in schedule):  # NaN too
+        raise DomainError("radii must be positive and finite")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("radius schedule must be strictly increasing")
     n = model.dim

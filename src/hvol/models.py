@@ -265,10 +265,11 @@ Model = Union[SmoothPoint, Hypersurface, ToricCone]
 def check_weight(model: Model, weight: Sequence) -> tuple[Scalar, ...]:
     """Validate a weight vector against a model and coerce its entries.
 
-    Smooth and hypersurface weights must be strictly positive with length
-    equal to the ambient dimension.  Toric weights must lie strictly inside
-    the defining cone (equivalently, pair positively with every dual ray),
-    which is the condition keeping valuation ideals of finite colength.
+    Coordinates must be finite, and the length must equal the ambient
+    dimension.  Smooth and hypersurface weights must be strictly positive.
+    Toric weights must lie strictly inside the defining cone (equivalently,
+    pair positively with every dual ray), which is the condition keeping
+    valuation ideals of finite colength.
     """
     coords = tuple(as_scalar(v) for v in weight)
     if len(coords) != model.ambient_dim:
@@ -276,6 +277,8 @@ def check_weight(model: Model, weight: Sequence) -> tuple[Scalar, ...]:
             f"weight length {len(coords)} does not match ambient dimension {model.ambient_dim}"
         )
     if isinstance(model, ToricCone):
+        if not all(-math.inf < x < math.inf for x in coords):  # NaN too
+            raise DomainError(f"weight coordinates must be finite, got {coords}")
         for ray in model.dual_rays():
             pairing = sum(r * x for r, x in zip(ray, coords))
             if not pairing > 0:
@@ -285,8 +288,8 @@ def check_weight(model: Model, weight: Sequence) -> tuple[Scalar, ...]:
                 )
         return coords
     for x in coords:
-        if not x > 0:
-            raise DomainError(f"weight coordinates must be strictly positive, got {coords}")
+        if not 0 < x < math.inf:
+            raise DomainError(f"weight coordinates must be strictly positive and finite, got {coords}")
     return coords
 
 

@@ -18,13 +18,16 @@ S, ebar = sum_{e in S} mu_e e, A normalized to 1 and s = 1/v,
 which is |S| unknowns whatever the ambient dimension.  Coordinates that
 play identical roles in f (``symmetrize``) get equal weights.  The strata
 worth solving are read off the vertices of R = {u >= 0 : <e, u> >= 1};
-each is solved by a batch of damped Newton runs, the lowest klt-valid root
-wins and is snapped to exact rationals when the exact value confirms it.
-A run ends when it converges, when its step is exactly zero, when it runs
-off toward s = 0 or infinity (next to the cap on |log s| its step still
-points past it), when its multipliers leave |mu| <= 10^3, or when no
-halving of its step is acceptable; a batch stops when no run is live.
-Weights are max-normalized, and the answer depends on the model alone.
+each is solved by a batch of damped Newton runs, and the lowest klt-valid
+root wins.  A run ends when it converges, when its step is exactly zero,
+when it runs off toward s = 0 or infinity (next to the cap on |log s| its
+step still points past it), when its multipliers leave |mu| <= 10^3, or
+when no halving of its step is acceptable; a batch stops when no run is
+live.  Weights are max-normalized, and an exact answer arises in one
+step: each coordinate of the winning weight is rounded to its nearest
+rational with denominator at most 128, kept when its exact value is within
+relative 1e-9 of the float minimum; otherwise the float weight is the
+answer, as on the irrational D rows.  The answer depends on the model alone.
 """
 
 from __future__ import annotations
@@ -53,10 +56,7 @@ from .models import (
     check_weight,
 )
 
-_SNAP_DENOMINATORS = (
-    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 18, 20, 24, 30, 32, 36,
-    40, 45, 48, 60, 64, 72, 81, 90, 96, 108, 120, 128,
-)
+_SNAP_DENOMINATOR = 128
 _VALUE_MATCH_RTOL = 1e-9
 _BOUNDARY_FRACTION = 0.01
 _ROOT_TOL = 1e-12
@@ -155,9 +155,7 @@ def minimize_hvol(
     return MinimizationResult(
         weight=weight,
         value=value,
-        # exact weights resolve ties exactly; the tolerance only matters on
-        # the float path
-        active_monomials=core.active_monomials(weight, model.support, rel_tol=1e-9),
+        active_monomials=core.active_monomials(weight, model.support),
         status=_status(model, weight, residual, tolerance),
         starts_used=solved,
         first_order_residual=residual,
@@ -415,24 +413,17 @@ def _boundary_weight(model: Hypersurface) -> tuple[Scalar, ...]:
 
 
 def _finalize(model: Hypersurface, full: np.ndarray, float_value: float):
-    full = full / np.max(full)
-    float_weight = tuple(float(v) for v in full)
-    accept = float_value * (1 + _VALUE_MATCH_RTOL) + 1e-15
-    exact, tried = [Fraction(v) for v in float_weight], set()
-    for den in _SNAP_DENOMINATORS:
-        cand = tuple(v.limit_denominator(den) for v in exact)
-        if cand in tried:  # rejected already, and would be again
-            continue
-        tried.add(cand)
-        try:
-            cand = check_weight(model, cand)
-            value = core.normalized_volume(model, cand).normalized_volume
-        except DomainError:  # a coordinate snapped to 0, or A <= 0 there
-            continue
-        if float(value) <= accept:
-            # the largest coordinate is 1.0 and snaps to 1, so the snapped
-            # weight is max-normalized already
-            return cand, value
+    """The winning weight, max-normalized, and rounded once when that holds."""
+    float_weight = tuple(float(v) for v in full / np.max(full))
+    # the largest coordinate is 1.0 and rounds to 1: the rounding stays max-normalized
+    snapped = tuple(Fraction(v).limit_denominator(_SNAP_DENOMINATOR) for v in float_weight)
+    try:
+        snapped = check_weight(model, snapped)
+        value = core.normalized_volume(model, snapped).normalized_volume
+        if float(value) <= float_value * (1 + _VALUE_MATCH_RTOL) + 1e-15:
+            return snapped, value
+    except DomainError:  # a coordinate rounded to 0, or A <= 0 there
+        pass
     return float_weight, float_value
 
 

@@ -1,6 +1,7 @@
 """Closed-form invariants: pinned values, derived oracles, and properties."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -250,6 +251,22 @@ class TestModelValidation:
     def test_weight_length_mismatch(self):
         with pytest.raises(DomainError):
             normalized_volume(SmoothPoint(3), (F(1), F(1)))
+
+    @pytest.mark.parametrize(
+        "evaluate, model, weight",
+        [
+            (check_weight, SmoothPoint(2), (1.0, math.inf)),
+            (normalized_volume, SmoothPoint(2), (1.0, math.inf)),
+            (check_weight, a_singularity(2, 2), (1.0, 1.0, math.inf)),
+            (normalized_volume, a_singularity(2, 2), (1.0, 1.0, math.inf)),
+            (check_weight, orthant_cone(2), (1.0, math.inf)),
+            (normalized_volume, orthant_cone(2), (math.inf, 1.0)),
+        ],
+        ids=["check-smooth", "nv-smooth", "check-hypersurface", "nv-hypersurface", "check-toric", "nv-toric"],
+    )
+    def test_infinite_weight_rejected(self, evaluate, model, weight):
+        with pytest.raises(DomainError, match="finite"):
+            evaluate(model, weight)
 
     def test_multiplicity_values(self):
         assert a_singularity(3, 5).multiplicity == 2

@@ -128,6 +128,12 @@ class TestVolWAlpha:
             vol_w_alpha(projective_space_cone(2), -1)
 
 
+@pytest.mark.parametrize("evaluate", [vol_w_alpha, phi], ids=["vol_w_alpha", "phi"])
+def test_nan_parameter_rejected(evaluate):
+    with pytest.raises(DomainError):
+        evaluate(projective_space_cone(2), math.nan)
+
+
 class TestPhi:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_beta_zero(self, n):

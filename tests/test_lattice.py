@@ -240,6 +240,25 @@ class TestEstimateVolume:
         with pytest.raises(DomainError):
             estimate_volume(SmoothPoint(2), (F(1), F(1)), [])
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: lattice.colength(SmoothPoint(2), (1, 1), math.nan),
+            lambda: lattice.colength(SmoothPoint(2), (1, 1), math.inf),
+            lambda: estimate_volume(SmoothPoint(2), (F(1), F(1)), [math.inf]),
+            lambda: estimate_volume(SmoothPoint(2), (1.0, math.inf)),
+            lambda: estimate_volume(a_singularity(2, 2), (1.0, 1.0, math.inf)),
+        ],
+        ids=["colength-nan-radius", "colength-inf-radius", "inf-radius", "inf-weight-smooth", "inf-weight-hypersurface"],
+    )
+    def test_non_finite_input_rejected(self, evaluate):
+        with pytest.raises(DomainError, match="finite"):
+            evaluate()
+
+    def test_non_positive_radius_counts_nothing(self):
+        assert lattice.colength(SmoothPoint(2), (1, 1), 0) == 0
+        assert lattice.colength(SmoothPoint(2), (1, 1), -2.5) == 0
+
     def test_default_schedule(self):
         assert DEFAULT_RADIUS_MULTIPLIERS[0] == 16
         assert DEFAULT_RADIUS_MULTIPLIERS[-1] == 512

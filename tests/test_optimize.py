@@ -25,7 +25,7 @@ from hvol import (
     orthant_cone,
     symmetrize,
 )
-from hvol import cli, optimize
+from hvol import cli, core, optimize
 from hvol.tables import alpha_star
 
 
@@ -278,9 +278,13 @@ def _scalar_string(value):
 
 
 class TestGolden:
-    """Answers frozen before each Newton run could end on its own (see the file's note)."""
+    """Answers frozen before each Newton run could end on its own, and on
+    seeded random supports before the rounding became one candidate (see
+    the notes in the file)."""
 
-    @pytest.mark.parametrize("row", GOLDEN["minimizers"], ids=lambda row: row["label"])
+    @pytest.mark.parametrize(
+        "row", GOLDEN["minimizers"] + GOLDEN["seeded"]["minimizers"], ids=lambda row: row["label"]
+    )
     def test_minimizer_answer(self, row):
         support = tuple(tuple(e) for e in row["support"])
         result = minimize_hvol(Hypersurface(support, allow_smooth_germ=row["allow_smooth_germ"]))
@@ -295,6 +299,35 @@ class TestGolden:
     def test_table_csv_bytes(self, family, capsys):
         assert cli.main(["table", "--family", family, "--format", "csv"]) == 0
         assert capsys.readouterr().out == GOLDEN["tables"][family]
+
+
+class TestFinalize:
+    @pytest.mark.parametrize(
+        "model, exact",
+        [(e_singularity(7, 2), True), (a_singularity(4, 3), True), (d_singularity(2, 4), False)],
+        ids=["E7 n=2", "A n=4 k=3", "D n=2 k=4"],
+    )
+    def test_one_exact_evaluation_per_answer(self, model, exact, monkeypatch):
+        # the exact normalized_volume calls made while _finalize runs
+        calls, inside = [], [False]
+        evaluate, finalize = core.normalized_volume, optimize._finalize
+
+        def counted_evaluate(*args):
+            if inside[0]:
+                calls.append(args)
+            return evaluate(*args)
+
+        def counted_finalize(*args):
+            inside[0] = True
+            try:
+                return finalize(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(core, "normalized_volume", counted_evaluate)
+        monkeypatch.setattr(optimize, "_finalize", counted_finalize)
+        assert minimize_hvol(model).exact == exact
+        assert len(calls) == 1
 
 
 def _newton_runs(problem, ties, starts):
