@@ -21,6 +21,7 @@ on rational inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -98,8 +99,8 @@ def _pairings(x, support):
             raise InvalidModelError(f"negative exponent in {e}")
         values.append(sum(xi * ei for xi, ei in zip(x, e) if ei))
     for xi in x:
-        if not xi > 0:
-            raise DomainError("weighted order needs strictly positive weights")
+        if not 0 < xi < math.inf:  # NaN too
+            raise DomainError("weighted order needs strictly positive finite weights")
     return values
 
 

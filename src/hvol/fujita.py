@@ -118,7 +118,7 @@ class VolumeCurve:
 
     def value(self, x) -> Scalar:
         x = as_scalar(x)
-        if x < 0:
+        if not x >= 0:  # NaN too
             raise DomainError("the volume curve lives on x >= 0")
         if x >= self.tau:
             return Fraction(0) if isinstance(x, Fraction) else 0.0
@@ -169,6 +169,8 @@ def vol_w_alpha(cone: ConeModel, alpha) -> Scalar:
     alpha = as_scalar(alpha)
     if not alpha >= 0:  # NaN too
         raise DomainError("alpha must be non-negative")
+    if alpha == math.inf:  # the limit: every term decays like 1 / alpha^n
+        return 0.0
     return _vol_w_alpha_any(cone, alpha)
 
 

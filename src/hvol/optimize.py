@@ -17,17 +17,22 @@ S, ebar = sum_{e in S} mu_e e, A normalized to 1 and s = 1/v,
 
 which is |S| unknowns whatever the ambient dimension.  Coordinates that
 play identical roles in f (``symmetrize``) get equal weights.  The strata
-worth solving are read off the vertices of R = {u >= 0 : <e, u> >= 1};
-each is solved by a batch of damped Newton runs, and the lowest klt-valid
-root wins.  A run ends when it converges, when its step is exactly zero,
-when it runs off toward s = 0 or infinity (next to the cap on |log s| its
-step still points past it), when its multipliers leave |mu| <= 10^3, or
-when no halving of its step is acceptable; a batch stops when no run is
-live.  Weights are max-normalized, and an exact answer arises in one
-step: each coordinate of the winning weight is rounded to its nearest
-rational with denominator at most 128, kept when its exact value is within
-relative 1e-9 of the float minimum; otherwise the float weight is the
-answer, as on the irrational D rows.  The answer depends on the model alone.
+worth solving are read off the vertices of R = {u >= 0 : <e, u> >= 1}.
+A one-monomial stratum {e} with e_c >= size_c on every class it touches
+has no root, unless e is linear, and is settled before Newton runs; it
+still counts in ``starts_used``, which counts every stratum.  The others
+are solved by a batch of damped Newton runs, and the lowest klt-valid
+root wins.  Each step takes its first acceptable halving, found for all
+halvings in one pass.  A run ends when it converges, when its step is
+exactly zero, when it runs off toward s = 0 or infinity (next to the cap
+on |log s| its step still points past it), when its multipliers leave
+|mu| <= 10^3, or when no halving of its step is acceptable; a batch stops
+when no run is live.  Weights are max-normalized, and an exact answer
+arises in one step: each coordinate of the winning weight is rounded to
+its nearest rational with denominator at most 128, kept when its exact
+value is within relative 1e-9 of the float minimum; otherwise the float
+weight is the answer, as on the irrational D rows.  The answer depends on
+the model alone.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ class MinimizationResult:
     ``weight`` is max-normalized; ``value`` is the normalized volume there
     (exact when the weight snapped to rationals).  ``active_monomials``
     lists the support exponents attaining the weighted order at the
-    minimizer.  ``starts_used`` counts the tie strata solved (0 for the
-    smooth and toric closed forms).  ``first_order_residual`` is the
+    minimizer.  ``starts_used`` counts the tie strata, solved or settled
+    (0 for the smooth and toric closed forms).  ``first_order_residual`` is the
     largest relative Clarke gradient component x_i * d/dx_i log hvol at
     the reported weight, with the multipliers of the winning stratum (0.0
     for the closed forms); when no stratum has a klt-valid stationary
@@ -239,10 +244,12 @@ def _stationary_points(problem: _Problem):
     """
     strata = _strata(problem.rows, len(problem.classes))
     n, sizes = problem.model.dim, problem.sizes
+    rootless = _rootless_monomials(problem.rows, sizes)
+    solvable = [subset for subset in strata if len(subset) > 1 or not rootless[subset[0]]]
     roots = []
-    for k in sorted({len(subset) for subset in strata}):
+    for k in sorted({len(subset) for subset in solvable}):
         starts = np.vstack([np.full((1, k), 1.0 / k)] + ([np.eye(k)] if k > 1 else []))
-        ties = np.array([problem.rows[list(subset)] for subset in strata if len(subset) == k])
+        ties = np.array([problem.rows[list(subset)] for subset in solvable if len(subset) == k])
         tie = np.repeat(ties, len(starts), axis=0)
         mu, s, found = _newton(tie, sizes, n, np.tile(starts, (len(ties), 1)))
         mu, s, tie = mu[found], s[found], tie[found]
@@ -252,6 +259,19 @@ def _stationary_points(problem: _Problem):
         keep &= s * np.min(u @ problem.rows.T, axis=1) >= 1 - _TIE_TOL
         roots += zip(u[keep], ebar[keep])
     return roots, len(strata)
+
+
+def _rootless_monomials(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Which rows e make a one-monomial stratum with no root, known before Newton.
+
+    For S = {e} the system is F(s) = sum_c size_c psi(a_c, s) = 1 with
+    a_c = e_c / size_c and psi(a, s) = a s / D, D = n (1 - a) + a s > 0.
+    As psi - 1 = n (a - 1) / D, psi >= 1 when a >= 1, so e_c >= size_c on
+    every class e touches gives F >= the total size touched >= 1.  Equality
+    throughout holds only for a linear monomial, where F = 1 at every s
+    (the flat families); every other such row has no root.
+    """
+    return np.all((rows == 0) | (rows >= sizes), axis=1) & (rows.sum(axis=1) > 1)
 
 
 def _strata(rows: np.ndarray, m: int):
@@ -298,7 +318,8 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
     The equations are s <e, u> = 1 for e in the stratum and sum(mu) = 1,
     with u_c = size_c / D_c and D_c = n size_c + (s - n) ebar_c; in the form
     <e, u> = 1/s both sides fade as s grows and every stratum looks solved.
-    Steps are halved until every D_c > 0 and |log s| <= _LOG_S_CAP.
+    A step takes its first halving with every D_c > 0 and |log s| <= _LOG_S_CAP,
+    screened over all halvings at once before it is evaluated.
 
     Each run ends on its own, in one of four ways:
 
@@ -351,6 +372,17 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
         # the first halving that keeps |log s| within the cap, found at once
         room = (_LOG_S_CAP - np.sign(step[:, k]) * t[live]) / np.abs(step[:, k])
         lam = 0.5 ** np.maximum(0, np.ceil(-np.log2(room)))
+        # and the first halving from there that also keeps every D_c > 0,
+        # screened in one pass with the expressions of evaluate; a run with
+        # none gets lam = 0 and stops.  As lam <= 1 and 2^-40 < 1e-12, the
+        # 41 halvings hold every one the loop below would try
+        halvings = lam[:, None] * 0.5 ** np.arange(41)
+        trial_mu = mu[live, None, :] + halvings[..., None] * step[:, None, :k]
+        trial_t = t[live, None] + halvings * step[:, None, k]
+        trial_ebar = np.einsum("bjk,bkm->bjm", trial_mu, tie[live])
+        trial_denom = n * sizes + (np.exp(trial_t) - n)[..., None] * trial_ebar
+        good = (halvings >= 1e-12) & (np.abs(trial_t) <= _LOG_S_CAP) & np.all(trial_denom > 0, axis=2)
+        lam = np.where(good.any(axis=1), halvings[np.arange(len(live)), good.argmax(axis=1)], 0.0)
         moved = np.zeros(len(live), dtype=bool)
         while np.any(pending := ~moved & (lam >= 1e-12)):
             rows = live[pending]

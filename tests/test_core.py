@@ -58,6 +58,11 @@ class TestWeightedOrder:
         with pytest.raises(DomainError):
             weighted_order((F(0), F(1), F(1)), A23_SUPPORT)
 
+    @pytest.mark.parametrize("evaluate", [weighted_order, active_monomials])
+    def test_infinite_weight_rejected(self, evaluate):
+        with pytest.raises(DomainError, match="finite"):
+            evaluate((1.0, math.inf, 1.0), a_singularity(2, 2).support)
+
 
 class TestLogDiscrepancy:
     def test_smooth_sum(self):

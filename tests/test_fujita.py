@@ -127,8 +127,15 @@ class TestVolWAlpha:
         with pytest.raises(DomainError):
             vol_w_alpha(projective_space_cone(2), -1)
 
+    def test_infinite_alpha_is_the_limit(self):
+        assert vol_w_alpha(projective_space_cone(2), math.inf) == 0
 
-@pytest.mark.parametrize("evaluate", [vol_w_alpha, phi], ids=["vol_w_alpha", "phi"])
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [vol_w_alpha, phi, lambda cone, x: cone.curve.value(x)],
+    ids=["vol_w_alpha", "phi", "curve"],
+)
 def test_nan_parameter_rejected(evaluate):
     with pytest.raises(DomainError):
         evaluate(projective_space_cone(2), math.nan)

@@ -348,8 +348,9 @@ class TestNewtonStops:
     def test_root_run_off_and_zero_step(self):
         # D n=3 k=4 has classes of sizes (3, 1, 1) and n = 4: the squares'
         # row (2, 0, 0) has a root at s = 1, the pure power (0, 0, 4) has
-        # none and its residual fades like 1/s, and the row (3, 0, 0) of
-        # x1 x2 x3 has residual 2 and a Newton step of exactly 0 at s = n
+        # none and its residual fades like 1/s, and a row (3, 0, 0), as
+        # x1 x2 x3 would give, has residual 2 and a Newton step of exactly
+        # 0 at s = n
         problem = optimize._build_problem(d_singularity(3, 4))
         ties, starts = [[(2, 0, 0)], [(0, 0, 4)], [(3, 0, 0)]], [[1.0]] * 3
         batch = mu, s, found = _newton_runs(problem, ties, starts)
@@ -371,3 +372,76 @@ class TestNewtonStops:
         assert found.tolist() == [True, False]
         assert np.max(np.abs(mu[1])) > optimize._MU_BOUND
         self._assert_runs_alone_agree(problem, ties, starts, batch)
+
+    def test_damped_steps(self):
+        # D n=2 k=5 on the stratum {z^5, squares}: from the barycentre and
+        # from both vertices some steps must be halved to keep every D_c > 0
+        # (one to four a run), and every run reaches the root at s = 3/10
+        problem = optimize._build_problem(d_singularity(2, 5))
+        ties, starts = [[(0, 0, 5), (2, 0, 0)]] * 3, [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
+        batch = mu, s, found = _newton_runs(problem, ties, starts)
+        assert found.all()
+        assert np.all(np.abs(s - 0.3) <= 1e-12)
+        self._assert_runs_alone_agree(problem, ties, starts, batch)
+
+
+ADE_REFERENCE = (
+    [a_singularity(n, k) for n in range(2, 7) for k in range(1, 7)]
+    + [d_singularity(n, k) for n in range(1, 6) for k in range(3, 7)]
+    + [e_singularity(i, n) for i in (6, 7, 8) for n in range(1, 6)]
+)
+
+
+class TestRootlessStrata:
+    """One-monomial strata that have no root are settled before Newton runs."""
+
+    @pytest.mark.parametrize("group", ["ade", "golden"])
+    def test_dropped_rows_have_no_root(self, group):
+        if group == "ade":
+            models = ADE_REFERENCE
+        else:
+            rows = GOLDEN["minimizers"] + GOLDEN["seeded"]["minimizers"]
+            models = [
+                Hypersurface(tuple(tuple(e) for e in row["support"]), allow_smooth_germ=row["allow_smooth_germ"])
+                for row in rows
+            ]
+        checked = set()
+        for model in models:
+            for trivial in (False, True):
+                problem = optimize._build_problem(model, trivial_classes=trivial)
+                rootless = optimize._rootless_monomials(problem.rows, problem.sizes)
+                for subset in optimize._strata(problem.rows, len(problem.classes)):
+                    row = problem.rows[subset[0]]
+                    key = (tuple(row), tuple(problem.sizes), problem.model.dim)
+                    if len(subset) == 1 and rootless[subset[0]] and key not in checked:
+                        checked.add(key)
+                        assert not _newton_runs(problem, [[row]], [[1.0]])[2][0], key
+        assert checked
+
+    def test_rootless_rows(self):
+        # classes of sizes (3, 1, 1) as in D n=3 k=4: the squares' row and a
+        # linear monomial (a flat family, F = 1 at every s) stay; z^4, y^2 z
+        # and x1 x2 x3 have every e_c >= size_c and F > 1
+        rows = np.array([(2, 0, 0), (0, 0, 1), (0, 0, 4), (0, 2, 1), (3, 0, 0)], dtype=float)
+        rootless = optimize._rootless_monomials(rows, np.array([3.0, 1.0, 1.0]))
+        assert rootless.tolist() == [False, False, True, True, True]
+
+    def test_rootless_strata_skip_newton(self, monkeypatch):
+        # on D n=3 k=4 the one-monomial strata are z^4 and y^2 z, which have
+        # no root, and the squares' row (2, 0, 0), which has one
+        model = d_singularity(3, 4)
+        problem = optimize._build_problem(model)
+        strata = optimize._strata(problem.rows, len(problem.classes))
+        singles = {tuple(problem.rows[subset[0]]) for subset in strata if len(subset) == 1}
+        assert singles == {(0, 0, 4), (0, 2, 1), (2, 0, 0)}
+        seen, newton = set(), optimize._newton
+
+        def recorded(tie, sizes, n, mu):
+            seen.update(tuple(map(tuple, stratum.tolist())) for stratum in tie)
+            return newton(tie, sizes, n, mu)
+
+        monkeypatch.setattr(optimize, "_newton", recorded)
+        result = minimize_hvol(model)
+        assert ((2, 0, 0),) in seen
+        assert not {((0, 0, 4),), ((0, 2, 1),)} & seen
+        assert result.starts_used == len(strata)
