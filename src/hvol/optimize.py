@@ -318,8 +318,8 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
     The equations are s <e, u> = 1 for e in the stratum and sum(mu) = 1,
     with u_c = size_c / D_c and D_c = n size_c + (s - n) ebar_c; in the form
     <e, u> = 1/s both sides fade as s grows and every stratum looks solved.
-    A step takes its first halving with every D_c > 0 and |log s| <= _LOG_S_CAP,
-    screened over all halvings at once before it is evaluated.
+    A step takes its first halving with every D_c > 0, |log s| <= _LOG_S_CAP
+    and a finite residual, all halvings evaluated in one pass.
 
     Each run ends on its own, in one of four ways:
 
@@ -372,31 +372,23 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
         # the first halving that keeps |log s| within the cap, found at once
         room = (_LOG_S_CAP - np.sign(step[:, k]) * t[live]) / np.abs(step[:, k])
         lam = 0.5 ** np.maximum(0, np.ceil(-np.log2(room)))
-        # and the first halving from there that also keeps every D_c > 0,
-        # screened in one pass with the expressions of evaluate; a run with
-        # none gets lam = 0 and stops.  As lam <= 1 and 2^-40 < 1e-12, the
-        # 41 halvings hold every one the loop below would try
-        halvings = lam[:, None] * 0.5 ** np.arange(41)
-        trial_mu = mu[live, None, :] + halvings[..., None] * step[:, None, :k]
-        trial_t = t[live, None] + halvings * step[:, None, k]
-        trial_ebar = np.einsum("bjk,bkm->bjm", trial_mu, tie[live])
-        trial_denom = n * sizes + (np.exp(trial_t) - n)[..., None] * trial_ebar
-        good = (halvings >= 1e-12) & (np.abs(trial_t) <= _LOG_S_CAP) & np.all(trial_denom > 0, axis=2)
-        lam = np.where(good.any(axis=1), halvings[np.arange(len(live)), good.argmax(axis=1)], 0.0)
-        moved = np.zeros(len(live), dtype=bool)
-        while np.any(pending := ~moved & (lam >= 1e-12)):
-            rows = live[pending]
-            trial_mu = mu[rows] + lam[pending, None] * step[pending, :k]
-            trial_t = t[rows] + lam[pending] * step[pending, k]
-            trial = evaluate(rows, trial_mu, trial_t)
-            ok = (np.abs(trial_t) <= _LOG_S_CAP) & np.all(trial[1] > 0, axis=1)
-            ok &= np.all(np.isfinite(trial[0]), axis=1)
-            mu[rows[ok]], t[rows[ok]] = trial_mu[ok], trial_t[ok]
-            for held, new in zip(state, trial):
-                held[rows[ok]] = new[ok]
-            moved[np.flatnonzero(pending)[ok]] = True
-            lam[~moved] /= 2
+        # every halving from there down to 1e-12 is evaluated in one pass, and
+        # each run takes its first one with |log s| within the cap, every
+        # D_c > 0 and a finite residual; a run with none stops.  As lam <= 1
+        # and 2^-40 < 1e-12, 41 halvings hold them all
+        halvings = (lam[:, None] * 0.5 ** np.arange(41)).ravel()
+        rows = np.repeat(live, 41)
+        trial_mu = mu[rows] + halvings[:, None] * np.repeat(step[:, :k], 41, axis=0)
+        trial_t = t[rows] + halvings * np.repeat(step[:, k], 41)
+        trial = evaluate(rows, trial_mu, trial_t)
+        ok = (halvings >= 1e-12) & (np.abs(trial_t) <= _LOG_S_CAP) & np.all(trial[1] > 0, axis=1)
+        ok = (ok & np.all(np.isfinite(trial[0]), axis=1)).reshape(-1, 41)
+        moved = ok.any(axis=1)
+        first = 41 * np.flatnonzero(moved) + ok[moved].argmax(axis=1)
         live = live[moved]
+        mu[live], t[live] = trial_mu[first], trial_t[first]
+        for held, new in zip(state, trial):
+            held[live] = new[first]
     return mu, s, found
 
 

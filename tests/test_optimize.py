@@ -385,26 +385,17 @@ class TestNewtonStops:
         self._assert_runs_alone_agree(problem, ties, starts, batch)
 
 
-ADE_REFERENCE = (
-    [a_singularity(n, k) for n in range(2, 7) for k in range(1, 7)]
-    + [d_singularity(n, k) for n in range(1, 6) for k in range(3, 7)]
-    + [e_singularity(i, n) for i in (6, 7, 8) for n in range(1, 6)]
-)
-
-
 class TestRootlessStrata:
     """One-monomial strata that have no root are settled before Newton runs."""
 
-    @pytest.mark.parametrize("group", ["ade", "golden"])
-    def test_dropped_rows_have_no_root(self, group):
-        if group == "ade":
-            models = ADE_REFERENCE
-        else:
-            rows = GOLDEN["minimizers"] + GOLDEN["seeded"]["minimizers"]
-            models = [
-                Hypersurface(tuple(tuple(e) for e in row["support"]), allow_smooth_germ=row["allow_smooth_germ"])
-                for row in rows
-            ]
+    def test_dropped_rows_have_no_root(self):
+        # the golden minimizers hold all 65 A-D-E reference rows and the
+        # frozen and seeded supports
+        rows = GOLDEN["minimizers"] + GOLDEN["seeded"]["minimizers"]
+        models = [
+            Hypersurface(tuple(tuple(e) for e in row["support"]), allow_smooth_germ=row["allow_smooth_germ"])
+            for row in rows
+        ]
         checked = set()
         for model in models:
             for trivial in (False, True):
