@@ -31,9 +31,6 @@ from .fujita import (
 from .inequalities import InequalityVerdict, run_suite, skewness_s
 from .lattice import (
     ColengthSeries,
-    colength_hypersurface,
-    colength_smooth,
-    colength_toric,
     default_radii,
     estimate_volume,
 )

@@ -21,14 +21,28 @@ Checks:
   positive, sample-stable empirical infimum elsewhere.
 
 One driver runs every sweep on integer numerators.  Each sampled
-coordinate is p / 10^6 with p a positive integer, and the thm13, dfem and
-proper margins have degree 0 in the weight, so their value at p is their
-value at p / 10^6 (the skew2 defect, of degree -2, is rescaled by 10^12).
-A sample costs a few integer sums, minima, products and (on
-hypersurfaces) support pairings; minima compare by cross-multiplying.
-Only the witness becomes Fractions, and the public Fraction route
-(``thm13_margin`` and friends) must reproduce its margin exactly.  Toric
-cones have no integer kernel and take ``proper_ratio`` on every sample.
+coordinate is p / 10^6 with p an integer in [10^3, 10^9], and the thm13,
+dfem and proper margins have degree 0 in the weight, so their value at p
+is their value at p / 10^6 (the skew2 defect, of degree -2, is rescaled by
+10^12).  The draws of one chunk (``_CHUNK`` of them, which bounds a
+sweep's memory whatever its length) form one int64 array, and:
+
+* the per-draw checks (p in [1, 10^9], the thm13 product identity on
+  Python ints, the smooth coordinate chain in int64) run exactly on every
+  draw;
+* a float64 filter gives each draw its margin plus a suite constant, with
+  a stated relative error bound delta = (2N + 4) 2^-53 in ambient dimension
+  N (``_key_error``), and keeps only the draws whose error interval can
+  reach the chunk's minimum;
+* those candidates take the exact integer kernel in index order, so the
+  verdict is the first exact minimum, as if every draw had been exact.
+
+Draws with no float bound are always candidates, so they share the one
+exact route: a non-klt hypersurface weight (whose exact evaluation raises
+``NonKltWeightError``), pairings beyond 2^53, and every draw on a toric
+cone, which has no integer kernel and takes ``proper_ratio``.  Only the
+witness becomes Fractions, and the public Fraction route
+(``thm13_margin`` and friends) must reproduce its margin exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,7 +66,8 @@ _EXACT_TOL = Fraction(1, 10**12)
 _STABILITY_BUDGET = 0.05
 _LOW, _HIGH, _EDGE_MASS = Fraction(1, 1000), Fraction(1000), 0.3
 _GRID = 10**6  # every sampled coordinate is p / _GRID, p a positive integer
-_CHUNK = 4096  # draws per generator call, which bounds a sweep's memory
+_CEILING = int(_HIGH * _GRID)  # the largest numerator a draw can take
+_CHUNK = 4096  # draws per array, which bounds a sweep's memory
 
 
 @dataclass(frozen=True)
@@ -83,7 +99,7 @@ def sample_weight(rng: np.random.Generator, dim: int) -> tuple[Fraction, ...]:
     so empirical infima saturate at the box minimum instead of creeping
     with the sample count; the continuum keeps the interior covered.
     """
-    return _weight(next(_numerators(rng, 1, dim)))
+    return _weight(next(_numerators(rng, 1, dim))[0].tolist())
 
 
 def skewness_s(weight: Sequence[Scalar]) -> int:
@@ -170,7 +186,7 @@ def check_properness_ratio(model: Model, samples: int = 10**4, seed: int = 0) ->
     the verdict fails if any ratio drops below 1, and the coordinate chain
     min(x) <= x_i <= sum(x) is asserted exactly on every sample.
     """
-    k_full, witness, k_half = _sweep("proper", model, 2 * samples, seed, half=samples)
+    k_full, witness, k_half = _sweep("proper", model, samples, seed, doubled=True)
     drift = float((k_half - k_full) / k_half) if k_half > 0 else math.inf
     slack = Fraction(_STABILITY_BUDGET) - Fraction(drift).limit_denominator(10**9)
     smooth = isinstance(model, SmoothPoint)
@@ -208,40 +224,143 @@ _ROUTES = {"thm13": thm13_margin, "skew2": lambda _model, x: skew2_margin(x),
            "dfem": dfem_margin, "proper": proper_ratio}
 
 
-def _sweep(suite, model, count, seed, half=None):
-    """Worst margin of ``count`` seeded draws, its witness, and the worst of the first ``half``."""
-    if count < 1:
-        raise DomainError(f"a sweep needs at least one sample, got {count}")
-    margin = _kernel(suite, model)
-    best_num = best_den = witness = half_worst = None
-    for i, p in enumerate(_numerators(np.random.default_rng(seed), count, model.ambient_dim)):
-        if min(p) < 1:
-            raise AssertionError(f"sampled numerators {p} are not positive")
-        num, den = margin(p)
-        if witness is None or num * best_den < best_num * den:
-            best_num, best_den, witness = num, den, p
-        if i + 1 == half:
-            half_worst = Fraction(best_num, best_den)
-    worst, x = Fraction(best_num, best_den), _weight(witness)
+def _sweep(suite, model, samples, seed, doubled=False):
+    """Worst margin of the sweep's draws, its witness, and the worst of the first ``samples``.
+
+    The sweep draws ``samples`` weights, or twice as many if ``doubled``.
+    Each chunk of draws is one int64 array.  ``_screen`` runs the suite's
+    per-draw checks on it exactly and gives every draw a float64 key within
+    relative error delta = ``_key_error`` of its exact value (NaN: not
+    bounded).  The exact value of draw i lies within delta / (1 - delta) |key_i|
+    of key_i, so only draws with key_i - eta |key_i| <= min_j (key_j + eta |key_j|)
+    can hold the chunk's exact minimum; eta = 2 delta also covers the two
+    roundings in forming those bounds (delta >= 6 * 2^-53).  These candidates,
+    and every NaN-keyed draw, go in index order through the exact ``_kernel``,
+    and the first exact minimum is kept across chunks.  Each half of a
+    doubled sweep is drawn as a stream of its own, which leaves the draws
+    unchanged, so the first-half minimum is the running minimum after it.
+    """
+    if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 1:
+        raise DomainError(f"a sweep needs an integer number of samples >= 1, got {samples!r}")
+    screen, margin = _screen(suite, model), _kernel(suite, model)
+    eta = 2 * _key_error(model.ambient_dim)
+    rng = np.random.default_rng(seed)
+    best, worsts = None, []
+    for _ in range(2 if doubled else 1):
+        for p in _numerators(rng, samples, model.ambient_dim):
+            if p.min() < 1 or p.max() > _CEILING:
+                raise AssertionError(f"sampled numerators outside [1, {_CEILING}]")
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                key = screen(p)
+                spread = eta * np.abs(key)
+                low, high = key - spread, key + spread
+                reach = np.min(high, initial=np.inf, where=high == high)
+            for q in p[~(low > reach)].tolist():
+                num, den = margin(q)
+                if best is None or num * best[1] < best[0] * den:
+                    best = (num, den, q)
+        worsts.append(Fraction(best[0], best[1]))
+    x = _weight(best[2])
     public = _ROUTES[suite](model, x)
-    if public != worst:
-        raise InternalConsistencyError(f"{suite} at {x}: kernel {worst}, Fraction route {public}")
-    return worst, x, half_worst
+    if public != worsts[-1]:
+        raise InternalConsistencyError(f"{suite} at {x}: kernel {worsts[-1]}, Fraction route {public}")
+    return worsts[-1], x, worsts[0]
 
 
 def _numerators(rng, count, dim):
-    """Numerators p (weight p / _GRID) of ``count`` successive draws; see ``sample_weight``."""
+    """Numerators p (weight p / _GRID) of ``count`` successive draws, one int64 array per chunk.
+
+    The draws are those of ``sample_weight``, which rounds Python's
+    ``10.0**e * _GRID``.  ``np.power`` and the C library's ``pow`` are each
+    within about an ulp of 10^e, so the two scaled values differ by a few
+    ulps, and their roundings can differ only within that distance of a
+    half-integer.  Coordinates closer to one than 2^-46 of their value (32
+    to 64 ulps; about 1 in 10^6) are redone in Python.
+    """
     lo, hi = math.log10(float(_LOW)), math.log10(float(_HIGH))
-    edges = (int(_LOW * _GRID), int(_HIGH * _GRID))
     for start in range(0, count, _CHUNK):
         u = rng.random((min(_CHUNK, count - start), 2, dim))
-        exps = lo + (hi - lo) * u[:, 1]
-        for rolls, es in zip(u[:, 0].tolist(), exps.tolist()):
-            yield tuple(
-                edges[0] if r < _EDGE_MASS else edges[1] if r < 2 * _EDGE_MASS
-                else round(10.0**e * _GRID)
-                for r, e in zip(rolls, es)
-            )
+        rolls, exps = u[:, 0], lo + (hi - lo) * u[:, 1]
+        scaled = np.power(10.0, exps) * _GRID
+        p = np.rint(scaled)
+        near = np.abs(np.abs(scaled - p) - 0.5) <= scaled * 2.0**-46
+        p = p.astype(np.int64)
+        if near.any():
+            for i, j in zip(*np.nonzero(near)):
+                p[i, j] = round(10.0 ** float(exps[i, j]) * _GRID)
+        p[rolls < 2 * _EDGE_MASS] = _CEILING
+        p[rolls < _EDGE_MASS] = int(_LOW * _GRID)
+        yield p
+
+
+def _key_error(dim):
+    """Relative error bound delta of a ``_screen`` key in ambient dimension ``dim``.
+
+    A key is a product of at most dim + 2 quotients of integers in [1, 2^53),
+    each exact in float64: at most 2 dim + 3 correctly rounded operations,
+    so within gamma_{2 dim + 3} < (2 dim + 4) 2^-53 of its exact value.  Every
+    factor lies in (2^-53, 2^53), so no partial product leaves the normal
+    range while 53 (dim + 2) <= 1022; beyond that there is no bound.
+    """
+    return (2 * dim + 4) * 2.0**-53 if 53 * (dim + 2) <= 1022 else math.inf
+
+
+def _screen(suite, model):
+    """The array stage of ``suite``: exact per-draw checks, then one float64 key per draw.
+
+    The key is the exact margin plus a constant of the suite (1 for dfem,
+    2^-n for thm13, 0 otherwise), so it orders draws as the margin does, and
+    it is within ``_key_error`` of its exact value; NaN sends a draw to the
+    exact kernel.  Draws lie in [1, _CEILING], so every sum and pairing below
+    is an exact int64 below 2^53.
+    """
+    n = model.dim
+    if suite == "proper" and isinstance(model, Hypersurface):
+        if max(model.ambient_dim, *map(sum, model.support)) * _CEILING >= 2**53:
+            return _unbounded
+        support = np.array(model.support, dtype=np.int64)
+        def keys(p):
+            w = (p @ support.T).min(axis=1)
+            a = p.sum(axis=1) - w
+            key = np.prod(a[:, None] / p, axis=1) * (w / a) * (p.min(axis=1) / a)
+            return np.where(a > 0, key, np.nan)  # A <= 0: the kernel raises NonKltWeightError
+        return keys
+    if suite == "proper" and not isinstance(model, SmoothPoint):
+        return _unbounded
+    if not isinstance(model, SmoothPoint):
+        raise UnsupportedModelError(f"the {suite} suite runs on smooth points, got {model!r}")
+    if suite == "thm13":
+        def keys(p):
+            s = np.sort(p, axis=1)
+            o = s.astype(object)  # the two checks stay on Python ints
+            top, middle = o[:, -1], np.prod(o[:, 1:-1], axis=1)
+            lead = top ** max(n - 2, 0)
+            # vol * top^(n-1) * low against prod(top / p_i) over the middle
+            if (top ** (n - 1) * o[:, 0] * middle != lead * np.prod(p.astype(object), axis=1)).any():
+                raise AssertionError("closed form and product form disagree")
+            if (lead < middle).any():
+                raise AssertionError("the product of max-coordinate ratios dropped below 1")
+            return np.prod(s[:, -1:] / s[:, 1:-1], axis=1)
+    elif suite == "skew2":
+        def keys(p):
+            defect = p.max(axis=1) * p.min(axis=1) - p[:, 0] * p[:, 1]
+            return np.where(defect == 0, 0.0, np.nan)
+    elif suite == "dfem":
+        def keys(p):
+            return np.prod(p.sum(axis=1)[:, None] / (n * p), axis=1)
+    else:  # proper on a smooth point
+        def keys(p):
+            total, low = p.sum(axis=1), p.min(axis=1)
+            # order-valuation comparison: min(x) <= v_x(z_i) = x_i <= sum(x) = A
+            if ((p < low[:, None]) | (p > total[:, None])).any():
+                raise AssertionError("coordinate chain violated")
+            return np.prod(total[:, None] / p, axis=1) * (low / total)
+    return keys
+
+
+def _unbounded(p):
+    """No float key: every draw goes to the exact kernel."""
+    return np.full(len(p), np.nan)
 
 
 def _kernel(suite, model):
@@ -264,11 +383,6 @@ def _kernel(suite, model):
         def margin(p):
             s = sorted(p)
             lead, middle = s[-1] ** len(s[1:-1]), math.prod(s[1:-1])
-            # vol * top^(n-1) * low against prod(top / p_i) over the middle
-            if s[-1] ** (n - 1) * s[0] * middle != lead * math.prod(p):
-                raise AssertionError("closed form and product form disagree")
-            if lead < middle:
-                raise AssertionError("the product of max-coordinate ratios dropped below 1")
             return 2**n * lead - middle, 2**n * middle
     elif suite == "skew2":
         def margin(p):
@@ -280,11 +394,7 @@ def _kernel(suite, model):
             return sum(p) ** n - prod, prod
     else:  # proper on a smooth point
         def margin(p):
-            total, low = sum(p), min(p)
-            # order-valuation comparison: min(x) <= v_x(z_i) = x_i <= sum(x) = A
-            if not all(low <= q <= total for q in p):
-                raise AssertionError("coordinate chain violated")
-            return total ** (n - 1) * low, math.prod(p)
+            return sum(p) ** (n - 1) * min(p), math.prod(p)
     return margin
 
 

@@ -104,22 +104,8 @@ def _default_radii(model: Model, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(m * top for m in DEFAULT_RADIUS_MULTIPLIERS)
 
 
-def colength_smooth(n: int, weight: Sequence[Scalar], radius) -> int:
-    """Exact #{ e in Z^n_{>=0} : <x, e> < r }."""
-    return colength(SmoothPoint(n), weight, radius)
-
-
-def colength_hypersurface(model: Hypersurface, weight: Sequence[Scalar], radius) -> int:
-    """Inclusion-exclusion ambient count whose leading term is dim(R/a_r)."""
-    return colength(model, weight, radius)
-
-
-def colength_toric(model: ToricCone, weight: Sequence[Scalar], radius) -> int:
-    """Exact #{ y in dual-cone lattice : <y, x> < r }."""
-    return colength(model, weight, radius)
-
-
 def colength(model: Model, weight: Sequence[Scalar], radius) -> int:
+    """The exact colength count of ``model`` at weight x and radius r (see the module docstring)."""
     x = check_weight(model, weight)  # for toric models the interior check keeps the count finite
     r = as_scalar(radius)
     if not -math.inf < r < math.inf:  # NaN too

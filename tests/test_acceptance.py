@@ -19,8 +19,6 @@ import hvol
 from hvol import (
     SmoothPoint,
     a_singularity,
-    colength_hypersurface,
-    colength_smooth,
     d_singularity,
     e_singularity,
     estimate_volume,
@@ -39,6 +37,7 @@ from hvol.fujita import (
     phi_prime_zero,
     projective_space_cone,
 )
+from hvol.lattice import colength
 from hvol.modelio import dumps_canonical
 
 VALUE_RTOL = 1e-7
@@ -156,8 +155,8 @@ def test_criterion_4_d_and_e_tables():
 
 def test_criterion_5_oracle_convergence():
     with criterion("5-oracle-convergence", 120.0):
-        assert colength_smooth(2, (F(1), F(1)), 100) == 5050
-        assert colength_hypersurface(a_singularity(2, 2), (F(1), F(1), F(1)), 10) == 100
+        assert colength(SmoothPoint(2), (F(1), F(1)), 100) == 5050
+        assert colength(a_singularity(2, 2), (F(1), F(1), F(1)), 10) == 100
         rng = np.random.default_rng(20260810)
         models = [SmoothPoint(2), SmoothPoint(3), a_singularity(2, 2), a_singularity(3, 2)]
         for model in models:

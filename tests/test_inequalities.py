@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvol import SmoothPoint, a_singularity, run_suite, skewness_s
+from hvol import SmoothPoint, a_singularity, d_singularity, e_singularity, run_suite, skewness_s
 from hvol import inequalities
 from hvol.inequalities import (
+    _key_error,
     _kernel,
     _numerators,
+    _screen,
     check_dfem,
     check_properness_ratio,
     check_skewness_identity_dim2,
@@ -136,6 +139,26 @@ class TestSweeps:
         with pytest.raises(DomainError):
             run_suite("bogus", samples=10)
 
+    @pytest.mark.parametrize("samples", [10.5, True, False, 0, -3, "10", F(10), None])
+    @pytest.mark.parametrize("suite", ["thm13", "skew2", "dfem", "proper"])
+    def test_sample_count_must_be_a_positive_int(self, suite, samples):
+        with pytest.raises(DomainError):
+            run_suite(suite, samples, seed=0, dims=(2,))
+
+    def test_numpy_integer_sample_count(self):
+        assert run_suite("proper", np.int64(20), seed=0, dims=(2,)) == run_suite("proper", 20, seed=0, dims=(2,))
+
+    def test_memory_is_bounded_by_one_chunk(self):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                check_dfem(SmoothPoint(3), samples=samples, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(25 * inequalities._CHUNK) < 2 * peak(inequalities._CHUNK)
+
     def test_all_suites_small(self):
         verdicts = run_suite("all", samples=200, seed=20260810, dims=(2, 3))
         assert all(v.passed for v in verdicts)
@@ -168,13 +191,46 @@ class TestSampler:
             for dim in range(2, 7):
                 batched = [
                     tuple(F(q, 10**6) for q in p)
-                    for p in _numerators(np.random.default_rng(seed), 40, dim)
+                    for chunk in _numerators(np.random.default_rng(seed), 40, dim)
+                    for p in chunk.tolist()
                 ]
                 rng = np.random.default_rng(seed)
                 reference = [_reference_draw(rng, dim) for _ in range(40)]
                 assert batched == reference
                 rng = np.random.default_rng(seed)
                 assert [sample_weight(rng, dim) for _ in range(40)] == reference
+
+    @pytest.mark.parametrize("direction", [math.inf, -math.inf])
+    def test_near_half_coordinates_round_as_python(self, monkeypatch, direction):
+        # exponents at which Python's 10.0**e * 10**6 is exactly a half-integer,
+        # drawn with an np.power one ulp off Python's pow in either direction
+        lo, hi = math.log10(1 / 1000), math.log10(1000.0)
+        uniforms = []
+        for k in range(1000, 10**9, 7654321):
+            u = (math.log10((k + 0.5) / 10**6) - lo) / (hi - lo)
+            for _ in range(60):
+                if 10.0 ** (lo + (hi - lo) * u) * 10**6 == k + 0.5:
+                    uniforms.append(u)
+                    break
+                u = math.nextafter(u, math.inf)
+        assert len(uniforms) >= 8
+        power = np.power
+        monkeypatch.setattr(np, "power", lambda b, e: np.nextafter(power(b, e), direction))
+        rng = _FixedUniforms([0.9] * len(uniforms) + uniforms)
+        (drawn,) = _numerators(rng, 1, len(uniforms))
+        assert drawn.tolist() == [[round(10.0 ** (lo + (hi - lo) * u) * 10**6) for u in uniforms]]
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random`` hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def random(self, shape):
+        size = math.prod(shape)
+        out, self.values = self.values[:size], self.values[size:]
+        return out.reshape(shape)
 
 
 def _reference_draw(rng, dim):
@@ -199,16 +255,28 @@ class TestGolden:
         "case", json.loads(GOLDEN.read_text()), ids=lambda c: f"{c['suite']}-{c['samples']}-{c['seed']}"
     )
     def test_verdicts_bit_for_bit(self, case):
-        verdicts = run_suite(case["suite"], case["samples"], case["seed"], dims=tuple(case["dims"]))
-        assert len(verdicts) == len(case["verdicts"])
-        for got, want in zip(verdicts, case["verdicts"]):
-            assert got.name == want["name"]
-            assert got.samples == want["samples"]
-            assert got.min_margin_exact == F(want["min_margin_exact"])
-            assert got.min_margin == float(F(want["min_margin_exact"]))
-            assert got.witnesses == tuple(tuple(F(c) for c in w) for w in want["witnesses"])
-            assert got.passed == want["passed"]
-            assert got.extra == want["extra"]
+        _assert_golden(case)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize(
+        "case", json.loads(GOLDEN.read_text()), ids=lambda c: f"{c['suite']}-{c['samples']}-{c['seed']}"
+    )
+    def test_verdicts_at_small_chunks(self, monkeypatch, case, chunk):
+        monkeypatch.setattr(inequalities, "_CHUNK", chunk)
+        _assert_golden(case)
+
+
+def _assert_golden(case):
+    verdicts = run_suite(case["suite"], case["samples"], case["seed"], dims=tuple(case["dims"]))
+    assert len(verdicts) == len(case["verdicts"])
+    for got, want in zip(verdicts, case["verdicts"]):
+        assert got.name == want["name"]
+        assert got.samples == want["samples"]
+        assert got.min_margin_exact == F(want["min_margin_exact"])
+        assert got.min_margin == float(F(want["min_margin_exact"]))
+        assert got.witnesses == tuple(tuple(F(c) for c in w) for w in want["witnesses"])
+        assert got.passed == want["passed"]
+        assert got.extra == want["extra"]
 
 
 KERNEL_CASES = (
@@ -258,3 +326,100 @@ class TestIntegerKernel:
     def test_empty_sweep_is_a_domain_error(self):
         with pytest.raises(DomainError):
             check_dfem(SmoothPoint(2), samples=0)
+
+
+FILTER_CASES = (
+    [pytest.param("thm13", SmoothPoint(n), id=f"thm13-n{n}") for n in range(2, 7)]
+    + [pytest.param("dfem", SmoothPoint(n), id=f"dfem-n{n}") for n in range(2, 7)]
+    + [pytest.param("skew2", SmoothPoint(2), id="skew2")]
+    + [pytest.param("proper", SmoothPoint(n), id=f"proper-smooth-n{n}") for n in range(2, 7)]
+    + [pytest.param("proper", a_singularity(n, 2), id=f"proper-A-n{n}") for n in range(2, 6)]
+    + [pytest.param("proper", d_singularity(2, 4), id="proper-D"), pytest.param("proper", e_singularity(6, 2), id="proper-E6")]
+)
+
+
+def _fixed_draws(rows, chunk):
+    """A stand-in for ``_numerators`` that hands out ``rows`` in order, ``chunk`` at a time."""
+    rest = iter(rows)
+
+    def numerators(_rng, count, _dim):
+        drawn = [next(rest) for _ in range(count)]
+        for start in range(0, count, chunk):
+            yield np.array(drawn[start : start + chunk], dtype=np.int64)
+
+    return numerators
+
+
+def _weight(p):
+    return tuple(F(q, 10**6) for q in p)
+
+
+class TestFloatFilter:
+    @pytest.mark.parametrize("suite, model", FILTER_CASES)
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_key_within_documented_bound(self, suite, model, data):
+        p = data.draw(st.tuples(*[st.integers(1, 10**9)] * model.ambient_dim))
+        (key,) = _screen(suite, model)(np.array([p], dtype=np.int64))
+        if math.isnan(key):  # only a weight the exact route rejects goes unbounded
+            with pytest.raises(NonKltWeightError):
+                _kernel(suite, model)(p)
+            return
+        offset = {"thm13": F(1, 2**model.dim), "dfem": F(1)}.get(suite, F(0))
+        exact = F(*_kernel(suite, model)(p)) + offset
+        assert abs(F(key) - exact) <= F(_key_error(model.ambient_dim)) * exact
+
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    def test_float_inversion_and_tie_full_sweep(self, monkeypatch, chunk):
+        # a is worse than b exactly but better in float64; b's swap ties b exactly
+        a, b = (999559917, 999559871), (999559921, 999559875)
+        assert dfem_margin(SmoothPoint(2), _weight(a)) > dfem_margin(SmoothPoint(2), _weight(b))
+        key_a, key_b = _screen("dfem", SmoothPoint(2))(np.array([a, b]))
+        assert key_a < key_b
+        rows = [(1000, 10**9), a, b, b[::-1], (10**9, 1000)]
+        monkeypatch.setattr(inequalities, "_numerators", _fixed_draws(rows, chunk))
+        verdict = check_dfem(SmoothPoint(2), samples=len(rows))
+        assert verdict.witnesses == (_weight(b),)
+        assert verdict.min_margin_exact == dfem_margin(SmoothPoint(2), _weight(b))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    def test_float_inversion_and_tie_half_sweep(self, monkeypatch, chunk):
+        model = SmoothPoint(2)
+        first, second = ((15, 936637874), (16, 999080399)), ((2, 666281788), (3, 999422687))
+        for a, b in (first, second):
+            assert proper_ratio(model, _weight(a)) > proper_ratio(model, _weight(b))
+            key_a, key_b = _screen("proper", model)(np.array([a, b]))
+            assert key_a < key_b
+        (a1, b1), (a2, b2) = first, second
+        rows = [(10**6, 10**6), a1, b1, b1[::-1], a2, b2, b2[::-1], (10**6, 10**6)]
+        monkeypatch.setattr(inequalities, "_numerators", _fixed_draws(rows, chunk))
+        verdict = check_properness_ratio(model, samples=4)
+        assert verdict.witnesses == (_weight(b2),)
+        assert verdict.extra["k_hat"] == float(proper_ratio(model, _weight(b2)))
+        assert verdict.extra["k_hat_half_sample"] == float(proper_ratio(model, _weight(b1)))
+
+    def test_non_klt_draw_is_always_evaluated(self, monkeypatch):
+        # at (1000, 1000, 1000, 1000) A < 0, and the key formula there would read 5,
+        # far above the klt draw's, so only the NaN key sends it to the exact route
+        quintic = Hypersurface(tuple(tuple(5 * (i == j) for j in range(4)) for i in range(4)))
+        rows = [(1000, 10**9, 10**9, 10**9), (1000, 1000, 1000, 1000)]
+        monkeypatch.setattr(inequalities, "_numerators", _fixed_draws(rows * 2, 64))
+        with pytest.raises(NonKltWeightError):
+            check_properness_ratio(quintic, samples=2)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: check_theorem13(SmoothPoint(4), samples=400, seed=21),
+            lambda: check_dfem(SmoothPoint(3), samples=400, seed=22),
+            lambda: check_properness_ratio(SmoothPoint(5), samples=200, seed=23),
+            lambda: check_properness_ratio(d_singularity(3, 5), samples=200, seed=24),
+            # pairings beyond 2^53: no float key is trusted
+            lambda: check_properness_ratio(Hypersurface(((10**10, 0, 0), (0, 2, 0), (0, 0, 2))), samples=200, seed=25),
+        ],
+        ids=["thm13", "dfem", "proper-smooth", "proper-D", "proper-huge-exponent"],
+    )
+    def test_filter_matches_exact_route(self, monkeypatch, check):
+        filtered = check()
+        monkeypatch.setattr(inequalities, "_key_error", lambda _dim: math.inf)  # every draw exact
+        assert check() == filtered

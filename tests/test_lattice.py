@@ -18,9 +18,6 @@ from hvol import (
     SmoothPoint,
     ToricCone,
     a_singularity,
-    colength_hypersurface,
-    colength_smooth,
-    colength_toric,
     default_radii,
     estimate_volume,
     ideal_value,
@@ -28,7 +25,7 @@ from hvol import (
     volume,
 )
 from hvol import lattice
-from hvol.lattice import DEFAULT_RADIUS_MULTIPLIERS, _smooth_counts
+from hvol.lattice import DEFAULT_RADIUS_MULTIPLIERS, _smooth_counts, colength
 from hvol.modelio import model_from_dict
 
 CONE3 = ToricCone(((1, 0, 0), (0, 1, 0), (1, 1, 3)), (F(1), F(1), F(-1, 3)))
@@ -56,64 +53,64 @@ def brute_count_smooth(x, r):
 
 class TestSmoothCount:
     def test_triangle_5050(self):
-        assert colength_smooth(2, (F(1), F(1)), 100) == 5050
+        assert colength(SmoothPoint(2), (F(1), F(1)), 100) == 5050
 
     def test_line_segment(self):
-        assert colength_smooth(1, (F(1),), 5) == 5
+        assert colength(SmoothPoint(1), (F(1),), 5) == 5
 
     def test_hand_enumeration(self):
         # points with e1 + 2 e2 < 4: (0,0),(1,0),(2,0),(3,0),(0,1),(1,1)
-        assert colength_smooth(2, (F(1), F(2)), 4) == 6
+        assert colength(SmoothPoint(2), (F(1), F(2)), 4) == 6
 
     @pytest.mark.parametrize("x", [(F(1), F(1)), (F(1), F(2)), (F(2, 3), F(5, 4)), (F(3), F(1, 2))])
     @pytest.mark.parametrize("r", [F(1), F(7, 2), F(5), F(12)])
     def test_matches_brute_force_2d(self, x, r):
-        assert colength_smooth(2, x, r) == brute_count_smooth(x, r)
+        assert colength(SmoothPoint(2), x, r) == brute_count_smooth(x, r)
 
     @pytest.mark.parametrize("x", [(F(1), F(1), F(1)), (F(1, 2), F(1), F(3, 2)), (F(2), F(3), F(5, 4))])
     @pytest.mark.parametrize("r", [F(3), F(13, 3), F(9)])
     def test_matches_brute_force_3d(self, x, r):
-        assert colength_smooth(3, x, r) == brute_count_smooth(x, r)
+        assert colength(SmoothPoint(3), x, r) == brute_count_smooth(x, r)
 
     def test_strictness_of_inequality(self):
         # r equal to an attained value excludes that layer
-        assert colength_smooth(1, (F(1),), 5) == 5
-        assert colength_smooth(1, (F(1),), F(11, 2)) == 6
+        assert colength(SmoothPoint(1), (F(1),), 5) == 5
+        assert colength(SmoothPoint(1), (F(1),), F(11, 2)) == 6
 
     def test_rescaling_invariance(self):
         x = (F(2, 3), F(5, 4), F(1))
         lam = F(7, 3)
-        assert colength_smooth(3, x, F(8)) == colength_smooth(
-            3, tuple(lam * v for v in x), lam * 8
+        assert colength(SmoothPoint(3), x, F(8)) == colength(
+            SmoothPoint(3), tuple(lam * v for v in x), lam * 8
         )
 
     def test_monotone_in_radius(self):
         x = (F(2, 3), F(3, 2))
-        counts = [colength_smooth(2, x, r) for r in range(1, 30)]
+        counts = [colength(SmoothPoint(2), x, r) for r in range(1, 30)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            colength_smooth(2, (F(1), F(1)), 10**9)
+            colength(SmoothPoint(2), (F(1), F(1)), 10**9)
 
 
 class TestHypersurfaceCount:
     def test_quadric_surface_spot(self):
         model = a_singularity(2, 2)
-        assert colength_hypersurface(model, (F(1), F(1), F(1)), 10) == 100
+        assert colength(model, (F(1), F(1), F(1)), 10) == 100
 
     def test_below_weighted_order_matches_ambient(self):
         model = a_singularity(2, 3)
         x = (F(1), F(1), F(2, 3))
         # weighted order is 2; below it the second region is empty
         for r in (F(1), F(3, 2), F(2)):
-            assert colength_hypersurface(model, x, r) == colength_smooth(3, x, r)
+            assert colength(model, x, r) == colength(SmoothPoint(3), x, r)
 
     def test_quadric_exact_at_integer_radii(self):
         model = a_singularity(2, 2)
         x = (F(1), F(1), F(1))
         for r in (2, 4, 6, 8, 10, 12):
-            count = colength_hypersurface(model, x, r)
+            count = colength(model, x, r)
             assert 2 * count == 2 * r * r  # n! * count == vol * r^n exactly
 
     def test_inclusion_exclusion_identity(self):
@@ -123,21 +120,21 @@ class TestHypersurfaceCount:
 
         v = weighted_order(x, model.support)
         for r in (F(3), F(17, 4), F(8)):
-            assert colength_hypersurface(model, x, r) == colength_smooth(
-                4, x, r
-            ) - colength_smooth(4, x, r - v)
+            assert colength(model, x, r) == colength(
+                SmoothPoint(4), x, r
+            ) - colength(SmoothPoint(4), x, r - v)
 
 
 class TestToricCount:
     def test_orthant_equals_smooth(self):
         cone = orthant_cone(2)
         for r in (F(10), F(55, 2), F(100)):
-            assert colength_toric(cone, (F(1), F(1)), r) == colength_smooth(2, (F(1), F(1)), r)
-        assert colength_toric(cone, (F(1), F(1)), 100) == 5050
+            assert colength(cone, (F(1), F(1)), r) == colength(SmoothPoint(2), (F(1), F(1)), r)
+        assert colength(cone, (F(1), F(1)), 100) == 5050
 
     def test_rank_one(self):
         cone = orthant_cone(1)
-        assert colength_toric(cone, (F(1),), 5) == 5
+        assert colength(cone, (F(1),), 5) == 5
 
     @pytest.mark.parametrize(
         "cone, x, radii",
@@ -162,7 +159,7 @@ class TestToricCount:
             if all(sum(yk * gk for yk, gk in zip(y, g)) >= 0 for g in cone.generators):
                 values.append((sum(yk * xk for yk, xk in zip(y, x)), any(y)))
         expected = [sum(1 for v, _nonzero in values if v < r) for r in radii]
-        assert [colength_toric(cone, x, r) for r in radii] == expected
+        assert [colength(cone, x, r) for r in radii] == expected
         assert estimate_volume(cone, x, radii).colengths == tuple(expected)
         lowest = min(v for v, nonzero in values if nonzero)
         assert lowest < radii[-1]  # so the box holds the minimizer
@@ -173,7 +170,7 @@ class TestToricCount:
     def test_exterior_weight_rejected(self):
         cone = ToricCone(((0, 1), (2, -1)), (F(1), F(1)))
         with pytest.raises(DomainError):
-            colength_toric(cone, (F(-1), F(2)), 10)
+            colength(cone, (F(-1), F(2)), 10)
 
     def test_toric_volume_agreement(self):
         # oracle-vs-closed-form on the quadric cone germ at an interior weight
