@@ -21,28 +21,24 @@ Checks:
   positive, sample-stable empirical infimum elsewhere.
 
 One driver runs every sweep on integer numerators.  Each sampled
-coordinate is p / 10^6 with p an integer in [10^3, 10^9], and the thm13,
-dfem and proper margins have degree 0 in the weight, so their value at p
-is their value at p / 10^6 (the skew2 defect, of degree -2, is rescaled by
-10^12).  The draws of one chunk (``_CHUNK`` of them, which bounds a
-sweep's memory whatever its length) form one int64 array, and:
-
-* the per-draw checks (p in [1, 10^9], the thm13 product identity on
-  Python ints, the smooth coordinate chain in int64) run exactly on every
-  draw;
-* a float64 filter gives each draw its margin plus a suite constant, with
-  a stated relative error bound delta = (2N + 4) 2^-53 in ambient dimension
-  N (``_key_error``), and keeps only the draws whose error interval can
-  reach the chunk's minimum;
-* those candidates take the exact integer kernel in index order, so the
-  verdict is the first exact minimum, as if every draw had been exact.
-
-Draws with no float bound are always candidates, so they share the one
-exact route: a non-klt hypersurface weight (whose exact evaluation raises
-``NonKltWeightError``), pairings beyond 2^53, and every draw on a toric
-cone, which has no integer kernel and takes ``proper_ratio``.  Only the
-witness becomes Fractions, and the public Fraction route
-(``thm13_margin`` and friends) must reproduce its margin exactly.
+coordinate is p / 10^6 with p an integer in [10^3, 10^9]; the thm13, dfem
+and proper margins have degree 0 in the weight, so their value at p is
+their value at p / 10^6.  A chunk of draws (``_CHUNK`` of them, which
+bounds a sweep's memory) is one int64 array, and ``_factors`` writes each
+suite's closed form once: it runs the per-draw checks exactly on every
+draw (the thm13 product identity on Python ints, the smooth coordinate
+chain and the skew2 identity x_max x_min = x_0 x_1 in int64) and turns each
+draw into integer factors with margin + offset = prod(num) / prod(den).
+The float64 key prod(num / den) is within relative error (2N + 4) 2^-53 of
+that product in ambient dimension N (``_key_error``); only the draws whose
+error interval can reach the chunk's minimum have their product formed
+exactly in Python ints, in index order, so the verdict is the first exact
+minimum, as if every draw had been exact.  A row with a factor 0 (a
+non-klt hypersurface weight) and every draw on a model with no factor
+form (a toric cone, or pairings that can reach 2^53) take the public
+Fraction route instead, which raises ``NonKltWeightError`` where A <= 0;
+that route (``thm13_margin`` and friends) must also reproduce the
+witness's margin exactly.
 """
 
 from __future__ import annotations
@@ -104,9 +100,12 @@ def sample_weight(rng: np.random.Generator, dim: int) -> tuple[Fraction, ...]:
 
 def skewness_s(weight: Sequence[Scalar]) -> int:
     """Integer skewness bracket max(2, ceil(x_max / x_min)) after normalizing v(m)=1."""
-    x = [Fraction(v) if not isinstance(v, Fraction) else v for v in weight]
-    if any(not v > 0 for v in x):
-        raise DomainError("weights must be positive")
+    try:
+        x = [Fraction(v) for v in weight]
+    except (ValueError, OverflowError) as exc:  # nan, inf
+        raise DomainError(f"weights must be finite, got {weight!r}") from exc
+    if not x or any(not v > 0 for v in x):
+        raise DomainError("a weight needs at least one coordinate, and every coordinate positive")
     sup = max(x) / min(x)
     s = max(2, math.ceil(sup))
     if s > 2 * sup:
@@ -228,42 +227,54 @@ def _sweep(suite, model, samples, seed, doubled=False):
     """Worst margin of the sweep's draws, its witness, and the worst of the first ``samples``.
 
     The sweep draws ``samples`` weights, or twice as many if ``doubled``.
-    Each chunk of draws is one int64 array.  ``_screen`` runs the suite's
-    per-draw checks on it exactly and gives every draw a float64 key within
-    relative error delta = ``_key_error`` of its exact value (NaN: not
-    bounded).  The exact value of draw i lies within delta / (1 - delta) |key_i|
-    of key_i, so only draws with key_i - eta |key_i| <= min_j (key_j + eta |key_j|)
-    can hold the chunk's exact minimum; eta = 2 delta also covers the two
-    roundings in forming those bounds (delta >= 6 * 2^-53).  These candidates,
-    and every NaN-keyed draw, go in index order through the exact ``_kernel``,
-    and the first exact minimum is kept across chunks.  Each half of a
-    doubled sweep is drawn as a stream of its own, which leaves the draws
-    unchanged, so the first-half minimum is the running minimum after it.
+    Each chunk of draws is one int64 array, which ``_factors`` checks and
+    turns into factor rows with margin + offset = prod(num) / prod(den).
+    The float key prod(num / den) is within relative error delta =
+    ``_key_error`` of that product (NaN when a factor is 0), so the exact
+    value of draw i lies within delta / (1 - delta) |key_i| of key_i, and only
+    draws with key_i - eta |key_i| <= min_j (key_j + eta |key_j|) can hold the
+    chunk's exact minimum; eta = 2 delta also covers the two roundings in
+    forming those bounds (delta >= 6 * 2^-53).  These candidates, and every
+    NaN-keyed draw, are evaluated exactly in index order, and the first exact
+    minimum is kept across chunks.  Each half of a doubled sweep is drawn as
+    a stream of its own, which leaves the draws unchanged, so the first-half
+    minimum is the running minimum after it.
     """
     if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 1:
         raise DomainError(f"a sweep needs an integer number of samples >= 1, got {samples!r}")
-    screen, margin = _screen(suite, model), _kernel(suite, model)
+    factors, offset = _factors(suite, model)
     eta = 2 * _key_error(model.ambient_dim)
     rng = np.random.default_rng(seed)
-    best, worsts = None, []
+    best_num, best_den, best_q, worsts = 1, 0, None, []  # 1/0: above every value
     for _ in range(2 if doubled else 1):
         for p in _numerators(rng, samples, model.ambient_dim):
             if p.min() < 1 or p.max() > _CEILING:
                 raise AssertionError(f"sampled numerators outside [1, {_CEILING}]")
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                key = screen(p)
-                spread = eta * np.abs(key)
-                low, high = key - spread, key + spread
-                reach = np.min(high, initial=np.inf, where=high == high)
-            for q in p[~(low > reach)].tolist():
-                num, den = margin(q)
-                if best is None or num * best[1] < best[0] * den:
-                    best = (num, den, q)
-        worsts.append(Fraction(best[0], best[1]))
-    x = _weight(best[2])
+            if factors is None:
+                rows = ((q, None, None, False) for q in p.tolist())
+            else:
+                num, den = factors(p)
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    key = np.prod(num / den, axis=1)
+                    positive = key > 0  # else A <= 0 (a factor 0), or an underflow past _key_error's range
+                    key = np.where(positive, key, np.nan)
+                    spread = eta * np.abs(key)
+                    low, high = key - spread, key + spread
+                    reach = np.min(high, initial=np.inf, where=high == high)
+                pick = ~(low > reach)
+                rows = zip(p[pick].tolist(), num[pick].tolist(), den[pick].tolist(), positive[pick].tolist())
+            for q, nums, dens, exact in rows:
+                if exact:
+                    num_q, den_q = math.prod(nums), math.prod(dens)
+                else:  # the public route, which raises NonKltWeightError where A <= 0
+                    num_q, den_q = (_ROUTES[suite](model, _weight(q)) + offset).as_integer_ratio()
+                if num_q * best_den < best_num * den_q:
+                    best_num, best_den, best_q = num_q, den_q, q
+        worsts.append(Fraction(best_num, best_den) - offset)
+    x = _weight(best_q)
     public = _ROUTES[suite](model, x)
     if public != worsts[-1]:
-        raise InternalConsistencyError(f"{suite} at {x}: kernel {worsts[-1]}, Fraction route {public}")
+        raise InternalConsistencyError(f"{suite} at {x}: factor form {worsts[-1]}, Fraction route {public}")
     return worsts[-1], x, worsts[0]
 
 
@@ -294,7 +305,7 @@ def _numerators(rng, count, dim):
 
 
 def _key_error(dim):
-    """Relative error bound delta of a ``_screen`` key in ambient dimension ``dim``.
+    """Relative error bound delta of a sweep key in ambient dimension ``dim``.
 
     A key is a product of at most dim + 2 quotients of integers in [1, 2^53),
     each exact in float64: at most 2 dim + 3 correctly rounded operations,
@@ -305,32 +316,35 @@ def _key_error(dim):
     return (2 * dim + 4) * 2.0**-53 if 53 * (dim + 2) <= 1022 else math.inf
 
 
-def _screen(suite, model):
-    """The array stage of ``suite``: exact per-draw checks, then one float64 key per draw.
+def _factors(suite, model):
+    """The factor form of ``suite`` on ``model``: ``(factors, offset)``.
 
-    The key is the exact margin plus a constant of the suite (1 for dfem,
-    2^-n for thm13, 0 otherwise), so it orders draws as the margin does, and
-    it is within ``_key_error`` of its exact value; NaN sends a draw to the
-    exact kernel.  Draws lie in [1, _CEILING], so every sum and pairing below
-    is an exact int64 below 2^53.
+    ``factors(p)`` runs the suite's per-draw checks exactly on a chunk of
+    numerators and returns two int64 arrays (num, den) of equal width
+    k <= ambient dimension + 2 with margin + offset = prod(num) / prod(den)
+    on every row.  Draws lie in [1, _CEILING], so every entry is below 2^53,
+    and only a hypersurface's non-klt rows (A <= 0) hold entries <= 0, one
+    of them 0, so that their float product is 0.
+    ``factors`` is None where there is no such form: on toric cones, and
+    when a pairing can reach 2^53.
     """
     n = model.dim
     if suite == "proper" and isinstance(model, Hypersurface):
         if max(model.ambient_dim, *map(sum, model.support)) * _CEILING >= 2**53:
-            return _unbounded
+            return None, 0
         support = np.array(model.support, dtype=np.int64)
-        def keys(p):
+        def factors(p):
             w = (p @ support.T).min(axis=1)
             a = p.sum(axis=1) - w
-            key = np.prod(a[:, None] / p, axis=1) * (w / a) * (p.min(axis=1) / a)
-            return np.where(a > 0, key, np.nan)  # A <= 0: the kernel raises NonKltWeightError
-        return keys
+            # A^(n-1) w min(p) / prod(p), with w = 0 where A <= 0 (no factor is A at n = 1)
+            return np.column_stack([a] * (n - 1) + [np.where(a > 0, w, 0), p.min(axis=1)]), p
+        return factors, 0
     if suite == "proper" and not isinstance(model, SmoothPoint):
-        return _unbounded
+        return None, 0
     if not isinstance(model, SmoothPoint):
         raise UnsupportedModelError(f"the {suite} suite runs on smooth points, got {model!r}")
     if suite == "thm13":
-        def keys(p):
+        def factors(p):
             s = np.sort(p, axis=1)
             o = s.astype(object)  # the two checks stay on Python ints
             top, middle = o[:, -1], np.prod(o[:, 1:-1], axis=1)
@@ -340,62 +354,25 @@ def _screen(suite, model):
                 raise AssertionError("closed form and product form disagree")
             if (lead < middle).any():
                 raise AssertionError("the product of max-coordinate ratios dropped below 1")
-            return np.prod(s[:, -1:] / s[:, 1:-1], axis=1)
-    elif suite == "skew2":
-        def keys(p):
-            defect = p.max(axis=1) * p.min(axis=1) - p[:, 0] * p[:, 1]
-            return np.where(defect == 0, 0.0, np.nan)
-    elif suite == "dfem":
-        def keys(p):
-            return np.prod(p.sum(axis=1)[:, None] / (n * p), axis=1)
-    else:  # proper on a smooth point
-        def keys(p):
-            total, low = p.sum(axis=1), p.min(axis=1)
-            # order-valuation comparison: min(x) <= v_x(z_i) = x_i <= sum(x) = A
-            if ((p < low[:, None]) | (p > total[:, None])).any():
-                raise AssertionError("coordinate chain violated")
-            return np.prod(total[:, None] / p, axis=1) * (low / total)
-    return keys
-
-
-def _unbounded(p):
-    """No float key: every draw goes to the exact kernel."""
-    return np.full(len(p), np.nan)
-
-
-def _kernel(suite, model):
-    """The margin of ``suite`` at weight p / _GRID as an integer pair (num, den > 0) of p."""
-    n = model.dim
-    if suite == "proper" and isinstance(model, Hypersurface):
-        rows = [tuple((i, e) for i, e in enumerate(row) if e) for row in model.support]
-        def margin(p):
-            w = min(sum(e * p[i] for i, e in row) for row in rows)
-            a = sum(p) - w
-            if a <= 0:  # the public route raises NonKltWeightError
-                return proper_ratio(model, _weight(p)).as_integer_ratio()
-            return a ** (n - 1) * w * min(p), math.prod(p)
-        return margin
-    if suite == "proper" and not isinstance(model, SmoothPoint):
-        return lambda p: proper_ratio(model, _weight(p)).as_integer_ratio()
-    if not isinstance(model, SmoothPoint):
-        raise UnsupportedModelError(f"the {suite} suite runs on smooth points, got {model!r}")
-    if suite == "thm13":
-        def margin(p):
-            s = sorted(p)
-            lead, middle = s[-1] ** len(s[1:-1]), math.prod(s[1:-1])
-            return 2**n * lead - middle, 2**n * middle
-    elif suite == "skew2":
-        def margin(p):
-            low, top, prod = min(p), max(p), p[0] * p[1]
-            return -_GRID**2 * abs(top * low - prod), prod * top * low
-    elif suite == "dfem":
-        def margin(p):
-            prod = n**n * math.prod(p)
-            return sum(p) ** n - prod, prod
-    else:  # proper on a smooth point
-        def margin(p):
-            return sum(p) ** (n - 1) * min(p), math.prod(p)
-    return margin
+            return np.broadcast_to(s[:, -1:], s[:, 1:-1].shape), s[:, 1:-1]
+        return factors, Fraction(1, 2**n)
+    if suite == "skew2":
+        def factors(p):
+            if (p.max(axis=1) * p.min(axis=1) != p[:, 0] * p[:, 1]).any():
+                raise AssertionError("vol * x_max * x_min != 1")
+            return p[:, :0], p[:, :0]
+        return factors, 1
+    if suite == "dfem":
+        def factors(p):
+            return np.broadcast_to(p.sum(axis=1)[:, None], p.shape), n * p
+        return factors, 1
+    def factors(p):  # proper on a smooth point: A^(n-1) min(p) / prod(p)
+        total, low = p.sum(axis=1), p.min(axis=1)
+        # order-valuation comparison: min(x) <= v_x(z_i) = x_i <= sum(x) = A
+        if ((p < low[:, None]) | (p > total[:, None])).any():
+            raise AssertionError("coordinate chain violated")
+        return np.column_stack([total] * (n - 1) + [low]), p
+    return factors, 0
 
 
 def _weight(p):

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from hvol import SmoothPoint, a_singularity, d_singularity, e_singularity, run_suite, skewness_s
 from hvol import inequalities
 from hvol.inequalities import (
+    _CEILING,
+    _factors,
     _key_error,
-    _kernel,
     _numerators,
-    _screen,
     check_dfem,
     check_properness_ratio,
     check_skewness_identity_dim2,
@@ -55,6 +55,11 @@ class TestSkewnessBracket:
 
     def test_integer_ratio(self):
         assert skewness_s((F(1), F(2), F(5))) == 5
+
+    @pytest.mark.parametrize("weight", [(math.nan, 1.0), (), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_non_finite_or_empty_weight_is_a_domain_error(self, weight):
+        with pytest.raises(DomainError):
+            skewness_s(weight)
 
     def test_scale_free(self):
         assert skewness_s((F(3), F(21, 2))) == skewness_s((F(1), F(7, 2)))
@@ -158,6 +163,18 @@ class TestSweeps:
                 tracemalloc.stop()
 
         assert peak(25 * inequalities._CHUNK) < 2 * peak(inequalities._CHUNK)
+
+    def test_dimension_one_sweeps(self):
+        # every per-draw form has no middle coordinate and no A factor at n = 1
+        (thm13,) = run_suite("thm13", 50, 3, dims=(1,))
+        (dfem,) = run_suite("dfem", 50, 3, dims=(1,))
+        (skew2,) = run_suite("skew2", 50, 3, dims=(1,))
+        proper = check_properness_ratio(SmoothPoint(1), 50, 3)
+        assert (thm13.name, thm13.min_margin_exact) == ("thm13-smooth-n1", F(1, 2))
+        assert (dfem.name, dfem.min_margin_exact) == ("dfem-smooth-n1", 0)
+        assert (skew2.name, skew2.min_margin_exact) == ("skew2-identity", 0)
+        assert proper.extra["k_hat"] == 1.0
+        assert all(v.passed for v in (thm13, dfem, skew2, proper))
 
     def test_all_suites_small(self):
         verdicts = run_suite("all", samples=200, seed=20260810, dims=(2, 3))
@@ -295,17 +312,25 @@ class TestIntegerKernel:
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(data=st.data())
     def test_kernel_equals_fraction_route(self, suite, model, data):
-        p = data.draw(st.tuples(*[st.integers(1, 10**12)] * model.ambient_dim))
-        num, den = _kernel(suite, model)(p)
-        assert den > 0
-        assert F(num, den) == ROUTES[suite](model, tuple(F(q, 10**6) for q in p))
+        # (a) the factor form's exact product, less the offset, is the public route's margin
+        p = data.draw(st.tuples(*[st.integers(1, _CEILING)] * model.ambient_dim))
+        num, den, offset, _key = _factor_rows(suite, model, [p])
+        assert F(math.prod(num[0].tolist()), math.prod(den[0].tolist())) - offset == ROUTES[suite](model, _weight(p))
 
     def test_non_klt_weight_raises_as_before(self):
         quartic = Hypersurface(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
-        with pytest.raises(NonKltWeightError):
-            _kernel("proper", quartic)((1, 1, 1))
+        num, _den, _offset, key = _factor_rows("proper", quartic, [(1, 1, 1)])
+        assert (num == 0).any() and np.isnan(key).all()
         with pytest.raises(NonKltWeightError):
             check_properness_ratio(quartic, samples=50, seed=0)
+
+    def test_non_klt_weight_raises_in_dimension_one(self):
+        # x^2 + y^3 at (1000, 1000): A = 2000 - 2000 = 0, although no factor of A^0 shows it
+        cusp = Hypersurface(((2, 0), (0, 3)))
+        num, _den, _offset, key = _factor_rows("proper", cusp, [(10**9, 10**9)])
+        assert (num == 0).any() and np.isnan(key).all()
+        with pytest.raises(NonKltWeightError):
+            check_properness_ratio(cusp, samples=50, seed=1)
 
     def test_toric_cone_uses_fraction_route(self):
         # the orthant's ratio equals the smooth one at every weight
@@ -354,19 +379,31 @@ def _weight(p):
     return tuple(F(q, 10**6) for q in p)
 
 
+def _factor_rows(suite, model, rows):
+    """The factor rows, offset and float keys that ``_sweep`` forms for the draws ``rows``."""
+    factors, offset = _factors(suite, model)
+    num, den = factors(np.array(rows, dtype=np.int64))
+    key = np.prod(num / den, axis=1)
+    return num, den, offset, np.where(key > 0, key, np.nan)
+
+
 class TestFloatFilter:
     @pytest.mark.parametrize("suite, model", FILTER_CASES)
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(data=st.data())
     def test_key_within_documented_bound(self, suite, model, data):
-        p = data.draw(st.tuples(*[st.integers(1, 10**9)] * model.ambient_dim))
-        (key,) = _screen(suite, model)(np.array([p], dtype=np.int64))
-        if math.isnan(key):  # only a weight the exact route rejects goes unbounded
+        p = data.draw(st.tuples(*[st.integers(1, _CEILING)] * model.ambient_dim))
+        num, den, _offset, (key,) = _factor_rows(suite, model, [p])
+        # (c) equal widths k <= N + 2, entries in (0, 2^53) but on a non-klt row, which holds a 0
+        assert num.shape == den.shape and num.shape[1] <= model.ambient_dim + 2
+        assert ((num < 2**53) & (den > 0) & (den < 2**53)).all()
+        if (num <= 0).any():  # only a weight the exact route rejects goes unbounded
+            assert (num == 0).any() and math.isnan(key)
             with pytest.raises(NonKltWeightError):
-                _kernel(suite, model)(p)
+                ROUTES[suite](model, _weight(p))
             return
-        offset = {"thm13": F(1, 2**model.dim), "dfem": F(1)}.get(suite, F(0))
-        exact = F(*_kernel(suite, model)(p)) + offset
+        # (b) the float key is within the documented bound of the exact product
+        exact = F(math.prod(num[0].tolist()), math.prod(den[0].tolist()))
         assert abs(F(key) - exact) <= F(_key_error(model.ambient_dim)) * exact
 
     @pytest.mark.parametrize("chunk", [1, 2, 64])
@@ -374,7 +411,7 @@ class TestFloatFilter:
         # a is worse than b exactly but better in float64; b's swap ties b exactly
         a, b = (999559917, 999559871), (999559921, 999559875)
         assert dfem_margin(SmoothPoint(2), _weight(a)) > dfem_margin(SmoothPoint(2), _weight(b))
-        key_a, key_b = _screen("dfem", SmoothPoint(2))(np.array([a, b]))
+        key_a, key_b = _factor_rows("dfem", SmoothPoint(2), [a, b])[3]
         assert key_a < key_b
         rows = [(1000, 10**9), a, b, b[::-1], (10**9, 1000)]
         monkeypatch.setattr(inequalities, "_numerators", _fixed_draws(rows, chunk))
@@ -388,7 +425,7 @@ class TestFloatFilter:
         first, second = ((15, 936637874), (16, 999080399)), ((2, 666281788), (3, 999422687))
         for a, b in (first, second):
             assert proper_ratio(model, _weight(a)) > proper_ratio(model, _weight(b))
-            key_a, key_b = _screen("proper", model)(np.array([a, b]))
+            key_a, key_b = _factor_rows("proper", model, [a, b])[3]
             assert key_a < key_b
         (a1, b1), (a2, b2) = first, second
         rows = [(10**6, 10**6), a1, b1, b1[::-1], a2, b2, b2[::-1], (10**6, 10**6)]
