@@ -125,15 +125,16 @@ def volume(model: Model, weight: Sequence[Scalar]) -> Scalar:
     """Volume of v_x: the normalized asymptotic colength of its valuation ideals."""
     x = check_weight(model, weight)
     if isinstance(model, SmoothPoint):
-        return 1 / _product(x)
-    if isinstance(model, Hypersurface):
-        return weighted_order(x, model.support) / _product(x)
-    if isinstance(model, ToricCone):
+        vol = 1 / _product(x)
+    elif isinstance(model, Hypersurface):
+        vol = weighted_order(x, model.support) / _product(x)
+    elif isinstance(model, ToricCone):
         rays = model.dual_rays()
         det = abs(det_fraction([[Fraction(r) for r in ray] for ray in rays]))
-        denom = _product(tuple(sum(r * xi for r, xi in zip(ray, x)) for ray in rays))
-        return det / denom
-    raise UnsupportedModelError(f"unknown model kind {model!r}")
+        vol = det / _product(tuple(sum(r * xi for r, xi in zip(ray, x)) for ray in rays))
+    else:
+        raise UnsupportedModelError(f"unknown model kind {model!r}")
+    return _in_float_range(vol)
 
 
 def ideal_value(model: Model, weight: Sequence[Scalar]) -> Scalar:
@@ -163,11 +164,14 @@ def normalized_volume(model: Model, weight: Sequence[Scalar]) -> ValuationReport
     x = check_weight(model, weight)
     a = log_discrepancy(model, x)
     vol = volume(model, x)
-    n = model.dim
+    try:
+        hvol = a**model.dim * vol
+    except OverflowError:  # a float A^n
+        hvol = math.inf
     return ValuationReport(
         log_discrepancy=a,
         volume=vol,
-        normalized_volume=a**n * vol,
+        normalized_volume=_in_float_range(hvol),
         ideal_value=ideal_value(model, x),
         skewness=skewness(model, x),
     )
@@ -177,5 +181,12 @@ def _product(values) -> Scalar:
     out = values[0]
     for v in values[1:]:
         out = out * v
-    return out
+    return _in_float_range(out)
+
+
+def _in_float_range(value: Scalar) -> Scalar:
+    """A positive closed-form value, unless float underflow or overflow took it to 0 or inf."""
+    if isinstance(value, float) and not 0 < value < math.inf:
+        raise DomainError(f"a float closed form left the finite positive range: {value}")
+    return value
 

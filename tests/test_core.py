@@ -266,8 +266,16 @@ class TestModelValidation:
             (normalized_volume, a_singularity(2, 2), (1.0, 1.0, math.inf)),
             (check_weight, orthant_cone(2), (1.0, math.inf)),
             (normalized_volume, orthant_cone(2), (math.inf, 1.0)),
+            # finite weights whose float closed form leaves the float range
+            (normalized_volume, SmoothPoint(3), (1e-300,) * 3),
+            (volume, SmoothPoint(3), (1e-300,) * 3),
+            (normalized_volume, SmoothPoint(3), (1e200, 1.0, 1.0)),
+            (normalized_volume, a_singularity(2, 2), (1e-300,) * 3),
         ],
-        ids=["check-smooth", "nv-smooth", "check-hypersurface", "nv-hypersurface", "check-toric", "nv-toric"],
+        ids=[
+            "check-smooth", "nv-smooth", "check-hypersurface", "nv-hypersurface", "check-toric", "nv-toric",
+            "nv-product-underflow", "vol-product-underflow", "nv-power-overflow", "nv-hypersurface-underflow",
+        ],
     )
     def test_infinite_weight_rejected(self, evaluate, model, weight):
         with pytest.raises(DomainError, match="finite"):
