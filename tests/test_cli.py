@@ -18,6 +18,7 @@ from hvol.modelio import dumps_canonical
 from hvol.models import SmoothPoint
 
 FUJITA_GOLDEN = json.loads((Path(__file__).parent / "data" / "fujita_golden.json").read_text())
+CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def write_model(tmp_path, name, model):
@@ -306,6 +307,23 @@ class TestFujita:
         argv = ["fujita", str(path), "--grid", str(case["grid"]), "--format", case["format"]]
         code, out, _ = run(capsys, argv)
         assert (code, out) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.parametrize(
+    "case",
+    CLI_GOLDEN["runs"],
+    ids=[f"{i}-" + " ".join(a for a in c["argv"] if a != "{model}") for i, c in enumerate(CLI_GOLDEN["runs"])],
+)
+def test_cli_golden(tmp_path, capsys, case):
+    """stdout bytes, exit code and the stderr error line of every subcommand and format."""
+    path = tmp_path / "model.json"
+    if case["model"] is not None:
+        path.write_text(json.dumps(case["model"]))
+    argv = [str(path) if a == "{model}" else a for a in case["argv"]]
+    code, out, err = run(capsys, argv)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert "Traceback" not in err
+    assert (code, out, errors) == (case["exit"], case["stdout"], [case["error"]] if case["error"] else [])
 
 
 class TestModuleEntryPoint:
