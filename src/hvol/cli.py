@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -48,14 +47,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InvalidModelError as exc:
+    except (HvolError, OSError) as exc:  # OSError: an unwritable --emit-models path
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SCHEMA
-    except (DomainError, UnsupportedModelError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
-    except HvolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (InvalidModelError, OSError)):
+            return _EXIT_SCHEMA
+        if isinstance(exc, (DomainError, UnsupportedModelError, CapacityError)):
+            return _EXIT_DOMAIN
         return 1
 
 
@@ -151,9 +148,31 @@ def _print_payload(payload, fmt: str):
             print(f"{key}: {value}")
 
 
-def _parse_range(text, default):
+def _print_rows(rows, fmt: str, text_line):
+    """Print rows as one JSON list, as CSV with a header, or as one ``text_line(row)`` each."""
+    if fmt == "json":
+        print(json.dumps(rows, indent=2))
+    elif fmt == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        for row in rows:
+            print(text_line(row))
+
+
+def _load(path: str, command: str):
+    """The model file, which must be a cone model for ``fujita`` and a singularity otherwise."""
+    model = modelio.load_model(path)
+    if isinstance(model, fujita.ConeModel) != (command == "fujita"):
+        want = "a cone model file" if command == "fujita" else "a singularity model, not a cone file"
+        raise DomainError(f"{command} expects {want}")
+    return model
+
+
+def _parse_range(text):
     if text is None:
-        return default
+        return None
     try:
         a, b = (int(v) for v in text.split(":"))
     except ValueError as exc:
@@ -168,9 +187,7 @@ def _parse_range(text, default):
 
 
 def _cmd_compute(args) -> int:
-    model = modelio.load_model(args.model)
-    if isinstance(model, fujita.ConeModel):
-        raise DomainError("compute expects a singularity model, not a cone file")
+    model = _load(args.model, "compute")
     weight = _parse_weight(args.weight)
     report = normalized_volume(model, weight)
     payload = {
@@ -186,9 +203,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    model = modelio.load_model(args.model)
-    if isinstance(model, fujita.ConeModel):
-        raise DomainError("minimize expects a singularity model, not a cone file")
+    model = _load(args.model, "minimize")
     result = optimize.minimize_hvol(
         model, starts=args.starts, seed=args.seed, tolerance=args.tolerance
     )
@@ -209,22 +224,11 @@ def _minimization_payload(result) -> dict:
 
 
 def _cmd_table(args) -> int:
-    family = args.family
-    if family == "A":
-        n_values = _parse_range(args.n_range, range(2, 7))
-        k_values = _parse_range(args.k_range, range(1, 7))
-    elif family == "D":
-        n_values = _parse_range(args.n_range, range(1, 6))
-        k_values = _parse_range(args.k_range, range(3, 7))
-    else:
-        n_values = _parse_range(args.n_range, range(1, 6))
-        if args.k_range is not None:
-            raise DomainError("E-family tables take no k range")
-        k_values = None
-
+    n_values = _parse_range(args.n_range)
+    k_values = _parse_range(args.k_range)
     rows = []
     all_match = True
-    for entry in tables.table_rows(family, n_values, k_values):
+    for entry in tables.table_rows(args.family, n_values, k_values):
         model = tables.reference_model(entry.family, entry.n, entry.k)
         result = optimize.minimize_hvol(model, starts=args.starts, seed=args.seed)
         matches = _matches_reference(result, entry)
@@ -249,22 +253,11 @@ def _cmd_table(args) -> int:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(modelio.dumps_canonical(model))
 
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    elif args.format == "text":
-        for row in rows:
-            flag = "ok" if row["matches_reference"] else "DEVIATES"
-            label = f"{row['family']} n={row['n']}" + (f" k={row['k']}" if row["k"] != "" else "")
-            print(f"{label}: value={row['value']} weight=({row['weight']}) {flag}")
-    else:
-        buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer,
-            fieldnames=["family", "n", "k", "dim", "weight", "value", "matches_reference"],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-        sys.stdout.write(buffer.getvalue())
+    _print_rows(rows, args.format, lambda row: (
+        f"{row['family']} n={row['n']}" + (f" k={row['k']}" if row["k"] != "" else "")
+        + f": value={row['value']} weight=({row['weight']}) "
+        + ("ok" if row["matches_reference"] else "DEVIATES")
+    ))
     if not all_match:
         print("error: a table row deviates from the embedded reference", file=sys.stderr)
         return _EXIT_TABLE_DEVIATION
@@ -284,9 +277,7 @@ def _matches_reference(result, entry) -> bool:
 
 
 def _cmd_oracle(args) -> int:
-    model = modelio.load_model(args.model)
-    if isinstance(model, fujita.ConeModel):
-        raise DomainError("oracle expects a singularity model, not a cone file")
+    model = _load(args.model, "oracle")
     weight = _parse_weight(args.weight)
     radii = None
     if args.radii:
@@ -300,22 +291,12 @@ def _cmd_oracle(args) -> int:
         }
         for r, c, v in zip(series.radii, series.colengths, series.vol_estimates)
     ]
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=["radius", "colength", "vol_estimate"])
-        writer.writeheader()
-        writer.writerows(rows)
-        sys.stdout.write(buffer.getvalue())
-    else:
-        for row in rows:
-            print(f"r={row['radius']}  colength={row['colength']}  estimate={row['vol_estimate']}")
+    _print_rows(rows, args.format, "r={radius}  colength={colength}  estimate={vol_estimate}".format_map)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    dims = _parse_range(args.dims, range(2, 6))
+    dims = _parse_range(args.dims)
     verdicts = inequalities.run_suite(
         args.suite, samples=args.samples, seed=args.seed, dims=tuple(dims)
     )
@@ -330,20 +311,17 @@ def _cmd_verify(args) -> int:
         }
         for v in verdicts
     ]
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
+    if args.format == "text":
         print("# sweeps range over monomial valuations, the family with closed forms")
-        for item in payload:
-            flag = "PASS" if item["passed"] else "FAIL"
-            print(f"{flag} {item['name']}: samples={item['samples']} min_margin={item['min_margin']:.3e}")
+    _print_rows(payload, args.format, lambda item: (
+        f"{'PASS' if item['passed'] else 'FAIL'} {item['name']}: "
+        f"samples={item['samples']} min_margin={item['min_margin']:.3e}"
+    ))
     return 0 if all(v.passed for v in verdicts) else 1
 
 
 def _cmd_fujita(args) -> int:
-    model = modelio.load_model(args.cone)
-    if not isinstance(model, fujita.ConeModel):
-        raise DomainError("fujita expects a cone model file")
+    model = _load(args.cone, "fujita")
     eta_value = fujita.eta(model)
     derivative = fujita.phi_prime_zero(model)
     convex = fujita.convexity_check(model, grid=args.grid)

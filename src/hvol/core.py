@@ -35,8 +35,6 @@ from .models import (
     Model,
     NonKltWeightError,
     SmoothPoint,
-    ToricCone,
-    UnsupportedModelError,
     check_weight,
 )
 
@@ -116,9 +114,7 @@ def log_discrepancy(model: Model, weight: Sequence[Scalar]) -> Scalar:
                 f"log discrepancy {a} <= 0 at weight {x}: the weight left the klt-valid region"
             )
         return a
-    if isinstance(model, ToricCone):
-        return sum(g * xi for g, xi in zip(model.gorenstein_vector, x))
-    raise UnsupportedModelError(f"unknown model kind {model!r}")
+    return sum(g * xi for g, xi in zip(model.gorenstein_vector, x))
 
 
 def volume(model: Model, weight: Sequence[Scalar]) -> Scalar:
@@ -128,12 +124,10 @@ def volume(model: Model, weight: Sequence[Scalar]) -> Scalar:
         vol = 1 / _product(x)
     elif isinstance(model, Hypersurface):
         vol = weighted_order(x, model.support) / _product(x)
-    elif isinstance(model, ToricCone):
+    else:
         rays = model.dual_rays()
         det = abs(det_fraction([[Fraction(r) for r in ray] for ray in rays]))
         vol = det / _product(tuple(sum(r * xi for r, xi in zip(ray, x)) for ray in rays))
-    else:
-        raise UnsupportedModelError(f"unknown model kind {model!r}")
     return _in_float_range(vol)
 
 
@@ -142,13 +136,11 @@ def ideal_value(model: Model, weight: Sequence[Scalar]) -> Scalar:
     x = check_weight(model, weight)
     if isinstance(model, (SmoothPoint, Hypersurface)):
         return min(x)
-    if isinstance(model, ToricCone):
-        # a nonzero dual-cone lattice point is p + sum t_i w_i with t >= 0
-        # (see ToricCone.parallelepiped_points); its pairing is at least that
-        # of p when p != 0, and at least that of some w_i when p = 0
-        points = model.dual_rays() + model.parallelepiped_points()
-        return min(sum(yk * xk for yk, xk in zip(y, x)) for y in points if any(y))
-    raise UnsupportedModelError(f"unknown model kind {model!r}")
+    # toric: a nonzero dual-cone lattice point is p + sum t_i w_i with t >= 0
+    # (see ToricCone.parallelepiped_points); its pairing is at least that of
+    # p when p != 0, and at least that of some w_i when p = 0
+    points = model.dual_rays() + model.parallelepiped_points()
+    return min(sum(yk * xk for yk, xk in zip(y, x)) for y in points if any(y))
 
 
 def skewness(model: Model, weight: Sequence[Scalar]) -> Optional[Scalar]:

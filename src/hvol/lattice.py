@@ -66,8 +66,6 @@ from .models import (
     Hypersurface,
     Model,
     SmoothPoint,
-    ToricCone,
-    UnsupportedModelError,
     check_weight,
 )
 from .core import weighted_order
@@ -95,12 +93,12 @@ class ColengthSeries:
 
 
 def default_radii(model: Model, weight: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return _default_radii(model, check_weight(model, weight))
+    return _default_radii(check_weight(model, weight))
 
 
-def _default_radii(model: Model, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
+def _default_radii(x: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """``default_radii`` for a weight ``check_weight`` has already returned."""
-    top = max(abs(v) for v in x) if isinstance(model, ToricCone) else max(x)
+    top = max(abs(v) for v in x)  # a toric weight may have negative coordinates
     return tuple(m * top for m in DEFAULT_RADIUS_MULTIPLIERS)
 
 
@@ -124,7 +122,7 @@ def estimate_volume(
     hypersurface the ambient count is divided by r^(ambient-1).
     """
     x = check_weight(model, weight)
-    schedule = tuple(as_scalar(r) for r in (radii if radii is not None else _default_radii(model, x)))
+    schedule = tuple(as_scalar(r) for r in (radii if radii is not None else _default_radii(x)))
     if not schedule:
         raise DomainError("radius schedule must be non-empty")
     if any(not 0 < r < math.inf for r in schedule):  # NaN too
@@ -146,11 +144,9 @@ def _schedule_counts(model, x, schedule):
         coins, shifts = xs, [(1, 0)]
     elif isinstance(model, Hypersurface):
         coins, shifts = xs, [(1, 0), (-1, weighted_order(xs, model.support))]
-    elif isinstance(model, ToricCone):
+    else:
         coins = [_pairing(ray, xs) for ray in model.dual_rays()]
         shifts = [(1, _pairing(p, xs)) for p in model.parallelepiped_points()]
-    else:
-        raise UnsupportedModelError(f"unknown model kind {model!r}")
     cuts = [r - shift for r in _exact_fractions(schedule) for _sign, shift in shifts]
     counts = _smooth_counts(*_scaled_coins_and_bounds(coins, cuts))
     k = len(shifts)

@@ -269,8 +269,11 @@ def check_weight(model: Model, weight: Sequence) -> tuple[Scalar, ...]:
     dimension.  Smooth and hypersurface weights must be strictly positive.
     Toric weights must lie strictly inside the defining cone (equivalently,
     pair positively with every dual ray), which is the condition keeping
-    valuation ideals of finite colength.
+    valuation ideals of finite colength.  Any other model kind raises
+    ``UnsupportedModelError``, so callers may take the toric branch last.
     """
+    if not isinstance(model, (SmoothPoint, Hypersurface, ToricCone)):
+        raise UnsupportedModelError(f"unknown model kind {model!r}")
     coords = tuple(as_scalar(v) for v in weight)
     if len(coords) != model.ambient_dim:
         raise DomainError(

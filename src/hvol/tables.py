@@ -30,6 +30,7 @@ from typing import Iterator, Optional
 from .core import normalized_volume
 from .exact import Scalar
 from .models import (
+    DomainError,
     Hypersurface,
     InvalidModelError,
     a_singularity,
@@ -37,7 +38,15 @@ from .models import (
     e_singularity,
 )
 
-FAMILIES = ("A", "D", "E6", "E7", "E8")
+#: each family's default table ranges (n values, k values); the E families take no k
+RANGES = {
+    "A": (range(2, 7), range(1, 7)),
+    "D": (range(1, 6), range(3, 7)),
+    "E6": (range(1, 6), None),
+    "E7": (range(1, 6), None),
+    "E8": (range(1, 6), None),
+}
+FAMILIES = tuple(RANGES)
 
 
 @dataclass(frozen=True)
@@ -63,60 +72,52 @@ def alpha_star(n: int) -> float:
     return (-n + math.sqrt(5 * n * n - 4 * n)) / (2 * (n - 1))
 
 
+def _family(name: str) -> str:
+    family = name.upper()
+    if family not in RANGES:
+        raise InvalidModelError(f"unknown family {family!r}")
+    return family
+
+
 def reference_model(family: str, n: int, k: Optional[int] = None) -> Hypersurface:
-    family = family.upper()
-    if family == "A":
-        if k is None:
-            raise InvalidModelError("A-family needs k")
-        return a_singularity(n, k)
-    if family == "D":
-        if k is None:
-            raise InvalidModelError("D-family needs k")
-        return d_singularity(n, k)
-    if family in ("E6", "E7", "E8"):
+    """The family's germ; the range checks on n and k are the constructors'."""
+    family = _family(family)
+    if family.startswith("E"):
         return e_singularity(int(family[1]), n)
-    raise InvalidModelError(f"unknown family {family!r}")
+    if k is None:
+        raise InvalidModelError(f"{family}-family needs k")
+    return (a_singularity if family == "A" else d_singularity)(n, k)
 
 
 def reference_entry(family: str, n: int, k: Optional[int] = None) -> ReferenceEntry:
+    model = reference_model(family, n, k)
     family = family.upper()
     if family == "A":
         weight = _a_weight(n, k)
     elif family == "D":
         weight = _d_weight(n, k)
-    elif family in ("E6", "E7", "E8"):
-        weight = _e_weight(int(family[1]), n)
-        k = None
     else:
-        raise InvalidModelError(f"unknown family {family!r}")
-    model = reference_model(family, n, k)
+        weight, k = _e_weight(int(family[1]), n), None
     value = normalized_volume(model, weight).normalized_volume
     return ReferenceEntry(family=family, n=n, k=k, dim=model.dim, weight=weight, value=value)
 
 
-def table_rows(family: str, n_values, k_values=None) -> Iterator[ReferenceEntry]:
-    family = family.upper()
-    if family in ("E6", "E7", "E8"):
-        for n in n_values:
-            yield reference_entry(family, n)
-        return
-    if k_values is None:
-        raise InvalidModelError(f"{family}-family table needs a k range")
-    for n in n_values:
-        for k in k_values:
+def table_rows(family: str, n_values=None, k_values=None) -> Iterator[ReferenceEntry]:
+    """Entries over n_values x k_values; a range left None is the family's default."""
+    default_n, default_k = RANGES[_family(family)]
+    if default_k is None and k_values is not None:
+        raise DomainError("E-family tables take no k range")
+    for n in default_n if n_values is None else n_values:
+        for k in (default_k or [None]) if k_values is None else k_values:
             yield reference_entry(family, n, k)
 
 
 def _a_weight(n: int, k: int) -> tuple[Scalar, ...]:
-    if n < 2 or k < 1:
-        raise InvalidModelError("A-family reference needs n >= 2, k >= 1")
     alpha = max(Fraction(2, k), Fraction(n - 2, n - 1))
     return (Fraction(1),) * n + (alpha,)
 
 
 def _d_weight(n: int, k: int) -> tuple[Scalar, ...]:
-    if n < 1 or k < 3:
-        raise InvalidModelError("D-family reference needs n >= 1, k >= 3")
     ones = (Fraction(1),) * n
     if n == 1:
         return ones + (Fraction(k - 1, k), Fraction(2, k))
@@ -128,8 +129,6 @@ def _d_weight(n: int, k: int) -> tuple[Scalar, ...]:
 
 
 def _e_weight(index: int, n: int) -> tuple[Scalar, ...]:
-    if n < 1:
-        raise InvalidModelError("E-family reference needs n >= 1")
     ones = (Fraction(1),) * n
     if n >= 5:
         c = Fraction(n - 2, n - 1)

@@ -174,6 +174,17 @@ class TestTable:
         model = load_model(str(emitted[0]))
         assert dumps_canonical(model) == text
 
+    def test_unwritable_emit_models_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys,
+            ["table", "--family", "E6", "--n-range", "1:1", "--emit-models", str(blocker / "sub")],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys,

@@ -13,16 +13,21 @@ from hvol import (
     NonKltWeightError,
     SmoothPoint,
     ToricCone,
+    UnsupportedModelError,
     a_singularity,
     active_monomials,
     d_singularity,
     e_singularity,
+    ideal_value,
     log_discrepancy,
     normalized_volume,
     orthant_cone,
+    skewness,
     volume,
     weighted_order,
 )
+from hvol.fujita import projective_space_cone
+from hvol.lattice import colength, default_radii, estimate_volume
 from hvol.models import check_weight
 
 A23_SUPPORT = a_singularity(2, 3).support  # squares plus a cube
@@ -280,6 +285,18 @@ class TestModelValidation:
     def test_infinite_weight_rejected(self, evaluate, model, weight):
         with pytest.raises(DomainError, match="finite"):
             evaluate(model, weight)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [normalized_volume, volume, log_discrepancy, ideal_value, skewness, estimate_volume,
+         lambda model, weight: colength(model, weight, 10), default_radii],
+        ids=["normalized_volume", "volume", "log_discrepancy", "ideal_value", "skewness",
+             "estimate_volume", "colength", "default_radii"],
+    )
+    def test_cone_model_is_unsupported(self, evaluate):
+        # check_weight owns the model-kind decision for every closed form and the oracle
+        with pytest.raises(UnsupportedModelError, match="unknown model kind"):
+            evaluate(projective_space_cone(2), (F(1), F(1)))
 
     def test_multiplicity_values(self):
         assert a_singularity(3, 5).multiplicity == 2

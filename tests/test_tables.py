@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from hvol import normalized_volume
-from hvol.tables import alpha_star, reference_entry, reference_model, table_rows
+from hvol import DomainError, InvalidModelError, normalized_volume
+from hvol.tables import RANGES, alpha_star, reference_entry, reference_model, table_rows
 
 
 def phi_a(n, alpha):
@@ -143,3 +143,23 @@ class TestConsistency:
                 assert direct == entry.value
             else:
                 assert abs(float(direct) - entry.value) <= 1e-12 * abs(entry.value)
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("family", ["A", "D"])
+    def test_missing_k_is_invalid(self, family):
+        with pytest.raises(InvalidModelError, match=f"{family}-family needs k"):
+            reference_entry(family, 2)
+
+    def test_unknown_family_is_named(self):
+        with pytest.raises(InvalidModelError, match="unknown family 'Z'"):
+            list(table_rows("Z", [1]))
+
+    def test_e_family_takes_no_k_range(self):
+        with pytest.raises(DomainError, match="E-family tables take no k range"):
+            list(table_rows("E6", [1], [1, 2]))
+
+    def test_default_ranges(self):
+        rows = list(table_rows("D", [1]))
+        assert [(e.n, e.k) for e in rows] == [(1, k) for k in RANGES["D"][1]]
+        assert [(e.n, e.k) for e in table_rows("E8")] == [(n, None) for n in range(1, 6)]
