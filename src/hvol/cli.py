@@ -229,8 +229,7 @@ def _cmd_table(args) -> int:
     rows = []
     all_match = True
     for entry in tables.table_rows(args.family, n_values, k_values):
-        model = tables.reference_model(entry.family, entry.n, entry.k)
-        result = optimize.minimize_hvol(model, starts=args.starts, seed=args.seed)
+        result = optimize.minimize_hvol(entry.model, starts=args.starts, seed=args.seed)
         matches = _matches_reference(result, entry)
         all_match = all_match and matches
         rows.append(
@@ -251,7 +250,7 @@ def _cmd_table(args) -> int:
             )
             path = os.path.join(args.emit_models, stem + ".json")
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(modelio.dumps_canonical(model))
+                handle.write(modelio.dumps_canonical(entry.model))
 
     _print_rows(rows, args.format, lambda row: (
         f"{row['family']} n={row['n']}" + (f" k={row['k']}" if row["k"] != "" else "")

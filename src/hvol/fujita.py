@@ -49,7 +49,13 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exact import Scalar, as_scalar
-from .models import DomainError, InternalConsistencyError, InvalidCurveError
+from .models import (
+    DomainError,
+    InternalConsistencyError,
+    InvalidCurveError,
+    as_integer,
+    as_rational,
+)
 
 _FD_STEP = Fraction(1, 10**7)
 _CONVEXITY_SLACK = 1e-9
@@ -74,8 +80,11 @@ class VolumeCurve:
     vol_at_zero: Fraction
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        pieces = tuple(tuple(Fraction(c) for c in piece) for piece in self.pieces)
+        bps = tuple(as_rational(b, "breakpoint", InvalidCurveError) for b in self.breakpoints)
+        pieces = tuple(
+            tuple(as_rational(c, "coefficient", InvalidCurveError) for c in piece)
+            for piece in self.pieces
+        )
         if len(bps) < 2 or len(pieces) != len(bps) - 1:
             raise InvalidCurveError("need N+1 breakpoints and N pieces")
         if bps[0] != 0:
@@ -84,7 +93,7 @@ class VolumeCurve:
             raise InvalidCurveError("breakpoints must be strictly increasing")
         if any(not piece for piece in pieces):
             raise InvalidCurveError("every piece needs at least one coefficient")
-        vol0 = Fraction(self.vol_at_zero)
+        vol0 = as_rational(self.vol_at_zero, "vol_at_zero", InvalidCurveError)
         if vol0 <= 0:
             raise InvalidCurveError("vol_at_zero must be positive")
         object.__setattr__(self, "breakpoints", bps)
@@ -148,9 +157,9 @@ class ConeModel:
     curve: VolumeCurve
 
     def __post_init__(self):
-        if not isinstance(self.base_dim, int) or self.base_dim < 1:
-            raise InvalidCurveError("base dimension must be a positive integer")
-        object.__setattr__(self, "r", Fraction(self.r))
+        message = "base dimension must be a positive integer"
+        object.__setattr__(self, "base_dim", as_integer(self.base_dim, message, 1, InvalidCurveError))
+        object.__setattr__(self, "r", as_rational(self.r, "r", InvalidCurveError))
         if self.r <= 0:
             raise InvalidCurveError("r must be positive")
         if self.curve.degree() > self.base_dim:

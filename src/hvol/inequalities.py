@@ -201,10 +201,18 @@ def run_suite(
     seed: int = 20260810,
     dims: Sequence[int] = (2, 3, 4, 5),
 ) -> list[InequalityVerdict]:
-    """Run one named suite (or all of them) and return the verdicts."""
+    """Run one named suite (or all of them) and return the verdicts.
+
+    ``dims`` holds integers >= 1, or >= 2 for "proper" and "all", whose
+    A-family models start at n = 2.
+    """
     known = {"all", "thm13", "skew2", "dfem", "proper"}
     if suite not in known:
         raise DomainError(f"unknown suite {suite!r}; choose one of {sorted(known)}")
+    least = 2 if suite in ("all", "proper") else 1
+    for n in dims:
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
+            raise DomainError(f"dims must be integers >= {least} for suite {suite!r}, got {n!r}")
     verdicts: list[InequalityVerdict] = []
     if suite in ("all", "thm13"):
         verdicts += [check_theorem13(SmoothPoint(n), samples, seed + n) for n in dims]

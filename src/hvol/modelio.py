@@ -11,16 +11,17 @@ A model file is a JSON object whose ``kind`` selects one of four shapes:
                      "vol_at_zero": rational, "breakpoints": [rational, ...],
                      "pieces": [[rational, ...], ...]}
 
-Rationals are integers or "p/q" strings and are parsed exactly; unknown
-fields are rejected.  ``canonical_dict`` / ``dumps_canonical`` emit a
-normal form (lowest-terms "p/q" strings, sorted keys) that round-trips bit
-for bit.
+The schema is ``schema.json`` beside this module.  Rationals are integers
+or "p/q" strings and are parsed exactly; unknown fields are rejected.
+``canonical_dict`` / ``dumps_canonical`` emit a normal form (lowest-terms
+"p/q" strings, sorted keys) that round-trips bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from importlib import resources
 from typing import Union
 
 import jsonschema
@@ -35,77 +36,7 @@ from .models import (
     ToricCone,
 )
 
-_RATIONAL = {
-    "oneOf": [
-        {"type": "integer"},
-        {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
-    ]
-}
-
-SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "hvol model file",
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "smooth"},
-                "dim": {"type": "integer", "minimum": 1},
-            },
-            "required": ["kind", "dim"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "hypersurface"},
-                "support": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "minItems": 2,
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                },
-                "allow_smooth_germ": {"type": "boolean"},
-            },
-            "required": ["kind", "support"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "toric"},
-                "generators": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
-                },
-                "gorenstein_vector": {"type": "array", "minItems": 1, "items": _RATIONAL},
-            },
-            "required": ["kind", "generators", "gorenstein_vector"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "cone"},
-                "base_dim": {"type": "integer", "minimum": 1},
-                "r": _RATIONAL,
-                "vol_at_zero": _RATIONAL,
-                "breakpoints": {"type": "array", "minItems": 2, "items": _RATIONAL},
-                "pieces": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "array", "minItems": 1, "items": _RATIONAL},
-                },
-            },
-            "required": ["kind", "base_dim", "r", "vol_at_zero", "breakpoints", "pieces"],
-            "additionalProperties": False,
-        },
-    ],
-}
+SCHEMA = json.loads(resources.files("hvol").joinpath("schema.json").read_text(encoding="utf-8"))
 
 AnyModel = Union[Model, ConeModel]
 

@@ -19,18 +19,13 @@ germ is asserted by the caller, never verified here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .exact import (
-    Scalar,
-    as_scalar,
-    det_fraction,
-    inverse_fraction,
-    primitive_integer_vector,
-)
+from .exact import Scalar, as_scalar, inverse_fraction, primitive_integer_vector
 
 
 class HvolError(Exception):
@@ -72,6 +67,35 @@ class InternalConsistencyError(HvolError):
 ExponentVector = tuple[int, ...]
 
 
+def as_integer(value, message: str, minimum: Optional[int] = None, error=InvalidModelError) -> int:
+    """The one rule for integer model data: a non-bool ``int`` or numpy integer
+    of at least ``minimum`` passes as ``int``; anything else raises ``error(message)``."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if minimum is None or number >= minimum:
+                return number
+    raise error(message)
+
+
+def as_rational(value, field: str, error=InvalidModelError) -> Fraction:
+    """The one rule for rational model data: what ``Fraction`` reads exactly passes;
+    a bool, NaN, an infinity or anything else raises ``error`` naming ``field``."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise error(f"{field} must be a finite rational, got {value!r}")
+
+
+def _integer_rows(rows, message: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(as_integer(v, message) for v in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class SmoothPoint:
     """The germ of affine n-space at the origin."""
@@ -79,8 +103,8 @@ class SmoothPoint:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise InvalidModelError("smooth point dimension must be a positive integer")
+        dim = as_integer(self.dim, "smooth point dimension must be a positive integer", 1)
+        object.__setattr__(self, "dim", dim)
 
     kind = "smooth"
 
@@ -109,7 +133,7 @@ class Hypersurface:
     def __post_init__(self):
         if not self.support:
             raise InvalidModelError("hypersurface support must be non-empty")
-        support = tuple(tuple(int(e) for e in vec) for vec in self.support)
+        support = _integer_rows(self.support, "hypersurface exponents must be integers")
         widths = {len(vec) for vec in support}
         if len(widths) != 1:
             raise InvalidModelError("all exponent vectors must have equal length")
@@ -136,13 +160,9 @@ class Hypersurface:
         return len(self.support[0])
 
     @property
-    def x_dim(self) -> int:
-        return self.ambient_dim - 1
-
-    @property
     def dim(self) -> int:
         """Intrinsic dimension of the germ; the normalized-volume exponent."""
-        return self.x_dim
+        return self.ambient_dim - 1
 
     @property
     def multiplicity(self) -> int:
@@ -166,7 +186,7 @@ class ToricCone:
     kind = "toric"
 
     def __post_init__(self):
-        gens = tuple(tuple(int(v) for v in g) for g in self.generators)
+        gens = _integer_rows(self.generators, "toric generators must have integer entries")
         if not gens:
             raise InvalidModelError("toric cone needs at least one generator")
         rank = len(gens[0])
@@ -181,7 +201,7 @@ class ToricCone:
                 raise InvalidModelError("zero vector cannot generate a ray")
             if reduce(math.gcd, (abs(v) for v in g)) != 1:
                 raise InvalidModelError(f"generator {g} is not primitive")
-        gamma = tuple(Fraction(v) for v in self.gorenstein_vector)
+        gamma = tuple(as_rational(v, "gorenstein vector entry") for v in self.gorenstein_vector)
         if len(gamma) != rank:
             raise InvalidModelError("gorenstein vector length must equal the rank")
         for g in gens:
@@ -190,23 +210,19 @@ class ToricCone:
                 raise InvalidModelError(
                     f"gorenstein pairing with generator {g} is {pairing}, must be exactly 1"
                 )
-        matrix = [[Fraction(gens[j][i]) for j in range(rank)] for i in range(rank)]
-        if det_fraction(matrix) == 0:
-            raise InvalidModelError("generators are linearly dependent")
+        try:  # the matrix has the generators as columns; its inverse's rows are the dual rays
+            inverse = inverse_fraction(list(zip(*gens)))
+        except ZeroDivisionError:
+            raise InvalidModelError("generators are linearly dependent") from None
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "gorenstein_vector", gamma)
+        object.__setattr__(self, "_dual_rays", tuple(primitive_integer_vector(row) for row in inverse))
 
     @property
     def rank(self) -> int:
         return len(self.generators[0])
 
-    @property
-    def dim(self) -> int:
-        return self.rank
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.rank
+    dim = ambient_dim = rank
 
     def dual_rays(self) -> tuple[tuple[int, ...], ...]:
         """Primitive generators of the dual cone (simplicial case).
@@ -224,13 +240,6 @@ class ToricCone:
         non-negative integer combination of the w_i.
         """
         return self._parallelepiped_points
-
-    @cached_property
-    def _dual_rays(self) -> tuple[tuple[int, ...], ...]:
-        rank = self.rank
-        matrix = [[Fraction(self.generators[j][i]) for j in range(rank)] for i in range(rank)]
-        inverse = inverse_fraction(matrix)
-        return tuple(primitive_integer_vector(row) for row in inverse)
 
     @cached_property
     def _parallelepiped_points(self) -> tuple[tuple[int, ...], ...]:
@@ -296,40 +305,25 @@ def check_weight(model: Model, weight: Sequence) -> tuple[Scalar, ...]:
     return coords
 
 
-def _unit_rows(width: int, places) -> list[ExponentVector]:
-    rows = []
-    for exponent, position in places:
-        row = [0] * width
-        row[position] = exponent
-        rows.append(tuple(row))
-    return rows
+def _squares_plus(n: int, tails, allow_smooth_germ: bool = False) -> Hypersurface:
+    """z_1^2 + ... + z_n^2 plus one monomial per tail, each on the coordinates after z_n."""
+    width = n + len(tails[0])
+    squares = tuple(tuple(2 * (i == j) for j in range(width)) for i in range(n))
+    return Hypersurface(squares + tuple((0,) * n + tail for tail in tails), allow_smooth_germ)
 
 
 def a_singularity(n: int, k: int) -> Hypersurface:
     """n-dimensional A_{k-1} germ: z_1^2 + ... + z_n^2 + z_{n+1}^k in (n+1)-space."""
-    if n < 2:
-        raise InvalidModelError("A-family needs dimension n >= 2")
-    if k < 1:
-        raise InvalidModelError("A-family needs k >= 1")
-    width = n + 1
-    support = [_unit_rows(width, [(2, i)])[0] for i in range(n)]
-    support.append(_unit_rows(width, [(k, n)])[0])
-    return Hypersurface(tuple(support), allow_smooth_germ=(k == 1))
+    n = as_integer(n, "A-family needs dimension n >= 2", 2)
+    k = as_integer(k, "A-family needs k >= 1", 1)
+    return _squares_plus(n, ((k,),), allow_smooth_germ=(k == 1))
 
 
 def d_singularity(n: int, k: int) -> Hypersurface:
     """(n+1)-dimensional D-type germ: sum of n squares + z_{n+1}^2 z_{n+2} + z_{n+2}^k."""
-    if n < 1:
-        raise InvalidModelError("D-family needs n >= 1 (dimension n+1 >= 2)")
-    if k < 3:
-        raise InvalidModelError("D-family needs k >= 3")
-    width = n + 2
-    support = [_unit_rows(width, [(2, i)])[0] for i in range(n)]
-    mixed = [0] * width
-    mixed[n], mixed[n + 1] = 2, 1
-    support.append(tuple(mixed))
-    support.append(_unit_rows(width, [(k, n + 1)])[0])
-    return Hypersurface(tuple(support))
+    n = as_integer(n, "D-family needs n >= 1 (dimension n+1 >= 2)", 1)
+    k = as_integer(k, "D-family needs k >= 3", 3)
+    return _squares_plus(n, ((2, 1), (0, k)))
 
 
 def e_singularity(index: int, n: int) -> Hypersurface:
@@ -338,22 +332,18 @@ def e_singularity(index: int, n: int) -> Hypersurface:
     E_6: + z_{n+1}^3 + z_{n+2}^4;  E_7: + z_{n+1}^3 z_{n+2} + z_{n+2}^3;
     E_8: + z_{n+1}^3 + z_{n+2}^5.
     """
-    if index not in (6, 7, 8):
-        raise InvalidModelError("E-family index must be 6, 7 or 8")
-    if n < 1:
-        raise InvalidModelError("E-family needs n >= 1 (dimension n+1 >= 2)")
+    message = "E-family index must be 6, 7 or 8"
     tails = {6: ((3, 0), (0, 4)), 7: ((3, 1), (0, 3)), 8: ((3, 0), (0, 5))}
-    width = n + 2
-    support = [_unit_rows(width, [(2, i)])[0] for i in range(n)]
-    for a, b in tails[index]:
-        row = [0] * width
-        row[n], row[n + 1] = a, b
-        support.append(tuple(row))
-    return Hypersurface(tuple(support))
+    index = as_integer(index, message)
+    if index not in tails:
+        raise InvalidModelError(message)
+    n = as_integer(n, "E-family needs n >= 1 (dimension n+1 >= 2)", 1)
+    return _squares_plus(n, tails[index])
 
 
 def orthant_cone(rank: int) -> ToricCone:
     """The standard positive orthant as a toric model (affine rank-space)."""
-    gens = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    rank = as_integer(rank, "orthant cone rank must be an integer")
+    gens = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
     gamma = tuple(Fraction(1) for _ in range(rank))
     return ToricCone(gens, gamma)

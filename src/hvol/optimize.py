@@ -41,6 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -127,11 +128,13 @@ def minimize_hvol(
     The minimizer is deterministic: ``starts`` (which must be >= 1) and
     ``seed`` are accepted for compatibility and do not change the answer.
     ``status`` is "converged" when the first-order residual is at most
-    ``tolerance``, "boundary-suspect" when the weight sits next to the
-    A = 0 edge, and "max-iter" otherwise.
+    ``tolerance`` (a finite number >= 0), "boundary-suspect" when the
+    weight sits next to the A = 0 edge, and "max-iter" otherwise.
     """
     if starts < 1:
         raise DomainError("starts must be >= 1")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, Real) or not 0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     if isinstance(model, (SmoothPoint, ToricCone)):
         return _closed_form(model)
     if not isinstance(model, Hypersurface):

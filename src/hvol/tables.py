@@ -54,9 +54,13 @@ class ReferenceEntry:
     family: str
     n: int
     k: Optional[int]
-    dim: int
+    model: Hypersurface
     weight: tuple[Scalar, ...]
     value: Scalar
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
 
     @property
     def exact(self) -> bool:
@@ -99,7 +103,7 @@ def reference_entry(family: str, n: int, k: Optional[int] = None) -> ReferenceEn
     else:
         weight, k = _e_weight(int(family[1]), n), None
     value = normalized_volume(model, weight).normalized_volume
-    return ReferenceEntry(family=family, n=n, k=k, dim=model.dim, weight=weight, value=value)
+    return ReferenceEntry(family=family, n=n, k=k, model=model, weight=weight, value=value)
 
 
 def table_rows(family: str, n_values=None, k_values=None) -> Iterator[ReferenceEntry]:

@@ -128,6 +128,13 @@ class TestMinimize:
         assert code == 4
         assert json.loads(out)["status"] == "boundary-suspect"
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-7", "inf"])
+    def test_bad_tolerance_exit_3(self, tmp_path, capsys, tolerance):
+        path = write_model(tmp_path, "a22.json", a_singularity(2, 2))
+        code, out, err = run(capsys, ["minimize", path, f"--tolerance={tolerance}"])
+        assert (code, out) == (3, "")
+        assert err == f"error: tolerance must be a finite number >= 0, got {float(tolerance)!r}\n"
+
     def test_boundary_payload_is_strict_json(self, tmp_path, capsys):
         from hvol import Hypersurface
 
@@ -258,6 +265,18 @@ class TestVerify:
         )
         assert code == 0
         assert out.count("PASS") == 2
+
+    @pytest.mark.parametrize(
+        "suite, dims, message",
+        [
+            ("proper", "1:1", "dims must be integers >= 2 for suite 'proper', got 1"),
+            ("proper", "0:1", "dims must be integers >= 2 for suite 'proper', got 0"),
+            ("thm13", "0:1", "dims must be integers >= 1 for suite 'thm13', got 0"),
+        ],
+    )
+    def test_bad_dims_exit_3(self, capsys, suite, dims, message):
+        code, out, err = run(capsys, ["verify", "--suite", suite, "--dims", dims, "--samples", "10"])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 class TestFujita:

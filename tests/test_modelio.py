@@ -66,11 +66,6 @@ class TestSchema:
     def test_schema_is_valid_draft7(self):
         jsonschema.Draft7Validator.check_schema(modelio.SCHEMA)
 
-    def test_schema_file_in_sync(self):
-        with open("docs/schema.json", encoding="utf-8") as handle:
-            on_disk = json.load(handle)
-        assert on_disk == modelio.SCHEMA
-
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
