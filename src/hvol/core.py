@@ -35,6 +35,7 @@ from .models import (
     Model,
     NonKltWeightError,
     SmoothPoint,
+    as_scalars,
     check_weight,
 )
 
@@ -68,17 +69,12 @@ def check_weight_exact(model: Model, weight: Sequence[Scalar]):
 
 def weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> Scalar:
     """min over the support of <x, e>: the weight of f under v_x."""
-    if not support:
-        raise InvalidModelError("empty support has no weighted order")
-    values = _pairings(x, support)
-    return min(values)
+    return min(_pairings(x, support)[1])
 
 
 def active_monomials(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> tuple[ExponentVector, ...]:
     """The exponent vectors attaining the weighted order (exactly; on floats within _ACTIVE_RTOL)."""
-    if not support:
-        raise InvalidModelError("empty support has no weighted order")
-    values = _pairings(x, support)
+    x, values = _pairings(x, support)
     low = min(values)
     if is_exact(x):
         hits = [e for e, v in zip(support, values) if v == low]
@@ -89,6 +85,10 @@ def active_monomials(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> 
 
 
 def _pairings(x, support):
+    """The weight as ``as_scalars`` reads it, and its pairing with each exponent vector."""
+    if not support:
+        raise InvalidModelError("empty support has no weighted order")
+    x = as_scalars(x, "weight")
     values = []
     for e in support:
         if len(e) != len(x):
@@ -99,7 +99,7 @@ def _pairings(x, support):
     for xi in x:
         if not 0 < xi < math.inf:  # NaN too
             raise DomainError("weighted order needs strictly positive finite weights")
-    return values
+    return x, values
 
 
 def log_discrepancy(model: Model, weight: Sequence[Scalar]) -> Scalar:

@@ -1,10 +1,10 @@
 """Exact-rational scalar handling and small exact linear algebra.
 
 All closed-form operations in this package run on ``fractions.Fraction``
-when given rational inputs and fall back to floats otherwise.  The helpers
-here define that coercion, the "p/q" text form used by the CLI and the
-model files, and the few pieces of exact linear algebra (determinants and
-inverses) needed for toric dual cones and tie-stratum bases.
+when given rational inputs and fall back to floats otherwise (``models``
+decides which inputs are numbers).  The helpers here tell the two apart,
+write the "p/q" text form of the CLI and the model files, and hold the
+exact linear algebra needed for toric dual cones and tie-stratum bases.
 """
 
 from __future__ import annotations
@@ -17,22 +17,6 @@ from typing import Sequence, Union
 Scalar = Union[Fraction, float]
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
-
-
-def as_scalar(value) -> Scalar:
-    """Coerce a number to Fraction (exact path) or float (numeric path)."""
-    if isinstance(value, bool):
-        raise TypeError("booleans are not valid numeric inputs")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return value
-    # numpy floats/ints and other numeric scalars
-    if hasattr(value, "item"):
-        return as_scalar(value.item())
-    raise TypeError(f"unsupported numeric type: {type(value).__name__}")
 
 
 def is_exact(values: Sequence[Scalar]) -> bool:
@@ -59,10 +43,7 @@ def format_scalar(value: Scalar) -> Union[str, float]:
 
 
 def common_denominator(values: Sequence[Fraction]) -> int:
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return den
+    return math.lcm(*(v.denominator for v in values))
 
 
 def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -112,7 +93,5 @@ def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
         raise ValueError("zero vector has no primitive representative")
     den = common_denominator(fracs)
     ints = [int(v * den) for v in fracs]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)

@@ -35,10 +35,10 @@ a = m(p+q) - q i and b = p i,
 at t = 0 and t = 1 alike.  Substituting y = a + b x turns each piece's
 integral into one Horner sum of integers per breakpoint u/w, over
 lcm(1..n) D_c E^n b^{n-1} with E = a w + b u and D_c the common
-denominator of the curve coefficients (``_grid_kernel``).  ``f_of_t`` on
-exact t and ``convexity_check`` use it.  Two routes stay independent of
-it: the slope form ``f_of_t_slope_form``, and ``phi`` through
-``_phi_any``, which ``f_of_t`` still takes for float t.
+denominator of the curve coefficients (``_grid_point``, on integer data
+each cone sets up once).  ``f_of_t`` and ``convexity_check`` use it.  Two
+routes stay independent of it: the slope form ``f_of_t_slope_form``, and
+``phi`` through ``_phi_any``.
 """
 
 from __future__ import annotations
@@ -46,21 +46,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .exact import Scalar, as_scalar
+from .exact import Scalar
 from .models import (
     DomainError,
     InternalConsistencyError,
     InvalidCurveError,
     as_integer,
     as_rational,
+    as_scalar,
 )
 
 _FD_STEP = Fraction(1, 10**7)
 _CONVEXITY_SLACK = 1e-9
-
-Beta = Union[Scalar, float]
 
 
 @dataclass(frozen=True)
@@ -126,15 +125,14 @@ class VolumeCurve:
         return self.breakpoints[-1]
 
     def value(self, x) -> Scalar:
-        x = as_scalar(x)
+        x = as_scalar(x, "x")
         if not x >= 0:  # NaN too
             raise DomainError("the volume curve lives on x >= 0")
         if x >= self.tau:
             return Fraction(0) if isinstance(x, Fraction) else 0.0
-        for (a, b), piece in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            if x < b:
+        for b, piece in zip(self.breakpoints[1:], self.pieces):
+            if x < b:  # x < tau, so some piece holds x
                 return _poly_eval(piece, x)
-        return _poly_eval(self.pieces[-1], x)
 
     def degree(self) -> int:
         return max(len(piece) - 1 for piece in self.pieces)
@@ -166,6 +164,7 @@ class ConeModel:
             raise InvalidCurveError(
                 f"curve degree {self.curve.degree()} exceeds the base dimension {self.base_dim}"
             )
+        object.__setattr__(self, "_kernel", _grid_setup(self))  # the grid kernel's per-cone data
 
     @property
     def dim(self) -> int:
@@ -175,7 +174,7 @@ class ConeModel:
 
 def vol_w_alpha(cone: ConeModel, alpha) -> Scalar:
     """Volume of the interpolating valuation at parameter alpha >= 0."""
-    alpha = as_scalar(alpha)
+    alpha = as_scalar(alpha, "alpha")
     if not alpha >= 0:  # NaN too
         raise DomainError("alpha must be non-negative")
     if alpha == math.inf:  # the limit: every term decays like 1 / alpha^n
@@ -197,16 +196,16 @@ def _vol_w_alpha_any(cone: ConeModel, alpha) -> Scalar:
     return cone.curve.vol_at_zero / c**n - n * total
 
 
-def phi(cone: ConeModel, beta: Beta) -> Scalar:
+def phi(cone: ConeModel, beta) -> Scalar:
     """Normalized volume along the interpolation, in the variable beta = 1/alpha.
 
     beta = 0 is the canonical cone valuation (value r^n L^{n-1}); beta =
     +infinity is the blown-up divisor valuation, handled as an explicit
     limit branch (r+1)^n vol(w_0).
     """
+    beta = as_scalar(beta, "beta")
     if beta == math.inf:
         return (cone.r + 1) ** cone.dim * _vol_w_alpha_any(cone, Fraction(0))
-    beta = as_scalar(beta)
     if not beta >= 0:  # NaN too
         raise DomainError("beta must be non-negative")
     return _phi_any(cone, beta)
@@ -255,20 +254,22 @@ def phi_prime_zero(cone: ConeModel) -> Scalar:
 
 
 def f_of_t(cone: ConeModel, t) -> Scalar:
-    """Normalized-volume interpolation f(t) on [0, 1].
+    """Normalized-volume interpolation f(t) on [0, 1], from the integer grid kernel.
 
-    Exact t (int or Fraction) is evaluated by the integer grid kernel, t = 1
-    included, and comes back as a Fraction.  Float t < 1 goes through
-    ``_phi_any`` at beta = t r / ((1 - t)(r + 1)), the numeric path.
+    Exact t, and t = 1 of any type, give a Fraction; a float t < 1 is read
+    exactly and gives the correctly rounded float.
     """
-    t = as_scalar(t)
-    if not 0 <= t <= 1:
+    t = _t_value(t)
+    num, den = _grid_point(cone._kernel, *t.as_integer_ratio())
+    return Fraction(num, den) if isinstance(t, Fraction) else num / den
+
+
+def _t_value(t) -> Scalar:
+    """The one t rule of f: a number in [0, 1], with t = 1 exact."""
+    t = as_scalar(t, "t")
+    if not 0 <= t <= 1:  # NaN too
         raise DomainError("t must lie in [0, 1]")
-    if isinstance(t, float) and t < 1:
-        beta = t * cone.r / ((1 - t) * (cone.r + 1))
-        return _phi_any(cone, beta)
-    t = Fraction(t)
-    return Fraction(*_grid_kernel(cone)(t.numerator, t.denominator))
+    return Fraction(1) if t == 1 else t
 
 
 def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
@@ -278,12 +279,7 @@ def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
     by piece.  The curve is continuous and vanishes at tau, so the slope
     measure has no point masses and the two routes agree identically.
     """
-    if t == 1:
-        t = Fraction(1)
-    else:
-        t = as_scalar(t)
-        if not 0 <= t <= 1:
-            raise DomainError("t must lie in [0, 1]")
+    t = _t_value(t)
     n, r = cone.dim, cone.r
     d = r * t
     c = r + 1 - t
@@ -310,10 +306,9 @@ def convexity_check(cone: ConeModel, grid: int = 101) -> bool:
     true division is correctly rounded, so every value equals
     float(f_of_t(cone, Fraction(i, grid - 1))) without building a Fraction.
     """
-    if grid < 3:
-        raise DomainError("convexity check needs at least 3 grid points")
-    at = _grid_kernel(cone)
-    values = [num / den for num, den in (at(i, grid - 1) for i in range(grid))]
+    grid = as_integer(grid, "convexity check needs at least 3 grid points", 3, DomainError)
+    kernel = cone._kernel
+    values = [num / den for num, den in (_grid_point(kernel, i, grid - 1) for i in range(grid))]
     return all(
         values[i - 1] - 2 * values[i] + values[i + 1] >= -_CONVEXITY_SLACK
         for i in range(1, grid - 1)
@@ -330,8 +325,7 @@ def projective_space_cone(n: int) -> ConeModel:
     D is a hyperplane of the base: r = n, L^{n-1} = 1 and
     Vol(L - x D) = (1 - x)^{n-1} on [0, 1].  Its eta vanishes.
     """
-    if n < 2:
-        raise DomainError("projective-space cone needs n >= 2")
+    n = as_integer(n, "projective-space cone needs n >= 2", 2, DomainError)
     coeffs = tuple(Fraction((-1) ** j * math.comb(n - 1, j)) for j in range(n))
     curve = VolumeCurve(
         breakpoints=(Fraction(0), Fraction(1)), pieces=(coeffs,), vol_at_zero=Fraction(1)
@@ -412,10 +406,28 @@ def _integral_poly_over_power(coeffs: Sequence, a, b, c, power: int):
     return total
 
 
-def _grid_kernel(cone: ConeModel):
-    """at(i, m) -> (num, den) with num/den = f(i/m) exactly, for 0 <= i <= m.
+def _grid_setup(cone: ConeModel) -> tuple:
+    """The integer data of ``_grid_point`` that does not depend on the grid point."""
+    n, curve = cone.dim, cone.curve
+    dc = math.lcm(*(c.denominator for piece in curve.pieces for c in piece))
+    pieces = tuple(
+        tuple(c.numerator * (dc // c.denominator) for c in piece) + (0,) * (n - len(piece))
+        for piece in curve.pieces
+    )
+    lcm = math.lcm(*range(1, n + 1))
+    weights = tuple(lcm // (j - n) for j in range(n))
+    binom = tuple(tuple(math.comb(k, j) for j in range(n)) for k in range(n))
+    breakpoints = tuple(
+        (u.numerator, u.denominator, tuple(u.denominator**e for e in range(n + 1)))
+        for u in curve.breakpoints
+    )
+    ratios = cone.r.as_integer_ratio(), curve.vol_at_zero.as_integer_ratio()
+    return n, *ratios, lcm * dc, pieces, weights, binom, breakpoints
 
-    Everything that does not depend on the grid point is set up once here.
+
+def _grid_point(kernel: tuple, i: int, m: int) -> tuple[int, int]:
+    """(num, den) with num/den = f(i/m) exactly, for 0 <= i <= m.
+
     At a point each piece becomes Q(y) = D_c b^{n-1} P((y - a)/b)
     = Sum_k c_k b^{n-1-k} (y - a)^k with integer coefficients c_k, and
     lcm(1..n) times its antiderivative against y^{-n-1} is
@@ -423,50 +435,32 @@ def _grid_kernel(cone: ConeModel):
     N = Sum_j Q_j (lcm/(j-n)) E^j w^{n-j}; each breakpoint takes N of the
     piece it ends minus N of the piece it starts.
     """
-    n, curve = cone.dim, cone.curve
-    p, q = cone.r.numerator, cone.r.denominator
-    dc = math.lcm(*(c.denominator for piece in curve.pieces for c in piece))
-    pieces = [
-        [c.numerator * (dc // c.denominator) for c in piece] + [0] * (n - len(piece))
-        for piece in curve.pieces
-    ]
-    lcm = math.lcm(*range(1, n + 1))
-    weights = [lcm // (j - n) for j in range(n)]
-    binom = [[math.comb(k, j) for j in range(n)] for k in range(n)]
-    breakpoints = [
-        (u.numerator, u.denominator, [u.denominator**e for e in range(n + 1)])
-        for u in curve.breakpoints
-    ]
-    lnum, lden = curve.vol_at_zero.numerator, curve.vol_at_zero.denominator
-    scale, qn, k_den = (p * (p + q)) ** n, q**n, lcm * dc
+    n, (p, q), (lnum, lden), k_den, pieces, weights, binom, breakpoints = kernel
+    scale, qn = (p * (p + q)) ** n, q**n
+    a = m * (p + q) - q * i
+    b = p * i
+    an = a**n
+    if not b:  # t = 0: the integral term carries the factor b
+        return scale * m**n * lnum, qn * lden * an
+    neg_a = [(-a) ** e for e in range(n)]
+    b_pow = [b ** (n - 1 - k) for k in range(n)]
     absent = [0] * n  # the missing piece left of 0 and right of tau
-
-    def at(i: int, m: int) -> tuple[int, int]:
-        a = m * (p + q) - q * i
-        b = p * i
-        an = a**n
-        if not b:  # t = 0: the integral term carries the factor b
-            return scale * m**n * lnum, qn * lden * an
-        neg_a = [(-a) ** e for e in range(n)]
-        b_pow = [b ** (n - 1 - k) for k in range(n)]
-        anti = [absent]
-        for coeffs in pieces:
-            g = [c * bk for c, bk in zip(coeffs, b_pow)]
-            anti.append([
-                wj * sum(g[k] * binom[k][j] * neg_a[k - j] for k in range(j, n))
-                for j, wj in enumerate(weights)
-            ])
-        anti.append(absent)
-        s_num, s_den = 0, 1
-        for (u, w, w_pow), left, right in zip(breakpoints, anti, anti[1:]):
-            e = a * w + b * u
-            h = 0
-            for j in reversed(range(n)):
-                h = h * e + (left[j] - right[j]) * w_pow[n - j]
-            en = e**n
-            s_num, s_den = s_num * en + h * s_den, s_den * en
-        bn1 = b_pow[0]
-        num = scale * m**n * (lnum * s_den * k_den * bn1 - n * s_num * lden * an)
-        return num, qn * lden * an * s_den * k_den * bn1
-
-    return at
+    anti = [absent]
+    for coeffs in pieces:
+        g = [c * bk for c, bk in zip(coeffs, b_pow)]
+        anti.append([
+            wj * sum(g[k] * binom[k][j] * neg_a[k - j] for k in range(j, n))
+            for j, wj in enumerate(weights)
+        ])
+    anti.append(absent)
+    s_num, s_den = 0, 1
+    for (u, w, w_pow), left, right in zip(breakpoints, anti, anti[1:]):
+        e = a * w + b * u
+        h = 0
+        for j in reversed(range(n)):
+            h = h * e + (left[j] - right[j]) * w_pow[n - j]
+        en = e**n
+        s_num, s_den = s_num * en + h * s_den, s_den * en
+    bn1 = b_pow[0]
+    num = scale * m**n * (lnum * s_den * k_den * bn1 - n * s_num * lden * an)
+    return num, qn * lden * an * s_den * k_den * bn1

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +54,7 @@ from . import core
 from .exact import Scalar
 from .models import (
     DomainError, Hypersurface, InternalConsistencyError, Model, SmoothPoint,
-    UnsupportedModelError, a_singularity,
+    UnsupportedModelError, a_singularity, as_integer, as_scalars,
 )
 
 _EXACT_TOL = Fraction(1, 10**12)
@@ -64,6 +63,7 @@ _LOW, _HIGH, _EDGE_MASS = Fraction(1, 1000), Fraction(1000), 0.3
 _GRID = 10**6  # every sampled coordinate is p / _GRID, p a positive integer
 _CEILING = int(_HIGH * _GRID)  # the largest numerator a draw can take
 _CHUNK = 4096  # draws per array, which bounds a sweep's memory
+_SEED = "seed must be an integer >= 0"
 
 
 @dataclass(frozen=True)
@@ -95,17 +95,16 @@ def sample_weight(rng: np.random.Generator, dim: int) -> tuple[Fraction, ...]:
     so empirical infima saturate at the box minimum instead of creeping
     with the sample count; the continuum keeps the interior covered.
     """
+    dim = as_integer(dim, "a weight needs an integer dim >= 1", 1, DomainError)
     return _weight(next(_numerators(rng, 1, dim))[0].tolist())
 
 
 def skewness_s(weight: Sequence[Scalar]) -> int:
     """Integer skewness bracket max(2, ceil(x_max / x_min)) after normalizing v(m)=1."""
-    try:
-        x = [Fraction(v) for v in weight]
-    except (ValueError, OverflowError) as exc:  # nan, inf
-        raise DomainError(f"weights must be finite, got {weight!r}") from exc
-    if not x or any(not v > 0 for v in x):
-        raise DomainError("a weight needs at least one coordinate, and every coordinate positive")
+    x = as_scalars(weight, "weight")
+    if not x or not all(0 < v < math.inf for v in x):  # NaN too
+        raise DomainError(f"a weight needs coordinates, each positive and finite, got {weight!r}")
+    x = [Fraction(v) for v in x]
     sup = max(x) / min(x)
     s = max(2, math.ceil(sup))
     if s > 2 * sup:
@@ -210,9 +209,12 @@ def run_suite(
     if suite not in known:
         raise DomainError(f"unknown suite {suite!r}; choose one of {sorted(known)}")
     least = 2 if suite in ("all", "proper") else 1
-    for n in dims:
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
-            raise DomainError(f"dims must be integers >= {least} for suite {suite!r}, got {n!r}")
+    message = f"dims must be integers >= {least} for suite {suite!r}"
+    try:
+        dims = [as_integer(n, message, least, DomainError) for n in dims]
+    except TypeError:
+        raise DomainError(f"dims must be a sequence of integers, got {dims!r}") from None
+    seed = as_integer(seed, _SEED, 0, DomainError)
     verdicts: list[InequalityVerdict] = []
     if suite in ("all", "thm13"):
         verdicts += [check_theorem13(SmoothPoint(n), samples, seed + n) for n in dims]
@@ -248,11 +250,10 @@ def _sweep(suite, model, samples, seed, doubled=False):
     a stream of its own, which leaves the draws unchanged, so the first-half
     minimum is the running minimum after it.
     """
-    if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 1:
-        raise DomainError(f"a sweep needs an integer number of samples >= 1, got {samples!r}")
+    as_integer(samples, "a sweep needs an integer number of samples >= 1", 1, DomainError)
     factors, offset = _factors(suite, model)
     eta = 2 * _key_error(model.ambient_dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_integer(seed, _SEED, 0, DomainError))
     best_num, best_den, best_q, worsts = 1, 0, None, []  # 1/0: above every value
     for _ in range(2 if doubled else 1):
         for p in _numerators(rng, samples, model.ambient_dim):

@@ -59,13 +59,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Scalar, as_scalar, common_denominator
+from .exact import Scalar, common_denominator
 from .models import (
     CapacityError,
     DomainError,
     Hypersurface,
     Model,
     SmoothPoint,
+    as_scalar,
+    as_scalars,
     check_weight,
 )
 from .core import weighted_order
@@ -105,7 +107,7 @@ def _default_radii(x: Sequence[Scalar]) -> tuple[Scalar, ...]:
 def colength(model: Model, weight: Sequence[Scalar], radius) -> int:
     """The exact colength count of ``model`` at weight x and radius r (see the module docstring)."""
     x = check_weight(model, weight)  # for toric models the interior check keeps the count finite
-    r = as_scalar(radius)
+    r = as_scalar(radius, "radius")
     if not -math.inf < r < math.inf:  # NaN too
         raise DomainError(f"radius must be finite, got {r}")
     if r <= 0:
@@ -122,7 +124,7 @@ def estimate_volume(
     hypersurface the ambient count is divided by r^(ambient-1).
     """
     x = check_weight(model, weight)
-    schedule = tuple(as_scalar(r) for r in (radii if radii is not None else _default_radii(x)))
+    schedule = _default_radii(x) if radii is None else as_scalars(radii, "radii")
     if not schedule:
         raise DomainError("radius schedule must be non-empty")
     if any(not 0 < r < math.inf for r in schedule):  # NaN too

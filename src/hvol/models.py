@@ -25,7 +25,9 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Optional, Sequence, Union
 
-from .exact import Scalar, as_scalar, inverse_fraction, primitive_integer_vector
+import numpy as np
+
+from .exact import Scalar, inverse_fraction, primitive_integer_vector
 
 
 class HvolError(Exception):
@@ -68,8 +70,8 @@ ExponentVector = tuple[int, ...]
 
 
 def as_integer(value, message: str, minimum: Optional[int] = None, error=InvalidModelError) -> int:
-    """The one rule for integer model data: a non-bool ``int`` or numpy integer
-    of at least ``minimum`` passes as ``int``; anything else raises ``error(message)``."""
+    """The one rule for integers: a non-bool ``int`` or numpy integer of at least ``minimum``
+    passes as ``int``; anything else raises ``error(f"{message}, got {value!r}")``."""
     if not isinstance(value, bool):
         try:
             number = operator.index(value)
@@ -78,7 +80,29 @@ def as_integer(value, message: str, minimum: Optional[int] = None, error=Invalid
         else:
             if minimum is None or number >= minimum:
                 return number
-    raise error(message)
+    raise error(f"{message}, got {value!r}")
+
+
+def as_scalar(value, field: str) -> Scalar:
+    """The one rule for runtime numbers: an ``int`` or numpy integer passes as
+    ``Fraction``, a ``Fraction`` or ``float`` unchanged, a numpy float as ``float``;
+    a bool, a string, None, an array or anything else raises ``DomainError`` naming ``field``."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return Fraction(int(value))
+    raise DomainError(f"{field} must be a number, got {value!r}")
+
+
+def as_scalars(values, field: str) -> tuple[Scalar, ...]:
+    """``as_scalar`` on each entry of a sequence; a non-sequence raises ``DomainError`` too."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise DomainError(f"{field} must be a sequence of numbers, got {values!r}") from None
+    return tuple([as_scalar(v, field) for v in entries])
 
 
 def as_rational(value, field: str, error=InvalidModelError) -> Fraction:
@@ -283,7 +307,7 @@ def check_weight(model: Model, weight: Sequence) -> tuple[Scalar, ...]:
     """
     if not isinstance(model, (SmoothPoint, Hypersurface, ToricCone)):
         raise UnsupportedModelError(f"unknown model kind {model!r}")
-    coords = tuple(as_scalar(v) for v in weight)
+    coords = as_scalars(weight, "weight")
     if len(coords) != model.ambient_dim:
         raise DomainError(
             f"weight length {len(coords)} does not match ambient dimension {model.ambient_dim}"
@@ -336,7 +360,7 @@ def e_singularity(index: int, n: int) -> Hypersurface:
     tails = {6: ((3, 0), (0, 4)), 7: ((3, 1), (0, 3)), 8: ((3, 0), (0, 5))}
     index = as_integer(index, message)
     if index not in tails:
-        raise InvalidModelError(message)
+        raise InvalidModelError(f"{message}, got {index!r}")
     n = as_integer(n, "E-family needs n >= 1 (dimension n+1 >= 2)", 1)
     return _squares_plus(n, tails[index])
 

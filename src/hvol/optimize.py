@@ -41,7 +41,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
 
 import numpy as np
 
@@ -59,6 +58,8 @@ from .models import (
     SmoothPoint,
     ToricCone,
     UnsupportedModelError,
+    as_integer,
+    as_scalar,
     check_weight,
 )
 
@@ -131,9 +132,8 @@ def minimize_hvol(
     ``tolerance`` (a finite number >= 0), "boundary-suspect" when the
     weight sits next to the A = 0 edge, and "max-iter" otherwise.
     """
-    if starts < 1:
-        raise DomainError("starts must be >= 1")
-    if isinstance(tolerance, bool) or not isinstance(tolerance, Real) or not 0 <= tolerance < math.inf:
+    as_integer(starts, "starts must be an integer >= 1", 1, DomainError)
+    if not 0 <= as_scalar(tolerance, "tolerance") < math.inf:
         raise DomainError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     if isinstance(model, (SmoothPoint, ToricCone)):
         return _closed_form(model)

@@ -278,6 +278,11 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "--suite", suite, "--dims", dims, "--samples", "10"])
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    def test_negative_seed_exit_3(self, capsys):
+        argv = ["verify", "--suite", "thm13", "--samples", "10", "--dims", "2:2", "--seed", "-5000"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (3, "", "error: seed must be an integer >= 0, got -5000\n")
+
 
 class TestFujita:
     def test_p1_cone(self, tmp_path, capsys):

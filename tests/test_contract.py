@@ -1,4 +1,4 @@
-"""The constructor contract: every model field and sweep parameter is decided at its boundary.
+"""The boundary contract: every model field and runtime number is decided where it enters.
 
 Each call either raises an ``HvolError`` subclass or returns what the exact
 value builds.  Integer fields take ``int`` and numpy integers only, so
@@ -14,9 +14,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hvol import Hypersurface, HvolError, SmoothPoint, ToricCone
-from hvol.fujita import ConeModel, VolumeCurve, projective_space_cone
-from hvol.inequalities import run_suite
+from hvol import Hypersurface, HvolError, SmoothPoint, ToricCone, core, lattice
+from hvol.fujita import (
+    ConeModel, VolumeCurve, catalog, convexity_check, f_of_t, f_of_t_slope_form, phi,
+    projective_space_cone, vol_w_alpha,
+)
+from hvol.inequalities import run_suite, sample_weight, skewness_s
 from hvol.models import a_singularity, d_singularity, e_singularity, orthant_cone
 from hvol.optimize import minimize_hvol
 
@@ -68,3 +71,103 @@ def test_constructor_contract(field, value):
     exact = _exact(kind, value)
     assert exact is not None, f"{field} accepted {value!r}"
     assert got == build(exact)
+
+
+# ---------------------------------------------------------------------------
+# runtime numbers: weights, radii, curve parameters and counts
+#
+# A "scalar" takes ints and numpy integers as exact Fractions and floats as
+# floats; an "integer" takes ints and numpy integers only.  A bool, a string,
+# None or an array must raise in either.  A sequence parameter gets each probe
+# as one entry, and None, a 2-d array and a bare int in place of the sequence.
+
+PROBES = VALUES + [None, np.ones((2, 2))]
+PROBE_IDS = VALUE_IDS + ["None", "array2d"]
+WHOLE = [None, np.ones((2, 2)), 2]
+WHOLE_IDS = ["None", "array2d", "bare-int"]
+
+PLANE, CONE = SmoothPoint(2), projective_space_cone(2)
+
+RUNTIME = {
+    "normalized_volume.weight": ("scalar", lambda w: core.normalized_volume(PLANE, w)),
+    "log_discrepancy.weight": ("scalar", lambda w: core.log_discrepancy(CUSP, w)),
+    "volume.weight": ("scalar", lambda w: core.volume(PLANE, w)),
+    "ideal_value.weight": ("scalar", lambda w: core.ideal_value(PLANE, w)),
+    "skewness.weight": ("scalar", lambda w: core.skewness(PLANE, w)),
+    "weighted_order.weight": ("scalar", lambda w: core.weighted_order(w, CUSP.support)),
+    "active_monomials.weight": ("scalar", lambda w: core.active_monomials(w, CUSP.support)),
+    "estimate_volume.weight": ("scalar", lambda w: lattice.estimate_volume(PLANE, w, (10, 20))),
+    "estimate_volume.radii": ("scalar", lambda r: lattice.estimate_volume(PLANE, (1, 1), r)),
+    "colength.weight": ("scalar", lambda w: lattice.colength(PLANE, w, 10)),
+    "default_radii.weight": ("scalar", lambda w: lattice.default_radii(PLANE, w)),
+    "skewness_s.weight": ("scalar", skewness_s),
+    "run_suite.dims": ("integer", lambda d: run_suite("thm13", samples=20, seed=5, dims=d)),
+}
+SEQUENCE_ENTRY = {  # where the probe goes in a sequence parameter
+    "estimate_volume.radii": lambda v: (v, 10),
+}
+
+RUNTIME_SCALARS = {
+    "colength.radius": ("scalar", lambda v: lattice.colength(PLANE, (1, 1), v)),
+    "VolumeCurve.value.x": ("scalar", lambda v: P1.value(v)),
+    "vol_w_alpha.alpha": ("scalar", lambda v: vol_w_alpha(CONE, v)),
+    "phi.beta": ("scalar", lambda v: phi(CONE, v)),
+    "f_of_t.t": ("scalar", lambda v: f_of_t(CONE, v)),
+    "f_of_t_slope_form.t": ("scalar", lambda v: f_of_t_slope_form(CONE, v)),
+    "minimize_hvol.tolerance": ("scalar", lambda v: minimize_hvol(PLANE, tolerance=v)),
+    "minimize_hvol.starts": ("integer", lambda v: minimize_hvol(PLANE, starts=v)),
+    "run_suite.seed": ("integer", lambda v: run_suite("thm13", samples=20, seed=v, dims=(2,))),
+    "run_suite.samples": ("integer", lambda v: run_suite("thm13", samples=v, seed=5, dims=(2,))),
+    "convexity_check.grid": ("integer", lambda v: convexity_check(CONE, grid=v)),
+    "sample_weight.dim": ("integer", lambda v: sample_weight(np.random.default_rng(0), v)),
+    "projective_space_cone.n": ("integer", projective_space_cone),
+}
+for _name, (_kind, _call) in RUNTIME.items():
+    _entry = SEQUENCE_ENTRY.get(_name, lambda v: (v, 1))
+    RUNTIME_SCALARS[_name] = (_kind, lambda v, call=_call, entry=_entry: call(entry(v)))
+
+
+def _runtime_exact(kind, value):
+    """The value a call may accept in place of ``value``, or None if it must raise."""
+    if isinstance(value, np.integer):
+        return int(value) if kind == "integer" else F(int(value))
+    if kind == "scalar" and isinstance(value, float):
+        return value
+    return None
+
+
+def _raises_or_matches(build, value, exact):
+    try:
+        got = build(value)
+    except HvolError:
+        return
+    assert exact is not None, f"accepted {value!r}"
+    assert got == build(exact)
+
+
+@pytest.mark.parametrize("value", PROBES, ids=PROBE_IDS)
+@pytest.mark.parametrize("param", list(RUNTIME_SCALARS))
+def test_runtime_contract(param, value):
+    kind, build = RUNTIME_SCALARS[param]
+    _raises_or_matches(build, value, _runtime_exact(kind, value))
+
+
+# radii=None asks for the default schedule
+WHOLE_CASES = [
+    (p, v, f"{p}-{i}") for p in RUNTIME for v, i in zip(WHOLE, WHOLE_IDS)
+    if not (p == "estimate_volume.radii" and v is None)
+]
+
+
+@pytest.mark.parametrize("param, value", [c[:2] for c in WHOLE_CASES], ids=[c[2] for c in WHOLE_CASES])
+def test_runtime_sequence_contract(param, value):
+    """None, a 2-d array or a bare int where a sequence belongs raises an HvolError."""
+    _raises_or_matches(RUNTIME[param][1], value, None)
+
+
+@pytest.mark.parametrize("name", list(catalog()))
+def test_float_t_is_the_rounded_exact_value(name):
+    cone = catalog()[name]
+    for t in (0.0, 0.25, 0.1, 1 / 3, 0.999):
+        assert f_of_t(cone, t) == float(f_of_t(cone, F(t)))
+    assert f_of_t(cone, 0.25) == float(f_of_t(cone, F(1, 4)))

@@ -1,6 +1,7 @@
 """Cone interpolation: exact integrals, endpoint identities, convexity."""
 
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -323,3 +324,21 @@ class TestGridKernel:
         assert isinstance(value, float)
         assert abs(value - float(f_of_t(cone, F(1, 4)))) <= 1e-12 * abs(value)
         assert f_of_t(cone, 1.0) == phi(cone, math.inf)
+
+    def test_set_up_once_per_cone(self, monkeypatch):
+        calls = []
+        set_up = fujita._grid_setup
+        monkeypatch.setattr(fujita, "_grid_setup", lambda cone: calls.append(cone) or set_up(cone))
+        cone = projective_space_cone(3)
+        values = [f_of_t(cone, F(i, 100)) for i in range(101)]
+        assert len(calls) == 1
+        assert values[0] == 27 and values[-1] == phi(cone, math.inf)
+
+    def test_cone_pickles_and_compares_by_its_fields(self):
+        for cone in catalog().values():
+            copy = pickle.loads(pickle.dumps(cone))
+            fresh = ConeModel(cone.base_dim, cone.r, cone.curve)
+            assert copy == cone == fresh and hash(copy) == hash(cone) == hash(fresh)
+            assert repr(copy) == repr(cone) == repr(fresh)
+            assert repr(cone).startswith(f"ConeModel(base_dim={cone.base_dim}, r=") and "_kernel" not in repr(cone)
+            assert f_of_t(copy, F(1, 3)) == f_of_t(cone, F(1, 3))
