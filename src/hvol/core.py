@@ -35,6 +35,7 @@ from .models import (
     Model,
     NonKltWeightError,
     SmoothPoint,
+    _integer_rows,
     as_scalars,
     check_weight,
 )
@@ -69,12 +70,12 @@ def check_weight_exact(model: Model, weight: Sequence[Scalar]):
 
 def weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> Scalar:
     """min over the support of <x, e>: the weight of f under v_x."""
-    return min(_pairings(x, support)[1])
+    return min(_pairings(x, support)[2])
 
 
 def active_monomials(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> tuple[ExponentVector, ...]:
     """The exponent vectors attaining the weighted order (exactly; on floats within _ACTIVE_RTOL)."""
-    x, values = _pairings(x, support)
+    x, support, values = _pairings(x, support)
     low = min(values)
     if is_exact(x):
         hits = [e for e, v in zip(support, values) if v == low]
@@ -85,7 +86,9 @@ def active_monomials(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> 
 
 
 def _pairings(x, support):
-    """The weight as ``as_scalars`` reads it, and its pairing with each exponent vector."""
+    """The weight as ``as_scalars`` reads it, the support as ``_integer_rows`` reads it,
+    and the pairing of the weight with each exponent vector."""
+    support = _integer_rows(support, "support")
     if not support:
         raise InvalidModelError("empty support has no weighted order")
     x = as_scalars(x, "weight")
@@ -99,7 +102,7 @@ def _pairings(x, support):
     for xi in x:
         if not 0 < xi < math.inf:  # NaN too
             raise DomainError("weighted order needs strictly positive finite weights")
-    return x, values
+    return x, support, values
 
 
 def log_discrepancy(model: Model, weight: Sequence[Scalar]) -> Scalar:

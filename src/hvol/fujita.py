@@ -22,23 +22,15 @@ which is convex.
 
 The volume curve x -> Vol(L - x D) is supplied by the caller as a
 continuous piecewise polynomial; the geometry producing it is out of
-scope.  Every integral here is evaluated exactly per polynomial piece
-(denominator powers never hit the logarithmic exponent because the curve
-degree is at most n-1), so rational inputs give exact rational outputs.
-
-On a rational grid f is one integer pass.  With r = p/q, t = i/m,
-a = m(p+q) - q i and b = p i,
-
-    f(i/m) = r^n (r+1)^n (q m)^n [L^{n-1}/a^n
-                                  - n b Sum_pieces Integral P(x)/(a+bx)^{n+1} dx],
-
-at t = 0 and t = 1 alike.  Substituting y = a + b x turns each piece's
-integral into one Horner sum of integers per breakpoint u/w, over
-lcm(1..n) D_c E^n b^{n-1} with E = a w + b u and D_c the common
-denominator of the curve coefficients (``_grid_point``, on integer data
-each cone sets up once).  ``f_of_t`` and ``convexity_check`` use it.  Two
-routes stay independent of it: the slope form ``f_of_t_slope_form``, and
-``phi`` through ``_phi_any``.
+scope.  Its degree is at most n-1, so no integral here is logarithmic and
+f is one rational function N(t)/D(t) with integer coefficients, which each
+``ConeModel`` builds once (``_f_coefficients``).  Every cone value is N/D
+at a substituted t: ``f_of_t`` and ``convexity_check`` at t itself,
+``phi`` at t = (r+1) beta / (r + (r+1) beta), ``vol_w_alpha`` as
+f(t) (t/(r+1))^n, and ``phi_prime_zero`` checks n * eta against
+(r+1)/r f'(0).  An exact argument gives an exact Fraction; a float is read
+exactly and gives the correctly rounded float.  One route stays
+independent of (N, D): the slope form ``f_of_t_slope_form``.
 """
 
 from __future__ import annotations
@@ -46,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .exact import Scalar
@@ -56,9 +49,9 @@ from .models import (
     as_integer,
     as_rational,
     as_scalar,
+    _sequence,
 )
 
-_FD_STEP = Fraction(1, 10**7)
 _CONVEXITY_SLACK = 1e-9
 
 
@@ -79,10 +72,12 @@ class VolumeCurve:
     vol_at_zero: Fraction
 
     def __post_init__(self):
-        bps = tuple(as_rational(b, "breakpoint", InvalidCurveError) for b in self.breakpoints)
+        err, shape = InvalidCurveError, "pieces must be a sequence of coefficient rows"
+        bps = _sequence(self.breakpoints, "breakpoints must be a sequence", err)
+        bps = tuple(as_rational(b, "breakpoint", err) for b in bps)
         pieces = tuple(
-            tuple(as_rational(c, "coefficient", InvalidCurveError) for c in piece)
-            for piece in self.pieces
+            tuple(as_rational(c, "coefficient", err) for c in _sequence(piece, shape, err))
+            for piece in _sequence(self.pieces, shape, err)
         )
         if len(bps) < 2 or len(pieces) != len(bps) - 1:
             raise InvalidCurveError("need N+1 breakpoints and N pieces")
@@ -164,7 +159,7 @@ class ConeModel:
             raise InvalidCurveError(
                 f"curve degree {self.curve.degree()} exceeds the base dimension {self.base_dim}"
             )
-        object.__setattr__(self, "_kernel", _grid_setup(self))  # the grid kernel's per-cone data
+        object.__setattr__(self, "_f", _f_coefficients(self))  # not a field: == and repr skip it
 
     @property
     def dim(self) -> int:
@@ -173,50 +168,37 @@ class ConeModel:
 
 
 def vol_w_alpha(cone: ConeModel, alpha) -> Scalar:
-    """Volume of the interpolating valuation at parameter alpha >= 0."""
+    """Volume of the interpolating valuation at parameter alpha >= 0.
+
+    It is f(t) (t/(r+1))^n at t = (r+1)/(alpha r + r + 1).
+    """
     alpha = as_scalar(alpha, "alpha")
     if not alpha >= 0:  # NaN too
         raise DomainError("alpha must be non-negative")
     if alpha == math.inf:  # the limit: every term decays like 1 / alpha^n
         return 0.0
-    return _vol_w_alpha_any(cone, alpha)
-
-
-def _vol_w_alpha_any(cone: ConeModel, alpha) -> Scalar:
-    n = cone.dim
-    c = alpha + 1
-    # the integrand denominators x + c must not vanish on [0, tau]
-    if c <= 0 and c + cone.curve.tau >= 0:
-        raise DomainError("alpha + 1 + x vanishes on the curve support")
-    total = 0
-    for (a, b), piece in zip(
-        zip(cone.curve.breakpoints, cone.curve.breakpoints[1:]), cone.curve.pieces
-    ):
-        total += _integral_poly_over_power(piece, a, b, c, n + 1)
-    return cone.curve.vol_at_zero / c**n - n * total
+    (p, q), (x, y) = cone.r.as_integer_ratio(), alpha.as_integer_ratio()
+    m = p * x + (p + q) * y
+    num, den = _f_ratio(cone, (p + q) * y, m)
+    num, den = num * (q * y) ** cone.dim, den * m**cone.dim  # t/(r+1) = q y / m
+    return Fraction(num, den) if isinstance(alpha, Fraction) else num / den
 
 
 def phi(cone: ConeModel, beta) -> Scalar:
     """Normalized volume along the interpolation, in the variable beta = 1/alpha.
 
-    beta = 0 is the canonical cone valuation (value r^n L^{n-1}); beta =
-    +infinity is the blown-up divisor valuation, handled as an explicit
-    limit branch (r+1)^n vol(w_0).
+    It is f(t) at t = (r+1) beta / (r + (r+1) beta).  beta = 0 is the
+    canonical cone valuation (value r^n L^{n-1}); beta = +infinity is the
+    blown-up divisor valuation, the exact value f(1) = (r+1)^n vol(w_0).
     """
     beta = as_scalar(beta, "beta")
     if beta == math.inf:
-        return (cone.r + 1) ** cone.dim * _vol_w_alpha_any(cone, Fraction(0))
+        return Fraction(*_f_ratio(cone, 1, 1))
     if not beta >= 0:  # NaN too
         raise DomainError("beta must be non-negative")
-    return _phi_any(cone, beta)
-
-
-def _phi_any(cone: ConeModel, beta) -> Scalar:
-    n, r = cone.dim, cone.r
-    if beta == 0:
-        return r**n * cone.curve.vol_at_zero
-    alpha = 1 / beta
-    return (alpha * r + r + 1) ** n * _vol_w_alpha_any(cone, alpha)
+    (p, q), (x, y) = cone.r.as_integer_ratio(), beta.as_integer_ratio()
+    num, den = _f_ratio(cone, (p + q) * x, p * y + (p + q) * x)
+    return Fraction(num, den) if isinstance(beta, Fraction) else num / den
 
 
 def eta(cone: ConeModel) -> Scalar:
@@ -224,43 +206,34 @@ def eta(cone: ConeModel) -> Scalar:
 
     With -K_V ~ r L this is r^{n-1} L^{n-1} - r^n Integral Vol(L - x D) dx,
     evaluated exactly; it is also Phi'(0)/n, which ``phi_prime_zero``
-    cross-checks by finite differences.
+    cross-checks against (N, D).
     """
     n = cone.dim
     return cone.r ** (n - 1) * cone.curve.vol_at_zero - cone.r**n * cone.curve.integral()
 
 
 def phi_prime_zero(cone: ConeModel) -> Scalar:
-    """n * eta(D), verified against a central finite difference of phi at 0.
+    """n * eta(D), checked exactly against the derivative of f = N/D at 0.
 
-    The difference quotient is evaluated in exact rational arithmetic, so
-    the only error is the h^2 truncation term.  phi varies on the scale
-    1/(1 + tau) in beta (alpha = 1/beta meets x up to tau in alpha + 1 + x),
-    so the step _FD_STEP / (1 + ceil(tau)) keeps that term below the
-    tolerances and keeps alpha + 1 + x away from 0 at beta = -h.
+    t = (r+1) beta / (r + (r+1) beta) has slope (r+1)/r at beta = 0, so
+    Phi'(0) = (r+1)/r (N_1 D_0 - N_0 D_1) / D_0^2.
     """
     derivative = cone.dim * eta(cone)
-    h = _FD_STEP / (1 + math.ceil(cone.curve.tau))
-    fd = (_phi_any(cone, h) - _phi_any(cone, -h)) / (2 * h)
-    if derivative == 0:
-        ok = abs(fd) <= 1e-9
-    else:
-        ok = abs(fd - derivative) <= 1e-6 * abs(derivative)
-    if not ok:
-        raise InternalConsistencyError(
-            f"finite difference {float(fd)} disagrees with n*eta = {float(derivative)}"
-        )
+    (n0, n1, *_), (d0, d1, *_) = cone._f
+    slope = (cone.r + 1) / cone.r * Fraction(n1 * d0 - n0 * d1, d0 * d0)
+    if slope != derivative:
+        raise InternalConsistencyError(f"Phi'(0) = {slope} from N/D disagrees with n*eta = {derivative}")
     return derivative
 
 
 def f_of_t(cone: ConeModel, t) -> Scalar:
-    """Normalized-volume interpolation f(t) on [0, 1], from the integer grid kernel.
+    """Normalized-volume interpolation f(t) on [0, 1], as N(t)/D(t).
 
     Exact t, and t = 1 of any type, give a Fraction; a float t < 1 is read
     exactly and gives the correctly rounded float.
     """
     t = _t_value(t)
-    num, den = _grid_point(cone._kernel, *t.as_integer_ratio())
+    num, den = _f_ratio(cone, *t.as_integer_ratio())
     return Fraction(num, den) if isinstance(t, Fraction) else num / den
 
 
@@ -302,13 +275,12 @@ def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
 def convexity_check(cone: ConeModel, grid: int = 101) -> bool:
     """Second-order central differences of f on a uniform grid stay >= -1e-9.
 
-    Each f(i/(grid-1)) comes from the integer grid kernel as num/den.  Int
-    true division is correctly rounded, so every value equals
+    Each f(i/(grid-1)) is the integer pair of N/D, divided.  Int true
+    division is correctly rounded, so every value equals
     float(f_of_t(cone, Fraction(i, grid - 1))) without building a Fraction.
     """
     grid = as_integer(grid, "convexity check needs at least 3 grid points", 3, DomainError)
-    kernel = cone._kernel
-    values = [num / den for num, den in (_grid_point(kernel, i, grid - 1) for i in range(grid))]
+    values = [num / den for num, den in (_f_ratio(cone, i, grid - 1) for i in range(grid))]
     return all(
         values[i - 1] - 2 * values[i] + values[i + 1] >= -_CONVEXITY_SLACK
         for i in range(1, grid - 1)
@@ -406,61 +378,83 @@ def _integral_poly_over_power(coeffs: Sequence, a, b, c, power: int):
     return total
 
 
-def _grid_setup(cone: ConeModel) -> tuple:
-    """The integer data of ``_grid_point`` that does not depend on the grid point."""
-    n, curve = cone.dim, cone.curve
-    dc = math.lcm(*(c.denominator for piece in curve.pieces for c in piece))
-    pieces = tuple(
-        tuple(c.numerator * (dc // c.denominator) for c in piece) + (0,) * (n - len(piece))
-        for piece in curve.pieces
-    )
-    lcm = math.lcm(*range(1, n + 1))
-    weights = tuple(lcm // (j - n) for j in range(n))
-    binom = tuple(tuple(math.comb(k, j) for j in range(n)) for k in range(n))
-    breakpoints = tuple(
-        (u.numerator, u.denominator, tuple(u.denominator**e for e in range(n + 1)))
-        for u in curve.breakpoints
-    )
-    ratios = cone.r.as_integer_ratio(), curve.vol_at_zero.as_integer_ratio()
-    return n, *ratios, lcm * dc, pieces, weights, binom, breakpoints
+def _poly_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
 
 
-def _grid_point(kernel: tuple, i: int, m: int) -> tuple[int, int]:
-    """(num, den) with num/den = f(i/m) exactly, for 0 <= i <= m.
+def _poly_sum(terms) -> list[int]:
+    """Sum of s * f over the pairs (s, f) of ``terms``, each f an integer coefficient list."""
+    out = []
+    for s, f in terms:
+        out += [0] * (len(f) - len(out))
+        for i, c in enumerate(f):
+            out[i] += s * c
+    return out
 
-    At a point each piece becomes Q(y) = D_c b^{n-1} P((y - a)/b)
-    = Sum_k c_k b^{n-1-k} (y - a)^k with integer coefficients c_k, and
-    lcm(1..n) times its antiderivative against y^{-n-1} is
-    Sum_j Q_j (lcm/(j-n)) y^{j-n}.  At y = E/w that is N/E^n with
-    N = Sum_j Q_j (lcm/(j-n)) E^j w^{n-j}; each breakpoint takes N of the
-    piece it ends minus N of the piece it starts.
+
+def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integer coefficients (N, D) of f = N/D, ascending in t and of one length.
+
+    With r = p/q, a = (p+q) - q t and b = p t,
+
+        f(t) = r^n (r+1)^n q^n [L^{n-1}/a^n
+                                - n b Sum_pieces Integral P(x)/(a+bx)^{n+1} dx].
+
+    Substituting y = a + b x turns a piece into Q(y) = D_c b^{n-1} P((y-a)/b)
+    = Sum_k c_k b^{n-1-k} (y-a)^k with integer c_k (D_c the common
+    denominator of the curve coefficients), and l = lcm(1..n) times its
+    antiderivative against y^{-n-1} is Sum_j Q_j (l/(j-n)) y^{j-n}.  At a
+    breakpoint u/w, with E = a w + b u, that is h/E^n with
+    h = Sum_j Q_j (l/(j-n)) E^j w^{n-j}, and each breakpoint takes h of the
+    piece it ends minus h of the piece it starts.  With L^{n-1} = lnum/lden
+    and every row scaled by n lden, L^{n-1}/a^n is the constant row
+    -lnum l D_c b^{n-1} of the absent piece left of 0, where w = 1 and E = a.
+    f(0) is finite, so the numerator vanishes to the order n-1 of b^{n-1},
+    and dividing out that power of t leaves D(0) != 0.
     """
-    n, (p, q), (lnum, lden), k_den, pieces, weights, binom, breakpoints = kernel
-    scale, qn = (p * (p + q)) ** n, q**n
-    a = m * (p + q) - q * i
-    b = p * i
-    an = a**n
-    if not b:  # t = 0: the integral term carries the factor b
-        return scale * m**n * lnum, qn * lden * an
-    neg_a = [(-a) ** e for e in range(n)]
-    b_pow = [b ** (n - 1 - k) for k in range(n)]
-    absent = [0] * n  # the missing piece left of 0 and right of tau
-    anti = [absent]
-    for coeffs in pieces:
-        g = [c * bk for c, bk in zip(coeffs, b_pow)]
+    n, curve = cone.dim, cone.curve
+    p, q = cone.r.as_integer_ratio()
+    lnum, lden = curve.vol_at_zero.as_integer_ratio()
+    dc = math.lcm(*(c.denominator for piece in curve.pieces for c in piece))
+    lcm = math.lcm(*range(1, n + 1))
+    neg_a = [reduce(_poly_mul, [(-(p + q), q)] * k, [1]) for k in range(n)]  # (-a)^k
+    anti = [[[0] * (n - 1) + [-lnum * lcm * dc * p ** (n - 1)]] + [[]] * (n - 1)]
+    for piece in curve.pieces:
+        coeffs = [n * lden * lcm * c.numerator * (dc // c.denominator) for c in piece]
         anti.append([
-            wj * sum(g[k] * binom[k][j] * neg_a[k - j] for k in range(j, n))
-            for j, wj in enumerate(weights)
+            _poly_sum(  # b^{n-1-k} = p^{n-1-k} t^{n-1-k}; j - n divides lcm(1..n)
+                (c * math.comb(k, j) * p ** (n - 1 - k) // (j - n), [0] * (n - 1 - k) + neg_a[k - j])
+                for k, c in enumerate(coeffs) if k >= j
+            )
+            for j in range(n)
         ])
-    anti.append(absent)
-    s_num, s_den = 0, 1
-    for (u, w, w_pow), left, right in zip(breakpoints, anti, anti[1:]):
-        e = a * w + b * u
-        h = 0
+    anti.append([[]] * n)
+    total, den = [], [1]  # Sum_breakpoints n lden h/E^n
+    for u, left, right in zip(curve.breakpoints, anti, anti[1:]):
+        u, w = u.as_integer_ratio()
+        e = (w * (p + q), p * u - q * w)
+        h = []
         for j in reversed(range(n)):
-            h = h * e + (left[j] - right[j]) * w_pow[n - j]
-        en = e**n
-        s_num, s_den = s_num * en + h * s_den, s_den * en
-    bn1 = b_pow[0]
-    num = scale * m**n * (lnum * s_den * k_den * bn1 - n * s_num * lden * an)
-    return num, qn * lden * an * s_den * k_den * bn1
+            h = _poly_sum([(1, _poly_mul(h, e)), (w ** (n - j), left[j]), (-(w ** (n - j)), right[j])])
+        en = reduce(_poly_mul, [e] * n)
+        total, den = _poly_sum([(1, _poly_mul(total, en)), (1, _poly_mul(h, den))]), _poly_mul(den, en)
+    numer = [-p * (p + q) ** n * c for c in total[n - 1 :]]  # p^{n-1} t^{n-1} of b^{n-1} divided out
+    denom = [q**n * lden * lcm * dc * c for c in den]
+    size, g = max(len(numer), len(denom)), math.gcd(*numer, *denom)
+    return tuple(tuple(c // g for c in f) + (0,) * (size - len(f)) for f in (numer, denom))
+
+
+def _f_ratio(cone: ConeModel, i: int, m: int) -> tuple[int, int]:
+    """(num, den) = (Sum_k N_k i^k m^{d-k}, Sum_k D_k i^k m^{d-k}), so num/den = f(i/m), m > 0."""
+    numer, denom = cone._f
+    num = den = 0
+    m_power = 1
+    for a, b in zip(reversed(numer), reversed(denom)):
+        num = num * i + a * m_power
+        den = den * i + b * m_power
+        m_power *= m
+    return num, den

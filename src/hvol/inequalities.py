@@ -54,7 +54,7 @@ from . import core
 from .exact import Scalar
 from .models import (
     DomainError, Hypersurface, InternalConsistencyError, Model, SmoothPoint,
-    UnsupportedModelError, a_singularity, as_integer, as_scalars,
+    UnsupportedModelError, _sequence, a_singularity, as_integer, as_scalars,
 )
 
 _EXACT_TOL = Fraction(1, 10**12)
@@ -210,10 +210,8 @@ def run_suite(
         raise DomainError(f"unknown suite {suite!r}; choose one of {sorted(known)}")
     least = 2 if suite in ("all", "proper") else 1
     message = f"dims must be integers >= {least} for suite {suite!r}"
-    try:
-        dims = [as_integer(n, message, least, DomainError) for n in dims]
-    except TypeError:
-        raise DomainError(f"dims must be a sequence of integers, got {dims!r}") from None
+    dims = _sequence(dims, "dims must be a sequence of integers", DomainError)
+    dims = [as_integer(n, message, least, DomainError) for n in dims]
     seed = as_integer(seed, _SEED, 0, DomainError)
     verdicts: list[InequalityVerdict] = []
     if suite in ("all", "thm13"):

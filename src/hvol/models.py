@@ -71,8 +71,8 @@ ExponentVector = tuple[int, ...]
 
 def as_integer(value, message: str, minimum: Optional[int] = None, error=InvalidModelError) -> int:
     """The one rule for integers: a non-bool ``int`` or numpy integer of at least ``minimum``
-    passes as ``int``; anything else raises ``error(f"{message}, got {value!r}")``."""
-    if not isinstance(value, bool):
+    passes as ``int``; anything else, an array too, raises ``error(f"{message}, got {value!r}")``."""
+    if not isinstance(value, (bool, np.ndarray)):
         try:
             number = operator.index(value)
         except TypeError:
@@ -98,10 +98,7 @@ def as_scalar(value, field: str) -> Scalar:
 
 def as_scalars(values, field: str) -> tuple[Scalar, ...]:
     """``as_scalar`` on each entry of a sequence; a non-sequence raises ``DomainError`` too."""
-    try:
-        entries = iter(values)
-    except TypeError:
-        raise DomainError(f"{field} must be a sequence of numbers, got {values!r}") from None
+    entries = _sequence(values, f"{field} must be a sequence of numbers", DomainError)
     return tuple([as_scalar(v, field) for v in entries])
 
 
@@ -116,8 +113,21 @@ def as_rational(value, field: str, error=InvalidModelError) -> Fraction:
     raise error(f"{field} must be a finite rational, got {value!r}")
 
 
-def _integer_rows(rows, message: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(as_integer(v, message) for v in row) for row in rows)
+def _sequence(values, message: str, error=InvalidModelError) -> tuple:
+    """The one rule for sequences: what ``tuple`` reads passes; anything else raises
+    ``error(f"{message}, got {values!r}")``."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{message}, got {values!r}") from None
+
+
+def _integer_rows(rows, field: str) -> tuple[tuple[int, ...], ...]:
+    """The one rule for rows of integer model data: a sequence of sequences of integers."""
+    message = f"{field} must be a sequence of integer rows"
+    return tuple([
+        tuple([as_integer(v, message) for v in _sequence(row, message)]) for row in _sequence(rows, message)
+    ])
 
 
 @dataclass(frozen=True)
@@ -155,9 +165,9 @@ class Hypersurface:
     kind = "hypersurface"
 
     def __post_init__(self):
-        if not self.support:
+        support = _integer_rows(self.support, "hypersurface support")
+        if not support:
             raise InvalidModelError("hypersurface support must be non-empty")
-        support = _integer_rows(self.support, "hypersurface exponents must be integers")
         widths = {len(vec) for vec in support}
         if len(widths) != 1:
             raise InvalidModelError("all exponent vectors must have equal length")
@@ -210,7 +220,7 @@ class ToricCone:
     kind = "toric"
 
     def __post_init__(self):
-        gens = _integer_rows(self.generators, "toric generators must have integer entries")
+        gens = _integer_rows(self.generators, "toric generators")
         if not gens:
             raise InvalidModelError("toric cone needs at least one generator")
         rank = len(gens[0])
@@ -225,7 +235,8 @@ class ToricCone:
                 raise InvalidModelError("zero vector cannot generate a ray")
             if reduce(math.gcd, (abs(v) for v in g)) != 1:
                 raise InvalidModelError(f"generator {g} is not primitive")
-        gamma = tuple(as_rational(v, "gorenstein vector entry") for v in self.gorenstein_vector)
+        gamma = _sequence(self.gorenstein_vector, "gorenstein vector must be a sequence")
+        gamma = tuple(as_rational(v, "gorenstein vector entry") for v in gamma)
         if len(gamma) != rank:
             raise InvalidModelError("gorenstein vector length must equal the rank")
         for g in gens:

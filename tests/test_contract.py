@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hvol import Hypersurface, HvolError, SmoothPoint, ToricCone, core, lattice
+from hvol import Hypersurface, HvolError, InvalidModelError, SmoothPoint, ToricCone, core, lattice
 from hvol.fujita import (
     ConeModel, VolumeCurve, catalog, convexity_check, f_of_t, f_of_t_slope_form, phi,
     projective_space_cone, vol_w_alpha,
@@ -23,8 +23,8 @@ from hvol.inequalities import run_suite, sample_weight, skewness_s
 from hvol.models import a_singularity, d_singularity, e_singularity, orthant_cone
 from hvol.optimize import minimize_hvol
 
-VALUES = [True, 2.5, 2.0, "2", np.int64(2), math.nan, math.inf, -math.inf]
-VALUE_IDS = ["bool", "2.5", "2.0", "str", "int64", "nan", "inf", "-inf"]
+VALUES = [True, 2.5, 2.0, "2", np.int64(2), math.nan, math.inf, -math.inf, np.array(5)]
+VALUE_IDS = ["bool", "2.5", "2.0", "str", "int64", "nan", "inf", "-inf", "array0d"]
 
 P1, P2 = projective_space_cone(2).curve, projective_space_cone(3).curve
 CUSP = Hypersurface(((2, 0), (0, 3)))
@@ -71,6 +71,25 @@ def test_constructor_contract(field, value):
     exact = _exact(kind, value)
     assert exact is not None, f"{field} accepted {value!r}"
     assert got == build(exact)
+
+
+# model data where a sequence belongs, or a non-number inside one
+SHAPES = {
+    "Hypersurface.support": lambda: Hypersurface(3),
+    "Hypersurface.support.row": lambda: Hypersurface(((2, 0), 3)),
+    "ToricCone.generators": lambda: ToricCone(3, (1,)),
+    "ToricCone.gorenstein_vector": lambda: ToricCone(((1, 0), (0, 1)), 3),
+    "VolumeCurve.breakpoints": lambda: VolumeCurve(3, ((1,),), 1),
+    "VolumeCurve.pieces": lambda: VolumeCurve((0, 1), 3, 1),
+    "weighted_order.support": lambda: core.weighted_order((1, 1), 3),
+    "weighted_order.exponent": lambda: core.weighted_order((1, 1), [("a", 1)]),
+}
+
+
+@pytest.mark.parametrize("field", list(SHAPES))
+def test_model_sequence_contract(field):
+    with pytest.raises(InvalidModelError):
+        SHAPES[field]()
 
 
 # ---------------------------------------------------------------------------
@@ -171,3 +190,6 @@ def test_float_t_is_the_rounded_exact_value(name):
     for t in (0.0, 0.25, 0.1, 1 / 3, 0.999):
         assert f_of_t(cone, t) == float(f_of_t(cone, F(t)))
     assert f_of_t(cone, 0.25) == float(f_of_t(cone, F(1, 4)))
+    assert vol_w_alpha(cone, 0.5) == float(vol_w_alpha(cone, F(1, 2)))
+    assert phi(cone, 0.5) == float(phi(cone, F(1, 2)))
+    assert vol_w_alpha(cone, 1e308) == 0.0 == vol_w_alpha(cone, math.inf)

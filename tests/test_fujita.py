@@ -195,16 +195,15 @@ class TestPhiPrimeZero:
         assert phi_prime_zero(negative_eta_cone()) == -4
 
     def test_finite_difference_agreement(self):
-        # the guard inside phi_prime_zero re-derives the derivative by
-        # central differences; it must stay silent on every catalog cone
+        # the guard inside phi_prime_zero re-derives the derivative from the
+        # low coefficients of N/D; it must stay silent on every catalog cone
         for cone in catalog().values():
             phi_prime_zero(cone)
 
     @pytest.mark.parametrize("tau", [10**4, 10**5, 10**7 - 1, 10**9, 3 * 10**13])
     def test_large_tau_linear(self, tau):
-        # a fixed step of 1e-7 is not small against 1/tau: from tau = 1e4
-        # the difference quotient misses n * eta, from 1e7 - 1 phi(-h) leaves
-        # the domain
+        # phi varies on the scale 1/tau in beta, so no fixed finite-difference
+        # step would serve every tau; the exact check needs none
         assert phi_prime_zero(linear_surface_cone(tau)) == 4 - 4 * tau
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -301,22 +300,16 @@ class TestGridKernel:
             slope = []
             for i in range(m + 1):
                 t = F(i, m)
-                value = f_of_t(cone, t)
+                value = f_of_t_slope_form(cone, t)
                 beta = math.inf if t == 1 else t * r / ((1 - t) * (r + 1))
-                assert value == f_of_t_slope_form(cone, t) == phi(cone, beta)
+                assert f_of_t(cone, t) == value == phi(cone, beta)
+                if t:
+                    alpha = (1 - t) * (r + 1) / (r * t)
+                    assert vol_w_alpha(cone, alpha) == value * (t / (r + 1)) ** cone.dim
                 slope.append(float(value))
             if m > 1:
                 assert convexity_check(cone, grid=m + 1) == second_difference_rule(slope)
-
-    def test_no_phi_route(self, monkeypatch):
-        def refuse(cone, beta):
-            raise AssertionError("the grid kernel must not call _phi_any")
-
-        monkeypatch.setattr(fujita, "_phi_any", refuse)
-        for cone in catalog().values():
-            assert convexity_check(cone)
-            for t in (0, F(1, 7), F(1, 2), F(99, 100), 1):
-                assert f_of_t(cone, t) == f_of_t_slope_form(cone, t)
+        assert phi_prime_zero(cone) == cone.dim * eta(cone)
 
     def test_float_t_takes_the_numeric_path(self):
         cone = projective_space_cone(3)
@@ -324,11 +317,12 @@ class TestGridKernel:
         assert isinstance(value, float)
         assert abs(value - float(f_of_t(cone, F(1, 4)))) <= 1e-12 * abs(value)
         assert f_of_t(cone, 1.0) == phi(cone, math.inf)
+        assert phi(cone, 1e308) == 32.0
 
     def test_set_up_once_per_cone(self, monkeypatch):
         calls = []
-        set_up = fujita._grid_setup
-        monkeypatch.setattr(fujita, "_grid_setup", lambda cone: calls.append(cone) or set_up(cone))
+        set_up = fujita._f_coefficients
+        monkeypatch.setattr(fujita, "_f_coefficients", lambda cone: calls.append(cone) or set_up(cone))
         cone = projective_space_cone(3)
         values = [f_of_t(cone, F(i, 100)) for i in range(101)]
         assert len(calls) == 1
@@ -340,5 +334,5 @@ class TestGridKernel:
             fresh = ConeModel(cone.base_dim, cone.r, cone.curve)
             assert copy == cone == fresh and hash(copy) == hash(cone) == hash(fresh)
             assert repr(copy) == repr(cone) == repr(fresh)
-            assert repr(cone).startswith(f"ConeModel(base_dim={cone.base_dim}, r=") and "_kernel" not in repr(cone)
+            assert repr(cone).startswith(f"ConeModel(base_dim={cone.base_dim}, r=") and "_f" not in repr(cone)
             assert f_of_t(copy, F(1, 3)) == f_of_t(cone, F(1, 3))
