@@ -73,6 +73,11 @@ def weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> Sc
     return min(_pairings(x, support)[2])
 
 
+def _weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> Scalar:
+    """``weighted_order`` for a weight ``check_weight`` returned and a model's own support."""
+    return min(sum(xi * ei for xi, ei in zip(x, e) if ei) for e in support)
+
+
 def active_monomials(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> tuple[ExponentVector, ...]:
     """The exponent vectors attaining the weighted order (exactly; on floats within _ACTIVE_RTOL)."""
     x, support, values = _pairings(x, support)
@@ -111,7 +116,7 @@ def log_discrepancy(model: Model, weight: Sequence[Scalar]) -> Scalar:
     if isinstance(model, SmoothPoint):
         return sum(x)
     if isinstance(model, Hypersurface):
-        a = sum(x) - weighted_order(x, model.support)
+        a = sum(x) - _weighted_order(x, model.support)
         if not a > 0:
             raise NonKltWeightError(
                 f"log discrepancy {a} <= 0 at weight {x}: the weight left the klt-valid region"
@@ -126,7 +131,7 @@ def volume(model: Model, weight: Sequence[Scalar]) -> Scalar:
     if isinstance(model, SmoothPoint):
         vol = 1 / _product(x)
     elif isinstance(model, Hypersurface):
-        vol = weighted_order(x, model.support) / _product(x)
+        vol = _weighted_order(x, model.support) / _product(x)
     else:
         rays = model.dual_rays()
         det = abs(det_fraction([[Fraction(r) for r in ray] for ray in rays]))

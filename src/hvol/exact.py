@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 Scalar = Union[Fraction, float]
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def is_exact(values: Sequence[Scalar]) -> bool:
@@ -24,12 +24,12 @@ def is_exact(values: Sequence[Scalar]) -> bool:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse an integer or a "p/q" string into an exact Fraction."""
+    """The one "p/q" rule: an int, or "p" / "p/q" in ASCII digits, no whitespace, q != 0."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"expected integer or 'p/q' string, got {text!r}")
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text)
     if not m or (m.group(2) is not None and int(m.group(2)) == 0):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)

@@ -86,7 +86,7 @@ class VolumeCurve:
         if any(b >= c for b, c in zip(bps, bps[1:])):
             raise InvalidCurveError("breakpoints must be strictly increasing")
         if any(not piece for piece in pieces):
-            raise InvalidCurveError("every piece needs at least one coefficient")
+            raise InvalidCurveError("every row of pieces needs at least one coefficient")
         vol0 = as_rational(self.vol_at_zero, "vol_at_zero", InvalidCurveError)
         if vol0 <= 0:
             raise InvalidCurveError("vol_at_zero must be positive")
@@ -150,7 +150,7 @@ class ConeModel:
     curve: VolumeCurve
 
     def __post_init__(self):
-        message = "base dimension must be a positive integer"
+        message = "base_dim must be a positive integer"
         object.__setattr__(self, "base_dim", as_integer(self.base_dim, message, 1, InvalidCurveError))
         object.__setattr__(self, "r", as_rational(self.r, "r", InvalidCurveError))
         if self.r <= 0:

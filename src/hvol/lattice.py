@@ -70,7 +70,7 @@ from .models import (
     as_scalars,
     check_weight,
 )
-from .core import weighted_order
+from .core import _weighted_order
 
 _COUNT_CAP = 1 << 62
 _SCALE_CAP = 20_000_000
@@ -145,7 +145,7 @@ def _schedule_counts(model, x, schedule):
     if isinstance(model, SmoothPoint):
         coins, shifts = xs, [(1, 0)]
     elif isinstance(model, Hypersurface):
-        coins, shifts = xs, [(1, 0), (-1, weighted_order(xs, model.support))]
+        coins, shifts = xs, [(1, 0), (-1, _weighted_order(xs, model.support))]
     else:
         coins = [_pairing(ray, xs) for ray in model.dual_rays()]
         shifts = [(1, _pairing(p, xs)) for p in model.parallelepiped_points()]

@@ -83,6 +83,13 @@ def as_integer(value, message: str, minimum: Optional[int] = None, error=Invalid
     raise error(f"{message}, got {value!r}")
 
 
+def as_bool(value, field: str) -> bool:
+    """The one rule for flags: a ``bool`` passes; anything else, a numpy bool too, raises."""
+    if isinstance(value, bool):
+        return value
+    raise InvalidModelError(f"{field} must be a bool, got {value!r}")
+
+
 def as_scalar(value, field: str) -> Scalar:
     """The one rule for runtime numbers: an ``int`` or numpy integer passes as
     ``Fraction``, a ``Fraction`` or ``float`` unchanged, a numpy float as ``float``;
@@ -165,6 +172,7 @@ class Hypersurface:
     kind = "hypersurface"
 
     def __post_init__(self):
+        object.__setattr__(self, "allow_smooth_germ", as_bool(self.allow_smooth_germ, "allow_smooth_germ"))
         support = _integer_rows(self.support, "hypersurface support")
         if not support:
             raise InvalidModelError("hypersurface support must be non-empty")
@@ -173,7 +181,7 @@ class Hypersurface:
             raise InvalidModelError("all exponent vectors must have equal length")
         width = widths.pop()
         if width < 2:
-            raise InvalidModelError("hypersurface ambient dimension must be at least 2")
+            raise InvalidModelError("hypersurface support rows need at least 2 exponents")
         for vec in support:
             if any(e < 0 for e in vec):
                 raise InvalidModelError(f"negative exponent in {vec}")
@@ -222,7 +230,7 @@ class ToricCone:
     def __post_init__(self):
         gens = _integer_rows(self.generators, "toric generators")
         if not gens:
-            raise InvalidModelError("toric cone needs at least one generator")
+            raise InvalidModelError("toric generators must be non-empty")
         rank = len(gens[0])
         if any(len(g) != rank for g in gens):
             raise InvalidModelError("all generators must have the same length")
@@ -235,10 +243,10 @@ class ToricCone:
                 raise InvalidModelError("zero vector cannot generate a ray")
             if reduce(math.gcd, (abs(v) for v in g)) != 1:
                 raise InvalidModelError(f"generator {g} is not primitive")
-        gamma = _sequence(self.gorenstein_vector, "gorenstein vector must be a sequence")
-        gamma = tuple(as_rational(v, "gorenstein vector entry") for v in gamma)
+        gamma = _sequence(self.gorenstein_vector, "gorenstein_vector must be a sequence")
+        gamma = tuple(as_rational(v, "gorenstein_vector entry") for v in gamma)
         if len(gamma) != rank:
-            raise InvalidModelError("gorenstein vector length must equal the rank")
+            raise InvalidModelError("gorenstein_vector length must equal the rank")
         for g in gens:
             pairing = sum(gi * vi for gi, vi in zip(gamma, g))
             if pairing != 1:

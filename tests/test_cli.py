@@ -94,6 +94,33 @@ class TestCompute:
         assert code == 3
 
 
+CONE_DOC = {
+    "kind": "cone", "base_dim": 1, "r": "2", "vol_at_zero": "1", "breakpoints": ["0", "1"], "pieces": [["1", "-1"]],
+}
+TORIC_DOC = {"kind": "toric", "generators": [[1, 0], [0, 1]], "gorenstein_vector": [1, 1]}
+MALFORMED = {  # field-value: (command, document)
+    "r-2.0": ("fujita", {**CONE_DOC, "r": 2.0}),
+    "vol_at_zero-2.0": ("fujita", {**CONE_DOC, "vol_at_zero": 2.0}),
+    "r-1/0": ("fujita", {**CONE_DOC, "r": "1/0"}),
+    "vol_at_zero-1/0": ("fujita", {**CONE_DOC, "vol_at_zero": "1/0"}),
+    "pieces-1/0": ("fujita", {**CONE_DOC, "pieces": [["1", "1/0"]]}),
+    "gorenstein_vector-1/0": ("compute", {**TORIC_DOC, "gorenstein_vector": [1, "1/0"]}),
+}
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, case):
+        command, doc = MALFORMED[case]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)] + (["--weight", "1,1"] if command == "compute" else [])
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert case.split("-")[0] in err
+
+
 class TestMinimize:
     def test_smooth(self, tmp_path, capsys):
         path = write_model(tmp_path, "s2.json", SmoothPoint(2))

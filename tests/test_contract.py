@@ -3,7 +3,8 @@
 Each call either raises an ``HvolError`` subclass or returns what the exact
 value builds.  Integer fields take ``int`` and numpy integers only, so
 ``True``, ``2.5``, ``2.0`` and ``"2"`` must raise there; rational fields
-take what ``Fraction`` reads exactly, but never a bool, NaN or an infinity.
+take what ``Fraction`` reads exactly, but never a bool, NaN or an infinity;
+the flag ``allow_smooth_germ`` takes a bool only.
 No call may return a truncated model or raise a bare ``TypeError``,
 ``ValueError`` or ``OverflowError``.
 """
@@ -33,6 +34,7 @@ CUSP = Hypersurface(((2, 0), (0, 3)))
 FIELDS = {
     "SmoothPoint.dim": ("integer", lambda v: SmoothPoint(v)),
     "Hypersurface.support": ("integer", lambda v: Hypersurface(((v, 0), (0, 3)))),
+    "Hypersurface.allow_smooth_germ": ("bool", lambda v: Hypersurface(((2, 0), (0, 1)), allow_smooth_germ=v)),
     "ToricCone.generators": ("integer", lambda v: ToricCone(((1, 0), (1, v)), (1, 0))),
     "ToricCone.gorenstein_vector": ("rational", lambda v: ToricCone(((1, 0), (-1, 1)), (1, v))),
     "orthant_cone": ("integer", orthant_cone),
@@ -53,6 +55,8 @@ FIELDS = {
 
 def _exact(kind, value):
     """The value a call may accept in place of ``value``, or None if it must raise."""
+    if kind == "bool":
+        return value if isinstance(value, bool) else None
     if kind == "integer":
         return int(value) if isinstance(value, np.integer) else None
     if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):

@@ -1,13 +1,13 @@
-"""Model files: schema strictness, exact parsing, canonical round-trips."""
+"""Model files: the file-level rules, exact parsing, canonical round-trips."""
 
 import json
 from fractions import Fraction as F
 
-import jsonschema
 import pytest
 
 import hvol.modelio as modelio
 from hvol import Hypersurface, InvalidModelError, SmoothPoint, ToricCone
+from hvol.cli import main
 from hvol.exact import format_scalar, parse_rational
 from hvol.fujita import ConeModel, projective_space_cone
 
@@ -20,7 +20,7 @@ class TestRationals:
         assert parse_rational(12) == F(12)
 
     def test_parse_rejects(self):
-        for bad in ("1.5", "a/b", "1/0", "", "2 / 3"):
+        for bad in ("1.5", "a/b", "1/0", "", "2 / 3", " 2/3", "2/3\n", "\u0663", True, 2.0, None):
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
@@ -34,27 +34,19 @@ class TestSchema:
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidModelError) as caught:
             modelio.model_from_dict({"kind": "smooth", "dim": 2, "label": "x"})
-        assert str(caught.value) == (
-            "model file rejected by schema: {'kind': 'smooth', 'dim': 2, 'label': 'x'} "
-            "is not valid under any of the given schemas"
-        )
+        assert str(caught.value) == "unknown field 'label' in a smooth model file"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidModelError) as caught:
             modelio.model_from_dict({"kind": "elliptic", "dim": 2})
-        assert str(caught.value) == (
-            "model file rejected by schema: {'kind': 'elliptic', 'dim': 2} "
-            "is not valid under any of the given schemas"
-        )
+        assert str(caught.value) == "kind must be one of smooth, hypersurface, toric, cone, got 'elliptic'"
 
     def test_bad_rational_rejected(self):
         with pytest.raises(InvalidModelError) as caught:
             modelio.model_from_dict(
                 {"kind": "toric", "generators": [[1]], "gorenstein_vector": ["1.5"]}
             )
-        assert str(caught.value) == (
-            "model file rejected by schema: '1.5' does not match '^-?[0-9]+(/[0-9]+)?$'"
-        )
+        assert str(caught.value) == "gorenstein_vector: not a rational literal: '1.5'"
 
     def test_semantic_validation_still_runs(self):
         with pytest.raises(InvalidModelError) as caught:
@@ -62,9 +54,6 @@ class TestSchema:
                 {"kind": "toric", "generators": [[1, 0], [1, 2]], "gorenstein_vector": [1, 1]}
             )
         assert str(caught.value) == "gorenstein pairing with generator (1, 2) is 3, must be exactly 1"
-
-    def test_schema_is_valid_draft7(self):
-        jsonschema.Draft7Validator.check_schema(modelio.SCHEMA)
 
 
 class TestRoundTrip:
@@ -96,6 +85,75 @@ class TestRoundTrip:
         with pytest.raises(InvalidModelError):
             modelio.load_model(str(tmp_path / "missing.json"))
         bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
+        for text in ("[1, 2]", "[" * 100000 + "]" * 100000, '{"kind": "smooth", "dim": ' + "1" * 5000 + "}"):
+            bad.write_text(text)
+            with pytest.raises(InvalidModelError):
+                modelio.load_model(str(bad))
+        bad.write_bytes(b'{"kind": "smooth", "dim": 2, "\xff": 1}')
         with pytest.raises(InvalidModelError):
             modelio.load_model(str(bad))
+
+
+# One valid document per kind, the optional flag included.  Every field gets
+# each probe, goes missing, or meets an unknown neighbour; the kind gets a
+# list and an object.  A case must raise InvalidModelError naming the field,
+# unless it is one of the few valid documents in ACCEPTED.
+BASE = {
+    "smooth": {"kind": "smooth", "dim": 2},
+    "hypersurface": {"kind": "hypersurface", "support": [[2, 0], [0, 3]], "allow_smooth_germ": False},
+    "toric": {"kind": "toric", "generators": [[1, 0], [1, 2]], "gorenstein_vector": [1, 0]},
+    "cone": {
+        "kind": "cone", "base_dim": 1, "r": "2", "vol_at_zero": "1",
+        "breakpoints": ["0", "1"], "pieces": [["1", "-1"]],
+    },
+}
+PROBES = {
+    "5": 5, "x": "x", "2.0": 2.0, "2.5": 2.5, "1.5-text": "1.5", "1/0": "1/0", "space-2/3": " 2/3",
+    "arabic-3": "\u0663", "true": True, "null": None, "object": {}, "empty-row": [[]],
+}
+ACCEPTED = {
+    "smooth-dim-5", "cone-base_dim-5", "cone-r-5",
+    "hypersurface-allow_smooth_germ-missing", "hypersurface-allow_smooth_germ-true",
+}
+
+
+def _contract_cases():
+    for kind, base in BASE.items():
+        for field in base:
+            if field == "kind":
+                continue
+            yield f"{kind}-{field}-missing", field, {k: v for k, v in base.items() if k != field}
+            for name, probe in PROBES.items():
+                yield f"{kind}-{field}-{name}", field, {**base, field: probe}
+        yield f"{kind}-unknown-field", "extra", {**base, "extra": 1}
+        yield f"{kind}-kind-list", "kind", {**base, "kind": [kind]}
+        yield f"{kind}-kind-object", "kind", {**base, "kind": {}}
+    yield "not-an-object", "JSON object", [BASE["smooth"]]
+
+
+CASES = list(_contract_cases())
+REJECTED = [case for case in CASES if case[0] not in ACCEPTED]
+
+
+@pytest.mark.parametrize("case, field, doc", CASES, ids=[c[0] for c in CASES])
+def test_model_file_contract(case, field, doc):
+    if case in ACCEPTED:
+        model = modelio.model_from_dict(doc)
+        assert modelio.model_from_dict(json.loads(modelio.dumps_canonical(model))) == model
+        return
+    with pytest.raises(InvalidModelError) as caught:
+        modelio.model_from_dict(doc)
+    assert field in str(caught.value)
+
+
+@pytest.mark.parametrize("case, field, doc", REJECTED, ids=[c[0] for c in REJECTED])
+def test_model_file_contract_cli(tmp_path, capsys, case, field, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    is_cone = isinstance(doc, dict) and doc.get("kind") == "cone"
+    code = main(["fujita", str(path)] if is_cone else ["compute", str(path), "--weight", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert field in captured.err
