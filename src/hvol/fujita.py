@@ -414,7 +414,11 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     and every row scaled by n lden, L^{n-1}/a^n is the constant row
     -lnum l D_c b^{n-1} of the absent piece left of 0, where w = 1 and E = a.
     f(0) is finite, so the numerator vanishes to the order n-1 of b^{n-1},
-    and dividing out that power of t leaves D(0) != 0.
+    and dividing out that power of t leaves D(0) != 0.  D is a product of
+    the E^n, so gcd(N, D) is a product of powers of the breakpoint factors
+    E: each is divided out of both while it divides both, and the pair is
+    stored with integer content 1.  Every E(0) = w (p+q) is positive, so
+    D(0) > 0.
     """
     n, curve = cone.dim, cone.curve
     p, q = cone.r.as_integer_ratio()
@@ -433,10 +437,12 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
             for j in range(n)
         ])
     anti.append([[]] * n)
-    total, den = [], [1]  # Sum_breakpoints n lden h/E^n
+    total, den, factors = [], [1], set()  # Sum_breakpoints n lden h/E^n
     for u, left, right in zip(curve.breakpoints, anti, anti[1:]):
         u, w = u.as_integer_ratio()
         e = (w * (p + q), p * u - q * w)
+        if e[1]:  # a root of D, as a primitive linear factor
+            factors.add((e[0] // math.gcd(*e), e[1] // math.gcd(*e)))
         h = []
         for j in reversed(range(n)):
             h = _poly_sum([(1, _poly_mul(h, e)), (w ** (n - j), left[j]), (-(w ** (n - j)), right[j])])
@@ -444,8 +450,26 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
         total, den = _poly_sum([(1, _poly_mul(total, en)), (1, _poly_mul(h, den))]), _poly_mul(den, en)
     numer = [-p * (p + q) ** n * c for c in total[n - 1 :]]  # p^{n-1} t^{n-1} of b^{n-1} divided out
     denom = [q**n * lden * lcm * dc * c for c in den]
+    for e0, e1 in factors:
+        while None not in (reduced := [_linear_quotient(f, e0, e1) for f in (numer, denom)]):
+            numer, denom = reduced
+    numer, denom = (f[: max(i + 1 for i, c in enumerate(f) if c)] for f in (numer, denom))  # no trailing zeros
     size, g = max(len(numer), len(denom)), math.gcd(*numer, *denom)
     return tuple(tuple(c // g for c in f) + (0,) * (size - len(f)) for f in (numer, denom))
+
+
+def _linear_quotient(f: list[int], e0: int, e1: int):
+    """f / (e0 + e1 t) when it divides f, else None; gcd(e0, e1) = 1 and e1 != 0.
+
+    By Gauss's lemma the quotient is integral, so one inexact step means no factor.
+    """
+    quo, above = [0] * (len(f) - 1), 0
+    for k in reversed(range(1, len(f))):  # f_k = e0 q_k + e1 q_(k-1)
+        above, rem = divmod(f[k] - e0 * above, e1)
+        if rem:
+            return None
+        quo[k - 1] = above
+    return quo if f[0] == e0 * above else None
 
 
 def _f_ratio(cone: ConeModel, i: int, m: int) -> tuple[int, int]:

@@ -34,17 +34,22 @@ radius only.  The cumulative count over n coins is the series
   (a1, a2)) element operations; when this exceeds the top + 1 entries of
   a table, as for small coins such as (1, 1, 1), the table below is built
   instead;
-* four or more coins fill a cumulative coin table.  Each factor of the
-  series is one running-sum pass and the passes commute, so the table
-  starts as the one-coin count of the smallest coin, takes one pass for
-  each of the n - 2 middle coins, and the largest coin is never a pass:
-  each bound reads a strided sum of the table at steps of that coin.  A
-  pass loops over the shorter side of a (rows, coin) view of the table:
-  whole contiguous rows added in order when rows <= coin (at most
-  sqrt(top + 1) iterations for a table of top + 1 entries), one column
-  cumsum otherwise.  Entries are counts over n - 1 coins, at most
-  C(top // a_min + n - 1, n - 1); when that fits int32 the table is int32
-  and the strided sums accumulate in int64.
+* four or more coins stream a cumulative coin table through one block:
+  ``_BLOCK`` entries rounded down to a multiple of the smallest coin, and
+  at least that coin.  Each factor of the series is one running-sum pass
+  and the passes commute, so each block starts as the one-coin count of
+  the smallest coin (one template plus a constant) and takes one pass for
+  each of the n - 2 middle coins, which carries its last ``coin`` outputs
+  over from block to block.  The largest coin is never a pass: the
+  positions B - j a_max of every bound are sorted once, and each block
+  gathers the ones inside it.  A pass loops over the shorter side of a
+  (rows, coin) view of the block: whole contiguous rows added in order
+  when rows <= coin (at most sqrt(block) iterations), one column cumsum
+  otherwise.  Entries are counts over n - 1 coins, at most
+  C(top // a_min + n - 1, n - 1); when that fits int32 the block is int32
+  and the gathered sums are int64.  Memory is the block and one carry per
+  middle coin whatever the radius, plus one entry per position, so
+  ``_SCALE_CAP`` bounds counting time, not memory.
 
 The estimates here never consult the closed forms in ``core``; they are
 the independent check on them.
@@ -74,6 +79,7 @@ from .core import _weighted_order
 
 _COUNT_CAP = 1 << 62
 _SCALE_CAP = 20_000_000
+_BLOCK = 1 << 17  # entries of the streamed coin table's block: 512 KiB in int32, within L2
 
 #: multipliers of max(x) for the default radii schedule: eight geometric
 #: steps from 16 to 512, rounded to integers.
@@ -191,7 +197,9 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
     * each middle coin is one running-sum pass over that table, n - 2
       passes in all;
     * the largest coin a_max never touches the table: each bound B reads
-      C_n(B) = sum_j C_(n-1)(B - j a_max) as one strided sum.
+      C_n(B) = sum_j C_(n-1)(B - j a_max).  The table streams through one
+      block at a time (``_table_entries``), so it takes one block and one
+      carry of ``coin`` entries per middle coin, whatever the radius.
 
     Fewer coins need no table.  C_1 is a closed form, and the strided sum
     of C_1 is a floor sum (``_two_coin_counts``), so two coins cost a few
@@ -203,8 +211,8 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
     entries of the table it replaces, and the table is built otherwise.
 
     Table entries are C_(n-1)(s) <= C(top // a_min + n - 1, n - 1); when
-    that bound fits int32 the table is int32 (half the memory traffic) and
-    the strided sums accumulate in int64.  Strided sums and vector counts
+    that bound fits int32 the block is int32 (half the memory traffic) and
+    the gathered sums accumulate in int64.  Gathered sums and vector counts
     are bounded by the final count, so a single a-priori capacity estimate
     guards int64 arithmetic.
     """
@@ -227,57 +235,80 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
             f"count estimate {estimate} exceeds platform integer capacity"
         )
     live = np.array([b for b in bounds if b >= 0], dtype=np.int64)
-    # each bound B has the B // a_max + 1 positions B - j a_max, j >= 0
-    lengths = live // largest + 1
-    positions = int(lengths.sum())
     if n == 1:
         counts = live // smallest + 1
     elif n == 2:
         counts = _two_coin_counts(smallest, largest, live)
-    elif n == 3 and positions * _euclid_steps(smallest, middle[0]) <= top + 1:
-        # position i of bound B's group has j = i - (group start)
-        starts = np.cumsum(lengths) - lengths
-        j = np.arange(positions) - np.repeat(starts, lengths)
-        y = np.repeat(live, lengths) - largest * j
-        counts = np.add.reduceat(_two_coin_counts(smallest, middle[0], y), starts)
     else:
-        counts = _table_counts(smallest, middle, largest, top, live)
+        # bound B has the B // a_max + 1 positions B - j a_max, j >= 0, in a group of y
+        lengths = live // largest + 1
+        starts = np.cumsum(lengths) - lengths
+        y = np.repeat(live, lengths) - largest * (np.arange(lengths.sum()) - np.repeat(starts, lengths))
+        if n == 3 and len(y) * _euclid_steps(smallest, middle[0]) <= top + 1:
+            counts = np.add.reduceat(_two_coin_counts(smallest, middle[0], y), starts)
+        else:
+            counts = np.add.reduceat(_table_entries(smallest, middle, top, y), starts)
     it = iter(counts.tolist())
     return [next(it) if b >= 0 else 0 for b in bounds]
 
 
-def _table_counts(smallest, middle, largest, top, live):
-    """C_n(B) for every B in live from one cumulative table over n - 1 coins."""
+def _table_entries(smallest, middle, top, y):
+    """C_(n-1)(s) at every position s in y, streaming the cumulative table through one block."""
     # entries are C_(n-1)(s) <= C(top // smallest + n - 1, n - 1)
     fits = math.comb(top // smallest + len(middle) + 1, len(middle) + 1) <= np.iinfo(np.int32).max
-    table = _one_coin_table(smallest, top, np.int32 if fits else np.int64)
-    for coin in middle:
-        # table[s] becomes the sum of table[s - j * coin] over j >= 0: a
-        # running sum down each column of the (rows, coin) reshape, carried
-        # on into the short tail.  The pass loops over the shorter side:
-        # with few rows it adds whole rows in order (contiguous, in place),
-        # otherwise it runs one column cumsum.  Since rows * coin <= top + 1,
-        # the row loop runs at most sqrt(top + 1) times.  A coin beyond the
-        # budget contributes multiplicity 0 only.
-        rows = (top + 1) // coin
-        if rows:
-            head = table[: rows * coin].reshape(rows, coin)
-            if rows <= coin:
-                for i in range(1, rows):
-                    np.add(head[i], head[i - 1], out=head[i])
-            else:
-                np.cumsum(head, axis=0, dtype=table.dtype, out=head)
-            tail = table[rows * coin :]
-            tail += head[-1, : len(tail)]
-    return np.array([table[b::-largest].sum(dtype=np.int64) for b in live], dtype=np.int64)
+    # a multiple of the smallest coin, so C_1 on [lo, lo + block) is the template plus lo // smallest
+    block = min(max(_BLOCK // smallest, 1) * smallest, top + 1)
+    template = _one_coin_table(smallest, block - 1, np.int32 if fits else np.int64)
+    buf = np.empty_like(template)
+    # a coin beyond the top bound contributes multiplicity 0 only
+    rings = [(coin, np.zeros(coin, template.dtype)) for coin in middle if coin <= top]
+    order = np.argsort(y, kind="stable")
+    ordered, entries, done = y[order], np.empty_like(y), 0
+    for lo in range(0, top + 1, block):
+        out = buf[: min(block, top + 1 - lo)]
+        np.add(template[: len(out)], lo // smallest, out=out)
+        for coin, ring in rings:
+            _running_sum(out, lo, coin, ring)
+        end = np.searchsorted(ordered, lo + len(out))  # the positions inside this block
+        entries[order[done:end]] = out[ordered[done:end] - lo]
+        done = end
+    return entries
+
+
+def _running_sum(out, lo, coin, ring):
+    """out[s] += out[s - coin] in order of s, over the block out = table[lo : lo + len(out)].
+
+    ring[s % coin] carries each residue's last output from block to block;
+    the rows of the (rows, coin) view follow the module docstring's rule.
+    """
+    size = min(coin, len(out))
+    first = min(size, coin - lo % coin)
+    out[:first] += ring[lo % coin : lo % coin + first]
+    out[first:size] += ring[: size - first]
+    rows = len(out) // coin
+    if rows:
+        head = out[: rows * coin].reshape(rows, coin)
+        if rows <= coin:
+            for i in range(1, rows):
+                np.add(head[i], head[i - 1], out=head[i])
+        else:
+            np.cumsum(head, axis=0, dtype=out.dtype, out=head)
+        tail = out[rows * coin :]
+        tail += head[-1, : len(tail)]
+    last, start = out[len(out) - size :], (lo + len(out) - size) % coin
+    first = min(size, coin - start)
+    ring[start : start + first] = last[:first]
+    ring[: size - first] = last[first:]
 
 
 def _one_coin_table(coin: int, top: int, dtype) -> np.ndarray:
     """C_1(s) = floor(s / coin) + 1 for s = 0..top, without division.
 
-    Row i of the (rows, coin) view holds i + 1.  Row 0 is set to 1, then
-    the filled rows are doubled (rows [k, 2k) are rows [0, k) plus k), so
-    the fill takes log2(rows) steps and no temporary beyond the table.
+    The streamed table builds it once, one block long, as the template of
+    every block.  Row i of the (rows, coin) view holds i + 1.  Row 0 is set
+    to 1, then the filled rows are doubled (rows [k, 2k) are rows [0, k)
+    plus k), so the fill takes log2(rows) steps and no temporary beyond the
+    table.
     """
     table = np.empty(top + 1, dtype=dtype)
     rows = (top + 1) // coin

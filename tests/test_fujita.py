@@ -328,6 +328,15 @@ class TestGridKernel:
         assert len(calls) == 1
         assert values[0] == 27 and values[-1] == phi(cone, math.inf)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_projective_space_pair_in_lowest_terms(self, n):
+        # f = N/D with the common factor of the breakpoint terms divided out
+        cone = projective_space_cone(n)
+        numer, denom = cone._f
+        assert numer[0] and not any(numer[1:])
+        assert len(denom) == cone.dim + 1 == n + 1 and denom[-1]
+        assert denom[0] > 0 and math.gcd(*numer, *denom) == 1
+
     def test_cone_pickles_and_compares_by_its_fields(self):
         for cone in catalog().values():
             copy = pickle.loads(pickle.dumps(cone))

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -344,6 +345,52 @@ class TestCoinTable:
         monkeypatch.setattr(lattice, "_one_coin_table", table)
         assert _smooth_counts([1] * k, bounds) == [math.comb(b + k, k) for b in bounds]
         assert dtypes == [dtype]
+
+    @pytest.mark.parametrize("block", [1, 7, "smallest coin"])
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        coins=st.lists(st.integers(1, 60), min_size=4, max_size=6),
+        bounds=st.lists(st.integers(-1, 250), min_size=1, max_size=4),
+    )
+    @example(coins=[3, 10, 11, 12], bounds=[40])  # middle coins longer than the final short block
+    @example(coins=[2, 300, 5, 400], bounds=[100, 50])  # a middle coin beyond the top bound
+    @example(coins=[20, 30, 25, 40], bounds=[10, 3])  # the top bound inside the first block
+    @example(coins=[4, 9, 4, 4, 9], bounds=[100, 3])  # repeated coins
+    @example(coins=[1, 2, 1, 3, 1, 2], bounds=[-1, 60, 0])  # coin 1 among others, empty bounds
+    def test_streamed_blocks_match_reference(self, block, coins, bounds):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice, "_BLOCK", min(coins) if block == "smallest coin" else block)
+            assert _smooth_counts(coins, bounds) == [reference_count(tuple(coins), b) for b in bounds]
+
+    @pytest.mark.parametrize(
+        "bounds, dtype", [([2300, 1000, 6], np.int32), ([2400, 2399, 0], np.int64)]
+    )
+    def test_all_ones_closed_form_across_blocks(self, monkeypatch, bounds, dtype):
+        # blocks of 7 entries: over 300 blocks, each carrying the two middle passes of coin 1
+        dtypes = []
+        real_table = lattice._one_coin_table
+
+        def table(coin, top, dt):
+            dtypes.append(dt)
+            return real_table(coin, top, dt)
+
+        monkeypatch.setattr(lattice, "_BLOCK", 7)
+        monkeypatch.setattr(lattice, "_one_coin_table", table)
+        assert _smooth_counts([1] * 4, bounds) == [math.comb(b + 4, 4) for b in bounds]
+        assert dtypes == [dtype]
+
+    def test_four_coin_table_memory_is_one_block(self):
+        # the four-coin hypersurface at denominator 18000: a whole table would hold 18.4M entries
+        (row,) = [r for r in GOLDEN["series"] if r["weight"] == ["6391/6000", "2", "26717/18000", "10061/9000"]]
+        model, weight = model_from_dict(row["model"]), [F(w) for w in row["weight"]]
+        tracemalloc.start()
+        try:
+            series = estimate_volume(model, weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(series.colengths) == row["colengths"]
+        assert peak < 8 * 2**20
 
     def test_three_coins_build_no_table(self, monkeypatch):
         # the route-crosscheck shape: denominator 18000, where a table would
