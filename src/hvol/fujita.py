@@ -102,17 +102,24 @@ class VolumeCurve:
                 raise InvalidCurveError(f"curve is discontinuous at breakpoint {bps[i]}")
         if _poly_eval(pieces[-1], bps[-1]) != 0:
             raise InvalidCurveError("curve must reach exactly 0 at the final breakpoint")
-        self._check_monotone_nonnegative()
+        self._check_non_increasing()
 
-    def _check_monotone_nonnegative(self, samples: int = 16):
+    def _check_non_increasing(self):
+        """P' <= 0 on every piece, decided exactly; with continuity and the 0 at tau
+        that makes the curve non-negative too.
+
+        P' = c prod h_i^i (``_odd_part``) changes sign only at the roots of the
+        product of its odd-power factors h; when h has no root inside the piece,
+        the sign of c h at the midpoint is the sign of P' wherever it is not 0.
+        """
         for (a, b), piece in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            deriv = _poly_derivative(piece)
-            for j in range(samples + 1):
-                x = a + (b - a) * Fraction(j, samples)
-                if _poly_eval(piece, x) < 0:
-                    raise InvalidCurveError(f"curve is negative near x={float(x):.6g}")
-                if _poly_eval(deriv, x) > 0:
-                    raise InvalidCurveError(f"curve increases near x={float(x):.6g}")
+            deriv = _poly_trim(_poly_derivative(piece))
+            if not deriv:
+                continue
+            odd = _odd_part(deriv)
+            inside = _sturm_count(odd, a, b) - (_poly_eval(odd, b) == 0)  # roots in (a, b)
+            if inside or deriv[-1] * _poly_eval(odd, (a + b) / 2) > 0:
+                raise InvalidCurveError(f"curve increases somewhere on [{a}, {b}]")
 
     @property
     def tau(self) -> Fraction:
@@ -352,6 +359,65 @@ def _poly_derivative(coeffs: Sequence) -> tuple:
     return tuple(c * (i + 1) for i, c in enumerate(coeffs[1:]))
 
 
+def _poly_trim(coeffs: Sequence) -> list:
+    """The coefficients without trailing zeros; the zero polynomial is []."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_divmod(f: Sequence, g: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of f by a trimmed, non-zero g over Q."""
+    rem, quo = [Fraction(c) for c in f], [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    for k in reversed(range(len(quo))):
+        quo[k] = rem[k + len(g) - 1] / g[-1]
+        for j, c in enumerate(g):
+            rem[k + j] -= quo[k] * c
+    return quo, _poly_trim(rem[: len(g) - 1])
+
+
+def _poly_gcd(f: Sequence, g: Sequence) -> list:
+    """Monic greatest common divisor of f and g, not both zero, over Q."""
+    f, g = _poly_trim(f), _poly_trim(g)
+    while g:
+        f, g = g, _poly_divmod(f, g)[1]
+    return [c / f[-1] for c in f]
+
+
+def _odd_part(f: Sequence) -> list:
+    """Monic product of the factors of odd multiplicity of a trimmed, non-zero f.
+
+    Yun's square-free factorization writes f = c prod h_i^i with monic,
+    square-free, pairwise coprime h_i; the result is the product of the h_i
+    with i odd, itself square-free.
+    """
+    fp = _poly_derivative(f)
+    common = _poly_gcd(f, fp)
+    b, d = _poly_divmod(f, common)[0], _poly_divmod(fp, common)[0]
+    odd, i = [Fraction(1)], 1
+    while len(b) > 1:
+        d = _poly_sum([(1, d), (-1, _poly_derivative(b))])
+        h = _poly_gcd(b, d)
+        if i % 2:
+            odd = _poly_mul(odd, h)
+        b, d, i = _poly_divmod(b, h)[0], _poly_divmod(d, h)[0], i + 1
+    return odd
+
+
+def _sturm_count(f: Sequence, a, b) -> int:
+    """Number of distinct real roots of the square-free f in (a, b], a < b (Sturm)."""
+    chain = [list(f), _poly_trim(_poly_derivative(f))]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+
+    def sign_changes(x) -> int:
+        signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v != 0]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return sign_changes(a) - sign_changes(b)
+
+
 def _integral_poly_over_power(coeffs: Sequence, a, b, c, power: int):
     """Exact integral of P(x) / (x + c)^power over [a, b].
 
@@ -453,7 +519,7 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for e0, e1 in factors:
         while None not in (reduced := [_linear_quotient(f, e0, e1) for f in (numer, denom)]):
             numer, denom = reduced
-    numer, denom = (f[: max(i + 1 for i, c in enumerate(f) if c)] for f in (numer, denom))  # no trailing zeros
+    numer, denom = _poly_trim(numer), _poly_trim(denom)
     size, g = max(len(numer), len(denom)), math.gcd(*numer, *denom)
     return tuple(tuple(c // g for c in f) + (0,) * (size - len(f)) for f in (numer, denom))
 

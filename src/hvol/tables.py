@@ -34,6 +34,7 @@ from .models import (
     Hypersurface,
     InvalidModelError,
     a_singularity,
+    as_integer,
     d_singularity,
     e_singularity,
 )
@@ -73,6 +74,7 @@ class ReferenceEntry:
 
 def alpha_star(n: int) -> float:
     """Positive root of (n-1) a^2 + n a - n = 0 (irrational for n = 2, 3)."""
+    n = as_integer(n, "alpha_star needs an integer n >= 2", 2, DomainError)
     return (-n + math.sqrt(5 * n * n - 4 * n)) / (2 * (n - 1))
 
 

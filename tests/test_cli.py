@@ -398,3 +398,21 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: hvol")
+
+    def test_fresh_interpreter_loads_no_scipy(self):
+        # scipy is a test dependency only: importing the package and running the
+        # hypersurface minimizer's Newton path must not pull it in
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "import hvol, hvol.cli, hvol.modelio\n"
+            "result = hvol.minimize_hvol(hvol.Hypersurface(((2, 0, 0), (0, 2, 0), (0, 0, 3))))\n"
+            "assert result.status == 'converged', result.status\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -23,6 +23,7 @@ from hvol.fujita import (
 from hvol.inequalities import run_suite, sample_weight, skewness_s
 from hvol.models import a_singularity, d_singularity, e_singularity, orthant_cone
 from hvol.optimize import minimize_hvol
+from hvol.tables import alpha_star
 
 VALUES = [True, 2.5, 2.0, "2", np.int64(2), math.nan, math.inf, -math.inf, np.array(5)]
 VALUE_IDS = ["bool", "2.5", "2.0", "str", "int64", "nan", "inf", "-inf", "array0d"]
@@ -144,6 +145,7 @@ RUNTIME_SCALARS = {
     "convexity_check.grid": ("integer", lambda v: convexity_check(CONE, grid=v)),
     "sample_weight.dim": ("integer", lambda v: sample_weight(np.random.default_rng(0), v)),
     "projective_space_cone.n": ("integer", projective_space_cone),
+    "alpha_star.n": ("integer", alpha_star),
 }
 for _name, (_kind, _call) in RUNTIME.items():
     _entry = SEQUENCE_ENTRY.get(_name, lambda v: (v, 1))

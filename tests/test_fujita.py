@@ -78,6 +78,44 @@ class TestVolumeCurve:
                 vol_at_zero=F(1),
             )
 
+    def test_rise_between_grid_points_rejected(self):
+        # P' > 0 only on (0.009, 0.053), inside the first step of a 17-point grid on [0, 1]
+        curve = [F(1859, 6144), F(-1, 2048), F(1, 32), F(-1, 3)]
+        with pytest.raises(InvalidCurveError):
+            unit_interval_curve(curve, vol0=curve[0])
+        with pytest.raises(InvalidCurveError):
+            ConeModel(3, 4, VolumeCurve((0, 1), (curve,), curve[0]))
+
+    @pytest.mark.parametrize("coeffs", [
+        (F(1, 4), F(-3, 4), F(3, 2), F(-1)),  # P' = -3 (x - 1/2)^2
+        (F(7, 15), F(-1), F(0), F(4, 3), F(0), F(-4, 5)),  # P' = -(1 - 2 x^2)^2
+    ], ids=["rational-double-root", "irrational-double-root"])
+    def test_derivative_touching_zero_accepted(self, coeffs):
+        curve = unit_interval_curve(coeffs, vol0=coeffs[0])
+        assert curve.value(F(1, 2)) < coeffs[0]
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(roots=st.lists(
+        st.tuples(st.fractions(-1, 2, max_denominator=8), st.integers(1, 3)), min_size=1, max_size=3,
+    ))
+    def test_exact_check_matches_the_sign_of_the_factored_derivative(self, roots):
+        """P' = -prod (x - r)^m on [0, 1]: the curve builds iff P' <= 0 at 0, 1 and
+        between each pair of consecutive distinct roots."""
+        deriv = [F(-1)]
+        for r, m in roots:
+            for _ in range(m):
+                deriv = fujita._poly_mul(deriv, [-r, F(1)])
+        anti = [F(0)] + [c / (i + 1) for i, c in enumerate(deriv)]
+        coeffs = [-fujita._poly_eval(anti, 1)] + anti[1:]  # P(1) = 0
+        cuts = sorted({F(0), F(1)} | {r for r, _ in roots if 0 < r < 1})
+        probes = cuts + [(u + v) / 2 for u, v in zip(cuts, cuts[1:])]
+        falling = all(fujita._poly_eval(deriv, x) <= 0 for x in probes)
+        if falling:
+            assert unit_interval_curve(coeffs, vol0=coeffs[0]).value(0) == coeffs[0]
+        else:
+            with pytest.raises(InvalidCurveError):
+                unit_interval_curve(coeffs, vol0=coeffs[0])
+
     def test_wrong_vol_at_zero_rejected(self):
         with pytest.raises(InvalidCurveError):
             unit_interval_curve([F(1), F(-1)], vol0=F(2))
