@@ -38,6 +38,7 @@ _EXIT_DOMAIN = 3
 _EXIT_NOT_CONVERGED = 4
 _EXIT_TABLE_DEVIATION = 5
 
+_MAX_EXPONENT = 4300  # the most digits a "p/q" literal may carry
 _TABLE_VALUE_RTOL = 1e-7
 _TABLE_WEIGHT_ATOL = 1e-6
 
@@ -54,6 +55,11 @@ def main(argv=None) -> int:
         if isinstance(exc, (DomainError, UnsupportedModelError, CapacityError)):
             return _EXIT_DOMAIN
         return 1
+    except ValueError as exc:  # an exact value, in a result or a message, too long for str()
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: an exact value has over {sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return _EXIT_DOMAIN
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,8 +128,12 @@ def _parse_weight(text: str) -> tuple[Fraction, ...]:
     out = []
     for part in parts:
         try:
-            # decimal literals ("1.1", "2e-3") are read exactly
+            # decimal literals ("1.1", "2e-3") are read exactly; a larger exponent would
+            # leave every later step minutes of arithmetic on numbers of that many digits
             decimal = "." in part or "e" in part or "E" in part
+            exponent = part.lower().partition("e")[2].lstrip("+-")
+            if decimal and exponent.replace("_", "").isdecimal() and int(exponent) > _MAX_EXPONENT:
+                raise DomainError(f"decimal exponent of {part!r} exceeds {_MAX_EXPONENT} in size")
             out.append(Fraction(part) if decimal else parse_rational(part))
         except ValueError as exc:
             raise DomainError(str(exc)) from exc

@@ -24,13 +24,14 @@ The volume curve x -> Vol(L - x D) is supplied by the caller as a
 continuous piecewise polynomial; the geometry producing it is out of
 scope.  Its degree is at most n-1, so no integral here is logarithmic and
 f is one rational function N(t)/D(t) with integer coefficients, which each
-``ConeModel`` builds once (``_f_coefficients``).  Every cone value is N/D
-at a substituted t: ``f_of_t`` and ``convexity_check`` at t itself,
-``phi`` at t = (r+1) beta / (r + (r+1) beta), ``vol_w_alpha`` as
-f(t) (t/(r+1))^n, and ``phi_prime_zero`` checks n * eta against
-(r+1)/r f'(0).  An exact argument gives an exact Fraction; a float is read
-exactly and gives the correctly rounded float.  One route stays
-independent of (N, D): the slope form ``f_of_t_slope_form``.
+``ConeModel`` builds once (``_f_coefficients``), in lowest terms by one
+integer polynomial gcd.  Every cone value is N/D at a substituted t:
+``f_of_t`` and ``convexity_check`` at t itself, ``phi`` at
+t = (r+1) beta / (r + (r+1) beta), ``vol_w_alpha`` as f(t) (t/(r+1))^n,
+and ``phi_prime_zero`` checks n * eta against (r+1)/r f'(0).  An exact
+argument gives an exact Fraction; a float is read exactly and gives the
+correctly rounded float.  One route stays independent of (N, D): the
+slope form ``f_of_t_slope_form``.
 """
 
 from __future__ import annotations
@@ -95,11 +96,9 @@ class VolumeCurve:
         object.__setattr__(self, "vol_at_zero", vol0)
         if _poly_eval(pieces[0], bps[0]) != vol0:
             raise InvalidCurveError("curve value at 0 must equal vol_at_zero")
-        for i in range(1, len(bps) - 1):
-            left = _poly_eval(pieces[i - 1], bps[i])
-            right = _poly_eval(pieces[i], bps[i])
-            if left != right:
-                raise InvalidCurveError(f"curve is discontinuous at breakpoint {bps[i]}")
+        for b, left, right in zip(bps[1:-1], pieces, pieces[1:]):
+            if _poly_eval(left, b) != _poly_eval(right, b):
+                raise InvalidCurveError(f"curve is discontinuous at breakpoint {b}")
         if _poly_eval(pieces[-1], bps[-1]) != 0:
             raise InvalidCurveError("curve must reach exactly 0 at the final breakpoint")
         self._check_non_increasing()
@@ -108,12 +107,14 @@ class VolumeCurve:
         """P' <= 0 on every piece, decided exactly; with continuity and the 0 at tau
         that makes the curve non-negative too.
 
-        P' = c prod h_i^i (``_odd_part``) changes sign only at the roots of the
-        product of its odd-power factors h; when h has no root inside the piece,
-        the sign of c h at the midpoint is the sign of P' wherever it is not 0.
+        P' of the piece scaled by its positive denominator lcm, c prod h_i^i
+        (``_odd_part``), changes sign only at the roots of the product h of its
+        odd-power factors; when h has no root inside the piece, the sign of c h
+        at the midpoint is the sign of P' wherever it is not 0.
         """
         for (a, b), piece in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            deriv = _poly_trim(_poly_derivative(piece))
+            scale = math.lcm(*(c.denominator for c in piece))
+            deriv = _poly_trim(_poly_derivative([c.numerator * (scale // c.denominator) for c in piece]))
             if not deriv:
                 continue
             odd = _odd_part(deriv)
@@ -141,11 +142,8 @@ class VolumeCurve:
 
     def integral(self) -> Fraction:
         """Exact integral of the curve over [0, tau]."""
-        total = Fraction(0)
-        for (a, b), piece in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            anti = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(piece)]
-            total += _poly_eval(anti, b) - _poly_eval(anti, a)
-        return total
+        spans = zip(self.breakpoints, self.breakpoints[1:])
+        return sum(_poly_integral(piece, a, b) for (a, b), piece in zip(spans, self.pieces))
 
 
 @dataclass(frozen=True)
@@ -260,19 +258,13 @@ def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
     measure has no point masses and the two routes agree identically.
     """
     t = _t_value(t)
-    n, r = cone.dim, cone.r
-    d = r * t
-    c = r + 1 - t
+    n, r, curve = cone.dim, cone.r, cone.curve
+    d, c = r * t, r + 1 - t
     total = 0
-    for (a, b), piece in zip(
-        zip(cone.curve.breakpoints, cone.curve.breakpoints[1:]), cone.curve.pieces
-    ):
+    for (a, b), piece in zip(zip(curve.breakpoints, curve.breakpoints[1:]), curve.pieces):
         neg_slope = tuple(-v for v in _poly_derivative(piece))
-        if not neg_slope:
-            continue
         if d == 0:
-            anti = [Fraction(0)] + [v / (i + 1) for i, v in enumerate(neg_slope)]
-            total += (_poly_eval(anti, b) - _poly_eval(anti, a)) / c**n
+            total += _poly_integral(neg_slope, a, b) / c**n
         else:
             # 1 / (c + d x)^n = d^{-n} / (x + c/d)^n
             total += _integral_poly_over_power(neg_slope, a, b, c / d, n) / d**n
@@ -345,7 +337,7 @@ def catalog() -> dict[str, ConeModel]:
 
 
 # ---------------------------------------------------------------------------
-# exact integration helpers
+# polynomials: ascending coefficient lists; the exact kit runs on integers
 
 
 def _poly_eval(coeffs: Sequence, x):
@@ -353,6 +345,21 @@ def _poly_eval(coeffs: Sequence, x):
     for c in reversed(coeffs):
         total = total * x + c
     return total
+
+
+def _poly_hom(coeffs: Sequence[int], u: int, w: int) -> int:
+    """Sum_k c_k u^k w^(d-k) with d + 1 = len(coeffs): w^d f(u/w), of the sign of f(u/w) for w > 0."""
+    total, w_power = 0, 1
+    for c in reversed(coeffs):
+        total = total * u + c * w_power
+        w_power *= w
+    return total
+
+
+def _poly_integral(coeffs: Sequence, a, b):
+    """Exact integral of the polynomial over [a, b]."""
+    anti = [0] + [c / (i + 1) for i, c in enumerate(coeffs)]
+    return _poly_eval(anti, b) - _poly_eval(anti, a)
 
 
 def _poly_derivative(coeffs: Sequence) -> tuple:
@@ -367,52 +374,68 @@ def _poly_trim(coeffs: Sequence) -> list:
     return coeffs
 
 
-def _poly_divmod(f: Sequence, g: Sequence) -> tuple[list, list]:
-    """Quotient and remainder of f by a trimmed, non-zero g over Q."""
-    rem, quo = [Fraction(c) for c in f], [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+def _poly_quotient(f: Sequence[int], g: Sequence[int]):
+    """f / g over Z for a trimmed g != 0, or None when g does not divide f over Z; for a
+    primitive g that is division over Q (Gauss's lemma)."""
+    rem, quo = list(f), [0] * max(len(f) - len(g) + 1, 0)
     for k in reversed(range(len(quo))):
-        quo[k] = rem[k + len(g) - 1] / g[-1]
+        quo[k], r = divmod(rem[k + len(g) - 1], g[-1])
+        if r:
+            return None
         for j, c in enumerate(g):
             rem[k + j] -= quo[k] * c
-    return quo, _poly_trim(rem[: len(g) - 1])
+    return None if any(rem) else quo
 
 
-def _poly_gcd(f: Sequence, g: Sequence) -> list:
-    """Monic greatest common divisor of f and g, not both zero, over Q."""
+def _pseudo_rem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """A positive multiple of f mod g, made primitive, for trimmed f and g != 0: Sturm signs are kept."""
+    rem, lead = list(f), abs(g[-1])
+    for k in reversed(range(len(f) - len(g) + 1)):  # rem has k + len(g) entries
+        top = rem.pop() if g[-1] > 0 else -rem.pop()
+        rem = [c * lead for c in rem]
+        for j, c in enumerate(g[:-1]):
+            rem[k + j] -= top * c
+    content = math.gcd(*rem) or 1
+    return _poly_trim([c // content for c in rem])
+
+
+def _poly_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Primitive gcd, with lc > 0, of f and g not both zero: the primitive PRS (Brown-Traub, 1971)."""
     f, g = _poly_trim(f), _poly_trim(g)
     while g:
-        f, g = g, _poly_divmod(f, g)[1]
-    return [c / f[-1] for c in f]
+        f, g = g, _pseudo_rem(f, g)
+    content = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    return [c // content for c in f]
 
 
-def _odd_part(f: Sequence) -> list:
-    """Monic product of the factors of odd multiplicity of a trimmed, non-zero f.
+def _odd_part(f: Sequence[int]) -> list[int]:
+    """Product of the factors of odd multiplicity of a trimmed, non-zero integer f.
 
-    Yun's square-free factorization writes f = c prod h_i^i with monic,
-    square-free, pairwise coprime h_i; the result is the product of the h_i
-    with i odd, itself square-free.
+    Yun's square-free factorization writes f = c prod h_i^i with square-free,
+    pairwise coprime, primitive h_i of positive leading coefficient (so c has
+    the sign of that of f); the result is the product of the h_i with i odd.
     """
     fp = _poly_derivative(f)
     common = _poly_gcd(f, fp)
-    b, d = _poly_divmod(f, common)[0], _poly_divmod(fp, common)[0]
-    odd, i = [Fraction(1)], 1
+    b, d = _poly_quotient(f, common), _poly_quotient(fp, common)
+    odd, i = [1], 1
     while len(b) > 1:
         d = _poly_sum([(1, d), (-1, _poly_derivative(b))])
         h = _poly_gcd(b, d)
         if i % 2:
             odd = _poly_mul(odd, h)
-        b, d, i = _poly_divmod(b, h)[0], _poly_divmod(d, h)[0], i + 1
+        b, d, i = _poly_quotient(b, h), _poly_quotient(d, h), i + 1
     return odd
 
 
-def _sturm_count(f: Sequence, a, b) -> int:
-    """Number of distinct real roots of the square-free f in (a, b], a < b (Sturm)."""
+def _sturm_count(f: Sequence[int], a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots of the square-free integer f in (a, b], a < b (Sturm)."""
     chain = [list(f), _poly_trim(_poly_derivative(f))]
     while len(chain[-1]) > 1:
-        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+        chain.append([-c for c in _pseudo_rem(chain[-2], chain[-1])])
 
-    def sign_changes(x) -> int:
-        signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v != 0]
+    def sign_changes(x: Fraction) -> int:
+        signs = [v > 0 for v in (_poly_hom(p, *x.as_integer_ratio()) for p in chain) if v != 0]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
     return sign_changes(a) - sign_changes(b)
@@ -434,14 +457,8 @@ def _integral_poly_over_power(coeffs: Sequence, a, b, c, power: int):
             continue
         for j in range(i + 1):
             shifted[j] += ci * math.comb(i, j) * (-c) ** (i - j)
-    lo, hi = a + c, b + c
-    total = 0
-    for j, qj in enumerate(shifted):
-        if qj == 0:
-            continue
-        p = j - power
-        total += qj * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
-    return total
+    lo, hi = a + c, b + c  # y^(j - power) integrates to y^k / k, k = j - power + 1 != 0
+    return sum(qj * (hi**k - lo**k) / k for k, qj in enumerate(shifted, 1 - power) if qj)
 
 
 def _poly_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -480,11 +497,10 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     and every row scaled by n lden, L^{n-1}/a^n is the constant row
     -lnum l D_c b^{n-1} of the absent piece left of 0, where w = 1 and E = a.
     f(0) is finite, so the numerator vanishes to the order n-1 of b^{n-1},
-    and dividing out that power of t leaves D(0) != 0.  D is a product of
-    the E^n, so gcd(N, D) is a product of powers of the breakpoint factors
-    E: each is divided out of both while it divides both, and the pair is
-    stored with integer content 1.  Every E(0) = w (p+q) is positive, so
-    D(0) > 0.
+    and dividing out that power of t leaves D(0) != 0 (every E(0) = w (p+q)
+    is positive).  One ``_poly_gcd(N, D)`` and two exact quotients put the
+    pair in lowest terms, and it is stored with D(0) > 0 and integer
+    content 1, which makes it unique.
     """
     n, curve = cone.dim, cone.curve
     p, q = cone.r.as_integer_ratio()
@@ -503,48 +519,24 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
             for j in range(n)
         ])
     anti.append([[]] * n)
-    total, den, factors = [], [1], set()  # Sum_breakpoints n lden h/E^n
+    total, den = [], [1]  # Sum_breakpoints n lden h/E^n
     for u, left, right in zip(curve.breakpoints, anti, anti[1:]):
         u, w = u.as_integer_ratio()
         e = (w * (p + q), p * u - q * w)
-        if e[1]:  # a root of D, as a primitive linear factor
-            factors.add((e[0] // math.gcd(*e), e[1] // math.gcd(*e)))
         h = []
         for j in reversed(range(n)):
             h = _poly_sum([(1, _poly_mul(h, e)), (w ** (n - j), left[j]), (-(w ** (n - j)), right[j])])
         en = reduce(_poly_mul, [e] * n)
         total, den = _poly_sum([(1, _poly_mul(total, en)), (1, _poly_mul(h, den))]), _poly_mul(den, en)
-    numer = [-p * (p + q) ** n * c for c in total[n - 1 :]]  # p^{n-1} t^{n-1} of b^{n-1} divided out
-    denom = [q**n * lden * lcm * dc * c for c in den]
-    for e0, e1 in factors:
-        while None not in (reduced := [_linear_quotient(f, e0, e1) for f in (numer, denom)]):
-            numer, denom = reduced
-    numer, denom = _poly_trim(numer), _poly_trim(denom)
-    size, g = max(len(numer), len(denom)), math.gcd(*numer, *denom)
+    numer = _poly_trim([-p * (p + q) ** n * c for c in total[n - 1 :]])  # t^{n-1} of b^{n-1} divided out
+    denom = _poly_trim([q**n * lden * lcm * dc * c for c in den])
+    common = _poly_gcd(numer, denom)
+    numer, denom = _poly_quotient(numer, common), _poly_quotient(denom, common)
+    size, g = max(len(numer), len(denom)), math.gcd(*numer, *denom) * (1 if denom[0] > 0 else -1)
     return tuple(tuple(c // g for c in f) + (0,) * (size - len(f)) for f in (numer, denom))
-
-
-def _linear_quotient(f: list[int], e0: int, e1: int):
-    """f / (e0 + e1 t) when it divides f, else None; gcd(e0, e1) = 1 and e1 != 0.
-
-    By Gauss's lemma the quotient is integral, so one inexact step means no factor.
-    """
-    quo, above = [0] * (len(f) - 1), 0
-    for k in reversed(range(1, len(f))):  # f_k = e0 q_k + e1 q_(k-1)
-        above, rem = divmod(f[k] - e0 * above, e1)
-        if rem:
-            return None
-        quo[k - 1] = above
-    return quo if f[0] == e0 * above else None
 
 
 def _f_ratio(cone: ConeModel, i: int, m: int) -> tuple[int, int]:
     """(num, den) = (Sum_k N_k i^k m^{d-k}, Sum_k D_k i^k m^{d-k}), so num/den = f(i/m), m > 0."""
     numer, denom = cone._f
-    num = den = 0
-    m_power = 1
-    for a, b in zip(reversed(numer), reversed(denom)):
-        num = num * i + a * m_power
-        den = den * i + b * m_power
-        m_power *= m
-    return num, den
+    return _poly_hom(numer, i, m), _poly_hom(denom, i, m)

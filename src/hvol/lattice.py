@@ -193,7 +193,7 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
     and the passes commute, so the coins can be taken in any order:
 
     * the smallest coin a_min alone gives C_1(s) = floor(s / a_min) + 1,
-      written directly (``_one_coin_table``);
+      one floor division over a block, once per count (``_one_coin_table``);
     * each middle coin is one running-sum pass over that table, n - 2
       passes in all;
     * the largest coin a_max never touches the table: each bound B reads
@@ -302,26 +302,8 @@ def _running_sum(out, lo, coin, ring):
 
 
 def _one_coin_table(coin: int, top: int, dtype) -> np.ndarray:
-    """C_1(s) = floor(s / coin) + 1 for s = 0..top, without division.
-
-    The streamed table builds it once, one block long, as the template of
-    every block.  Row i of the (rows, coin) view holds i + 1.  Row 0 is set
-    to 1, then the filled rows are doubled (rows [k, 2k) are rows [0, k)
-    plus k), so the fill takes log2(rows) steps and no temporary beyond the
-    table.
-    """
-    table = np.empty(top + 1, dtype=dtype)
-    rows = (top + 1) // coin
-    table[rows * coin :] = rows + 1
-    if rows:
-        head = table[: rows * coin].reshape(rows, coin)
-        head[0] = 1
-        done = 1
-        while done < rows:
-            step = min(done, rows - done)
-            np.add(head[:step], done, out=head[done : done + step])
-            done += step
-    return table
+    """C_1(s) = floor(s / coin) + 1 for s = 0..top: the template of every streamed block."""
+    return np.arange(top + 1, dtype=dtype) // coin + 1
 
 
 def _two_coin_counts(a1: int, a2: int, y: np.ndarray) -> np.ndarray:

@@ -104,24 +104,19 @@ def canonical_dict(model: AnyModel) -> dict:
         return {
             "kind": "toric",
             "generators": [list(g) for g in model.generators],
-            "gorenstein_vector": [_rational_text(v) for v in model.gorenstein_vector],
+            "gorenstein_vector": [format_scalar(v) for v in model.gorenstein_vector],
         }
     if isinstance(model, ConeModel):
         return {
             "kind": "cone",
             "base_dim": model.base_dim,
-            "r": _rational_text(model.r),
-            "vol_at_zero": _rational_text(model.curve.vol_at_zero),
-            "breakpoints": [_rational_text(b) for b in model.curve.breakpoints],
-            "pieces": [[_rational_text(c) for c in piece] for piece in model.curve.pieces],
+            "r": format_scalar(model.r),
+            "vol_at_zero": format_scalar(model.curve.vol_at_zero),
+            "breakpoints": [format_scalar(b) for b in model.curve.breakpoints],
+            "pieces": [[format_scalar(c) for c in piece] for piece in model.curve.pieces],
         }
     raise InvalidModelError(f"cannot serialize {model!r}")
 
 
 def dumps_canonical(model: AnyModel) -> str:
     return json.dumps(canonical_dict(model), sort_keys=True, indent=2) + "\n"
-
-
-def _rational_text(value: Fraction) -> str:
-    out = format_scalar(Fraction(value))
-    return out if isinstance(out, str) else repr(out)

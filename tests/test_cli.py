@@ -88,6 +88,27 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("weight", ["1e-5000,1", "1/1" + "0" * 4299 + ",1", "1e-4300,0"],
+                             ids=["decimal-exponent", "long-result", "long-message"])
+    def test_unprintable_exact_value_exit_3(self, tmp_path, capsys, weight):
+        # past Python's 4300-digit int-to-str limit: an exponent too large to read,
+        # a normalized volume of 8600 digits, and an error message that quotes 10^4300
+        path = write_model(tmp_path, "s2.json", SmoothPoint(2))
+        code, out, err = run(capsys, ["compute", path, "--weight", weight])
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_huge_decimal_exponent_exits_at_once(self, tmp_path):
+        # 1e-2000000 read exactly would leave minutes of two-million-digit arithmetic
+        path = write_model(tmp_path, "s2.json", SmoothPoint(2))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hvol", "compute", path, "--weight", "1e-2000000,1"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
     def test_weight_length_error(self, tmp_path, capsys):
         path = write_model(tmp_path, "s2.json", SmoothPoint(2))
         code, _, _ = run(capsys, ["compute", path, "--weight", "1,1,1"])
@@ -263,6 +284,13 @@ class TestOracle:
         fraction = run(capsys, ["oracle", path, "--weight", "11/10,2"])
         assert decimal[0] == 0
         assert decimal == fraction
+
+    @pytest.mark.parametrize("radii", ["1e-2000000", "1e+4301", "1e9_999_999"])
+    def test_huge_decimal_radius_exit_3(self, tmp_path, capsys, radii):
+        path = write_model(tmp_path, "s2.json", SmoothPoint(2))
+        code, out, err = run(capsys, ["oracle", path, "--weight", "1,1", "--radii", radii])
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "exponent" in err
 
     def test_rank_three_toric_default_radii(self, tmp_path, capsys):
         from hvol import ToricCone

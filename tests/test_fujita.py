@@ -116,6 +116,33 @@ class TestVolumeCurve:
             with pytest.raises(InvalidCurveError):
                 unit_interval_curve(coeffs, vol0=coeffs[0])
 
+    @pytest.mark.parametrize("factors, odd, roots", [
+        # (constant, ((factor, multiplicity), ...)), the odd part, and its real roots
+        ((-3, (([-2, 0, 1], 2), ([-1, 0, 3], 1), ([-1, 2], 3))), [1, -2, -3, 6],
+         (-1 / math.sqrt(3), F(1, 2), 1 / math.sqrt(3))),
+        ((-1, (([-2, 0, 1], 3), ([1, 1], 2))), [-2, 0, 1], (-math.sqrt(2), math.sqrt(2))),
+        ((5, (([-3, 0, 1], 4), ([-2, 1], 1))), [-2, 1], (F(2),)),
+        ((-7, (([0, 1], 2), ([-5, 0, 1], 5))), [-5, 0, 1], (-math.sqrt(5), math.sqrt(5))),
+        ((-2, (([2, 0, 1], 1), ([-1, 3], 2))), [2, 0, 1], ()),
+        # the Sturm chain of x^4 - x drops two degrees at its third member
+        ((-1, (([0, -1, 0, 0, 1], 1), ([-3, 1], 2))), [0, -1, 0, 0, 1], (F(0), F(1))),
+    ], ids=[
+        "irrational-squares", "cube-of-quadratic", "fourth-power", "fifth-power", "no-real-root", "degree-gap",
+    ])
+    def test_integer_odd_part_and_root_count(self, factors, odd, roots):
+        constant, powers = factors
+        f = [constant]
+        for factor, multiplicity in powers:
+            for _ in range(multiplicity):
+                f = fujita._poly_mul(f, factor)
+        assert fujita._odd_part(f) == odd
+        ends = [F(k, 4) for k in range(-12, 13)]
+        for a, b in zip(ends, ends[1:] + [F(4)]):
+            for lo, hi in ((a, b), (ends[0], b)):
+                expected = sum(lo < root <= hi for root in roots)
+                assert fujita._sturm_count(odd, lo, hi) == expected
+                assert fujita._sturm_count([-c for c in odd], lo, hi) == expected
+
     def test_wrong_vol_at_zero_rejected(self):
         with pytest.raises(InvalidCurveError):
             unit_interval_curve([F(1), F(-1)], vol0=F(2))
@@ -373,6 +400,19 @@ class TestGridKernel:
         numer, denom = cone._f
         assert numer[0] and not any(numer[1:])
         assert len(denom) == cone.dim + 1 == n + 1 and denom[-1]
+        assert denom[0] > 0 and math.gcd(*numer, *denom) == 1
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(cone=cones())
+    def test_pair_in_lowest_terms(self, cone):
+        # D is built from the breakpoint factors E = w (p+q) + (p u - q w) t, u/w a breakpoint and
+        # r = p/q, so N/D is in lowest terms iff N and D never both vanish at the root of an E
+        numer, denom = cone._f
+        p, q = cone.r.as_integer_ratio()
+        for u, w in (b.as_integer_ratio() for b in cone.curve.breakpoints):
+            if p * u != q * w:
+                root = F(-w * (p + q), p * u - q * w)
+                assert fujita._poly_eval(numer, root) or fujita._poly_eval(denom, root)
         assert denom[0] > 0 and math.gcd(*numer, *denom) == 1
 
     def test_cone_pickles_and_compares_by_its_fields(self):
