@@ -221,7 +221,7 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
         return [0] * len(bounds)
     if top > _SCALE_CAP:
         raise CapacityError(
-            f"scaled radius {top} exceeds the counting capacity; "
+            f"scaled radius exceeds the counting capacity {_SCALE_CAP}; "
             "use rationals with moderate denominators"
         )
     n = len(a)
@@ -303,7 +303,8 @@ def _running_sum(out, lo, coin, ring):
 
 def _one_coin_table(coin: int, top: int, dtype) -> np.ndarray:
     """C_1(s) = floor(s / coin) + 1 for s = 0..top: the template of every streamed block."""
-    return np.arange(top + 1, dtype=dtype) // coin + 1
+    table = np.arange(top + 1, dtype=dtype)  # in place: no temporaries
+    return np.add(np.floor_divide(table, coin, out=table), 1, out=table)
 
 
 def _two_coin_counts(a1: int, a2: int, y: np.ndarray) -> np.ndarray:

@@ -21,18 +21,19 @@ worth solving are read off the vertices of R = {u >= 0 : <e, u> >= 1}.
 A one-monomial stratum {e} with e_c >= size_c on every class it touches
 has no root, unless e is linear, and is settled before Newton runs; it
 still counts in ``starts_used``, which counts every stratum.  The others
-are solved by a batch of damped Newton runs, and the lowest klt-valid
-root wins.  Each step takes its first acceptable halving, found for all
-halvings in one pass.  A run ends when it converges, when its step is
-exactly zero, when it runs off toward s = 0 or infinity (next to the cap
-on |log s| its step still points past it), when its multipliers leave
-|mu| <= 10^3, or when no halving of its step is acceptable; a batch stops
-when no run is live.  Weights are max-normalized, and an exact answer
-arises in one step: each coordinate of the winning weight is rounded to
-its nearest rational with denominator at most 128, kept when its exact
-value is within relative 1e-9 of the float minimum; otherwise the float
-weight is the answer, as on the irrational D rows.  The answer depends on
-the model alone.
+are solved by one batch of damped Newton runs, each stratum padded in
+front to the largest size, and the lowest klt-valid root wins.  Each
+step takes its first acceptable halving, found for all halvings in one
+pass.  A run ends when it converges, when its step is exactly zero, when
+it runs off toward s = 0 or infinity (next to the cap on |log s| its step
+still points past it), when its multipliers leave |mu| <= 10^3, when an
+accepted step leaves it bitwise where it was (a fixed point), or when no
+halving of its step is acceptable; the batch stops when no run is live.
+Weights are max-normalized, and an exact answer arises in one step: each
+coordinate of the winning weight is rounded to its nearest rational with
+denominator at most 128, kept when its exact value is within relative
+1e-9 of the float minimum; otherwise the float weight is the answer, as
+on the irrational D rows.  The answer depends on the model alone.
 """
 
 from __future__ import annotations
@@ -255,20 +256,23 @@ def _stationary_points(problem: _Problem):
     strata = _strata(problem.rows, len(problem.classes))
     n, sizes = problem.model.dim, problem.sizes
     rootless = _rootless_monomials(problem.rows, sizes)
-    solvable = [subset for subset in strata if len(subset) > 1 or not rootless[subset[0]]]
-    roots = []
-    for k in sorted({len(subset) for subset in solvable}):
-        starts = np.vstack([np.full((1, k), 1.0 / k)] + ([np.eye(k)] if k > 1 else []))
-        ties = np.array([problem.rows[list(subset)] for subset in solvable if len(subset) == k])
-        tie = np.repeat(ties, len(starts), axis=0)
-        mu, s, found = _newton(tie, sizes, n, np.tile(starts, (len(ties), 1)))
-        mu, s, tie = mu[found], s[found], tie[found]
-        ebar = np.einsum("bk,bkm->bm", mu, tie)
-        u = sizes / (n * sizes + (s - n)[:, None] * ebar)
-        keep = (mu.min(axis=1) >= -_TIE_TOL) | (k == 1)
-        keep &= s * np.min(u @ problem.rows.T, axis=1) >= 1 - _TIE_TOL
-        roots += zip(u[keep], ebar[keep])
-    return roots, len(strata)
+    solvable = sorted((subset for subset in strata if len(subset) > 1 or not rootless[subset[0]]), key=len)
+    if not solvable:
+        return [], len(strata)
+    rows = np.vstack([problem.rows, np.zeros(len(sizes))])  # the last row pads
+    top, runs = len(solvable[-1]), []
+    for subset in solvable:  # one batch, each stratum padded in front to the largest size
+        k = len(subset)
+        starts = [[1.0 / k] * k] + (np.eye(k).tolist() if k > 1 else [])
+        runs += [(k, [0.0] * (top - k) + start, rows[[-1] * (top - k) + list(subset)]) for start in starts]
+    size, mu, tie = (np.array(x) for x in zip(*runs))
+    mu, s, found = _newton(tie, sizes, n, mu, size)
+    mu, s, tie, size = mu[found], s[found], tie[found], size[found]
+    ebar = np.einsum("bk,bkm->bm", mu, tie)
+    u = sizes / (n * sizes + (s - n)[:, None] * ebar)
+    keep = (mu.min(axis=1) >= -_TIE_TOL) | (size == 1)
+    keep &= s * np.min(u @ problem.rows.T, axis=1) >= 1 - _TIE_TOL
+    return list(zip(u[keep], ebar[keep])), len(strata)
 
 
 def _rootless_monomials(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -293,11 +297,12 @@ def _strata(rows: np.ndarray, m: int):
     subset of F, and m + 1 independent ties in m variables force u = 0.
     """
     tight = {tuple(np.flatnonzero(np.abs(rows @ w - 1) <= 1e-9)) for w in _vertices(rows)[0]}
-    subsets = {sub for t in tight for k in range(min(m, len(t))) for sub in itertools.combinations(t, k + 1)}
-    return [
-        sub for sub in sorted(subsets)
-        if len(sub) == 1 or np.linalg.matrix_rank(rows[list(sub[1:])] - rows[sub[0]]) == len(sub) - 1
-    ]
+    subsets = sorted({sub for t in tight for k in range(min(m, len(t))) for sub in itertools.combinations(t, k + 1)})
+    rank = {}
+    for size in {len(sub) for sub in subsets} - {1}:  # one stacked rank test per size
+        group = np.array([sub for sub in subsets if len(sub) == size])
+        rank.update(zip(map(tuple, group.tolist()), np.linalg.matrix_rank(rows[group[:, 1:]] - rows[group[:, :1]])))
+    return [sub for sub in subsets if rank.get(sub, 0) == len(sub) - 1]
 
 
 def _vertices(rows: np.ndarray):
@@ -322,7 +327,7 @@ def _vertices(rows: np.ndarray):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
+def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np.ndarray):
     """Damped Newton on a batch of stratum systems in (mu, t = log s), from s = n.
 
     The equations are s <e, u> = 1 for e in the stratum and sum(mu) = 1,
@@ -331,7 +336,10 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
     A step takes its first halving with every D_c > 0, |log s| <= _LOG_S_CAP
     and a finite residual, all halvings evaluated in one pass.
 
-    Each run ends on its own, in one of four ways:
+    All strata share the batch: a run of size k = size[i] holds its stratum
+    in the last k rows of tie and slots of mu, after zeros, with padded
+    residual and step entries 0; each size's (k + 1) x (k + 1) systems take
+    one pinv call.  Each run ends on its own, in one of five ways:
 
     * it converges: residual at most _ROOT_TOL and step at most _STEP_TOL;
     * its Newton step is exactly zero, a point it can never leave;
@@ -342,13 +350,16 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
       toward the cap.  A step past the cap from further in is halved as
       before: far from a root Newton overshoots, and on some supports such
       runs still reach the winning root;
-    * its multipliers leave |mu| <= _MU_BOUND.
+    * its multipliers leave |mu| <= _MU_BOUND;
+    * its accepted step leaves (mu, t) bitwise unchanged: a fixed point of
+      this deterministic iteration, where it would stay unconverged.
 
     A run whose step no halving down to 1e-12 makes acceptable stops too.
     The batch stops when no run is live, or after 60 iterations.  Returns
     the last (mu, s) of every run and which runs converged.
     """
-    runs, k = mu.shape
+    runs, top = mu.shape
+    padded = np.arange(top) < (top - size)[:, None]
 
     def evaluate(rows, mu, t):
         s = np.exp(t)
@@ -356,6 +367,7 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
         denom = n * sizes + (s - n)[:, None] * ebar
         u = sizes / denom
         g = np.column_stack([s[:, None] * np.einsum("bkm,bm->bk", tie[rows], u) - 1, mu.sum(axis=1) - 1])
+        g[:, :top][padded[rows]] = 0
         return g, denom, u, s, ebar
 
     t = np.full(runs, math.log(n))
@@ -365,22 +377,26 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
         if not len(live):
             break
         tl, sl, tw = tie[live], s[live], tie[live] * (u / denom)[live, None, :]
-        jac = np.zeros((len(live), k + 1, k + 1))
-        jac[:, :k, :k] = -(sl * (sl - n))[:, None, None] * tw @ tl.transpose(0, 2, 1)
-        jac[:, :k, k] = sl[:, None] * np.einsum("bkm,bm->bk", tl, u[live])
-        jac[:, :k, k] -= (sl * sl)[:, None] * np.einsum("bkm,bm->bk", tw, ebar[live])
-        jac[:, k, :k] = 1.0
-        step = -(np.linalg.pinv(jac, rcond=(k + 1) * _EPS) @ g[live, :, None])[..., 0]  # lstsq's cutoff
+        jac = np.zeros((len(live), top + 1, top + 1))
+        jac[:, :top, :top] = -(sl * (sl - n))[:, None, None] * tw @ tl.transpose(0, 2, 1)
+        jac[:, :top, top] = sl[:, None] * np.einsum("bkm,bm->bk", tl, u[live])
+        jac[:, :top, top] -= (sl * sl)[:, None] * np.einsum("bkm,bm->bk", tw, ebar[live])
+        jac[:, top, :top] = 1.0
+        step = np.zeros((len(live), top + 1))
+        for k in set(size[live].tolist()):  # lstsq's cutoff, on each run's own trailing block
+            group, j = size[live] == k, top - k
+            inverse = np.linalg.pinv(jac[group, j:, j:], rcond=(k + 1) * _EPS)
+            step[group, j:] = -(inverse @ g[live[group], j:, None])[..., 0]
         # a small residual alone is not a root: on a pure power the
         # residual also fades while s runs off to infinity, with unit steps
         done = (np.max(np.abs(g[live]), axis=1) <= _ROOT_TOL) & (np.max(np.abs(step), axis=1) <= _STEP_TOL)
         found[live[done]] = True
-        runoff = (np.abs(t[live]) > _LOG_S_CAP - 1) & (np.abs(t[live] + step[:, k]) > _LOG_S_CAP)
+        runoff = (np.abs(t[live]) > _LOG_S_CAP - 1) & (np.abs(t[live] + step[:, top]) > _LOG_S_CAP)
         stuck = np.all(step == 0, axis=1) | (np.max(np.abs(mu[live]), axis=1) > _MU_BOUND)
         go_on = ~(done | runoff | stuck)
         live, step = live[go_on], step[go_on]
         # the first halving that keeps |log s| within the cap, found at once
-        room = (_LOG_S_CAP - np.sign(step[:, k]) * t[live]) / np.abs(step[:, k])
+        room = (_LOG_S_CAP - np.sign(step[:, top]) * t[live]) / np.abs(step[:, top])
         lam = 0.5 ** np.maximum(0, np.ceil(-np.log2(room)))
         # every halving from there down to 1e-12 is evaluated in one pass, and
         # each run takes its first one with |log s| within the cap, every
@@ -388,17 +404,20 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray):
         # and 2^-40 < 1e-12, 41 halvings hold them all
         halvings = (lam[:, None] * 0.5 ** np.arange(41)).ravel()
         rows = np.repeat(live, 41)
-        trial_mu = mu[rows] + halvings[:, None] * np.repeat(step[:, :k], 41, axis=0)
-        trial_t = t[rows] + halvings * np.repeat(step[:, k], 41)
+        trial_mu = mu[rows] + halvings[:, None] * np.repeat(step[:, :top], 41, axis=0)
+        trial_t = t[rows] + halvings * np.repeat(step[:, top], 41)
         trial = evaluate(rows, trial_mu, trial_t)
         ok = (halvings >= 1e-12) & (np.abs(trial_t) <= _LOG_S_CAP) & np.all(trial[1] > 0, axis=1)
         ok = (ok & np.all(np.isfinite(trial[0]), axis=1)).reshape(-1, 41)
         moved = ok.any(axis=1)
         first = 41 * np.flatnonzero(moved) + ok[moved].argmax(axis=1)
         live = live[moved]
+        # accepted values are finite and never -0.0, so == compares bits
+        fixed = (trial_t[first] == t[live]) & np.all(trial_mu[first] == mu[live], axis=1)
         mu[live], t[live] = trial_mu[first], trial_t[first]
         for held, new in zip(state, trial):
             held[live] = new[first]
+        live = live[~fixed]
     return mu, s, found
 
 

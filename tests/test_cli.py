@@ -292,6 +292,14 @@ class TestOracle:
         assert code == 3 and out == ""
         assert err.startswith("error:") and "exponent" in err
 
+    def test_capacity_error_is_one_short_line(self, tmp_path, capsys):
+        # the scaled radius at weight 1e-4000 has about 4000 digits; the message names the cap instead
+        path = write_model(tmp_path, "s2.json", SmoothPoint(2))
+        code, out, err = run(capsys, ["oracle", path, "--weight", "1e-4000,1"])
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err.encode()) < 200
+        assert "Traceback" not in err
+
     def test_rank_three_toric_default_radii(self, tmp_path, capsys):
         from hvol import ToricCone
 

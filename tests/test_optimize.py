@@ -331,17 +331,22 @@ class TestFinalize:
 
 
 def _newton_runs(problem, ties, starts):
-    tie, mu = np.array(ties, dtype=float), np.array(starts, dtype=float)
-    return optimize._newton(tie, problem.sizes, problem.model.dim, mu)
+    """Runs of any stratum sizes in one batch, padded in front to the largest size."""
+    top, size = max(map(len, ties)), np.array([len(tie) for tie in ties])
+    tie = np.array([np.pad(np.array(t, dtype=float), ((top - len(t), 0), (0, 0))) for t in ties])
+    mu = np.array([np.pad(np.array(start, dtype=float), (top - len(start), 0)) for start in starts])
+    return optimize._newton(tie, problem.sizes, problem.model.dim, mu, size)
 
 
 class TestNewtonStops:
-    """Each run ends on its own, exactly as it would in a batch of one."""
+    """Each run ends on its own, exactly as it would alone and unpadded."""
 
     def _assert_runs_alone_agree(self, problem, ties, starts, batch):
         for i, (tie, start) in enumerate(zip(ties, starts)):
             mu, s, found = _newton_runs(problem, [tie], [start])
-            assert np.array_equal(mu[0], batch[0][i])
+            padding = len(batch[0][i]) - len(start)
+            assert not batch[0][i][:padding].any()
+            assert np.array_equal(mu[0], batch[0][i][padding:])
             assert s[0] == batch[1][i]
             assert found[0] == batch[2][i]
 
@@ -383,6 +388,46 @@ class TestNewtonStops:
         assert found.all()
         assert np.all(np.abs(s - 0.3) <= 1e-12)
         self._assert_runs_alone_agree(problem, ties, starts, batch)
+
+    @pytest.mark.parametrize("model", [d_singularity(3, 4), e_singularity(6, 2)], ids=["D n=3 k=4", "E6 n=2"])
+    def test_padded_batch_of_every_stratum(self, model):
+        # every stratum of the problem from every start, sizes 1, 2 and 3 in
+        # one batch: each run's bits match the run alone and unpadded
+        problem = optimize._build_problem(model)
+        strata = sorted(optimize._strata(problem.rows, len(problem.classes)), key=len)
+        ties, starts = [], []
+        for subset in strata:
+            k = len(subset)
+            for start in [[1.0 / k] * k] + (np.eye(k).tolist() if k > 1 else []):
+                ties.append(problem.rows[list(subset)].tolist())
+                starts.append(start)
+        assert sorted({len(tie) for tie in ties}) == [1, 2, 3]
+        batch = _newton_runs(problem, ties, starts)
+        assert batch[2].any() and not batch[2].all()
+        self._assert_runs_alone_agree(problem, ties, starts, batch)
+
+    def test_fixed_point_stops_early(self, monkeypatch):
+        # D n=1 k=3 on the stratum {y^2 z, x^2}: from the barycentre and both
+        # vertices the runs drift toward s = 0 and come to rest with residual
+        # about 1e-8, where each accepted step leaves (mu, t) unchanged
+        problem = optimize._build_problem(d_singularity(1, 3))
+        ties, starts = [[(0, 2, 1), (2, 0, 0)]] * 3, [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
+        calls, pinv = [], np.linalg.pinv
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted)
+        mu, s, found = _newton_runs(problem, ties, starts)
+        assert not found.any()
+        assert len(calls) < 60
+        assert np.all(np.log(s) < -10)
+        monkeypatch.setattr(np.linalg, "pinv", pinv)
+        row = next(row for row in GOLDEN["minimizers"] if row["label"] == "D n=1 k=3")
+        result = minimize_hvol(d_singularity(1, 3))
+        assert [_scalar_string(w) for w in result.weight] == row["weight"]
+        assert _scalar_string(result.value) == row["value"]
 
 
 class TestRootlessStrata:
@@ -427,9 +472,10 @@ class TestRootlessStrata:
         assert singles == {(0, 0, 4), (0, 2, 1), (2, 0, 0)}
         seen, newton = set(), optimize._newton
 
-        def recorded(tie, sizes, n, mu):
-            seen.update(tuple(map(tuple, stratum.tolist())) for stratum in tie)
-            return newton(tie, sizes, n, mu)
+        def recorded(tie, sizes, n, mu, size):
+            # each run's stratum without its leading padded rows
+            seen.update(tuple(map(tuple, stratum[len(stratum) - k :].tolist())) for stratum, k in zip(tie, size))
+            return newton(tie, sizes, n, mu, size)
 
         monkeypatch.setattr(optimize, "_newton", recorded)
         result = minimize_hvol(model)
