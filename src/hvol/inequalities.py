@@ -24,21 +24,19 @@ One driver runs every sweep on integer numerators.  Each sampled
 coordinate is p / 10^6 with p an integer in [10^3, 10^9]; the thm13, dfem
 and proper margins have degree 0 in the weight, so their value at p is
 their value at p / 10^6.  A chunk of draws (``_CHUNK`` of them, which
-bounds a sweep's memory) is one int64 array, and ``_factors`` writes each
-suite's closed form once: it runs the per-draw checks exactly on every
-draw (the thm13 product identity on Python ints, the smooth coordinate
-chain and the skew2 identity x_max x_min = x_0 x_1 in int64) and turns each
-draw into integer factors with margin + offset = prod(num) / prod(den).
-The float64 key prod(num / den) is within relative error (2N + 4) 2^-53 of
-that product in ambient dimension N (``_key_error``); only the draws whose
-error interval can reach the chunk's minimum have their product formed
-exactly in Python ints, in index order, so the verdict is the first exact
-minimum, as if every draw had been exact.  A row with a factor 0 (a
-non-klt hypersurface weight) and every draw on a model with no factor
-form (a toric cone, or pairings that can reach 2^53) take the public
-Fraction route instead, which raises ``NonKltWeightError`` where A <= 0;
-that route (``thm13_margin`` and friends) must also reproduce the
-witness's margin exactly.
+bounds a sweep's memory) is one coordinate-major (dim, count) int64 array,
+so each per-draw min, sum or product is a few elementwise passes over rows
+of length count.  ``_factors`` runs each suite's per-draw checks exactly on
+every draw and writes its closed form once, as (k, count) integer arrays
+with margin + offset = prod(num) / prod(den) down each column.  A float64
+key per column passes on only the draws that can reach the chunk's minimum,
+and each distinct column among them is evaluated exactly, in index order,
+so the verdict is the first exact minimum, as if every draw had been exact
+(``_sweep``).  A non-klt hypersurface weight (a factor 0) and every draw on
+a model with no factor form (a toric cone, or pairings that can reach
+2^53) take the public Fraction route instead, which raises
+``NonKltWeightError`` where A <= 0; that route (``thm13_margin`` and
+friends) must also reproduce the witness's margin exactly.
 """
 
 from __future__ import annotations
@@ -96,7 +94,7 @@ def sample_weight(rng: np.random.Generator, dim: int) -> tuple[Fraction, ...]:
     with the sample count; the continuum keeps the interior covered.
     """
     dim = as_integer(dim, "a weight needs an integer dim >= 1", 1, DomainError)
-    return _weight(next(_numerators(rng, 1, dim))[0].tolist())
+    return _weight(next(_numerators(rng, 1, dim))[:, 0].tolist())
 
 
 def skewness_s(weight: Sequence[Scalar]) -> int:
@@ -234,18 +232,18 @@ _ROUTES = {"thm13": thm13_margin, "skew2": lambda _model, x: skew2_margin(x),
 def _sweep(suite, model, samples, seed, doubled=False):
     """Worst margin of the sweep's draws, its witness, and the worst of the first ``samples``.
 
-    The sweep draws ``samples`` weights, or twice as many if ``doubled``.
-    Each chunk of draws is one int64 array, which ``_factors`` checks and
-    turns into factor rows with margin + offset = prod(num) / prod(den).
-    The float key prod(num / den) is within relative error delta =
-    ``_key_error`` of that product (NaN when a factor is 0), so the exact
-    value of draw i lies within delta / (1 - delta) |key_i| of key_i, and only
-    draws with key_i - eta |key_i| <= min_j (key_j + eta |key_j|) can hold the
-    chunk's exact minimum; eta = 2 delta also covers the two roundings in
-    forming those bounds (delta >= 6 * 2^-53).  These candidates, and every
-    NaN-keyed draw, are evaluated exactly in index order, and the first exact
-    minimum is kept across chunks.  Each half of a doubled sweep is drawn as
-    a stream of its own, which leaves the draws unchanged, so the first-half
+    The sweep draws ``samples`` weights, or twice as many if ``doubled``.  The
+    float key prod(num / den) of a column of ``_factors``'s arrays is within
+    relative error delta = ``_key_error`` of its exact product (NaN when a
+    factor is 0), so the exact value of draw i lies within delta / (1 - delta)
+    key_i of key_i, and only draws with key_i (1 - eta) <= min_j key_j (1 + eta)
+    can hold the chunk's exact minimum; eta = 2 delta also covers the two
+    roundings in forming those bounds (delta >= 6 * 2^-53).  These candidates,
+    and every NaN-keyed draw, are evaluated exactly in index order, except a
+    candidate whose (num, den) column repeats an earlier one of its chunk: its
+    value is equal, so it is never a new strict minimum.  The first exact
+    minimum is kept across chunks.  Each half of a doubled sweep is drawn as a
+    stream of its own, which leaves the draws unchanged, so the first-half
     minimum is the running minimum after it.
     """
     as_integer(samples, "a sweep needs an integer number of samples >= 1", 1, DomainError)
@@ -258,20 +256,23 @@ def _sweep(suite, model, samples, seed, doubled=False):
             if p.min() < 1 or p.max() > _CEILING:
                 raise AssertionError(f"sampled numerators outside [1, {_CEILING}]")
             if factors is None:
-                rows = ((q, None, None, False) for q in p.tolist())
+                columns = ((q, None, None, False) for q in p.T.tolist())
             else:
                 num, den = factors(p)
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    key = np.prod(num / den, axis=1)
+                    key = np.prod(num / den, axis=0)
                     positive = key > 0  # else A <= 0 (a factor 0), or an underflow past _key_error's range
                     key = np.where(positive, key, np.nan)
-                    spread = eta * np.abs(key)
-                    low, high = key - spread, key + spread
+                    low, high = key - eta * key, key + eta * key
                     reach = np.min(high, initial=np.inf, where=high == high)
-                pick = ~(low > reach)
-                rows = zip(p[pick].tolist(), num[pick].tolist(), den[pick].tolist(), positive[pick].tolist())
-            for q, nums, dens, exact in rows:
+                pick = ~(low > reach)  # the candidates; each is read as one column of p, num and den
+                columns = zip(*(a[..., pick].T.tolist() for a in (p, num, den, positive)))
+            seen = set()  # the chunk's (num, den) columns evaluated exactly
+            for q, nums, dens, exact in columns:
                 if exact:
+                    if (pair := tuple(nums + dens)) in seen:
+                        continue  # an equal exact value is never a new strict minimum
+                    seen.add(pair)
                     num_q, den_q = math.prod(nums), math.prod(dens)
                 else:  # the public route, which raises NonKltWeightError where A <= 0
                     num_q, den_q = (_ROUTES[suite](model, _weight(q)) + offset).as_integer_ratio()
@@ -286,28 +287,28 @@ def _sweep(suite, model, samples, seed, doubled=False):
 
 
 def _numerators(rng, count, dim):
-    """Numerators p (weight p / _GRID) of ``count`` successive draws, one int64 array per chunk.
+    """Numerators p (weight p / _GRID) of ``count`` draws, one (dim, count) int64 array per chunk.
 
     The draws are those of ``sample_weight``, which rounds Python's
-    ``10.0**e * _GRID``.  ``np.power`` and the C library's ``pow`` are each
-    within about an ulp of 10^e, so the two scaled values differ by a few
-    ulps, and their roundings can differ only within that distance of a
-    half-integer.  Coordinates closer to one than 2^-46 of their value (32
-    to 64 ulps; about 1 in 10^6) are redone in Python.
+    ``10.0**e * _GRID``: a chunk's uniforms are drawn as one (count, 2, dim)
+    block, then transposed.  Here 10^e is ``np.exp(e ln 10)``: the roundings
+    in e ln 10 (|e ln 10| < 7), the exp kernel and Python's ``pow`` keep the
+    two scaled values within about 12 * 2^-52 of each other, relative, so
+    their roundings can differ only that close to a half-integer.  Values
+    within 2^-46 = 64 * 2^-52 of one (about 1 in 10^6) are redone in Python.
     """
     lo, hi = math.log10(float(_LOW)), math.log10(float(_HIGH))
     for start in range(0, count, _CHUNK):
-        u = rng.random((min(_CHUNK, count - start), 2, dim))
-        rolls, exps = u[:, 0], lo + (hi - lo) * u[:, 1]
-        scaled = np.power(10.0, exps) * _GRID
+        rolls, u = np.ascontiguousarray(rng.random((min(_CHUNK, count - start), 2, dim)).transpose(1, 2, 0))
+        scaled = np.exp((lo + (hi - lo) * u) * math.log(10.0)) * _GRID
         p = np.rint(scaled)
         near = np.abs(np.abs(scaled - p) - 0.5) <= scaled * 2.0**-46
         p = p.astype(np.int64)
         if near.any():
             for i, j in zip(*np.nonzero(near)):
-                p[i, j] = round(10.0 ** float(exps[i, j]) * _GRID)
-        p[rolls < 2 * _EDGE_MASS] = _CEILING
-        p[rolls < _EDGE_MASS] = int(_LOW * _GRID)
+                p[i, j] = round(10.0 ** (lo + (hi - lo) * float(u[i, j])) * _GRID)
+        p += (rolls < 2 * _EDGE_MASS) * (_CEILING - p)
+        p += (rolls < _EDGE_MASS) * (int(_LOW * _GRID) - p)
         yield p
 
 
@@ -326,14 +327,13 @@ def _key_error(dim):
 def _factors(suite, model):
     """The factor form of ``suite`` on ``model``: ``(factors, offset)``.
 
-    ``factors(p)`` runs the suite's per-draw checks exactly on a chunk of
-    numerators and returns two int64 arrays (num, den) of equal width
-    k <= ambient dimension + 2 with margin + offset = prod(num) / prod(den)
-    on every row.  Draws lie in [1, _CEILING], so every entry is below 2^53,
-    and only a hypersurface's non-klt rows (A <= 0) hold entries <= 0, one
-    of them 0, so that their float product is 0.
-    ``factors`` is None where there is no such form: on toric cones, and
-    when a pairing can reach 2^53.
+    ``factors(p)`` runs the suite's per-draw checks exactly on a (dim, count)
+    chunk of numerators and returns two int64 arrays (num, den) of shape
+    (k, count), k <= ambient dimension + 2, with margin + offset =
+    prod(num) / prod(den) down every column.  Draws lie in [1, _CEILING], so
+    every entry is below 2^53, and only a hypersurface's non-klt columns
+    (A <= 0) hold entries <= 0, one of them 0, so that their float product is
+    0.  ``factors`` is None on toric cones and when a pairing can reach 2^53.
     """
     n = model.dim
     if suite == "proper" and isinstance(model, Hypersurface):
@@ -341,10 +341,10 @@ def _factors(suite, model):
             return None, 0
         support = np.array(model.support, dtype=np.int64)
         def factors(p):
-            w = (p @ support.T).min(axis=1)
-            a = p.sum(axis=1) - w
+            w = (support @ p).min(axis=0)
+            a = p.sum(axis=0) - w
             # A^(n-1) w min(p) / prod(p), with w = 0 where A <= 0 (no factor is A at n = 1)
-            return np.column_stack([a] * (n - 1) + [np.where(a > 0, w, 0), p.min(axis=1)]), p
+            return np.stack([a] * (n - 1) + [np.where(a > 0, w, 0), p.min(axis=0)]), p
         return factors, 0
     if suite == "proper" and not isinstance(model, SmoothPoint):
         return None, 0
@@ -352,33 +352,33 @@ def _factors(suite, model):
         raise UnsupportedModelError(f"the {suite} suite runs on smooth points, got {model!r}")
     if suite == "thm13":
         def factors(p):
-            s = np.sort(p, axis=1)
+            s = np.sort(p, axis=0)
             o = s.astype(object)  # the two checks stay on Python ints
-            top, middle = o[:, -1], np.prod(o[:, 1:-1], axis=1)
+            top, middle = o[-1], np.prod(o[1:-1], axis=0)
             lead = top ** max(n - 2, 0)
             # vol * top^(n-1) * low against prod(top / p_i) over the middle
-            if (top ** (n - 1) * o[:, 0] * middle != lead * np.prod(p.astype(object), axis=1)).any():
+            if (top ** (n - 1) * o[0] * middle != lead * np.prod(p.astype(object), axis=0)).any():
                 raise AssertionError("closed form and product form disagree")
             if (lead < middle).any():
                 raise AssertionError("the product of max-coordinate ratios dropped below 1")
-            return np.broadcast_to(s[:, -1:], s[:, 1:-1].shape), s[:, 1:-1]
+            return np.broadcast_to(s[-1], s[1:-1].shape), s[1:-1]
         return factors, Fraction(1, 2**n)
     if suite == "skew2":
         def factors(p):
-            if (p.max(axis=1) * p.min(axis=1) != p[:, 0] * p[:, 1]).any():
+            if (p.max(axis=0) * p.min(axis=0) != p[0] * p[1]).any():
                 raise AssertionError("vol * x_max * x_min != 1")
-            return p[:, :0], p[:, :0]
+            return p[:0], p[:0]
         return factors, 1
     if suite == "dfem":
         def factors(p):
-            return np.broadcast_to(p.sum(axis=1)[:, None], p.shape), n * p
+            return np.broadcast_to(p.sum(axis=0), p.shape), n * p
         return factors, 1
     def factors(p):  # proper on a smooth point: A^(n-1) min(p) / prod(p)
-        total, low = p.sum(axis=1), p.min(axis=1)
+        total, low = p.sum(axis=0), p.min(axis=0)
         # order-valuation comparison: min(x) <= v_x(z_i) = x_i <= sum(x) = A
-        if ((p < low[:, None]) | (p > total[:, None])).any():
+        if ((p < low) | (p > total)).any():
             raise AssertionError("coordinate chain violated")
-        return np.column_stack([total] * (n - 1) + [low]), p
+        return np.stack([total] * (n - 1) + [low]), p
     return factors, 0
 
 
