@@ -83,7 +83,7 @@ class VolumeCurve:
         if len(bps) < 2 or len(pieces) != len(bps) - 1:
             raise InvalidCurveError("need N+1 breakpoints and N pieces")
         if bps[0] != 0:
-            raise InvalidCurveError("the first breakpoint must be 0")
+            raise InvalidCurveError("breakpoints must start at 0")
         if any(b >= c for b, c in zip(bps, bps[1:])):
             raise InvalidCurveError("breakpoints must be strictly increasing")
         if any(not piece for piece in pieces):

@@ -231,9 +231,7 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
     reach = top // smallest + n
     estimate = math.comb(reach, n)
     if estimate > _COUNT_CAP:
-        raise CapacityError(
-            f"count estimate {estimate} exceeds platform integer capacity"
-        )
+        raise CapacityError(f"count estimate exceeds the integer capacity {_COUNT_CAP}")
     live = np.array([b for b in bounds if b >= 0], dtype=np.int64)
     if n == 1:
         counts = live // smallest + 1

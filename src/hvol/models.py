@@ -178,13 +178,13 @@ class Hypersurface:
             raise InvalidModelError("hypersurface support must be non-empty")
         widths = {len(vec) for vec in support}
         if len(widths) != 1:
-            raise InvalidModelError("all exponent vectors must have equal length")
+            raise InvalidModelError("hypersurface support rows must have equal length")
         width = widths.pop()
         if width < 2:
             raise InvalidModelError("hypersurface support rows need at least 2 exponents")
         for vec in support:
             if any(e < 0 for e in vec):
-                raise InvalidModelError(f"negative exponent in {vec}")
+                raise InvalidModelError(f"hypersurface support has a negative exponent in {vec}")
             if all(e == 0 for e in vec):
                 raise InvalidModelError("the zero exponent vector is not a monomial of f")
         canonical = tuple(sorted(set(support)))
@@ -240,9 +240,9 @@ class ToricCone:
             )
         for g in gens:
             if all(v == 0 for v in g):
-                raise InvalidModelError("zero vector cannot generate a ray")
+                raise InvalidModelError("toric generators must be nonzero")
             if reduce(math.gcd, (abs(v) for v in g)) != 1:
-                raise InvalidModelError(f"generator {g} is not primitive")
+                raise InvalidModelError(f"toric generators must be primitive, got {g}")
         gamma = _sequence(self.gorenstein_vector, "gorenstein_vector must be a sequence")
         gamma = tuple(as_rational(v, "gorenstein_vector entry") for v in gamma)
         if len(gamma) != rank:

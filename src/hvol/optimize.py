@@ -24,11 +24,12 @@ still counts in ``starts_used``, which counts every stratum.  The others
 are solved by one batch of damped Newton runs, each stratum padded in
 front to the largest size, and the lowest klt-valid root wins.  Each
 step takes its first acceptable halving, found for all halvings in one
-pass.  A run ends when it converges, when its step is exactly zero, when
-it runs off toward s = 0 or infinity (next to the cap on |log s| its step
-still points past it), when its multipliers leave |mu| <= 10^3, when an
-accepted step leaves it bitwise where it was (a fixed point), or when no
-halving of its step is acceptable; the batch stops when no run is live.
+pass.  A run ends when it converges, when it runs off toward s = 0 or
+infinity (next to the cap on |log s| its step still points past it), when
+its multipliers leave |mu| <= 10^3, when an accepted step leaves it
+bitwise where it was (a fixed point, which an exactly zero step reaches
+at once), or when no halving of its step is acceptable; the batch stops
+when no run is live, or after 60 iterations.
 Weights are max-normalized, and an exact answer arises in one step: each
 coordinate of the winning weight is rounded to its nearest rational with
 denominator at most 128, kept when its exact value is within relative
@@ -339,10 +340,9 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
     All strata share the batch: a run of size k = size[i] holds its stratum
     in the last k rows of tie and slots of mu, after zeros, with padded
     residual and step entries 0; each size's (k + 1) x (k + 1) systems take
-    one pinv call.  Each run ends on its own, in one of five ways:
+    one pinv call.  Each run ends on its own, in one of four ways:
 
     * it converges: residual at most _ROOT_TOL and step at most _STEP_TOL;
-    * its Newton step is exactly zero, a point it can never leave;
     * it runs off in s: it is within one unit of the cap and its undamped
       step would carry |log s| past it.  Where the residual fades like 1/s
       (a pure power), Newton steps t by 1, as -g/g' = 1 for g = c e^-t, so
@@ -352,7 +352,9 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
       runs still reach the winning root;
     * its multipliers leave |mu| <= _MU_BOUND;
     * its accepted step leaves (mu, t) bitwise unchanged: a fixed point of
-      this deterministic iteration, where it would stay unconverged.
+      this deterministic iteration, where it would stay unconverged.  An
+      exactly zero Newton step ends here, in the iteration that finds it:
+      its full step is acceptable, as the point itself already was.
 
     A run whose step no halving down to 1e-12 makes acceptable stops too.
     The batch stops when no run is live, or after 60 iterations.  Returns
@@ -392,7 +394,7 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
         done = (np.max(np.abs(g[live]), axis=1) <= _ROOT_TOL) & (np.max(np.abs(step), axis=1) <= _STEP_TOL)
         found[live[done]] = True
         runoff = (np.abs(t[live]) > _LOG_S_CAP - 1) & (np.abs(t[live] + step[:, top]) > _LOG_S_CAP)
-        stuck = np.all(step == 0, axis=1) | (np.max(np.abs(mu[live]), axis=1) > _MU_BOUND)
+        stuck = np.max(np.abs(mu[live]), axis=1) > _MU_BOUND
         go_on = ~(done | runoff | stuck)
         live, step = live[go_on], step[go_on]
         # the first halving that keeps |log s| within the cap, found at once

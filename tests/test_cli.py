@@ -1,6 +1,7 @@
 """CLI surface: payload shapes, exact serialization, exit codes, round-trips."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hvol import a_singularity, e_singularity
+from hvol import a_singularity, d_singularity, e_singularity, optimize
 from hvol.cli import main
 from hvol.fujita import ConeModel, VolumeCurve, negative_eta_cone, projective_space_cone
 from hvol.modelio import dumps_canonical
@@ -176,6 +177,13 @@ class TestMinimize:
         assert code == 4
         assert json.loads(out)["status"] == "boundary-suspect"
 
+    def test_max_iter_exit_4(self, tmp_path, capsys):
+        # the residual is about 2.2e-16, above a tolerance of 0
+        path = write_model(tmp_path, "d24.json", d_singularity(2, 4))
+        code, out, _ = run(capsys, ["minimize", path, "--tolerance", "0"])
+        assert code == 4
+        assert json.loads(out)["status"] == "max-iter"
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1e-7", "inf"])
     def test_bad_tolerance_exit_3(self, tmp_path, capsys, tolerance):
         path = write_model(tmp_path, "a22.json", a_singularity(2, 2))
@@ -210,6 +218,20 @@ class TestTable:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["value"] for r in rows] == ["4", "2", "4/3", "1", "4/5"]
         assert all(r["matches_reference"] == "True" for r in rows)
+
+    def test_deviating_row_exit_5(self, monkeypatch, capsys):
+        real = optimize.minimize_hvol
+
+        def off_by_one(model, **kwargs):
+            result = real(model, **kwargs)
+            return dataclasses.replace(result, value=result.value + 1)
+
+        monkeypatch.setattr(optimize, "minimize_hvol", off_by_one)
+        code, out, err = run(capsys, ["table", "--family", "E7", "--n-range", "1:2"])
+        assert code == 5
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["matches_reference"] for r in rows] == ["False", "False"]
+        assert err == "error: a table row deviates from the embedded reference\n"
 
     def test_emit_models_round_trip(self, tmp_path, capsys):
         out_dir = tmp_path / "models"
@@ -298,6 +320,14 @@ class TestOracle:
         code, out, err = run(capsys, ["oracle", path, "--weight", "1e-4000,1"])
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and len(err.encode()) < 200
+        assert "Traceback" not in err
+
+    def test_count_capacity_error_is_one_short_line(self, tmp_path, capsys):
+        # the count estimate at radius 10^5 in 3000 variables has over 4300 digits; the message names the cap
+        path = write_model(tmp_path, "s3000.json", SmoothPoint(3000))
+        code, out, err = run(capsys, ["oracle", path, "--weight", ",".join(["1"] * 3000), "--radii", "100000"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: count estimate") and err.count("\n") == 1 and len(err.encode()) < 200
         assert "Traceback" not in err
 
     def test_rank_three_toric_default_radii(self, tmp_path, capsys):

@@ -15,12 +15,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hvol import Hypersurface, HvolError, InvalidModelError, SmoothPoint, ToricCone, core, lattice
+from hvol import (
+    DomainError, Hypersurface, HvolError, InvalidModelError, SmoothPoint, ToricCone, core, lattice,
+)
 from hvol.fujita import (
     ConeModel, VolumeCurve, catalog, convexity_check, f_of_t, f_of_t_slope_form, phi,
     projective_space_cone, vol_w_alpha,
 )
-from hvol.inequalities import run_suite, sample_weight, skewness_s
+from hvol.inequalities import run_suite, sample_weight, skewness_s, thm13_margin
 from hvol.models import a_singularity, d_singularity, e_singularity, orthant_cone
 from hvol.optimize import minimize_hvol
 from hvol.tables import alpha_star
@@ -76,6 +78,20 @@ def test_constructor_contract(field, value):
     exact = _exact(kind, value)
     assert exact is not None, f"{field} accepted {value!r}"
     assert got == build(exact)
+
+
+# well-typed values past a rule that no model file can reach; each error names the field
+RULES = {
+    "e_singularity.index": (InvalidModelError, "index", lambda: e_singularity(5, 2)),
+    "thm13_margin.weight": (DomainError, "weight", lambda: thm13_margin(SmoothPoint(2), (0.5, 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(RULES))
+def test_rule_contract(name):
+    error, field, call = RULES[name]
+    with pytest.raises(error, match=field):
+        call()
 
 
 # model data where a sequence belongs, or a non-number inside one

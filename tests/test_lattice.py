@@ -94,6 +94,17 @@ class TestSmoothCount:
         with pytest.raises(CapacityError):
             colength(SmoothPoint(2), (F(1), F(1)), 10**9)
 
+    @pytest.mark.parametrize("count, cap", [
+        (lambda: colength(SmoothPoint(2), (F(1), F(1)), 10**9), lattice._SCALE_CAP),
+        (lambda: colength(SmoothPoint(6), (1,) * 6, 10**7), lattice._COUNT_CAP),
+        # the count estimate itself has over 4300 digits, past str()'s default limit
+        (lambda: estimate_volume(SmoothPoint(3000), (1,) * 3000, radii=(10**5,)), lattice._COUNT_CAP),
+    ], ids=["scale", "count", "count-3000-coins"])
+    def test_capacity_guard_names_cap(self, count, cap):
+        with pytest.raises(CapacityError, match=str(cap)) as caught:
+            count()
+        assert len(str(caught.value)) < 200
+
 
 class TestHypersurfaceCount:
     def test_quadric_surface_spot(self):

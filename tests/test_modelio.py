@@ -117,6 +117,24 @@ ACCEPTED = {
 }
 
 
+# well-typed values that a constructor still rejects, one for each of its rules
+RULES = [
+    ("cone", "breakpoints", "count", {"breakpoints": ["0", "1", "2"]}),
+    ("cone", "pieces", "count", {"pieces": [["1", "-1"], ["0"]]}),
+    ("cone", "breakpoints", "first-not-0", {"breakpoints": ["1", "2"]}),
+    ("cone", "breakpoints", "repeated", {"breakpoints": ["0", "1", "1"], "pieces": [["1", "-1"], ["0"]]}),
+    ("cone", "r", "zero", {"r": "0"}),
+    ("cone", "r", "negative", {"r": "-1/2"}),
+    ("hypersurface", "support", "ragged", {"support": [[2, 0], [0, 3, 1]]}),
+    ("hypersurface", "support", "negative", {"support": [[2, -1], [0, 3]]}),
+    ("toric", "generators", "ragged", {"generators": [[1, 0], [1]]}),
+    ("toric", "generators", "zero", {"generators": [[0, 0], [1, 2]]}),
+    ("toric", "generators", "not-primitive", {"generators": [[1, 0], [2, 2]]}),
+    ("toric", "gorenstein_vector", "wrong-length", {"gorenstein_vector": [1, 0, 0]}),
+    ("toric", "generators", "dependent", {"generators": [[1, 0], [1, 0]]}),
+]
+
+
 def _contract_cases():
     for kind, base in BASE.items():
         for field in base:
@@ -129,6 +147,8 @@ def _contract_cases():
         yield f"{kind}-kind-list", "kind", {**base, "kind": [kind]}
         yield f"{kind}-kind-object", "kind", {**base, "kind": {}}
     yield "not-an-object", "JSON object", [BASE["smooth"]]
+    for kind, field, rule, fields in RULES:
+        yield f"{kind}-{field}-{rule}", field, {**BASE[kind], **fields}
 
 
 CASES = list(_contract_cases())

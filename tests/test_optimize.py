@@ -117,6 +117,13 @@ class TestMinimizeHypersurface:
         assert result.status == "boundary-suspect"
         assert float(result.value) < 1.0
 
+    def test_max_iter_when_the_residual_misses_the_tolerance(self):
+        # the stratum solve converges to rounding level, which tolerance 0 still rejects
+        result = minimize_hvol(d_singularity(2, 4), tolerance=0.0)
+        assert result.status == "max-iter"
+        assert 0 < result.first_order_residual <= 1e-15
+        assert result.value == minimize_hvol(d_singularity(2, 4)).value
+
     def test_infeasible_model_rejected(self):
         # every monomial divisible by every coordinate: A <= 0 throughout
         model = Hypersurface(((2, 2), (1, 3)))
