@@ -23,13 +23,14 @@ has no root, unless e is linear, and is settled before Newton runs; it
 still counts in ``starts_used``, which counts every stratum.  The others
 are solved by one batch of damped Newton runs, each stratum padded in
 front to the largest size, and the lowest klt-valid root wins.  Each
-step takes its first acceptable halving, found for all halvings in one
-pass.  A run ends when it converges, when it runs off toward s = 0 or
-infinity (next to the cap on |log s| its step still points past it), when
-its multipliers leave |mu| <= 10^3, when an accepted step leaves it
-bitwise where it was (a fixed point, which an exactly zero step reaches
-at once), or when no halving of its step is acceptable; the batch stops
-when no run is live, or after 60 iterations.
+step takes its first acceptable halving: every run tries its first
+halving within the cap, and only the runs it fails try the smaller ones,
+all in a second pass.  A run ends when it converges, when it runs off
+toward s = 0 or infinity (next to the cap on |log s| its step still
+points past it), when its multipliers leave |mu| <= 10^3, when an
+accepted step leaves it bitwise where it was (a fixed point, which an
+exactly zero step reaches at once), or when no halving of its step is
+acceptable; the batch stops when no run is live, or after 60 iterations.
 Weights are max-normalized, and an exact answer arises in one step: each
 coordinate of the winning weight is rounded to its nearest rational with
 denominator at most 128, kept when its exact value is within relative
@@ -139,7 +140,7 @@ def minimize_hvol(
     ``seed`` are accepted for compatibility and do not change the answer.
     ``status`` is "converged" when the first-order residual is at most
     ``tolerance`` (a finite number >= 0), "boundary-suspect" when the
-    weight sits next to the A = 0 edge, and "max-iter" otherwise.
+    weight sits next to the A = 0 edge, and "not-converged" otherwise.
     """
     as_integer(starts, "starts must be an integer >= 1", 1, DomainError)
     if not 0 <= as_scalar(tolerance, "tolerance") < math.inf:
@@ -202,6 +203,7 @@ class _Problem:
     classes: tuple[tuple[int, ...], ...]
     sizes: np.ndarray  # class sizes
     rows: np.ndarray  # reduced exponents: per monomial, the sum over each class
+    owner: np.ndarray  # per coordinate, the index of its class
 
     def value(self, u: np.ndarray) -> float:
         """The objective at a positive u with A > 0, which every root is."""
@@ -209,8 +211,7 @@ class _Problem:
         return (float(self.sizes @ u) - v) ** self.model.dim * v / float(np.prod(u**self.sizes))
 
     def expand(self, u: np.ndarray) -> np.ndarray:
-        owner = [j for i in range(self.model.ambient_dim) for j, c in enumerate(self.classes) if i in c]
-        return np.asarray(u, dtype=float)[owner]
+        return np.asarray(u, dtype=float)[self.owner]
 
 
 def _columns_partition(support, width) -> tuple[tuple[int, ...], ...]:
@@ -240,7 +241,8 @@ def _build_problem(model: Hypersurface, trivial_classes: bool = False) -> _Probl
     )
     sizes = np.array([len(c) for c in classes], dtype=float)
     reduced = sorted({tuple(sum(e[i] for i in cls) for cls in classes) for e in model.support})
-    return _Problem(model, classes, sizes, np.array(reduced, dtype=float))
+    owner = np.array([j for i in range(model.ambient_dim) for j, c in enumerate(classes) if i in c])
+    return _Problem(model, classes, sizes, np.array(reduced, dtype=float), owner)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +337,16 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
     with u_c = size_c / D_c and D_c = n size_c + (s - n) ebar_c; in the form
     <e, u> = 1/s both sides fade as s grows and every stratum looks solved.
     A step takes its first halving with every D_c > 0, |log s| <= _LOG_S_CAP
-    and a finite residual, all halvings evaluated in one pass.
+    and a finite residual: the first halving within the cap is tried for
+    every run at once, and only the runs it fails try the smaller ones, all
+    in a second pass.
 
     All strata share the batch: a run of size k = size[i] holds its stratum
     in the last k rows of tie and slots of mu, after zeros, with padded
     residual and step entries 0; each size's (k + 1) x (k + 1) systems take
-    one pinv call.  Each run ends on its own, in one of four ways:
+    one SVD, from which pinv's own arithmetic (lstsq's cutoff) forms the
+    pseudo-inverse.  Only live runs are held.  Each run ends on its own, in
+    one of four ways:
 
     * it converges: residual at most _ROOT_TOL and step at most _STEP_TOL;
     * it runs off in s: it is within one unit of the cap and its undamped
@@ -361,66 +367,73 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
     the last (mu, s) of every run and which runs converged.
     """
     runs, top = mu.shape
-    padded = np.arange(top) < (top - size)[:, None]
+    out_mu, out_s, found = np.empty_like(mu), np.empty(runs), np.zeros(runs, dtype=bool)
 
-    def evaluate(rows, mu, t):
+    def evaluate(mu, t, tie, padded):
         s = np.exp(t)
-        ebar = np.einsum("bk,bkm->bm", mu, tie[rows])
+        ebar = np.einsum("bk,bkm->bm", mu, tie)
         denom = n * sizes + (s - n)[:, None] * ebar
         u = sizes / denom
-        g = np.column_stack([s[:, None] * np.einsum("bkm,bm->bk", tie[rows], u) - 1, mu.sum(axis=1) - 1])
-        g[:, :top][padded[rows]] = 0
-        return g, denom, u, s, ebar
+        g = s[:, None] * np.einsum("bkm,bm->bk", tie, u) - 1
+        g = np.concatenate((g, mu.sum(axis=1, keepdims=True) - 1), axis=1)
+        g[:, :top][padded] = 0
+        return [mu, t, g, denom, u, s, ebar]
 
-    t = np.full(runs, math.log(n))
-    g, denom, u, s, ebar = state = evaluate(slice(None), mu, t)
-    live, found = np.arange(runs), np.zeros(runs, dtype=bool)
+    def acceptable(trial, halvings):
+        t, g, denom = trial[1:4]
+        return (halvings >= 1e-12) & (np.abs(t) <= _LOG_S_CAP) & (denom > 0).all(axis=1) & np.isfinite(g).all(axis=1)
+
+    index, padded = np.arange(runs), np.arange(top) < (top - size)[:, None]
+    mu, t, g, denom, u, s, ebar = evaluate(mu, np.full(runs, math.log(n)), tie, padded)
     for _ in range(60):
-        if not len(live):
+        if not len(index):
             break
-        tl, sl, tw = tie[live], s[live], tie[live] * (u / denom)[live, None, :]
-        jac = np.zeros((len(live), top + 1, top + 1))
-        jac[:, :top, :top] = -(sl * (sl - n))[:, None, None] * tw @ tl.transpose(0, 2, 1)
-        jac[:, :top, top] = sl[:, None] * np.einsum("bkm,bm->bk", tl, u[live])
-        jac[:, :top, top] -= (sl * sl)[:, None] * np.einsum("bkm,bm->bk", tw, ebar[live])
+        tw = tie * (u / denom)[:, None, :]
+        jac = np.zeros((len(index), top + 1, top + 1))
+        jac[:, :top, :top] = -(s * (s - n))[:, None, None] * tw @ tie.transpose(0, 2, 1)
+        jac[:, :top, top] = s[:, None] * np.einsum("bkm,bm->bk", tie, u)
+        jac[:, :top, top] -= (s * s)[:, None] * np.einsum("bkm,bm->bk", tw, ebar)
         jac[:, top, :top] = 1.0
-        step = np.zeros((len(live), top + 1))
-        for k in set(size[live].tolist()):  # lstsq's cutoff, on each run's own trailing block
-            group, j = size[live] == k, top - k
-            inverse = np.linalg.pinv(jac[group, j:, j:], rcond=(k + 1) * _EPS)
-            step[group, j:] = -(inverse @ g[live[group], j:, None])[..., 0]
+        step = np.zeros((len(index), top + 1))
+        for k in set(size.tolist()):  # pinv with lstsq's cutoff, on each run's own trailing block
+            group, j = size == k, top - k
+            left, sv, right = np.linalg.svd(jac[group, j:, j:], full_matrices=False)
+            sv = np.where(sv > (k + 1) * _EPS * sv.max(axis=1, keepdims=True), 1 / sv, 0)
+            inverse = right.transpose(0, 2, 1) @ (sv[..., None] * left.transpose(0, 2, 1))
+            step[group, j:] = -(inverse @ g[group, j:, None])[..., 0]
         # a small residual alone is not a root: on a pure power the
         # residual also fades while s runs off to infinity, with unit steps
-        done = (np.max(np.abs(g[live]), axis=1) <= _ROOT_TOL) & (np.max(np.abs(step), axis=1) <= _STEP_TOL)
-        found[live[done]] = True
-        runoff = (np.abs(t[live]) > _LOG_S_CAP - 1) & (np.abs(t[live] + step[:, top]) > _LOG_S_CAP)
-        stuck = np.max(np.abs(mu[live]), axis=1) > _MU_BOUND
-        go_on = ~(done | runoff | stuck)
-        live, step = live[go_on], step[go_on]
-        # the first halving that keeps |log s| within the cap, found at once
-        room = (_LOG_S_CAP - np.sign(step[:, top]) * t[live]) / np.abs(step[:, top])
+        done = (np.abs(g).max(axis=1) <= _ROOT_TOL) & (np.abs(step).max(axis=1) <= _STEP_TOL)
+        found[index[done]] = True
+        runoff = (np.abs(t) > _LOG_S_CAP - 1) & (np.abs(t + step[:, top]) > _LOG_S_CAP)
+        go_on = ~(done | runoff | (np.abs(mu).max(axis=1) > _MU_BOUND))
+        # the first halving that keeps |log s| within the cap, tried for every run
+        room = (_LOG_S_CAP - np.sign(step[:, top]) * t) / np.abs(step[:, top])
         lam = 0.5 ** np.maximum(0, np.ceil(-np.log2(room)))
-        # every halving from there down to 1e-12 is evaluated in one pass, and
-        # each run takes its first one with |log s| within the cap, every
-        # D_c > 0 and a finite residual; a run with none stops.  As lam <= 1
-        # and 2^-40 < 1e-12, 41 halvings hold them all
-        halvings = (lam[:, None] * 0.5 ** np.arange(41)).ravel()
-        rows = np.repeat(live, 41)
-        trial_mu = mu[rows] + halvings[:, None] * np.repeat(step[:, :top], 41, axis=0)
-        trial_t = t[rows] + halvings * np.repeat(step[:, top], 41)
-        trial = evaluate(rows, trial_mu, trial_t)
-        ok = (halvings >= 1e-12) & (np.abs(trial_t) <= _LOG_S_CAP) & np.all(trial[1] > 0, axis=1)
-        ok = (ok & np.all(np.isfinite(trial[0]), axis=1)).reshape(-1, 41)
-        moved = ok.any(axis=1)
-        first = 41 * np.flatnonzero(moved) + ok[moved].argmax(axis=1)
-        live = live[moved]
+        trial = evaluate(mu + lam[:, None] * step[:, :top], t + lam * step[:, top], tie, padded)
+        ok = acceptable(trial, lam)
+        if (miss := np.flatnonzero(go_on & ~ok)).size:
+            # the runs it fails evaluate every further halving down to 1e-12
+            # in one pass and take their first acceptable one; a run with none
+            # stops.  As lam <= 1 and 2^-40 < 1e-12, 40 more halvings hold them
+            halvings = (lam[miss, None] * 0.5 ** np.arange(1, 41)).ravel()
+            rows = np.repeat(miss, 40)
+            trial_mu, trial_t = mu[rows] + halvings[:, None] * step[rows, :top], t[rows] + halvings * step[rows, top]
+            more = evaluate(trial_mu, trial_t, tie[rows], padded[rows])
+            better = acceptable(more, halvings).reshape(-1, 40)
+            moved = better.any(axis=1)
+            first = 40 * np.flatnonzero(moved) + better[moved].argmax(axis=1)
+            for held, new in zip(trial, more):
+                held[miss[moved]] = new[first]
+            ok[miss[moved]] = True
         # accepted values are finite and never -0.0, so == compares bits
-        fixed = (trial_t[first] == t[live]) & np.all(trial_mu[first] == mu[live], axis=1)
-        mu[live], t[live] = trial_mu[first], trial_t[first]
-        for held, new in zip(state, trial):
-            held[live] = new[first]
-        live = live[~fixed]
-    return mu, s, found
+        keep = go_on & ok & ~((trial[1] == t) & (trial[0] == mu).all(axis=1))
+        if not keep.all():  # the runs that end keep their last (mu, s)
+            out_mu[index[~keep]], out_s[index[~keep]] = mu[~keep], s[~keep]
+            index, size, tie, padded, *trial = (a[keep] for a in (index, size, tie, padded, *trial))
+        mu, t, g, denom, u, s, ebar = trial
+    out_mu[index], out_s[index] = mu, s
+    return out_mu, out_s, found
 
 
 def _select_best(problem: _Problem, candidates: list) -> tuple:
@@ -506,4 +519,4 @@ def _status(model: Hypersurface, weight, residual: float, tolerance: float) -> s
         return "boundary-suspect"
     if residual <= tolerance:
         return "converged"
-    return "max-iter"
+    return "not-converged"

@@ -177,12 +177,12 @@ class TestMinimize:
         assert code == 4
         assert json.loads(out)["status"] == "boundary-suspect"
 
-    def test_max_iter_exit_4(self, tmp_path, capsys):
+    def test_not_converged_exit_4(self, tmp_path, capsys):
         # the residual is about 2.2e-16, above a tolerance of 0
         path = write_model(tmp_path, "d24.json", d_singularity(2, 4))
         code, out, _ = run(capsys, ["minimize", path, "--tolerance", "0"])
         assert code == 4
-        assert json.loads(out)["status"] == "max-iter"
+        assert json.loads(out)["status"] == "not-converged"
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1e-7", "inf"])
     def test_bad_tolerance_exit_3(self, tmp_path, capsys, tolerance):
