@@ -16,8 +16,9 @@ S, ebar = sum_{e in S} mu_e e, A normalized to 1 and s = 1/v,
     x_i = 1 / (n + (s - n) ebar_i),    s <e, x> = 1 for every e in S,
 
 which is |S| unknowns whatever the ambient dimension.  Coordinates that
-play identical roles in f (``symmetrize``) get equal weights.  The strata
-worth solving are read off the vertices of R = {u >= 0 : <e, u> >= 1}.
+play identical roles in f (``symmetrize``) get equal weights.  The
+vertices of R = {u >= 0 : <e, u> >= 1} decide klt-ness (``_check_klt``)
+and give the strata worth solving.
 A one-monomial stratum {e} with e_c >= size_c on every class it touches
 has no root, unless e is linear, and is settled before Newton runs; it
 still counts in ``starts_used``, which counts every stratum.  The others
@@ -64,7 +65,6 @@ from .models import (
 
 _SNAP_DENOMINATOR = 128
 _VALUE_MATCH_RTOL = 1e-9
-_BOUNDARY_FRACTION = 0.01
 _ROOT_TOL = 1e-12
 _TIE_TOL = 1e-9
 _STEP_TOL = 1e-9
@@ -99,8 +99,9 @@ class MinimizationResult:
     (0 for the smooth and toric closed forms).  ``first_order_residual`` is the
     largest relative Clarke gradient component x_i * d/dx_i log hvol at
     the reported weight, with the multipliers of the winning stratum (0.0
-    for the closed forms); when no stratum has a klt-valid stationary
-    point, the barycentre of the active monomials stands in for them.
+    for the closed forms).  If no stratum has a klt-valid stationary point
+    the weight is (1, ..., 1), and the barycentre of the monomials active
+    there stands in for the multipliers.
     """
 
     weight: tuple[Scalar, ...]
@@ -138,9 +139,9 @@ def minimize_hvol(
 
     The minimizer is deterministic: ``starts`` (which must be >= 1) and
     ``seed`` are accepted for compatibility and do not change the answer.
+    A hypersurface germ that is not klt raises NonKltModelError.
     ``status`` is "converged" when the first-order residual is at most
-    ``tolerance`` (a finite number >= 0), "boundary-suspect" when the
-    weight sits next to the A = 0 edge, and "not-converged" otherwise.
+    ``tolerance`` (a finite number >= 0), and "not-converged" otherwise.
     """
     as_integer(starts, "starts must be an integer >= 1", 1, DomainError)
     if not 0 <= as_scalar(tolerance, "tolerance") < math.inf:
@@ -149,32 +150,22 @@ def minimize_hvol(
         return _closed_form(model)
     if not isinstance(model, Hypersurface):
         raise UnsupportedModelError(f"unknown model kind {model!r}")
-    if all(min(e) >= 1 for e in model.support):
-        raise NonKltModelError(
-            "every monomial of f is divisible by every coordinate; "
-            "the log discrepancy is non-positive on the whole weight cone"
-        )
     problem = _build_problem(model)
-    roots, solved = _stationary_points(problem)
-    if not roots and len(problem.classes) < model.ambient_dim:
-        # the symmetric slice can miss the klt-valid region entirely (log
-        # canonical boundary models); retry without symmetry reduction
-        problem = _build_problem(model, trivial_classes=True)
-        roots, more = _stationary_points(problem)
-        solved += more
+    vertices, bases = _vertices(problem.rows)
+    if model.multiplicity >= 2:  # a linear monomial makes the germ smooth
+        _check_klt(problem, vertices, bases)
+    roots, solved = _stationary_points(problem, _strata(problem.rows, vertices))
     if roots:
         u, ebar = _select_best(problem, roots)
-        weight, value = _finalize(model, problem.expand(u), problem.value(u))
-    else:
-        # here the problem has one class per coordinate, after the retry if needed
-        weight, ebar = _boundary_weight(model), None
-        value = core.normalized_volume(model, weight).normalized_volume
+    else:  # never seen; A = n + 1 - multiplicity > 0 here, as (1, ..., 1) / multiplicity lies in R
+        u, ebar = np.ones(len(problem.sizes)), None
+    weight, value = _finalize(model, problem.expand(u), problem.value(u))
     residual = _clarke_residual(problem, weight, ebar)
     return MinimizationResult(
         weight=weight,
         value=value,
         active_monomials=core.active_monomials(weight, model.support),
-        status=_status(model, weight, residual, tolerance),
+        status="converged" if residual <= tolerance else "not-converged",
         starts_used=solved,
         first_order_residual=residual,
     )
@@ -249,14 +240,13 @@ def _build_problem(model: Hypersurface, trivial_classes: bool = False) -> _Probl
 # stratum stationarity solve
 
 
-def _stationary_points(problem: _Problem):
-    """The klt-valid roots (u, ebar) of every tie stratum, and the number of strata.
+def _stationary_points(problem: _Problem, strata: list):
+    """The klt-valid roots (u, ebar) of the tie strata, and the number of strata.
 
     Newton starts at the barycentre and the vertices of each multiplier
     simplex.  A root counts if no monomial outside S is cheaper and, for
     |S| >= 2, the multipliers are nonnegative.
     """
-    strata = _strata(problem.rows, len(problem.classes))
     n, sizes = problem.model.dim, problem.sizes
     rootless = _rootless_monomials(problem.rows, sizes)
     solvable = sorted((subset for subset in strata if len(subset) > 1 or not rootless[subset[0]]), key=len)
@@ -291,7 +281,7 @@ def _rootless_monomials(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.all((rows == 0) | (rows >= sizes), axis=1) & (rows.sum(axis=1) > 1)
 
 
-def _strata(rows: np.ndarray, m: int):
+def _strata(rows: np.ndarray, vertices: np.ndarray):
     """Index sets of at most m affinely independent rows tight at one vertex of R.
 
     The face {w in R : <e, w> = 1 for e in F} of R, for the active set F
@@ -299,7 +289,8 @@ def _strata(rows: np.ndarray, m: int):
     By Caratheodory ebar lies in the hull of an affinely independent
     subset of F, and m + 1 independent ties in m variables force u = 0.
     """
-    tight = {tuple(np.flatnonzero(np.abs(rows @ w - 1) <= 1e-9)) for w in _vertices(rows)[0]}
+    m = rows.shape[1]
+    tight = {tuple(np.flatnonzero(np.abs(rows @ w - 1) <= 1e-9)) for w in vertices}
     subsets = sorted({sub for t in tight for k in range(min(m, len(t))) for sub in itertools.combinations(t, k + 1)})
     rank = {}
     for size in {len(sub) for sub in subsets} - {1}:  # one stacked rank test per size
@@ -327,6 +318,42 @@ def _vertices(rows: np.ndarray):
         vertices.append(u[feasible])
         kept.append(batch[feasible])
     return np.concatenate(vertices), np.concatenate(kept)
+
+
+def _check_klt(problem: _Problem, vertices: np.ndarray, bases: np.ndarray) -> None:
+    """Raise NonKltModelError unless sum(w) > 1 at every vertex w of R.
+
+    With general coefficients for its support f is Newton non-degenerate
+    (Kouchnirenko, Invent. Math. 32, 1976), so a toric resolution from the
+    dual fan of its Newton polyhedron is a log resolution of (C^{n+1}, X),
+    where the divisor of w has log discrepancy sum(w) - v_w(f).  So the
+    pair is plt at 0 iff sum(w) > 1 on R, that is at R's vertices (Howald,
+    Trans. AMS 353, 2001, for monomial ideals), and by inversion of
+    adjunction X is klt at 0 iff the pair is plt.  The ray of e_c, the
+    hyperplane x_c = 0, is not exceptional; it holds a vertex only when x_c
+    divides f (X is not normal) or is a monomial (X is smooth, and exempt).
+    Non-degeneracy on the compact faces suffices when f holds a pure power
+    of every coordinate; otherwise it is assumed on every face, as a vertex
+    with zero coordinates tests X along a coordinate subspace.
+
+    The slice's rows cut R and sum(w) = sizes @ u; as R is convex and the
+    sum symmetric, the slice has the same least sum.  A float vertex solves
+    an integer basis with |det| >= 1 and small entries: its sum is off by
+    about eps times the condition number, below the 1e-9 that ``_vertices``
+    trusts and far below 1e-6.  Sums above 1 + 1e-6 pass; the rest are
+    decided in Fractions from their basis.
+    """
+    count, m = problem.rows.shape
+    constraints = np.vstack([problem.rows, np.eye(m)])
+    for basis in bases[vertices @ problem.sizes <= 1 + 1e-6]:
+        inverse = inverse_fraction(constraints[basis].tolist())
+        u = [sum(row[j] for j, i in enumerate(basis) if i < count) for row in inverse]
+        total = sum(int(size) * x for size, x in zip(problem.sizes, u))
+        if total <= 1:
+            w = ", ".join(str(u[c]) for c in problem.owner)
+            raise NonKltModelError(
+                f"the germ is not klt: w = ({w}) has <e, w> >= 1 for every monomial e and sum(w) = {total} <= 1"
+            )
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -449,33 +476,6 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
     return candidates[min(tie for tie in ties if values[tie[1]] <= window)[1]]
 
 
-def _boundary_weight(model: Hypersurface) -> tuple[Scalar, ...]:
-    """An exact klt-valid weight next to the A = 0 edge.
-
-    With v = 1, A <= 0 on the points of R with coordinate sum <= 1, so the
-    edge is nearest at the vertex w of R of least sum.  Some monomial misses
-    a coordinate c, so p = 1 + K e_c (K the largest degree) has A(p) > 0.
-    With both sums scaled to 1, A is convex on [w, p] and crosses 0 once,
-    at t0; a thousandth of the way on, 0 < A <= A(p) / 1000.  If A(w) > 0
-    there is no edge and p is returned.
-    """
-    sup, width = model.support, model.ambient_dim
-    vertices, bases = _vertices(np.array(sup, dtype=float))
-    basis = bases[np.argmin(vertices.sum(axis=1))]
-    inverse = inverse_fraction(
-        [sup[i] if i < len(sup) else [int(i - len(sup) == c) for c in range(width)] for i in basis]
-    )
-    w = [sum(row[j] for j, i in enumerate(basis) if i < len(sup)) for row in inverse]
-    c = next(i for e in sup for i in range(width) if e[i] == 0)
-    p = [Fraction(1 + max(map(sum, sup)) * (i == c)) for i in range(width)]
-    w, p = ([x / sum(y) for x in y] for y in (w, p))
-    alpha, beta = ([1 - sum(a * b for a, b in zip(e, y)) for e in sup] for y in (w, p))
-    t0 = min(a / (a - b) for a, b in zip(alpha, beta) if b > 0) if max(alpha) <= 0 else 1
-    t = t0 + (1 - t0) / 1000
-    x = [(1 - t) * a + t * b for a, b in zip(w, p)]
-    return tuple(xi / max(x) for xi in x)
-
-
 # ---------------------------------------------------------------------------
 # exact snapping and diagnostics
 
@@ -510,13 +510,3 @@ def _clarke_residual(problem: _Problem, weight, ebar) -> float:
     a = float(problem.sizes @ u) - v
     grad = problem.model.dim * (problem.sizes - ebar) / a + ebar / v
     return float(np.max(np.abs(u * grad / problem.sizes - 1)))
-
-
-def _status(model: Hypersurface, weight, residual: float, tolerance: float) -> str:
-    total = sum(float(v) for v in weight)
-    v = float(core.weighted_order([float(w) for w in weight], model.support))
-    if total - v < _BOUNDARY_FRACTION * total:
-        return "boundary-suspect"
-    if residual <= tolerance:
-        return "converged"
-    return "not-converged"

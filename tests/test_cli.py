@@ -167,15 +167,34 @@ class TestMinimize:
         assert code == 0
         assert json.loads(out)["value"] == "2048/225"
 
-    def test_non_convergence_exit_4(self, tmp_path, capsys):
+    def test_non_klt_model_exit_3(self, tmp_path, capsys):
         from hvol import Hypersurface
 
-        cubic = write_model(
-            tmp_path, "cubic.json", Hypersurface(((3, 0, 0), (0, 3, 0), (0, 0, 3)))
-        )
-        code, out, _ = run(capsys, ["minimize", cubic, "--seed", "1"])
+        for support in [((3, 0, 0), (0, 3, 0), (0, 0, 3)), ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0))]:
+            path = write_model(tmp_path, "cubic.json", Hypersurface(support))
+            code, out, err = run(capsys, ["minimize", path, "--seed", "1"])
+            assert (code, out) == (3, "")
+            assert err.startswith("error: the germ is not klt: ") and err.count("\n") == 1
+
+    @pytest.fixture
+    def no_root(self, monkeypatch):
+        # klt models whose strata yield no root, forced by reporting every
+        # Newton run unconverged
+        newton = optimize._newton
+
+        def unconverged(*args):
+            mu, s, found = newton(*args)
+            return mu, s, found & False
+
+        monkeypatch.setattr(optimize, "_newton", unconverged)
+
+    def test_non_convergence_exit_4(self, tmp_path, capsys, no_root):
+        path = write_model(tmp_path, "e7.json", e_singularity(7, 2))
+        code, out, _ = run(capsys, ["minimize", path, "--seed", "1"])
         assert code == 4
-        assert json.loads(out)["status"] == "boundary-suspect"
+        payload = json.loads(out)
+        assert payload["status"] == "not-converged"
+        assert payload["weight"] == ["1"] * 4
 
     def test_not_converged_exit_4(self, tmp_path, capsys):
         # the residual is about 2.2e-16, above a tolerance of 0
@@ -191,21 +210,17 @@ class TestMinimize:
         assert (code, out) == (3, "")
         assert err == f"error: tolerance must be a finite number >= 0, got {float(tolerance)!r}\n"
 
-    def test_boundary_payload_is_strict_json(self, tmp_path, capsys):
-        from hvol import Hypersurface
-
+    def test_boundary_payload_is_strict_json(self, tmp_path, capsys, no_root):
+        # the exit-4 payload of a run that found no root stays strict JSON
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
-        for name, support in [
-            ("cubic.json", ((3, 0, 0), (0, 3, 0), (0, 0, 3))),
-            ("cubic4.json", ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0))),
-        ]:
-            path = write_model(tmp_path, name, Hypersurface(support))
+        for name, model in [("e7.json", e_singularity(7, 2)), ("d24.json", d_singularity(2, 4))]:
+            path = write_model(tmp_path, name, model)
             code, out, _ = run(capsys, ["minimize", path, "--seed", "1"])
             assert code == 4
             payload = json.loads(out, parse_constant=reject)
-            assert payload["status"] == "boundary-suspect"
+            assert payload["status"] == "not-converged"
 
 
 class TestTable:

@@ -1,5 +1,6 @@
 """Optimizer behavior: exact recoveries, diagnostics, determinism, edge cases."""
 
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -109,13 +110,12 @@ class TestMinimizeHypersurface:
         b = minimize_hvol(d_singularity(2, 4), starts=9, seed=123)
         assert a == b
 
-    def test_boundary_suspect_on_log_canonical_cone(self):
-        # the cubic cone in 3-space is log canonical, not klt: the extended
-        # formula has infimum 0 along the valid region's edge
+    def test_log_canonical_cone_rejected(self):
+        # the cubic cone in 3-space is log canonical, not klt: the vertex
+        # (1/3, 1/3, 1/3) of R has coordinate sum exactly 1
         cubic = Hypersurface(((3, 0, 0), (0, 3, 0), (0, 0, 3)))
-        result = minimize_hvol(cubic, seed=0)
-        assert result.status == "boundary-suspect"
-        assert float(result.value) < 1.0
+        with pytest.raises(NonKltModelError, match=r"w = \(1/3, 1/3, 1/3\) .* sum\(w\) = 1 <= 1"):
+            minimize_hvol(cubic, seed=0)
 
     def test_not_converged_when_residual_misses_the_tolerance(self):
         # the stratum solve converges to rounding level, which tolerance 0 still rejects
@@ -187,18 +187,46 @@ ADE_UP_TO_AMBIENT_4 = {
 }
 
 
+def _strata(problem):
+    return optimize._strata(problem.rows, optimize._vertices(problem.rows)[0])
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "minimizer_golden.json").read_text())
+GOLDEN_ROWS = GOLDEN["minimizers"] + GOLDEN["seeded"]["minimizers"]
+
+
+def _golden_model(row):
+    return Hypersurface(tuple(tuple(e) for e in row["support"]), allow_smooth_germ=row["allow_smooth_germ"])
+
+
+# the klt golden rows outside the A-D-E families with a coordinate class of
+# two or more, where the symmetric slice is smaller than the cone
+SYMMETRIC_GOLDEN = {
+    row["label"]: _golden_model(row)
+    for row in GOLDEN_ROWS
+    if row["label"][0] not in "ADE" and "error" not in row and any(len(c) > 1 for c in symmetrize(_golden_model(row)))
+}
+
+
 class TestUnreducedSolve:
-    @pytest.mark.parametrize("model", ADE_UP_TO_AMBIENT_4.values(), ids=ADE_UP_TO_AMBIENT_4.keys())
+    @pytest.mark.parametrize(
+        "model",
+        [*ADE_UP_TO_AMBIENT_4.values(), *SYMMETRIC_GOLDEN.values()],
+        ids=[*ADE_UP_TO_AMBIENT_4, *SYMMETRIC_GOLDEN],
+    )
     def test_unreduced_value_matches_reduced(self, model):
         # without symmetry reduction the solve runs in every coordinate, so
         # a minimizer off the class-constant slice would show up here
         values = []
         for trivial in (False, True):
             problem = optimize._build_problem(model, trivial_classes=trivial)
-            roots, _ = optimize._stationary_points(problem)
+            roots, _ = optimize._stationary_points(problem, _strata(problem))
             values.append(problem.value(optimize._select_best(problem, roots)[0]))
         reduced, unreduced = values
         assert abs(unreduced - reduced) <= 1e-9 * reduced
+
+    def test_symmetric_golden_rows(self):
+        assert len(SYMMETRIC_GOLDEN) == 14
 
 
 FROZEN = [
@@ -254,29 +282,77 @@ class TestFrozenSupports:
             checked += 1
 
 
-class TestBoundaryWeight:
+BRIESKORN_PHAM = [
+    exponents for d in (3, 4) for exponents in itertools.combinations_with_replacement(range(2, 8), d)
+]
+
+
+class TestKltCheck:
+    """minimize_hvol decides klt-ness from the vertices of R = {w >= 0 : <e, w> >= 1}."""
+
+    def test_brieskorn_pham(self):
+        # sum x_i^{a_i} is klt iff sum 1/a_i > 1 (the lct of a Brieskorn-Pham
+        # polynomial), which is the coordinate sum of R's only vertex
+        # (1/a_1, ..., 1/a_d); every order of the exponents is one model up
+        # to renaming coordinates, so each sorted tuple stands for it
+        rejected = 0
+        for exponents in BRIESKORN_PHAM:
+            d = len(exponents)
+            model = Hypersurface(tuple(tuple(a * (i == j) for j in range(d)) for i, a in enumerate(exponents)))
+            total = sum(F(1, a) for a in exponents)
+            if total <= 1:
+                with pytest.raises(NonKltModelError, match=rf"sum\(w\) = {total} <= 1"):
+                    minimize_hvol(model)
+                rejected += 1
+            else:
+                assert minimize_hvol(model).status == "converged", exponents
+        assert (len(BRIESKORN_PHAM), rejected) == (182, 108)
+
     @pytest.mark.parametrize(
         "support",
         [
             ((3, 0, 0), (0, 3, 0), (0, 0, 3)),
-            # fewer monomials than variables: no tie ray is determined by
-            # the monomials alone, and A = x4 > 0 on the whole open cone
+            # fewer monomials than variables: x4 is free, and the germ is
+            # the cubic cone times a line
             ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)),
         ],
         ids=["cubic-cone", "cubic-cone-times-line"],
     )
-    def test_weight_is_exact_and_klt_valid(self, support):
-        model = Hypersurface(support)
+    def test_cubic_cones_rejected(self, support):
+        with pytest.raises(NonKltModelError, match=r"sum\(w\) = 1 <= 1"):
+            minimize_hvol(Hypersurface(support))
+
+    def test_smooth_germ_exempt(self):
+        # x (1 + y^2 + z^3) is smooth; its vertex e_x has sum 1 and is no
+        # exceptional divisor, so a linear monomial skips the check
+        model = Hypersurface(((1, 0, 0), (1, 2, 0), (1, 0, 3)), allow_smooth_germ=True)
         result = minimize_hvol(model)
-        assert result.status == "boundary-suspect"
-        assert all(isinstance(w, F) and w > 0 for w in result.weight)
-        a = log_discrepancy(model, result.weight)
-        assert 0 < a < F(1, 100) * sum(result.weight)
-        assert result.value == normalized_volume(model, result.weight).normalized_volume
+        assert result.status == "converged"
+        assert result.value == 4
+
+    def test_reducible_twin_rejected(self):
+        # without the linear monomial x divides f, and e_x is a vertex again
+        model = Hypersurface(((1, 2, 0), (1, 0, 3)))
+        with pytest.raises(NonKltModelError, match=r"sum\(w\) = \d+/\d+ <= 1"):
+            minimize_hvol(model)
+
+    def test_no_root_on_a_klt_model(self, monkeypatch):
+        # with no converged Newton run the answer is (1, ..., 1), klt-valid
+        # as (1, ..., 1) / multiplicity lies in R; the CLI side is
+        # tests/test_cli.py::TestMinimize::test_non_convergence_exit_4
+        newton = optimize._newton
+
+        def no_root(*args):
+            mu, s, found = newton(*args)
+            return mu, s, found & False
+
+        monkeypatch.setattr(optimize, "_newton", no_root)
+        model = e_singularity(7, 2)
+        result = minimize_hvol(model)
+        assert result.status == "not-converged"
+        assert result.weight == (F(1),) * 4
+        assert log_discrepancy(model, result.weight) > 0
         assert math.isfinite(result.first_order_residual)
-
-
-GOLDEN = json.loads((Path(__file__).parent / "data" / "minimizer_golden.json").read_text())
 
 
 def _scalar_string(value):
@@ -289,12 +365,15 @@ class TestGolden:
     seeded random supports before the rounding became one candidate (see
     the notes in the file)."""
 
-    @pytest.mark.parametrize(
-        "row", GOLDEN["minimizers"] + GOLDEN["seeded"]["minimizers"], ids=lambda row: row["label"]
-    )
+    @pytest.mark.parametrize("row", GOLDEN_ROWS, ids=lambda row: row["label"])
     def test_minimizer_answer(self, row):
-        support = tuple(tuple(e) for e in row["support"])
-        result = minimize_hvol(Hypersurface(support, allow_smooth_germ=row["allow_smooth_germ"]))
+        if "error" in row:  # a germ that is not klt
+            with pytest.raises(NonKltModelError) as info:
+                minimize_hvol(_golden_model(row))
+            assert str(info.value) == row["error"]
+            assert str(info.value).endswith(f"sum(w) = {row['vertex_sum']} <= 1")
+            return
+        result = minimize_hvol(_golden_model(row))
         assert [_scalar_string(w) for w in result.weight] == row["weight"]
         assert _scalar_string(result.value) == row["value"]
         assert result.status == row["status"]
@@ -435,7 +514,7 @@ class TestNewtonStops:
         # every stratum of the problem from every start, sizes 1, 2 and 3 in
         # one batch: each run's bits match the run alone and unpadded
         problem = optimize._build_problem(model)
-        strata = sorted(optimize._strata(problem.rows, len(problem.classes)), key=len)
+        strata = sorted(_strata(problem), key=len)
         ties, starts = [], []
         for subset in strata:
             k = len(subset)
@@ -477,17 +556,13 @@ class TestRootlessStrata:
     def test_dropped_rows_have_no_root(self):
         # the golden minimizers hold all 65 A-D-E reference rows and the
         # frozen and seeded supports
-        rows = GOLDEN["minimizers"] + GOLDEN["seeded"]["minimizers"]
-        models = [
-            Hypersurface(tuple(tuple(e) for e in row["support"]), allow_smooth_germ=row["allow_smooth_germ"])
-            for row in rows
-        ]
+        models = [_golden_model(row) for row in GOLDEN_ROWS]
         checked = set()
         for model in models:
             for trivial in (False, True):
                 problem = optimize._build_problem(model, trivial_classes=trivial)
                 rootless = optimize._rootless_monomials(problem.rows, problem.sizes)
-                for subset in optimize._strata(problem.rows, len(problem.classes)):
+                for subset in _strata(problem):
                     row = problem.rows[subset[0]]
                     key = (tuple(row), tuple(problem.sizes), problem.model.dim)
                     if len(subset) == 1 and rootless[subset[0]] and key not in checked:
@@ -508,7 +583,7 @@ class TestRootlessStrata:
         # no root, and the squares' row (2, 0, 0), which has one
         model = d_singularity(3, 4)
         problem = optimize._build_problem(model)
-        strata = optimize._strata(problem.rows, len(problem.classes))
+        strata = _strata(problem)
         singles = {tuple(problem.rows[subset[0]]) for subset in strata if len(subset) == 1}
         assert singles == {(0, 0, 4), (0, 2, 1), (2, 0, 0)}
         seen, newton = set(), optimize._newton
