@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fujita", help="cone interpolation analysis")
     p.add_argument("cone", help="cone model JSON file")
-    p.add_argument("--grid", type=int, default=101)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=_cmd_fujita)
 
@@ -331,27 +330,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fujita(args) -> int:
     model = _load(args.cone, "fujita")
-    eta_value = fujita.eta(model)
     derivative = fujita.phi_prime_zero(model)
-    convex = fujita.convexity_check(model, grid=args.grid)
-    f0 = fujita.f_of_t(model, 0)
-    f1 = fujita.f_of_t(model, 1)
     betas = [Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(1),
              Fraction(2), Fraction(10), Fraction(100), math.inf]
-    samples = [(b, fujita.phi(model, b)) for b in betas]
-    phi0 = float(samples[0][1])
-    drops = any(float(value) < phi0 - 1e-12 for _, value in samples[1:])
     payload = {
-        "eta": _scalar_json(eta_value),
+        "eta": _scalar_json(fujita.eta(model)),
         "phi_prime_zero": _scalar_json(derivative),
-        "convex": convex,
-        "f0": _scalar_json(f0),
-        "f1": _scalar_json(f1),
-        "phi_samples": [
-            ["inf" if b == math.inf else _scalar_json(b), _scalar_json(value)]
-            for b, value in samples
-        ],
-        "phi_drops_below_start": drops,
+        "convex": fujita.convexity_check(model),
+        "f0": _scalar_json(fujita.f_of_t(model, 0)),
+        "f1": _scalar_json(fujita.f_of_t(model, 1)),
+        "phi_samples": [["inf" if b == math.inf else _scalar_json(b), _scalar_json(fujita.phi(model, b))]
+                        for b in betas],
+        "phi_drops_below_start": derivative < 0,  # f is convex: f(t) >= f(0) + f'(0) t
     }
     _print_payload(payload, args.format)
     return 0

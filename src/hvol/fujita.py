@@ -17,21 +17,25 @@ variable beta = 1/alpha.  The derivative at beta = 0 is n * eta(D), where
 
 is the divisorial-semistability invariant of D (non-negative exactly when
 V is divisorially semistable along D).  Substituting t = (r+1)/(alpha r +
-r + 1) gives the normalized interpolation f(t) = Phi(beta(t)) on [0, 1],
-which is convex.
+r + 1) gives the normalized interpolation f(t) = Phi(beta(t)) on [0, 1].
+It is convex: the slope form ``f_of_t_slope_form`` writes it as a mixture,
+with weight -Vol'(x) >= 0, of the convex (r+1 + (r x - 1) t)^{-n}, whose
+base stays >= r > 0 on [0, 1].
 
 The volume curve x -> Vol(L - x D) is supplied by the caller as a
 continuous piecewise polynomial; the geometry producing it is out of
 scope.  Its degree is at most n-1, so no integral here is logarithmic and
 f is one rational function N(t)/D(t) with integer coefficients, which each
 ``ConeModel`` builds once (``_f_coefficients``), in lowest terms by one
-integer polynomial gcd.  Every cone value is N/D at a substituted t:
-``f_of_t`` and ``convexity_check`` at t itself, ``phi`` at
-t = (r+1) beta / (r + (r+1) beta), ``vol_w_alpha`` as f(t) (t/(r+1))^n,
-and ``phi_prime_zero`` checks n * eta against (r+1)/r f'(0).  An exact
-argument gives an exact Fraction; a float is read exactly and gives the
-correctly rounded float.  One route stays independent of (N, D): the
-slope form ``f_of_t_slope_form``.
+integer polynomial gcd.  D is a positive constant times breakpoint factors
+w (p+q) + (p u - q w) t (r = p/q, u/w a breakpoint), positive at t = 0 and
+t = 1, so D > 0 on [0, 1].  Every cone value is N/D at a substituted t:
+``f_of_t`` at t itself, ``phi`` at t = (r+1) beta / (r + (r+1) beta),
+``vol_w_alpha`` as f(t) (t/(r+1))^n, and ``phi_prime_zero`` checks n * eta
+against (r+1)/r f'(0).  An exact argument gives an exact Fraction; a float
+is read exactly and gives the correctly rounded float, or a DomainError
+past the float range.  One route stays independent of (N, D): the slope
+form ``f_of_t_slope_form``.
 """
 
 from __future__ import annotations
@@ -52,8 +56,6 @@ from .models import (
     as_scalar,
     _sequence,
 )
-
-_CONVEXITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,22 +106,12 @@ class VolumeCurve:
         self._check_non_increasing()
 
     def _check_non_increasing(self):
-        """P' <= 0 on every piece, decided exactly; with continuity and the 0 at tau
-        that makes the curve non-negative too.
-
-        P' of the piece scaled by its positive denominator lcm, c prod h_i^i
-        (``_odd_part``), changes sign only at the roots of the product h of its
-        odd-power factors; when h has no root inside the piece, the sign of c h
-        at the midpoint is the sign of P' wherever it is not 0.
-        """
+        """-P' >= 0 on every piece, decided exactly; with continuity and the 0 at tau
+        that makes the curve non-negative too."""
         for (a, b), piece in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
-            scale = math.lcm(*(c.denominator for c in piece))
-            deriv = _poly_trim(_poly_derivative([c.numerator * (scale // c.denominator) for c in piece]))
-            if not deriv:
-                continue
-            odd = _odd_part(deriv)
-            inside = _sturm_count(odd, a, b) - (_poly_eval(odd, b) == 0)  # roots in (a, b)
-            if inside or deriv[-1] * _poly_eval(odd, (a + b) / 2) > 0:
+            scale = math.lcm(*(c.denominator for c in piece))  # scale * -P' has integer coefficients
+            neg_slope = _poly_derivative([-c.numerator * (scale // c.denominator) for c in piece])
+            if not _nonnegative_on(neg_slope, a, b):
                 raise InvalidCurveError(f"curve increases somewhere on [{a}, {b}]")
 
     @property
@@ -186,7 +178,7 @@ def vol_w_alpha(cone: ConeModel, alpha) -> Scalar:
     m = p * x + (p + q) * y
     num, den = _f_ratio(cone, (p + q) * y, m)
     num, den = num * (q * y) ** cone.dim, den * m**cone.dim  # t/(r+1) = q y / m
-    return Fraction(num, den) if isinstance(alpha, Fraction) else num / den
+    return _quotient(num, den, alpha, "alpha")
 
 
 def phi(cone: ConeModel, beta) -> Scalar:
@@ -203,7 +195,7 @@ def phi(cone: ConeModel, beta) -> Scalar:
         raise DomainError("beta must be non-negative")
     (p, q), (x, y) = cone.r.as_integer_ratio(), beta.as_integer_ratio()
     num, den = _f_ratio(cone, (p + q) * x, p * y + (p + q) * x)
-    return Fraction(num, den) if isinstance(beta, Fraction) else num / den
+    return _quotient(num, den, beta, "beta")
 
 
 def eta(cone: ConeModel) -> Scalar:
@@ -239,7 +231,17 @@ def f_of_t(cone: ConeModel, t) -> Scalar:
     """
     t = _t_value(t)
     num, den = _f_ratio(cone, *t.as_integer_ratio())
-    return Fraction(num, den) if isinstance(t, Fraction) else num / den
+    return _quotient(num, den, t, "t")
+
+
+def _quotient(num: int, den: int, x: Scalar, name: str) -> Scalar:
+    """num/den: a Fraction for an exact x, else the correctly rounded float, which must be finite."""
+    if isinstance(x, Fraction):
+        return Fraction(num, den)
+    try:
+        return num / den
+    except OverflowError:
+        raise DomainError(f"the value at {name} = {x!r} overflows a float; pass an exact {name}") from None
 
 
 def _t_value(t) -> Scalar:
@@ -271,19 +273,14 @@ def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
     return r**n * (r + 1) ** n * total
 
 
-def convexity_check(cone: ConeModel, grid: int = 101) -> bool:
-    """Second-order central differences of f on a uniform grid stay >= -1e-9.
-
-    Each f(i/(grid-1)) is the integer pair of N/D, divided.  Int true
-    division is correctly rounded, so every value equals
-    float(f_of_t(cone, Fraction(i, grid - 1))) without building a Fraction.
-    """
-    grid = as_integer(grid, "convexity check needs at least 3 grid points", 3, DomainError)
-    values = [num / den for num, den in (_f_ratio(cone, i, grid - 1) for i in range(grid))]
-    return all(
-        values[i - 1] - 2 * values[i] + values[i + 1] >= -_CONVEXITY_SLACK
-        for i in range(1, grid - 1)
-    )
+def convexity_check(cone: ConeModel) -> bool:
+    """f'' >= 0 on [0, 1], decided exactly: with D > 0 there, f'' has the sign of D^3 f'' =
+    N''D^2 - 2N'D'D - ND''D + 2ND'^2.  f is convex, so False would mean (N, D) is not f."""
+    n0, d0 = cone._f
+    n1, d1 = _poly_derivative(n0), _poly_derivative(d0)
+    n2, d2 = _poly_derivative(n1), _poly_derivative(d1)
+    terms = ((1, (n2, d0, d0)), (-2, (n1, d1, d0)), (-1, (n0, d2, d0)), (2, (n0, d1, d1)))
+    return _nonnegative_on(_poly_sum((s, reduce(_poly_mul, fs)) for s, fs in terms), Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +436,18 @@ def _sturm_count(f: Sequence[int], a: Fraction, b: Fraction) -> int:
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
     return sign_changes(a) - sign_changes(b)
+
+
+def _nonnegative_on(f: Sequence[int], a: Fraction, b: Fraction) -> bool:
+    """Whether the integer polynomial f is >= 0 on [a, b], a < b: f = c prod h_i^i (``_odd_part``),
+    c of the sign of lc(f), changes sign exactly at the roots of the product h of its odd-power
+    factors, so iff h has no root in (a, b) and c h > 0 between."""
+    f = _poly_trim(f)
+    if not f:
+        return True
+    odd = _odd_part(f)
+    inside = _sturm_count(odd, a, b) - (_poly_eval(odd, b) == 0)  # roots in (a, b)
+    return not inside and f[-1] * _poly_eval(odd, Fraction(a + b, 2)) > 0
 
 
 def _integral_poly_over_power(coeffs: Sequence, a, b, c, power: int):

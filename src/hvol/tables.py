@@ -75,7 +75,11 @@ class ReferenceEntry:
 def alpha_star(n: int) -> float:
     """Positive root of (n-1) a^2 + n a - n = 0 (irrational for n = 2, 3)."""
     n = as_integer(n, "alpha_star needs an integer n >= 2", 2, DomainError)
-    return (-n + math.sqrt(5 * n * n - 4 * n)) / (2 * (n - 1))
+    try:
+        root = math.sqrt(5 * n * n - 4 * n)
+    except OverflowError:  # 5 n^2 - 4 n is not below 2^1024
+        raise DomainError("alpha_star needs n <= 5.99e153, so that 5 n^2 - 4 n is a finite float") from None
+    return (-n + root) / (2 * (n - 1))
 
 
 def _family(name: str) -> str:

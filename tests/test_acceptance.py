@@ -184,7 +184,7 @@ def test_criterion_7_fujita_catalog():
             cone = projective_space_cone(n)
             assert eta(cone) == 0
             assert abs(float(phi_prime_zero(cone))) <= 1e-9
-            assert convexity_check(cone, grid=101)
+            assert convexity_check(cone)
             assert f_of_t(cone, 0) == n**n
             independent = normalized_volume(
                 SmoothPoint(n), (F(1),) * (n - 1) + (F(2),)

@@ -423,12 +423,30 @@ class TestFujita:
         code, _, _ = run(capsys, ["fujita", path])
         assert code == 3
 
-    def test_grid_too_small_exit_3(self, tmp_path, capsys):
+    def test_grid_flag_removed_exit_2(self, tmp_path):
         path = write_model(tmp_path, "p1.json", projective_space_cone(2))
-        code, out, err = run(capsys, ["fujita", path, "--grid", "2"])
-        assert code == 3
-        assert out == ""
-        assert "at least 3 grid points" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fujita", path, "--grid", "101"])
+        assert exit_info.value.code == 2
+
+    def test_drop_just_past_the_first_sample(self, tmp_path, capsys):
+        # curve 1 - x/tau at tau = 1001/1000: phi(1/10^4) < phi(0), but phi(1/100) > phi(0)
+        tau = F(1001, 1000)
+        curve = VolumeCurve(breakpoints=(F(0), tau), pieces=((F(1), -1 / tau),), vol_at_zero=F(1))
+        code, out, _ = run(capsys, ["fujita", write_model(tmp_path, "tau.json", ConeModel(1, F(2), curve))])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["phi_prime_zero"] == "-1/250"
+        assert payload["phi_drops_below_start"] is True
+
+    def test_huge_r_exit_0(self, tmp_path, capsys):
+        # r = 10^400: f is past the float range, and nothing converts it to a float
+        cone = ConeModel(1, F(10**400), projective_space_cone(2).curve)
+        code, out, err = run(capsys, ["fujita", write_model(tmp_path, "huge.json", cone)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["convex"] is True
+        assert payload["phi_drops_below_start"] is True
 
     def test_large_tau_cone(self, tmp_path, capsys):
         # curve 1 - x/10^4: the finite-difference check of phi'(0) must hold
@@ -447,7 +465,8 @@ class TestFujita:
     def test_golden_output(self, tmp_path, capsys, case):
         path = tmp_path / "cone.json"
         path.write_text(json.dumps(case["model"]))
-        argv = ["fujita", str(path), "--grid", str(case["grid"]), "--format", case["format"]]
+        # the golden runs also record the removed --grid; every grid gave the same stdout
+        argv = ["fujita", str(path), "--format", case["format"]]
         code, out, _ = run(capsys, argv)
         assert (code, out) == (case["exit"], case["stdout"])
 

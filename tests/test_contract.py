@@ -19,7 +19,7 @@ from hvol import (
     DomainError, Hypersurface, HvolError, InvalidModelError, SmoothPoint, ToricCone, core, lattice,
 )
 from hvol.fujita import (
-    ConeModel, VolumeCurve, catalog, convexity_check, f_of_t, f_of_t_slope_form, phi,
+    ConeModel, VolumeCurve, catalog, f_of_t, f_of_t_slope_form, phi,
     projective_space_cone, vol_w_alpha,
 )
 from hvol.inequalities import run_suite, sample_weight, skewness_s, thm13_margin
@@ -81,9 +81,13 @@ def test_constructor_contract(field, value):
 
 
 # well-typed values past a rule that no model file can reach; each error names the field
+HUGE_R = ConeModel(1, 10**400, P1)  # f is near 10^800 on [0, 1]
 RULES = {
     "e_singularity.index": (InvalidModelError, "index", lambda: e_singularity(5, 2)),
     "thm13_margin.weight": (DomainError, "weight", lambda: thm13_margin(SmoothPoint(2), (0.5, 1.0))),
+    "alpha_star.n": (DomainError, "n <= ", lambda: alpha_star(10**200)),
+    "f_of_t.t": (DomainError, "t = 0.5", lambda: f_of_t(HUGE_R, 0.5)),
+    "phi.beta": (DomainError, "beta = 0.5", lambda: phi(HUGE_R, 0.5)),
 }
 
 
@@ -158,7 +162,6 @@ RUNTIME_SCALARS = {
     "minimize_hvol.starts": ("integer", lambda v: minimize_hvol(PLANE, starts=v)),
     "run_suite.seed": ("integer", lambda v: run_suite("thm13", samples=20, seed=v, dims=(2,))),
     "run_suite.samples": ("integer", lambda v: run_suite("thm13", samples=v, seed=5, dims=(2,))),
-    "convexity_check.grid": ("integer", lambda v: convexity_check(CONE, grid=v)),
     "sample_weight.dim": ("integer", lambda v: sample_weight(np.random.default_rng(0), v)),
     "projective_space_cone.n": ("integer", projective_space_cone),
     "alpha_star.n": ("integer", alpha_star),

@@ -1,8 +1,13 @@
 """Cone interpolation: exact integrals, endpoint identities, convexity."""
 
+import contextlib
+import io
+import json
 import math
 import pickle
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +15,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hvol import DomainError, InvalidCurveError, fujita
+from hvol.cli import main
 from hvol.fujita import (
-    _CONVEXITY_SLACK,
     ConeModel,
     VolumeCurve,
     catalog,
@@ -26,6 +31,7 @@ from hvol.fujita import (
     projective_space_cone,
     vol_w_alpha,
 )
+from hvol.modelio import dumps_canonical
 from hvol.models import SmoothPoint
 from hvol.core import normalized_volume
 
@@ -142,6 +148,19 @@ class TestVolumeCurve:
                 expected = sum(lo < root <= hi for root in roots)
                 assert fujita._sturm_count(odd, lo, hi) == expected
                 assert fujita._sturm_count([-c for c in odd], lo, hi) == expected
+
+    @pytest.mark.parametrize("f, expected", [
+        ([], True),  # the zero polynomial
+        ([0, 0], True),
+        ([1, -4, 4], True),  # (2t - 1)^2: an even root inside
+        ([-1, 2], False),  # 2t - 1: an odd root inside
+        ([0, 1], True),  # t: a root at an end
+        ([-1, 0, 0, 1], False),  # t^3 - 1: negative up to its root at the end
+        ([-1, 4, -4], False),  # -(2t - 1)^2
+    ], ids=["zero", "trailing-zeros", "even-root-inside", "odd-root-inside", "root-at-end", "negative",
+            "negative-square"])
+    def test_nonnegative_on_unit_interval(self, f, expected):
+        assert fujita._nonnegative_on(f, F(0), F(1)) is expected
 
     def test_wrong_vol_at_zero_rejected(self):
         with pytest.raises(InvalidCurveError):
@@ -295,6 +314,13 @@ class TestInterpolation:
     def test_convexity_catalog(self, n):
         assert convexity_check(projective_space_cone(n))
 
+    def test_convex_where_a_float_grid_was_not(self):
+        # r = 10^7 and (1 - x/tau)^3 on [0, tau], tau = 10^-6: f is near 10^28, and float second
+        # differences of the correctly rounded values dip to -2.2e12 on a 101-point grid
+        tau = F(1, 10**6)
+        curve = VolumeCurve((0, tau), ((1, -3 * 10**6, 3 * 10**12, -(10**18)),), 1)
+        assert convexity_check(ConeModel(3, 10**7, curve))
+
     def test_semistable_implies_endpoint_order(self):
         for cone in catalog().values():
             if eta(cone) >= 0:
@@ -349,11 +375,18 @@ def cones(draw):
     return ConeModel(base_dim=base_dim, r=draw(non_integer()), curve=curve)
 
 
+def fujita_payload(cone):
+    """The JSON that ``hvol fujita`` prints for the cone."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = Path(tmp) / "cone.json"
+        path.write_text(dumps_canonical(cone))
+        assert main(["fujita", str(path)]) == 0
+    return json.loads(out.getvalue())
+
+
 def second_difference_rule(values):
-    return all(
-        values[i - 1] - 2 * values[i] + values[i + 1] >= -_CONVEXITY_SLACK
-        for i in range(1, len(values) - 1)
-    )
+    return all(values[i - 1] - 2 * values[i] + values[i + 1] >= 0 for i in range(1, len(values) - 1))
 
 
 class TestGridKernel:
@@ -371,10 +404,12 @@ class TestGridKernel:
                 if t:
                     alpha = (1 - t) * (r + 1) / (r * t)
                     assert vol_w_alpha(cone, alpha) == value * (t / (r + 1)) ** cone.dim
-                slope.append(float(value))
-            if m > 1:
-                assert convexity_check(cone, grid=m + 1) == second_difference_rule(slope)
+                slope.append(value)
+            assert second_difference_rule(slope)
+        assert convexity_check(cone)
         assert phi_prime_zero(cone) == cone.dim * eta(cone)
+        drops = phi(cone, F(1, 10**4)) < phi(cone, 0)
+        assert fujita_payload(cone)["phi_drops_below_start"] == drops == (phi_prime_zero(cone) < 0)
 
     def test_float_t_takes_the_numeric_path(self):
         cone = projective_space_cone(3)
@@ -414,6 +449,7 @@ class TestGridKernel:
                 root = F(-w * (p + q), p * u - q * w)
                 assert fujita._poly_eval(numer, root) or fujita._poly_eval(denom, root)
         assert denom[0] > 0 and math.gcd(*numer, *denom) == 1
+        assert convexity_check(cone)
 
     def test_cone_pickles_and_compares_by_its_fields(self):
         for cone in catalog().values():
