@@ -257,11 +257,12 @@ def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
 
     Integrates -Vol'(x) against r^n (r+1)^n / (r+1 + (r x - 1) t)^n piece
     by piece.  The curve is continuous and vanishes at tau, so the slope
-    measure has no point masses and the two routes agree identically.
+    measure has no point masses and the two routes agree identically.  A
+    float t is read exactly and the sum rounded once, as in ``f_of_t``.
     """
     t = _t_value(t)
-    n, r, curve = cone.dim, cone.r, cone.curve
-    d, c = r * t, r + 1 - t
+    n, r, curve, exact = cone.dim, cone.r, cone.curve, Fraction(t)
+    d, c = r * exact, r + 1 - exact
     total = 0
     for (a, b), piece in zip(zip(curve.breakpoints, curve.breakpoints[1:]), curve.pieces):
         neg_slope = tuple(-v for v in _poly_derivative(piece))
@@ -270,7 +271,8 @@ def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
         else:
             # 1 / (c + d x)^n = d^{-n} / (x + c/d)^n
             total += _integral_poly_over_power(neg_slope, a, b, c / d, n) / d**n
-    return r**n * (r + 1) ** n * total
+    value = Fraction(r**n * (r + 1) ** n * total)
+    return _quotient(value.numerator, value.denominator, t, "t")
 
 
 def convexity_check(cone: ConeModel) -> bool:

@@ -26,17 +26,22 @@ are solved by one batch of damped Newton runs, each stratum padded in
 front to the largest size, and the lowest klt-valid root wins.  Each
 step takes its first acceptable halving: every run tries its first
 halving within the cap, and only the runs it fails try the smaller ones,
-all in a second pass.  A run ends when it converges, when it runs off
-toward s = 0 or infinity (next to the cap on |log s| its step still
-points past it), when its multipliers leave |mu| <= 10^3, when an
-accepted step leaves it bitwise where it was (a fixed point, which an
-exactly zero step reaches at once), or when no halving of its step is
-acceptable; the batch stops when no run is live, or after 60 iterations.
-Weights are max-normalized, and an exact answer arises in one step: each
-coordinate of the winning weight is rounded to its nearest rational with
-denominator at most 128, kept when its exact value is within relative
-1e-9 of the float minimum; otherwise the float weight is the answer, as
-on the irrational D rows.  The answer depends on the model alone.
+all in a second pass.  A run ends when it converges, when another start
+of its stratum converges (every start that converges reaches the one root
+of its stratum), when it runs off toward s = 0 or infinity (next to the
+cap on |log s| its step still points past it), when its multipliers leave
+|mu| <= 10^3, when an accepted step leaves it bitwise where it was (a
+fixed point, which an exactly zero step reaches at once), or when no
+halving of its step is acceptable; the batch stops when no run is live,
+or after 60 iterations.  Weights are max-normalized, and an exact answer
+arises in one step: each coordinate of the winning weight is rounded to
+its nearest rational with denominator at most 128, kept when its exact
+value is within relative 1e-9 of the float minimum.  Otherwise, as on the
+irrational D rows, the winning root is polished by Newton steps in
+fixed-point integers and enclosed in a box proved to hold one root, and
+the weight and value are the correctly rounded doubles there.  The answer
+depends on the model alone: not on which start reached the root, nor on
+numpy's kernels.
 """
 
 from __future__ import annotations
@@ -93,9 +98,11 @@ class MinimizationResult:
     """Outcome of one minimization run.
 
     ``weight`` is max-normalized; ``value`` is the normalized volume there
-    (exact when the weight snapped to rationals).  ``active_monomials``
-    lists the support exponents attaining the weighted order at the
-    minimizer.  ``starts_used`` counts the tie strata, solved or settled
+    (exact when the weight snapped to rationals; otherwise each float is the
+    correctly rounded double of its value at the winning stratum root,
+    wherever ``polish.polish_root`` decides it, as on every tested
+    support).  ``active_monomials`` lists the support exponents attaining
+    the weighted order at the minimizer.  ``starts_used`` counts the tie strata, solved or settled
     (0 for the smooth and toric closed forms).  ``first_order_residual`` is the
     largest relative Clarke gradient component x_i * d/dx_i log hvol at
     the reported weight, with the multipliers of the winning stratum (0.0
@@ -156,10 +163,10 @@ def minimize_hvol(
         _check_klt(problem, vertices, bases)
     roots, solved = _stationary_points(problem, _strata(problem.rows, vertices))
     if roots:
-        u, ebar = _select_best(problem, roots)
+        u, ebar, *root = _select_best(problem, roots)
     else:  # never seen; A = n + 1 - multiplicity > 0 here, as (1, ..., 1) / multiplicity lies in R
-        u, ebar = np.ones(len(problem.sizes)), None
-    weight, value = _finalize(model, problem.expand(u), problem.value(u))
+        u, ebar, root = np.ones(len(problem.sizes)), None, None
+    weight, value = _finalize(problem, u, root)
     residual = _clarke_residual(problem, weight, ebar)
     return MinimizationResult(
         weight=weight,
@@ -241,11 +248,13 @@ def _build_problem(model: Hypersurface, trivial_classes: bool = False) -> _Probl
 
 
 def _stationary_points(problem: _Problem, strata: list):
-    """The klt-valid roots (u, ebar) of the tie strata, and the number of strata.
+    """The klt-valid roots of the tie strata, and the number of strata.
 
     Newton starts at the barycentre and the vertices of each multiplier
-    simplex.  A root counts if no monomial outside S is cheaper and, for
-    |S| >= 2, the multipliers are nonnegative.
+    simplex, and a stratum's first root ends its other starts.  A root
+    counts if no monomial outside S is cheaper and, for |S| >= 2, the
+    multipliers are nonnegative.  Each root is (u, ebar, tie, mu, s), with
+    the stratum's rows and multipliers unpadded.
     """
     n, sizes = problem.model.dim, problem.sizes
     rootless = _rootless_monomials(problem.rows, sizes)
@@ -254,18 +263,19 @@ def _stationary_points(problem: _Problem, strata: list):
         return [], len(strata)
     rows = np.vstack([problem.rows, np.zeros(len(sizes))])  # the last row pads
     top, runs = len(solvable[-1]), []
-    for subset in solvable:  # one batch, each stratum padded in front to the largest size
+    for label, subset in enumerate(solvable):  # one batch, each stratum padded in front to the largest size
         k = len(subset)
         starts = [[1.0 / k] * k] + (np.eye(k).tolist() if k > 1 else [])
-        runs += [(k, [0.0] * (top - k) + start, rows[[-1] * (top - k) + list(subset)]) for start in starts]
-    size, mu, tie = (np.array(x) for x in zip(*runs))
-    mu, s, found = _newton(tie, sizes, n, mu, size)
+        runs += [(label, k, [0.0] * (top - k) + start, rows[[-1] * (top - k) + list(subset)]) for start in starts]
+    stratum, size, mu, tie = (np.array(x) for x in zip(*runs))
+    mu, s, found = _newton(tie, sizes, n, mu, size, stratum)
     mu, s, tie, size = mu[found], s[found], tie[found], size[found]
     ebar = np.einsum("bk,bkm->bm", mu, tie)
     u = sizes / (n * sizes + (s - n)[:, None] * ebar)
     keep = (mu.min(axis=1) >= -_TIE_TOL) | (size == 1)
     keep &= s * np.min(u @ problem.rows.T, axis=1) >= 1 - _TIE_TOL
-    return list(zip(u[keep], ebar[keep])), len(strata)
+    roots = [(u[i], ebar[i], tie[i, top - size[i] :], mu[i, top - size[i] :], s[i]) for i in np.flatnonzero(keep)]
+    return roots, len(strata)
 
 
 def _rootless_monomials(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -357,7 +367,7 @@ def _check_klt(problem: _Problem, vertices: np.ndarray, bases: np.ndarray) -> No
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np.ndarray):
+def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np.ndarray, stratum: np.ndarray):
     """Damped Newton on a batch of stratum systems in (mu, t = log s), from s = n.
 
     The equations are s <e, u> = 1 for e in the stratum and sum(mu) = 1,
@@ -372,10 +382,14 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
     in the last k rows of tie and slots of mu, after zeros, with padded
     residual and step entries 0; each size's (k + 1) x (k + 1) systems take
     one SVD, from which pinv's own arithmetic (lstsq's cutoff) forms the
-    pseudo-inverse.  Only live runs are held.  Each run ends on its own, in
-    one of four ways:
+    pseudo-inverse.  Only live runs are held.  Each run ends in one of five
+    ways:
 
     * it converges: residual at most _ROOT_TOL and step at most _STEP_TOL;
+    * another run of its stratum (the same label in ``stratum``) converges:
+      the stratum's runs all end in that iteration, as every start that
+      converges reaches the one root of its stratum on the tested supports
+      (tests/test_optimize.py::TestOneRootPerStratum);
     * it runs off in s: it is within one unit of the cap and its undamped
       step would carry |log s| past it.  Where the residual fades like 1/s
       (a pure power), Newton steps t by 1, as -g/g' = 1 for g = c e^-t, so
@@ -432,8 +446,9 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
         # residual also fades while s runs off to infinity, with unit steps
         done = (np.abs(g).max(axis=1) <= _ROOT_TOL) & (np.abs(step).max(axis=1) <= _STEP_TOL)
         found[index[done]] = True
+        solved = np.isin(stratum, stratum[done])
         runoff = (np.abs(t) > _LOG_S_CAP - 1) & (np.abs(t + step[:, top]) > _LOG_S_CAP)
-        go_on = ~(done | runoff | (np.abs(mu).max(axis=1) > _MU_BOUND))
+        go_on = ~(solved | runoff | (np.abs(mu).max(axis=1) > _MU_BOUND))
         # the first halving that keeps |log s| within the cap, tried for every run
         room = (_LOG_S_CAP - np.sign(step[:, top]) * t) / np.abs(step[:, top])
         lam = 0.5 ** np.maximum(0, np.ceil(-np.log2(room)))
@@ -457,7 +472,7 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
         keep = go_on & ok & ~((trial[1] == t) & (trial[0] == mu).all(axis=1))
         if not keep.all():  # the runs that end keep their last (mu, s)
             out_mu[index[~keep]], out_s[index[~keep]] = mu[~keep], s[~keep]
-            index, size, tie, padded, *trial = (a[keep] for a in (index, size, tie, padded, *trial))
+            index, size, stratum, tie, padded, *trial = (a[keep] for a in (index, size, stratum, tie, padded, *trial))
         mu, t, g, denom, u, s, ebar = trial
     out_mu[index], out_s[index] = mu, s
     return out_mu, out_s, found
@@ -470,9 +485,9 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
     whole ray), so near-ties go to the lexicographically smallest
     max-normalized weight, which lands on the most degenerate stratum.
     """
-    values = [problem.value(u) for u, _ in candidates]
+    values = [problem.value(u) for u, *_ in candidates]
     window = min(values) + 1e-9 * max(1.0, abs(min(values)))
-    ties = [(tuple(problem.expand(u) / np.max(u)), i) for i, (u, _) in enumerate(candidates)]
+    ties = [(tuple(problem.expand(u) / np.max(u)), i) for i, (u, *_) in enumerate(candidates)]
     return candidates[min(tie for tie in ties if values[tie[1]] <= window)[1]]
 
 
@@ -480,8 +495,15 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
 # exact snapping and diagnostics
 
 
-def _finalize(model: Hypersurface, full: np.ndarray, float_value: float):
-    """The winning weight, max-normalized, and rounded once when that holds."""
+def _finalize(problem: _Problem, u: np.ndarray, root):
+    """The winning weight, max-normalized, and its value.
+
+    The weight is rounded once to rationals when that holds.  Otherwise
+    ``polish.polish_root`` gives the correctly rounded doubles at the
+    stratum root that ``root`` = (tie, mu, s) locates, or, if it cannot
+    decide them, the float answer stands.
+    """
+    model, full, float_value = problem.model, problem.expand(u), problem.value(u)
     float_weight = tuple(float(v) for v in full / np.max(full))
     # the largest coordinate is 1.0 and rounds to 1: the rounding stays max-normalized
     snapped = tuple(Fraction(v).limit_denominator(_SNAP_DENOMINATOR) for v in float_weight)
@@ -492,7 +514,12 @@ def _finalize(model: Hypersurface, full: np.ndarray, float_value: float):
             return snapped, value
     except DomainError:  # a coordinate rounded to 0, or A <= 0 there
         pass
-    return float_weight, float_value
+    # the no-root weight (1, ..., 1) always snaps, so here a root is given.
+    # Only an irrational answer needs the polish: a process whose answers
+    # are all exact never imports it
+    from . import polish
+
+    return polish.polish_root(*root, problem.sizes, problem.owner, model.dim) or (float_weight, float_value)
 
 
 def _clarke_residual(problem: _Problem, weight, ebar) -> float:

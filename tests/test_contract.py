@@ -88,6 +88,10 @@ RULES = {
     "alpha_star.n": (DomainError, "n <= ", lambda: alpha_star(10**200)),
     "f_of_t.t": (DomainError, "t = 0.5", lambda: f_of_t(HUGE_R, 0.5)),
     "phi.beta": (DomainError, "beta = 0.5", lambda: phi(HUGE_R, 0.5)),
+    **{
+        f"f_of_t_slope_form.t={t!r}": (DomainError, f"t = {t!r}", lambda t=t: f_of_t_slope_form(HUGE_R, t))
+        for t in (0.5, 0.0, 1e-300)
+    },
 }
 
 
@@ -213,7 +217,7 @@ def test_runtime_sequence_contract(param, value):
 def test_float_t_is_the_rounded_exact_value(name):
     cone = catalog()[name]
     for t in (0.0, 0.25, 0.1, 1 / 3, 0.999):
-        assert f_of_t(cone, t) == float(f_of_t(cone, F(t)))
+        assert f_of_t(cone, t) == float(f_of_t(cone, F(t))) == f_of_t_slope_form(cone, t)
     assert f_of_t(cone, 0.25) == float(f_of_t(cone, F(1, 4)))
     assert vol_w_alpha(cone, 0.5) == float(vol_w_alpha(cone, F(1, 2)))
     assert phi(cone, 0.5) == float(phi(cone, F(1, 2)))

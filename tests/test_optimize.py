@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from hvol import (
     orthant_cone,
     symmetrize,
 )
-from hvol import cli, core, optimize
+from hvol import cli, core, optimize, polish
 from hvol.tables import alpha_star
 
 
@@ -416,25 +417,150 @@ class TestFinalize:
         assert len(calls) == 1
 
 
+def _winning_root(model):
+    """The problem and the winning (u, ebar, tie, mu, s) of minimize_hvol's batch."""
+    problem = optimize._build_problem(model)
+    roots, _ = optimize._stationary_points(problem, _strata(problem))
+    return problem, optimize._select_best(problem, roots)
+
+
+def _decimal_hvol(model, weight):
+    """A^n v / prod(x) at a Decimal weight, in the current Decimal context."""
+    v = min(sum(w * e for w, e in zip(weight, row)) for row in model.support)
+    value = (sum(weight) - v) ** model.dim * v
+    for w in weight:
+        value /= w
+    return value
+
+
+def _golden_row(label):
+    return next(row for row in GOLDEN_ROWS if row["label"] == label)
+
+
+class TestPolish:
+    """A float answer is the correctly rounded double of its stratum root."""
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3) for k in (4, 5, 6)])
+    def test_d_rows_closed_forms(self, n, k):
+        # the weight (1, ..., 1, a, 2 - 2a) with (n - 1) a^2 + n a - n = 0: for
+        # n = 2, a = sqrt(3) - 1, 2 - 2a = 4 - 2 sqrt(3) and the value 6 sqrt(3)
+        with localcontext() as context:
+            context.prec = 50
+            a = (Decimal(n * n + 4 * n * (n - 1)).sqrt() - n) / (2 * (n - 1))
+            weight = [Decimal(1)] * n + [a, 2 - 2 * a]
+            value = _decimal_hvol(d_singularity(n, k), weight)
+            if n == 2:
+                root3 = Decimal(3).sqrt()
+                assert abs(a - (root3 - 1)) < Decimal("1e-45")
+                assert abs(value - 6 * root3) < Decimal("1e-45")
+        result = minimize_hvol(d_singularity(n, k))
+        assert result.weight == tuple(float(w) for w in weight)
+        assert result.value == float(value)
+
+    def test_seeded_41(self):
+        # x^2 + y^2 + z^3 w + w^6: z = (sqrt(7) - 1) / 3 and w = 3 - sqrt(7)
+        model = _golden_model(_golden_row("seeded 41"))
+        with localcontext() as context:
+            context.prec = 50
+            root7 = Decimal(7).sqrt()
+            weight = [Decimal(1), Decimal(1), (root7 - 1) / 3, 3 - root7]
+            value = _decimal_hvol(model, weight)
+        result = minimize_hvol(model)
+        assert result.weight == tuple(float(w) for w in weight)
+        assert result.value == float(value)
+        assert (repr(result.weight[2]), repr(result.weight[3])) == ("0.5485837703548635", "0.3542486889354094")
+
+    @pytest.mark.parametrize("label", ["D n=2 k=4", "D n=3 k=4", "seeded 34", "seeded 41"])
+    def test_same_bytes_from_every_start(self, label):
+        # the polish from the float root of each start of the winning stratum
+        # alone, and from roots a few ulp away, prints the same answer
+        model = _golden_model(_golden_row(label))
+        expected = minimize_hvol(model)
+        problem, (_, _, tie, _, _) = _winning_root(model)
+        k = len(tie)
+        floats = []
+        for start in [[1.0 / k] * k] + (np.eye(k).tolist() if k > 1 else []):
+            mu, s, found = _newton_runs(problem, [tie], [start])
+            if found[0]:
+                floats.append((mu[0], s[0]))
+        # some starts reach the root with different last bits
+        assert len({(*mu, s) for mu, s in floats}) >= 2
+        mu, s = floats[0]
+        for ulps in (-3, 1, 4):
+            floats.append((mu + ulps * np.spacing(mu), s - ulps * np.spacing(s)))
+        for mu, s in floats:
+            weight, value = polish.polish_root(tie, mu, s, problem.sizes, problem.owner, problem.model.dim)
+            assert repr((weight, value)) == repr((expected.weight, expected.value))
+
+    def test_undecided_polish_keeps_the_float_root(self, monkeypatch):
+        # where the enclosure test cannot decide the doubles, the float root's
+        # weight and value stand, a few ulp from the polished ones
+        polished = minimize_hvol(d_singularity(2, 4))
+        monkeypatch.setattr(polish, "polish_root", lambda *args: None)
+        result = minimize_hvol(d_singularity(2, 4))
+        assert result.status == "converged" and not result.exact
+        assert result.active_monomials == polished.active_monomials
+        assert np.allclose(result.weight, polished.weight, rtol=1e-14, atol=0)
+        assert abs(result.value - polished.value) <= 1e-14 * polished.value
+
+
+class TestOneRootPerStratum:
+    """Every start of a stratum that converges alone reaches one root, so the
+    first root of a stratum may stop its other starts."""
+
+    @pytest.mark.parametrize("row", [row for row in GOLDEN_ROWS if "error" not in row], ids=lambda row: row["label"])
+    def test_starts_alone_agree(self, row):
+        # a one-monomial stratum has one start, the barycentre
+        problem = optimize._build_problem(_golden_model(row))
+        for subset in _strata(problem):
+            k = len(subset)
+            if k == 1:
+                continue
+            tie, roots = problem.rows[list(subset)], []
+            for start in [[1.0 / k] * k] + np.eye(k).tolist():
+                mu, s, found = _newton_runs(problem, [tie], [start])
+                if found[0]:
+                    roots.append(np.append(mu[0], math.log(s[0])))
+            for root in roots[1:]:
+                assert np.max(np.abs(root - roots[0])) <= 1e-9, (subset, roots)
+
+
 def _newton_runs(problem, ties, starts):
-    """Runs of any stratum sizes in one batch, padded in front to the largest size."""
+    """Runs of any stratum sizes in one batch, padded in front to the largest size.
+
+    Runs on equal rows share a stratum, as the starts of one stratum do in
+    ``_stationary_points``.
+    """
     top, size = max(map(len, ties)), np.array([len(tie) for tie in ties])
     tie = np.array([np.pad(np.array(t, dtype=float), ((top - len(t), 0), (0, 0))) for t in ties])
     mu = np.array([np.pad(np.array(start, dtype=float), (top - len(start), 0)) for start in starts])
-    return optimize._newton(tie, problem.sizes, problem.model.dim, mu, size)
+    labels = {}
+    stratum = np.array([labels.setdefault(np.array(t, dtype=float).tobytes(), len(labels)) for t in ties])
+    return optimize._newton(tie, problem.sizes, problem.model.dim, mu, size, stratum)
 
 
 class TestNewtonStops:
-    """Each run ends on its own, exactly as it would alone and unpadded."""
+    """Each run ends exactly as it would alone and unpadded, unless another
+    start of its stratum converges first: then it stops in that iteration."""
 
     def _assert_runs_alone_agree(self, problem, ties, starts, batch):
+        # a run that converged, or whose stratum has no converged run, matches
+        # its run alone bit for bit; so does a run that ended on its own before
+        # a sibling converged.  Any other run was stopped by that sibling, and
+        # alone it goes on to converge to the sibling's root
+        stopped = 0
         for i, (tie, start) in enumerate(zip(ties, starts)):
             mu, s, found = _newton_runs(problem, [tie], [start])
             padding = len(batch[0][i]) - len(start)
             assert not batch[0][i][:padding].any()
-            assert np.array_equal(mu[0], batch[0][i][padding:])
-            assert s[0] == batch[1][i]
-            assert found[0] == batch[2][i]
+            if np.array_equal(mu[0], batch[0][i][padding:]) and s[0] == batch[1][i] and found[0] == batch[2][i]:
+                continue
+            sibling = next(j for j, other in enumerate(ties) if batch[2][j] and np.array_equal(other, tie))
+            assert not batch[2][i] and found[0]
+            assert abs(s[0] - batch[1][sibling]) <= 1e-9 * s[0]
+            assert np.max(np.abs(mu[0] - batch[0][sibling][padding:])) <= 1e-9
+            stopped += 1
+        return stopped
 
     def test_root_run_off_and_zero_step(self):
         # D n=3 k=4 has classes of sizes (3, 1, 1) and n = 4: the squares'
@@ -467,13 +593,15 @@ class TestNewtonStops:
     def test_damped_steps(self):
         # D n=2 k=5 on the stratum {z^5, squares}: from the barycentre and
         # from both vertices some steps must be halved to keep every D_c > 0
-        # (one to four a run), and every run reaches the root at s = 3/10
+        # (one to four a run), and every run alone reaches the root at s = 3/10.
+        # In one batch the barycentre and the vertex (0, 1) converge in the
+        # same iteration, which stops the run from (1, 0)
         problem = optimize._build_problem(d_singularity(2, 5))
         ties, starts = [[(0, 0, 5), (2, 0, 0)]] * 3, [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
         batch = mu, s, found = _newton_runs(problem, ties, starts)
-        assert found.all()
-        assert np.all(np.abs(s - 0.3) <= 1e-12)
-        self._assert_runs_alone_agree(problem, ties, starts, batch)
+        assert found.tolist() == [True, False, True]
+        assert np.all(np.abs(s[found] - 0.3) <= 1e-12)
+        assert self._assert_runs_alone_agree(problem, ties, starts, batch) == 1
 
     def test_first_halving_then_the_rest(self, monkeypatch):
         # D n=2 k=5: from either vertex the stratum {z^5, squares} needs steps
@@ -502,17 +630,19 @@ class TestNewtonStops:
         alone = [evaluations([tie], [start])[1] for tie, start in zip(ties, starts)]
         assert [max(rows) >= 40 for rows in alone] == [True, True, False]
         batch, rows = evaluations(ties, starts)
-        assert batch[2].all()
+        # the vertex (0, 1) converges first on {z^5, squares} and stops the run from (1, 0)
+        assert batch[2].tolist() == [False, True, True]
         # the second pass runs in an iteration whose first pass held every run,
         # so the barycentre run took its first halving beside it
         second = next(i for i, count in enumerate(rows) if count >= 40)
         assert rows[second - 1] == len(ties)
-        self._assert_runs_alone_agree(problem, ties, starts, batch)
+        assert self._assert_runs_alone_agree(problem, ties, starts, batch) == 1
 
     @pytest.mark.parametrize("model", [d_singularity(3, 4), e_singularity(6, 2)], ids=["D n=3 k=4", "E6 n=2"])
     def test_padded_batch_of_every_stratum(self, model):
         # every stratum of the problem from every start, sizes 1, 2 and 3 in
-        # one batch: each run's bits match the run alone and unpadded
+        # one batch: each run's bits match the run alone and unpadded, except
+        # the 7 of 16 runs stopped when another start of their stratum converged
         problem = optimize._build_problem(model)
         strata = sorted(_strata(problem), key=len)
         ties, starts = [], []
@@ -524,7 +654,7 @@ class TestNewtonStops:
         assert sorted({len(tie) for tie in ties}) == [1, 2, 3]
         batch = _newton_runs(problem, ties, starts)
         assert batch[2].any() and not batch[2].all()
-        self._assert_runs_alone_agree(problem, ties, starts, batch)
+        assert (self._assert_runs_alone_agree(problem, ties, starts, batch), len(ties)) == (7, 16)
 
     def test_fixed_point_stops_early(self, monkeypatch):
         # D n=1 k=3 on the stratum {y^2 z, x^2}: from the barycentre and both
@@ -588,10 +718,10 @@ class TestRootlessStrata:
         assert singles == {(0, 0, 4), (0, 2, 1), (2, 0, 0)}
         seen, newton = set(), optimize._newton
 
-        def recorded(tie, sizes, n, mu, size):
+        def recorded(tie, sizes, n, mu, size, stratum):
             # each run's stratum without its leading padded rows
-            seen.update(tuple(map(tuple, stratum[len(stratum) - k :].tolist())) for stratum, k in zip(tie, size))
-            return newton(tie, sizes, n, mu, size)
+            seen.update(tuple(map(tuple, rows[len(rows) - k :].tolist())) for rows, k in zip(tie, size))
+            return newton(tie, sizes, n, mu, size, stratum)
 
         monkeypatch.setattr(optimize, "_newton", recorded)
         result = minimize_hvol(model)
