@@ -33,15 +33,15 @@ cap on |log s| its step still points past it), when its multipliers leave
 |mu| <= 10^3, when an accepted step leaves it bitwise where it was (a
 fixed point, which an exactly zero step reaches at once), or when no
 halving of its step is acceptable; the batch stops when no run is live,
-or after 60 iterations.  Weights are max-normalized, and an exact answer
-arises in one step: each coordinate of the winning weight is rounded to
-its nearest rational with denominator at most 128, kept when its exact
-value is within relative 1e-9 of the float minimum.  Otherwise, as on the
-irrational D rows, the winning root is polished by Newton steps in
-fixed-point integers and enclosed in a box proved to hold one root, and
-the weight and value are the correctly rounded doubles there.  The answer
-depends on the model alone: not on which start reached the root, nor on
-numpy's kernels.
+or after 60 iterations.  Weights are max-normalized.  The winning root's
+floats (mu, s) are rounded to the nearest rationals with denominator at
+most (2 _STEP_TOL)^(-1/2) = 22360; where the stratum's residual is exactly
+zero there, they are the root, and the weight and value are exact.
+Otherwise, as on the irrational D rows, the winning root is polished by
+Newton steps in fixed-point integers and enclosed in a box proved to hold
+one root, and the weight and value are the correctly rounded doubles
+there.  The answer depends on the model alone: not on which start reached
+the root, nor on numpy's kernels.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import core
+from . import core, polish
 from .exact import Scalar, inverse_fraction
 from .models import (
     DomainError,
@@ -65,11 +65,8 @@ from .models import (
     UnsupportedModelError,
     as_integer,
     as_scalar,
-    check_weight,
 )
 
-_SNAP_DENOMINATOR = 128
-_VALUE_MATCH_RTOL = 1e-9
 _ROOT_TOL = 1e-12
 _TIE_TOL = 1e-9
 _STEP_TOL = 1e-9
@@ -98,11 +95,11 @@ class MinimizationResult:
     """Outcome of one minimization run.
 
     ``weight`` is max-normalized; ``value`` is the normalized volume there
-    (exact when the weight snapped to rationals; otherwise each float is the
-    correctly rounded double of its value at the winning stratum root,
-    wherever ``polish.polish_root`` decides it, as on every tested
-    support).  ``active_monomials`` lists the support exponents attaining
-    the weighted order at the minimizer.  ``starts_used`` counts the tie strata, solved or settled
+    (exact when the stratum's residual vanishes exactly at the rationals
+    nearest the winning root; otherwise each float is the correctly rounded
+    double of its value at that root, wherever ``polish.polish_root``
+    decides it, as on every tested support).  ``active_monomials`` lists
+    the support exponents attaining the weighted order at the minimizer.  ``starts_used`` counts the tie strata, solved or settled
     (0 for the smooth and toric closed forms).  ``first_order_residual`` is the
     largest relative Clarke gradient component x_i * d/dx_i log hvol at
     the reported weight, with the multipliers of the winning stratum (0.0
@@ -380,10 +377,11 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
 
     All strata share the batch: a run of size k = size[i] holds its stratum
     in the last k rows of tie and slots of mu, after zeros, with padded
-    residual and step entries 0; each size's (k + 1) x (k + 1) systems take
-    one SVD, from which pinv's own arithmetic (lstsq's cutoff) forms the
-    pseudo-inverse.  Only live runs are held.  Each run ends in one of five
-    ways:
+    residual and step entries 0.  The padded columns of the sum(mu) row are
+    0 too, so each Jacobian is its run's (k + 1) x (k + 1) system bordered
+    by zeros, and one SVD of the held batch gives every pseudo-inverse by
+    pinv's own arithmetic, with lstsq's cutoff (k + 1) eps max(sigma) per
+    run.  Only live runs are held.  Each run ends in one of five ways:
 
     * it converges: residual at most _ROOT_TOL and step at most _STEP_TOL;
     * another run of its stratum (the same label in ``stratum``) converges:
@@ -434,14 +432,12 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
         jac[:, :top, :top] = -(s * (s - n))[:, None, None] * tw @ tie.transpose(0, 2, 1)
         jac[:, :top, top] = s[:, None] * np.einsum("bkm,bm->bk", tie, u)
         jac[:, :top, top] -= (s * s)[:, None] * np.einsum("bkm,bm->bk", tw, ebar)
-        jac[:, top, :top] = 1.0
-        step = np.zeros((len(index), top + 1))
-        for k in set(size.tolist()):  # pinv with lstsq's cutoff, on each run's own trailing block
-            group, j = size == k, top - k
-            left, sv, right = np.linalg.svd(jac[group, j:, j:], full_matrices=False)
-            sv = np.where(sv > (k + 1) * _EPS * sv.max(axis=1, keepdims=True), 1 / sv, 0)
-            inverse = right.transpose(0, 2, 1) @ (sv[..., None] * left.transpose(0, 2, 1))
-            step[group, j:] = -(inverse @ g[group, j:, None])[..., 0]
+        jac[:, top, :top] = ~padded
+        left, sv, right = np.linalg.svd(jac, full_matrices=False)
+        sv = np.where(sv > (size + 1)[:, None] * _EPS * sv.max(axis=1, keepdims=True), 1 / sv, 0)
+        inverse = right.transpose(0, 2, 1) @ (sv[..., None] * left.transpose(0, 2, 1))
+        step = -(inverse @ g[..., None])[..., 0]
+        step[:, :top][padded] = 0
         # a small residual alone is not a root: on a pure power the
         # residual also fades while s runs off to infinity, with unit steps
         done = (np.abs(g).max(axis=1) <= _ROOT_TOL) & (np.abs(step).max(axis=1) <= _STEP_TOL)
@@ -492,34 +488,37 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact snapping and diagnostics
+# exact answers and diagnostics
 
 
 def _finalize(problem: _Problem, u: np.ndarray, root):
     """The winning weight, max-normalized, and its value.
 
-    The weight is rounded once to rationals when that holds.  Otherwise
-    ``polish.polish_root`` gives the correctly rounded doubles at the
-    stratum root that ``root`` = (tie, mu, s) locates, or, if it cannot
-    decide them, the float answer stands.
+    The root (tie, mu, s) is rounded to the nearest rationals with
+    denominator at most (2 _STEP_TOL)^(-1/2), which lie 2 _STEP_TOL apart
+    or more.  Where the stratum's residual is exactly zero there, with
+    every D_c > 0, the weight u / max(u) and the value
+    prod((D_c / size_c)^size_c) / s (A = 1 and v = 1/s at a root) are
+    exact; otherwise ``polish.polish_root`` gives the correctly rounded
+    doubles at the root or, undecided, the float answer stands.
     """
-    model, full, float_value = problem.model, problem.expand(u), problem.value(u)
-    float_weight = tuple(float(v) for v in full / np.max(full))
-    # the largest coordinate is 1.0 and rounds to 1: the rounding stays max-normalized
-    snapped = tuple(Fraction(v).limit_denominator(_SNAP_DENOMINATOR) for v in float_weight)
+    model = problem.model
+    if root is None:
+        weight = (Fraction(1),) * model.ambient_dim
+        return weight, core.normalized_volume(model, weight).normalized_volume
+    tie, mu, s = root
+    sizes, bound = [int(c) for c in problem.sizes], int((2 * _STEP_TOL) ** -0.5)
+    *exact_mu, exact_s = (Fraction(float(v)).limit_denominator(bound) for v in (*mu, s))
     try:
-        snapped = check_weight(model, snapped)
-        value = core.normalized_volume(model, snapped).normalized_volume
-        if float(value) <= float_value * (1 + _VALUE_MATCH_RTOL) + 1e-15:
-            return snapped, value
-    except DomainError:  # a coordinate rounded to 0, or A <= 0 there
-        pass
-    # the no-root weight (1, ..., 1) always snaps, so here a root is given.
-    # Only an irrational answer needs the polish: a process whose answers
-    # are all exact never imports it
-    from . import polish
-
-    return polish.polish_root(*root, problem.sizes, problem.owner, model.dim) or (float_weight, float_value)
+        g, _, denom, exact_u = polish._residual(tie.astype(int).tolist(), sizes, model.dim, exact_mu, exact_s)
+    except ZeroDivisionError:  # a D_c of 0: no root
+        denom = [0]
+    if min(denom) > 0 and not any(g):
+        top = max(exact_u)
+        value = math.prod((d / c) ** c for c, d in zip(sizes, denom)) / exact_s
+        return tuple(exact_u[c] / top for c in problem.owner), value
+    float_answer = tuple(problem.expand(u / np.max(u)).tolist()), problem.value(u)
+    return polish.polish_root(tie, mu, s, problem.sizes, problem.owner, model.dim) or float_answer
 
 
 def _clarke_residual(problem: _Problem, weight, ebar) -> float:

@@ -167,6 +167,14 @@ class TestMinimize:
         assert code == 0
         assert json.loads(out)["value"] == "2048/225"
 
+    def test_denominator_past_128(self, tmp_path, capsys):
+        path = write_model(tmp_path, "a257.json", a_singularity(2, 257))
+        code, out, _ = run(capsys, ["minimize", path])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["weight"] == ["1", "1", "2/257"]
+        assert payload["value"] == "4/257"
+
     def test_non_klt_model_exit_3(self, tmp_path, capsys):
         from hvol import Hypersurface
 
