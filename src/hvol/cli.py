@@ -77,9 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="minimize the normalized volume over weights")
     p.add_argument("model", help="model JSON file")
-    p.add_argument("--starts", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-7)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=_cmd_minimize)
 
@@ -87,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=tables.FAMILIES)
     p.add_argument("--n-range", help="inclusive range a:b")
     p.add_argument("--k-range", help="inclusive range a:b (A and D families)")
-    p.add_argument("--starts", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-models", metavar="DIR", help="also write the model files")
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
@@ -213,9 +210,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_minimize(args) -> int:
     model = _load(args.model, "minimize")
-    result = optimize.minimize_hvol(
-        model, starts=args.starts, seed=args.seed, tolerance=args.tolerance
-    )
+    result = optimize.minimize_hvol(model, seed=args.seed)
     payload = _minimization_payload(result)
     _print_payload(payload, args.format)
     return 0 if result.status == "converged" else _EXIT_NOT_CONVERGED
@@ -238,7 +233,7 @@ def _cmd_table(args) -> int:
     rows = []
     all_match = True
     for entry in tables.table_rows(args.family, n_values, k_values):
-        result = optimize.minimize_hvol(entry.model, starts=args.starts, seed=args.seed)
+        result = optimize.minimize_hvol(entry.model, seed=args.seed)
         matches = _matches_reference(result, entry)
         all_match = all_match and matches
         rows.append(

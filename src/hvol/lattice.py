@@ -224,8 +224,10 @@ def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
             f"scaled radius exceeds the counting capacity {_SCALE_CAP}; "
             "use rationals with moderate denominators"
         )
-    n = len(a)
-    coins = sorted(a)
+    coins = sorted(c for c in a if c <= top)  # a coin past every bound only takes t = 0
+    if not coins:
+        return [int(b >= 0) for b in bounds]
+    n = len(coins)
     smallest, middle, largest = coins[0], coins[1:-1], coins[-1]
     # upper bound on the final count: a full simplex with the cheapest coin
     reach = top // smallest + n
@@ -258,8 +260,7 @@ def _table_entries(smallest, middle, top, y):
     block = min(max(_BLOCK // smallest, 1) * smallest, top + 1)
     template = _one_coin_table(smallest, block - 1, np.int32 if fits else np.int64)
     buf = np.empty_like(template)
-    # a coin beyond the top bound contributes multiplicity 0 only
-    rings = [(coin, np.zeros(coin, template.dtype)) for coin in middle if coin <= top]
+    rings = [(coin, np.zeros(coin, template.dtype)) for coin in middle]
     order = np.argsort(y, kind="stable")
     ordered, entries, done = y[order], np.empty_like(y), 0
     for lo in range(0, top + 1, block):

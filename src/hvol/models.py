@@ -12,8 +12,9 @@ Three germ classes are supported:
   pairs to 1 with every generator.
 
 Weights live in the positive orthant for smooth and hypersurface models
-and in the interior of the defining cone for toric models.  klt-ness of a
-germ is asserted by the caller, never verified here.
+and in the interior of the defining cone for toric models.  Smooth and
+toric germs are klt; ``optimize.minimize_hvol`` decides exactly whether a
+hypersurface germ is, which its constructor does not check.
 """
 
 from __future__ import annotations

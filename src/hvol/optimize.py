@@ -63,8 +63,6 @@ from .models import (
     SmoothPoint,
     ToricCone,
     UnsupportedModelError,
-    as_integer,
-    as_scalar,
 )
 
 _ROOT_TOL = 1e-12
@@ -99,13 +97,14 @@ class MinimizationResult:
     nearest the winning root; otherwise each float is the correctly rounded
     double of its value at that root, wherever ``polish.polish_root``
     decides it, as on every tested support).  ``active_monomials`` lists
-    the support exponents attaining the weighted order at the minimizer.  ``starts_used`` counts the tie strata, solved or settled
-    (0 for the smooth and toric closed forms).  ``first_order_residual`` is the
+    the support exponents attaining the weighted order at the minimizer.
+    ``status`` is "not-converged" when Newton reached no klt-valid stratum
+    root; the weight is then (1, ..., 1), which need not minimize.
+    ``starts_used`` counts the tie strata, solved or settled (0 for the
+    closed forms).  ``first_order_residual``, a diagnostic only, is the
     largest relative Clarke gradient component x_i * d/dx_i log hvol at
-    the reported weight, with the multipliers of the winning stratum (0.0
-    for the closed forms).  If no stratum has a klt-valid stationary point
-    the weight is (1, ..., 1), and the barycentre of the monomials active
-    there stands in for the multipliers.
+    the weight, with the winning stratum's multipliers (0.0 for the closed
+    forms) or, with no root, the barycentre of the active monomials.
     """
 
     weight: tuple[Scalar, ...]
@@ -133,23 +132,16 @@ def symmetrize(model: Hypersurface) -> tuple[tuple[int, ...], ...]:
     return _columns_partition(model.support, model.ambient_dim)
 
 
-def minimize_hvol(
-    model: Model,
-    starts: int = 12,
-    seed: int = 0,
-    tolerance: float = 1e-7,
-) -> MinimizationResult:
+def minimize_hvol(model: Model, seed: int = 0) -> MinimizationResult:
     """Minimize the normalized volume of monomial valuations on the model.
 
-    The minimizer is deterministic: ``starts`` (which must be >= 1) and
-    ``seed`` are accepted for compatibility and do not change the answer.
-    A hypersurface germ that is not klt raises NonKltModelError.
-    ``status`` is "converged" when the first-order residual is at most
-    ``tolerance`` (a finite number >= 0), and "not-converged" otherwise.
+    The minimizer is deterministic: ``seed`` is accepted for compatibility
+    and does not change the answer.  A hypersurface germ that is not klt
+    raises NonKltModelError, and one with a reduced exponent of 2^53 or
+    more raises DomainError.  ``status`` is "converged" when the answer is
+    a closed form or a klt-valid root of a tie stratum, and "not-converged"
+    when Newton reaches no such root.
     """
-    as_integer(starts, "starts must be an integer >= 1", 1, DomainError)
-    if not 0 <= as_scalar(tolerance, "tolerance") < math.inf:
-        raise DomainError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     if isinstance(model, (SmoothPoint, ToricCone)):
         return _closed_form(model)
     if not isinstance(model, Hypersurface):
@@ -161,17 +153,16 @@ def minimize_hvol(
     roots, solved = _stationary_points(problem, _strata(problem.rows, vertices))
     if roots:
         u, ebar, *root = _select_best(problem, roots)
-    else:  # never seen; A = n + 1 - multiplicity > 0 here, as (1, ..., 1) / multiplicity lies in R
+    else:  # as on a_singularity(2, k >= 27397080); A > 0 at (1, ..., 1), as (1, ..., 1) / multiplicity lies in R
         u, ebar, root = np.ones(len(problem.sizes)), None, None
     weight, value = _finalize(problem, u, root)
-    residual = _clarke_residual(problem, weight, ebar)
     return MinimizationResult(
         weight=weight,
         value=value,
         active_monomials=core.active_monomials(weight, model.support),
-        status="converged" if residual <= tolerance else "not-converged",
+        status="converged" if roots else "not-converged",
         starts_used=solved,
-        first_order_residual=residual,
+        first_order_residual=_clarke_residual(problem, weight, ebar),
     )
 
 
@@ -236,6 +227,8 @@ def _build_problem(model: Hypersurface, trivial_classes: bool = False) -> _Probl
     )
     sizes = np.array([len(c) for c in classes], dtype=float)
     reduced = sorted({tuple(sum(e[i] for i in cls) for cls in classes) for e in model.support})
+    if max(map(max, reduced)) >= 1 << 53:  # past it a float row no longer holds the integer
+        raise DomainError("the minimizer needs exponents, summed over interchangeable coordinates, below 2^53")
     owner = np.array([j for i in range(model.ambient_dim) for j, c in enumerate(classes) if i in c])
     return _Problem(model, classes, sizes, np.array(reduced, dtype=float), owner)
 

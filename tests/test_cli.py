@@ -204,19 +204,30 @@ class TestMinimize:
         assert payload["status"] == "not-converged"
         assert payload["weight"] == ["1"] * 4
 
-    def test_not_converged_exit_4(self, tmp_path, capsys):
-        # the residual is about 2.2e-16, above a tolerance of 0
-        path = write_model(tmp_path, "d24.json", d_singularity(2, 4))
-        code, out, _ = run(capsys, ["minimize", path, "--tolerance", "0"])
-        assert code == 4
-        assert json.loads(out)["status"] == "not-converged"
-
-    @pytest.mark.parametrize("tolerance", ["nan", "-1e-7", "inf"])
-    def test_bad_tolerance_exit_3(self, tmp_path, capsys, tolerance):
+    def test_no_root_is_not_converged_at_a_stationary_weight(self, tmp_path, capsys, no_root):
+        # (1, 1, 1) is stationary on x^2 + y^2 + z^2, with residual 0, but no
+        # stratum root stands behind it
         path = write_model(tmp_path, "a22.json", a_singularity(2, 2))
-        code, out, err = run(capsys, ["minimize", path, f"--tolerance={tolerance}"])
+        code, out, _ = run(capsys, ["minimize", path])
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["weight"]) == (4, "not-converged", ["1"] * 3)
+        assert payload["first_order_residual"] == 0
+
+    @pytest.mark.parametrize(
+        "command, flag", [("minimize", "--tolerance"), ("minimize", "--starts"), ("table", "--starts")]
+    )
+    def test_removed_flags_exit_2(self, tmp_path, command, flag):
+        target = [write_model(tmp_path, "a22.json", a_singularity(2, 2))] if command == "minimize" else ["--family", "E7"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *target, flag, "3"])
+        assert exit_info.value.code == 2
+
+    def test_huge_exponent_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"kind": "hypersurface", "support": [[2, 0, 0], [0, 2, 0], [0, 0, 10**400]]}))
+        code, out, err = run(capsys, ["minimize", str(path)])
         assert (code, out) == (3, "")
-        assert err == f"error: tolerance must be a finite number >= 0, got {float(tolerance)!r}\n"
+        assert err.startswith("error:") and "2^53" in err and err.count("\n") == 1
 
     def test_boundary_payload_is_strict_json(self, tmp_path, capsys, no_root):
         # the exit-4 payload of a run that found no root stays strict JSON

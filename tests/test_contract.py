@@ -24,7 +24,6 @@ from hvol.fujita import (
 )
 from hvol.inequalities import run_suite, sample_weight, skewness_s, thm13_margin
 from hvol.models import a_singularity, d_singularity, e_singularity, orthant_cone
-from hvol.optimize import minimize_hvol
 from hvol.tables import alpha_star
 
 VALUES = [True, 2.5, 2.0, "2", np.int64(2), math.nan, math.inf, -math.inf, np.array(5)]
@@ -52,7 +51,6 @@ FIELDS = {
     "ConeModel.base_dim": ("integer", lambda v: ConeModel(v, 3, P2)),
     "ConeModel.r": ("rational", lambda v: ConeModel(1, v, P1)),
     "run_suite.dims": ("integer", lambda v: run_suite("thm13", samples=20, seed=5, dims=(v,))),
-    "minimize_hvol.tolerance": ("rational", lambda v: minimize_hvol(CUSP, tolerance=v)),
 }
 
 
@@ -162,8 +160,6 @@ RUNTIME_SCALARS = {
     "phi.beta": ("scalar", lambda v: phi(CONE, v)),
     "f_of_t.t": ("scalar", lambda v: f_of_t(CONE, v)),
     "f_of_t_slope_form.t": ("scalar", lambda v: f_of_t_slope_form(CONE, v)),
-    "minimize_hvol.tolerance": ("scalar", lambda v: minimize_hvol(PLANE, tolerance=v)),
-    "minimize_hvol.starts": ("integer", lambda v: minimize_hvol(PLANE, starts=v)),
     "run_suite.seed": ("integer", lambda v: run_suite("thm13", samples=20, seed=v, dims=(2,))),
     "run_suite.samples": ("integer", lambda v: run_suite("thm13", samples=v, seed=5, dims=(2,))),
     "sample_weight.dim": ("integer", lambda v: sample_weight(np.random.default_rng(0), v)),

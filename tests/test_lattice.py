@@ -268,6 +268,18 @@ class TestEstimateVolume:
         assert lattice.colength(SmoothPoint(2), (1, 1), 0) == 0
         assert lattice.colength(SmoothPoint(2), (1, 1), -2.5) == 0
 
+    @pytest.mark.parametrize(
+        "model, weight",
+        [(SmoothPoint(3), (1, 1, 1)), (a_singularity(2, 2), (1, 1, 1)), (CONE3, (2, 2, 3))],
+        ids=["smooth", "hypersurface", "toric"],
+    )
+    def test_tiny_radius_counts_the_origin(self, model, weight):
+        # the scaled coins pass int64 while the scaled radius is 0: only t = 0 counts
+        radius = F(1, 10**30)
+        assert colength(model, weight, radius) == 1
+        assert estimate_volume(model, weight, (radius, 2 * radius)).colengths == (1, 1)
+        assert estimate_volume(model, weight, (F(1, 10**300),)).colengths == (1,)
+
     def test_default_schedule(self):
         assert DEFAULT_RADIUS_MULTIPLIERS[0] == 16
         assert DEFAULT_RADIUS_MULTIPLIERS[-1] == 512
