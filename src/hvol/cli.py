@@ -117,10 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # helpers
 
 
-def _parse_weight(text: str) -> tuple[Fraction, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise DomainError("empty weight")
+def _parse_weight(text: str, flag: str = "--weight") -> tuple[Fraction, ...]:
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
+        raise DomainError(f"{flag} has an empty entry: {text!r}")
     out = []
     for part in parts:
         try:
@@ -223,7 +223,6 @@ def _minimization_payload(result) -> dict:
         "active_monomials": [list(e) for e in result.active_monomials],
         "status": result.status,
         "starts_used": result.starts_used,
-        "first_order_residual": float(f"{result.first_order_residual:.6g}"),
     }
 
 
@@ -284,7 +283,7 @@ def _cmd_oracle(args) -> int:
     weight = _parse_weight(args.weight)
     radii = None
     if args.radii:
-        radii = _parse_weight(args.radii)
+        radii = _parse_weight(args.radii, "--radii")
     series = lattice.estimate_volume(model, weight, radii)
     rows = [
         {

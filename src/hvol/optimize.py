@@ -17,8 +17,10 @@ S, ebar = sum_{e in S} mu_e e, A normalized to 1 and s = 1/v,
 
 which is |S| unknowns whatever the ambient dimension.  Coordinates that
 play identical roles in f (``symmetrize``) get equal weights.  The
-vertices of R = {u >= 0 : <e, u> >= 1} decide klt-ness (``_check_klt``)
-and give the strata worth solving.
+vertices of R = {u >= 0 : <e, u> >= 1} give the strata worth solving, and
+one exact pass over them (``_vertex_roots``) decides klt-ness and solves
+each full stratum, of m rows for m coordinate classes, in Fractions at
+the one vertex where it is tight.  Newton solves the smaller strata.
 A one-monomial stratum {e} with e_c >= size_c on every class it touches
 has no root, unless e is linear, and is settled before Newton runs; it
 still counts in ``starts_used``, which counts every stratum.  The others
@@ -33,15 +35,16 @@ cap on |log s| its step still points past it), when its multipliers leave
 |mu| <= 10^3, when an accepted step leaves it bitwise where it was (a
 fixed point, which an exactly zero step reaches at once), or when no
 halving of its step is acceptable; the batch stops when no run is live,
-or after 60 iterations.  Weights are max-normalized.  The winning root's
-floats (mu, s) are rounded to the nearest rationals with denominator at
-most (2 _STEP_TOL)^(-1/2) = 22360; where the stratum's residual is exactly
-zero there, they are the root, and the weight and value are exact.
-Otherwise, as on the irrational D rows, the winning root is polished by
-Newton steps in fixed-point integers and enclosed in a box proved to hold
-one root, and the weight and value are the correctly rounded doubles
-there.  The answer depends on the model alone: not on which start reached
-the root, nor on numpy's kernels.
+or after 60 iterations.  Weights are max-normalized.  A vertex root is
+exact; a Newton root's floats (mu, s) are rounded to the nearest
+rationals with denominator at most (2 _STEP_TOL)^(-1/2) = 22360, and are
+the root where the stratum's residual is exactly zero there.  At an exact
+root the weight and value are exact.  Otherwise, as on the irrational D
+rows, the winning root is polished by Newton steps in fixed-point
+integers and enclosed in a box proved to hold one root, and the weight
+and value are the correctly rounded doubles there.  The answer depends on
+the model alone: not on which start reached the root, nor on numpy's
+kernels.
 """
 
 from __future__ import annotations
@@ -93,18 +96,15 @@ class MinimizationResult:
     """Outcome of one minimization run.
 
     ``weight`` is max-normalized; ``value`` is the normalized volume there
-    (exact when the stratum's residual vanishes exactly at the rationals
-    nearest the winning root; otherwise each float is the correctly rounded
-    double of its value at that root, wherever ``polish.polish_root``
-    decides it, as on every tested support).  ``active_monomials`` lists
-    the support exponents attaining the weighted order at the minimizer.
-    ``status`` is "not-converged" when Newton reached no klt-valid stratum
-    root; the weight is then (1, ..., 1), which need not minimize.
-    ``starts_used`` counts the tie strata, solved or settled (0 for the
-    closed forms).  ``first_order_residual``, a diagnostic only, is the
-    largest relative Clarke gradient component x_i * d/dx_i log hvol at
-    the weight, with the winning stratum's multipliers (0.0 for the closed
-    forms) or, with no root, the barycentre of the active monomials.
+    (exact when the winning root is a vertex of R or the stratum's residual
+    vanishes exactly at the rationals nearest its Newton root; otherwise
+    each float is the correctly rounded double of its value at that root,
+    wherever ``polish.polish_root`` decides it, as on every tested
+    support).  ``active_monomials`` lists the support exponents attaining
+    the weighted order at the minimizer.  ``status`` is "not-converged"
+    when no stratum has a klt-valid root, exact or from Newton; the weight
+    is then (1, ..., 1), which need not minimize.  ``starts_used`` counts
+    the tie strata, solved or settled (0 for the closed forms).
     """
 
     weight: tuple[Scalar, ...]
@@ -112,7 +112,6 @@ class MinimizationResult:
     active_monomials: tuple[tuple[int, ...], ...]
     status: str
     starts_used: int
-    first_order_residual: float
 
     @property
     def exact(self) -> bool:
@@ -140,7 +139,7 @@ def minimize_hvol(model: Model, seed: int = 0) -> MinimizationResult:
     raises NonKltModelError, and one with a reduced exponent of 2^53 or
     more raises DomainError.  ``status`` is "converged" when the answer is
     a closed form or a klt-valid root of a tie stratum, and "not-converged"
-    when Newton reaches no such root.
+    when no stratum has such a root.
     """
     if isinstance(model, (SmoothPoint, ToricCone)):
         return _closed_form(model)
@@ -148,21 +147,20 @@ def minimize_hvol(model: Model, seed: int = 0) -> MinimizationResult:
         raise UnsupportedModelError(f"unknown model kind {model!r}")
     problem = _build_problem(model)
     vertices, bases = _vertices(problem.rows)
-    if model.multiplicity >= 2:  # a linear monomial makes the germ smooth
-        _check_klt(problem, vertices, bases)
-    roots, solved = _stationary_points(problem, _strata(problem.rows, vertices))
+    roots, free = _vertex_roots(problem, bases)
+    strata = _strata(problem.rows, vertices)
+    roots += _stationary_points(problem, [sub for sub in strata if len(sub) < len(problem.sizes) or sub in free])
     if roots:
-        u, ebar, *root = _select_best(problem, roots)
-    else:  # as on a_singularity(2, k >= 27397080); A > 0 at (1, ..., 1), as (1, ..., 1) / multiplicity lies in R
-        u, ebar, root = np.ones(len(problem.sizes)), None, None
+        u, *root = _select_best(problem, roots)
+    else:  # as on x^3 + y^5 + xy + z^62284456; A > 0 at (1, ..., 1), as (1, ..., 1) / multiplicity lies in R
+        u, root = np.ones(len(problem.sizes)), None
     weight, value = _finalize(problem, u, root)
     return MinimizationResult(
         weight=weight,
         value=value,
         active_monomials=core.active_monomials(weight, model.support),
         status="converged" if roots else "not-converged",
-        starts_used=solved,
-        first_order_residual=_clarke_residual(problem, weight, ebar),
+        starts_used=len(strata),
     )
 
 
@@ -174,7 +172,7 @@ def _closed_form(model: Model) -> MinimizationResult:
         top = max(abs(c) for c in centre)
         weight = tuple(Fraction(c, top) for c in centre)
     value = core.normalized_volume(model, weight).normalized_volume
-    return MinimizationResult(weight, value, (), "converged", 0, 0.0)
+    return MinimizationResult(weight, value, (), "converged", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +236,19 @@ def _build_problem(model: Hypersurface, trivial_classes: bool = False) -> _Probl
 
 
 def _stationary_points(problem: _Problem, strata: list):
-    """The klt-valid roots of the tie strata, and the number of strata.
+    """The klt-valid roots of the tie strata that Newton solves.
 
     Newton starts at the barycentre and the vertices of each multiplier
     simplex, and a stratum's first root ends its other starts.  A root
     counts if no monomial outside S is cheaper and, for |S| >= 2, the
-    multipliers are nonnegative.  Each root is (u, ebar, tie, mu, s), with
-    the stratum's rows and multipliers unpadded.
+    multipliers are nonnegative.  Each root is (u, tie, mu, s), with the
+    stratum's rows and multipliers unpadded.
     """
     n, sizes = problem.model.dim, problem.sizes
     rootless = _rootless_monomials(problem.rows, sizes)
     solvable = sorted((subset for subset in strata if len(subset) > 1 or not rootless[subset[0]]), key=len)
     if not solvable:
-        return [], len(strata)
+        return []
     rows = np.vstack([problem.rows, np.zeros(len(sizes))])  # the last row pads
     top, runs = len(solvable[-1]), []
     for label, subset in enumerate(solvable):  # one batch, each stratum padded in front to the largest size
@@ -264,8 +262,7 @@ def _stationary_points(problem: _Problem, strata: list):
     u = sizes / (n * sizes + (s - n)[:, None] * ebar)
     keep = (mu.min(axis=1) >= -_TIE_TOL) | (size == 1)
     keep &= s * np.min(u @ problem.rows.T, axis=1) >= 1 - _TIE_TOL
-    roots = [(u[i], ebar[i], tie[i, top - size[i] :], mu[i, top - size[i] :], s[i]) for i in np.flatnonzero(keep)]
-    return roots, len(strata)
+    return [(u[i], tie[i, top - size[i] :], mu[i, top - size[i] :], s[i]) for i in np.flatnonzero(keep)]
 
 
 def _rootless_monomials(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -320,9 +317,10 @@ def _vertices(rows: np.ndarray):
     return np.concatenate(vertices), np.concatenate(kept)
 
 
-def _check_klt(problem: _Problem, vertices: np.ndarray, bases: np.ndarray) -> None:
-    """Raise NonKltModelError unless sum(w) > 1 at every vertex w of R.
+def _vertex_roots(problem: _Problem, bases: np.ndarray):
+    """Decide klt-ness at the vertices of R, and solve the full strata there exactly.
 
+    Unless sum(w) > 1 at every vertex w of R, raise NonKltModelError.
     With general coefficients for its support f is Newton non-degenerate
     (Kouchnirenko, Invent. Math. 32, 1976), so a toric resolution from the
     dual fan of its Newton polyhedron is a log resolution of (C^{n+1}, X),
@@ -334,26 +332,42 @@ def _check_klt(problem: _Problem, vertices: np.ndarray, bases: np.ndarray) -> No
     divides f (X is not normal) or is a monomial (X is smooth, and exempt).
     Non-degeneracy on the compact faces suffices when f holds a pure power
     of every coordinate; otherwise it is assumed on every face, as a vertex
-    with zero coordinates tests X along a coordinate subspace.
+    with zero coordinates tests X along a coordinate subspace.  The slice's
+    rows cut R and sum(w) = sizes @ w; as R is convex and the sum
+    symmetric, the slice has the same least sum.
 
-    The slice's rows cut R and sum(w) = sizes @ u; as R is convex and the
-    sum symmetric, the slice has the same least sum.  A float vertex solves
-    an integer basis with |det| >= 1 and small entries: its sum is off by
-    about eps times the condition number, below the 1e-9 that ``_vertices``
-    trusts and far below 1e-6.  Sums above 1 + 1e-6 pass; the rest are
-    decided in Fractions from their basis.
+    A basis B of m rows is a full stratum, tight at its vertex w alone.  At
+    its root A = 1 and v = 1/s put w = u / v on the boundary of R, so
+    s = sum(w) - 1, u = w / s, ebar_c = size_c (s / w_c - n) / (s - n) and
+    mu = B^-T ebar, with sum(mu) = <ebar, w> = 1; as w in R makes no other
+    monomial cheaper, the root is valid iff mu >= 0.  Returns these roots
+    (u, tie, mu, s), exact but for u, and the strata at s = n, where ebar is
+    free, for Newton.
     """
     count, m = problem.rows.shape
+    n, sizes, rows = problem.model.dim, [int(c) for c in problem.sizes], problem.rows.astype(int).tolist()
     constraints = np.vstack([problem.rows, np.eye(m)])
-    for basis in bases[vertices @ problem.sizes <= 1 + 1e-6]:
+    roots, free = [], set()
+    for basis in bases.tolist():
         inverse = inverse_fraction(constraints[basis].tolist())
-        u = [sum(row[j] for j, i in enumerate(basis) if i < count) for row in inverse]
-        total = sum(int(size) * x for size, x in zip(problem.sizes, u))
-        if total <= 1:
-            w = ", ".join(str(u[c]) for c in problem.owner)
+        w = [sum(row[j] for j, i in enumerate(basis) if i < count) for row in inverse]
+        total = sum(size * x for size, x in zip(sizes, w))
+        if total <= 1 and problem.model.multiplicity >= 2:  # a linear monomial makes the germ smooth
+            full = ", ".join(str(w[c]) for c in problem.owner)
             raise NonKltModelError(
-                f"the germ is not klt: w = ({w}) has <e, w> >= 1 for every monomial e and sum(w) = {total} <= 1"
+                f"the germ is not klt: w = ({full}) has <e, w> >= 1 for every monomial e and sum(w) = {total} <= 1"
             )
+        s = total - 1
+        if basis[-1] >= count or min(w) <= 0 or any(sum(a * x for a, x in zip(e, w)) < 1 for e in rows):
+            continue  # not a full stratum, or w is no vertex of R with u > 0
+        if s == n:
+            free.add(tuple(basis))
+            continue
+        ebar = [size * (s / x - n) / (s - n) for size, x in zip(sizes, w)]
+        mu = [sum(b * row[j] for b, row in zip(ebar, inverse)) for j in range(m)]
+        if min(mu) >= 0:
+            roots.append((np.array([float(x / s) for x in w]), problem.rows[basis], mu, s))
+    return roots, free
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -481,16 +495,17 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact answers and diagnostics
+# exact answers
 
 
 def _finalize(problem: _Problem, u: np.ndarray, root):
     """The winning weight, max-normalized, and its value.
 
-    The root (tie, mu, s) is rounded to the nearest rationals with
-    denominator at most (2 _STEP_TOL)^(-1/2), which lie 2 _STEP_TOL apart
-    or more.  Where the stratum's residual is exactly zero there, with
-    every D_c > 0, the weight u / max(u) and the value
+    A float root (tie, mu, s) from Newton is rounded to the nearest
+    rationals with denominator at most (2 _STEP_TOL)^(-1/2), which lie
+    2 _STEP_TOL apart or more; an exact root from a vertex of R is taken as
+    it is.  Where the stratum's residual is exactly zero there, with every
+    D_c > 0, the weight u / max(u) and the value
     prod((D_c / size_c)^size_c) / s (A = 1 and v = 1/s at a root) are
     exact; otherwise ``polish.polish_root`` gives the correctly rounded
     doubles at the root or, undecided, the float answer stands.
@@ -501,7 +516,9 @@ def _finalize(problem: _Problem, u: np.ndarray, root):
         return weight, core.normalized_volume(model, weight).normalized_volume
     tie, mu, s = root
     sizes, bound = [int(c) for c in problem.sizes], int((2 * _STEP_TOL) ** -0.5)
-    *exact_mu, exact_s = (Fraction(float(v)).limit_denominator(bound) for v in (*mu, s))
+    *exact_mu, exact_s = (*mu, s)
+    if not isinstance(s, Fraction):  # a float root from Newton
+        *exact_mu, exact_s = (Fraction(float(v)).limit_denominator(bound) for v in (*mu, s))
     try:
         g, _, denom, exact_u = polish._residual(tie.astype(int).tolist(), sizes, model.dim, exact_mu, exact_s)
     except ZeroDivisionError:  # a D_c of 0: no root
@@ -512,20 +529,3 @@ def _finalize(problem: _Problem, u: np.ndarray, root):
         return tuple(exact_u[c] / top for c in problem.owner), value
     float_answer = tuple(problem.expand(u / np.max(u)).tolist()), problem.value(u)
     return polish.polish_root(tie, mu, s, problem.sizes, problem.owner, model.dim) or float_answer
-
-
-def _clarke_residual(problem: _Problem, weight, ebar) -> float:
-    """Largest |x_i * d/dx_i log hvol| with the Clarke multiplier ebar.
-
-    The gradient of log(A^n v / prod x) is n (1 - ebar_i) / A + ebar_i / v
-    - 1 / x_i, with ebar_i = ebar_c / size_c on class c; scaling by x_i
-    makes it homogeneous of degree zero, like the objective.
-    """
-    u = np.array([float(weight[cls[0]]) for cls in problem.classes])
-    pairs = problem.rows @ u
-    v = float(np.min(pairs))
-    if ebar is None:  # no stationary point: the barycentre of the active rows
-        ebar = problem.rows[pairs <= v * (1 + 1e-9)].mean(axis=0)
-    a = float(problem.sizes @ u) - v
-    grad = problem.model.dim * (problem.sizes - ebar) / a + ebar / v
-    return float(np.max(np.abs(u * grad / problem.sizes - 1)))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hvol import a_singularity, d_singularity, e_singularity, optimize
+from hvol import Hypersurface, a_singularity, d_singularity, e_singularity, optimize
 from hvol.cli import main
 from hvol.fujita import ConeModel, VolumeCurve, negative_eta_cone, projective_space_cone
 from hvol.modelio import dumps_canonical
@@ -65,8 +65,6 @@ class TestCompute:
         assert "error" in err
 
     def test_domain_error_exit_3(self, tmp_path, capsys):
-        from hvol import Hypersurface
-
         quartic = write_model(
             tmp_path, "quartic.json", Hypersurface(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
         )
@@ -109,6 +107,14 @@ class TestCompute:
         )
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("weight", ["1,,1", "1,1,", ",1,1", "1, ,1", ","])
+    def test_empty_weight_entry_exit_3(self, tmp_path, capsys, weight):
+        # an empty entry is an error, not a shorter weight: "1,,1" read as (1, 1) before
+        path = write_model(tmp_path, "s2.json", SmoothPoint(2))
+        code, out, err = run(capsys, ["compute", path, "--weight", weight])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: --weight has an empty entry") and err.count("\n") == 1
 
     def test_weight_length_error(self, tmp_path, capsys):
         path = write_model(tmp_path, "s2.json", SmoothPoint(2))
@@ -176,8 +182,6 @@ class TestMinimize:
         assert payload["value"] == "4/257"
 
     def test_non_klt_model_exit_3(self, tmp_path, capsys):
-        from hvol import Hypersurface
-
         for support in [((3, 0, 0), (0, 3, 0), (0, 0, 3)), ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0))]:
             path = write_model(tmp_path, "cubic.json", Hypersurface(support))
             code, out, err = run(capsys, ["minimize", path, "--seed", "1"])
@@ -186,32 +190,32 @@ class TestMinimize:
 
     @pytest.fixture
     def no_root(self, monkeypatch):
-        # klt models whose strata yield no root, forced by reporting every
-        # Newton run unconverged
-        newton = optimize._newton
+        # klt models whose strata yield no root, forced by dropping the exact
+        # vertex roots and reporting every Newton run unconverged
+        newton, vertex_roots = optimize._newton, optimize._vertex_roots
 
         def unconverged(*args):
             mu, s, found = newton(*args)
             return mu, s, found & False
 
         monkeypatch.setattr(optimize, "_newton", unconverged)
+        monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: ([], vertex_roots(*args)[1]))
 
-    def test_non_convergence_exit_4(self, tmp_path, capsys, no_root):
-        path = write_model(tmp_path, "e7.json", e_singularity(7, 2))
+    def test_non_convergence_exit_4(self, tmp_path, capsys):
+        # x^3 + y^5 + xy + z^62284456: no stratum has a root that the solve reaches
+        path = write_model(tmp_path, "noroot.json", Hypersurface(((3, 0, 0), (0, 5, 0), (1, 1, 0), (0, 0, 62284456))))
         code, out, _ = run(capsys, ["minimize", path, "--seed", "1"])
         assert code == 4
         payload = json.loads(out)
-        assert payload["status"] == "not-converged"
-        assert payload["weight"] == ["1"] * 4
+        assert (payload["status"], payload["weight"], payload["value"]) == ("not-converged", ["1"] * 3, "2")
 
     def test_no_root_is_not_converged_at_a_stationary_weight(self, tmp_path, capsys, no_root):
-        # (1, 1, 1) is stationary on x^2 + y^2 + z^2, with residual 0, but no
-        # stratum root stands behind it
+        # (1, 1, 1) is stationary on x^2 + y^2 + z^2, but no stratum root
+        # stands behind it
         path = write_model(tmp_path, "a22.json", a_singularity(2, 2))
         code, out, _ = run(capsys, ["minimize", path])
         payload = json.loads(out)
         assert (code, payload["status"], payload["weight"]) == (4, "not-converged", ["1"] * 3)
-        assert payload["first_order_residual"] == 0
 
     @pytest.mark.parametrize(
         "command, flag", [("minimize", "--tolerance"), ("minimize", "--starts"), ("table", "--starts")]
@@ -340,6 +344,14 @@ class TestOracle:
         fraction = run(capsys, ["oracle", path, "--weight", "11/10,2"])
         assert decimal[0] == 0
         assert decimal == fraction
+
+    @pytest.mark.parametrize("flag, weight, radii", [("--radii", "1,1", ","), ("--radii", "1,1", "10,,100"),
+                                                     ("--weight", ",1,1", "10")])
+    def test_empty_entry_exit_3(self, tmp_path, capsys, flag, weight, radii):
+        path = write_model(tmp_path, "s2.json", SmoothPoint(2))
+        code, out, err = run(capsys, ["oracle", path, "--weight", weight, "--radii", radii])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {flag} has an empty entry") and err.count("\n") == 1
 
     @pytest.mark.parametrize("radii", ["1e-2000000", "1e+4301", "1e9_999_999"])
     def test_huge_decimal_radius_exit_3(self, tmp_path, capsys, radii):

@@ -1,5 +1,6 @@
 """Optimizer behavior: exact recoveries, diagnostics, determinism, edge cases."""
 
+import functools
 import itertools
 import json
 import math
@@ -57,10 +58,6 @@ class TestMinimizeSmooth:
         assert result.value == n**n
         assert result.status == "converged"
         assert result.exact
-
-    def test_first_order_residual_small(self):
-        result = minimize_hvol(SmoothPoint(3), seed=0)
-        assert result.first_order_residual <= 1e-7
 
 
 class TestMinimizeHypersurface:
@@ -133,7 +130,8 @@ class TestMinimizeHypersurface:
         # x^(2^52) y^(2^52) sums to 2^53 on the class {x, y}
         with pytest.raises(DomainError, match=r"below 2\^53"):
             minimize_hvol(Hypersurface(((2**52, 2**52, 0), (2, 0, 0), (0, 2, 0), (0, 0, 3))))
-        assert minimize_hvol(a_singularity(2, 2**53 - 1)).status == "not-converged"
+        # the largest exponent the float rows hold: its full stratum {x^2 + y^2, z^k} is solved exactly
+        assert minimize_hvol(a_singularity(2, 2**53 - 1)).value == F(4, 2**53 - 1)
 
 
 class TestMinimizeToric:
@@ -217,7 +215,7 @@ class TestUnreducedSolve:
         values = []
         for trivial in (False, True):
             problem = optimize._build_problem(model, trivial_classes=trivial)
-            roots, _ = optimize._stationary_points(problem, _strata(problem))
+            roots = optimize._stationary_points(problem, _strata(problem))
             values.append(problem.value(optimize._select_best(problem, roots)[0]))
         reduced, unreduced = values
         assert abs(unreduced - reduced) <= 1e-9 * reduced
@@ -279,6 +277,8 @@ class TestFrozenSupports:
             checked += 1
 
 
+NO_ROOT_SUPPORT = ((3, 0, 0), (0, 5, 0), (1, 1, 0), (0, 0, 62284456))
+
 BRIESKORN_PHAM = [
     exponents for d in (3, 4) for exponents in itertools.combinations_with_replacement(range(2, 8), d)
 ]
@@ -334,29 +334,122 @@ class TestKltCheck:
             minimize_hvol(model)
 
     def test_no_root_on_a_klt_model(self, monkeypatch):
-        # with no converged Newton run the answer is (1, ..., 1), klt-valid
-        # as (1, ..., 1) / multiplicity lies in R; the CLI side is
-        # tests/test_cli.py::TestMinimize::test_non_convergence_exit_4
-        newton = optimize._newton
+        # with no exact vertex root and no converged Newton run the answer is
+        # (1, ..., 1), klt-valid as (1, ..., 1) / multiplicity lies in R
+        newton, vertex_roots = optimize._newton, optimize._vertex_roots
 
         def no_root(*args):
             mu, s, found = newton(*args)
             return mu, s, found & False
 
         monkeypatch.setattr(optimize, "_newton", no_root)
+        monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: ([], vertex_roots(*args)[1]))
         model = e_singularity(7, 2)
         result = minimize_hvol(model)
         assert result.status == "not-converged"
         assert result.weight == (F(1),) * 4
         assert log_discrepancy(model, result.weight) > 0
-        assert math.isfinite(result.first_order_residual)
 
     def test_no_root_unpatched(self):
-        # z^k with k = 2^30: the stratum root has |log s| = log k > 20, past
-        # the cap, so the answer is (1, 1, 1) with value 2, not the minimum 4/k
-        result = minimize_hvol(a_singularity(2, 2**30))
+        # x^3 + y^5 + xy + z^N with N = 62284456: no full stratum has a valid
+        # root, and Newton reaches none on the smaller strata, such as
+        # {xy, z^N}, so the answer is (1, 1, 1) with value 2; the CLI side is
+        # tests/test_cli.py::TestMinimize::test_non_convergence_exit_4
+        result = minimize_hvol(Hypersurface(NO_ROOT_SUPPORT))
         assert result.status == "not-converged"
         assert (result.weight, result.value) == ((F(1),) * 3, 2)
+
+
+KLT_GOLDEN_ROWS = [row for row in GOLDEN_ROWS if "error" not in row]
+
+
+@functools.cache
+def _full_strata_both_routes(label):
+    """Per full stratum of a golden row: its exact vertex root (mu, s), and its Newton roots.
+
+    The golden rows hold the 65 A-D-E rows.  Newton runs on every full
+    stratum, as it did before the vertices solved them, with the same
+    validity filter as on the smaller strata.
+    """
+    row = next(row for row in KLT_GOLDEN_ROWS if row["label"] == label)
+    problem = optimize._build_problem(_golden_model(row))
+    vertices, bases = optimize._vertices(problem.rows)
+    exact, free = optimize._vertex_roots(problem, bases)
+    full = [sub for sub in optimize._strata(problem.rows, vertices) if len(sub) == len(problem.sizes)]
+    key = lambda tie: tuple(map(tuple, tie.astype(int).tolist()))  # noqa: E731
+    newton = {}
+    for _, tie, mu, s in optimize._stationary_points(problem, full):
+        newton.setdefault(key(tie), []).append((mu, s))
+    return {key(tie): (mu, s) for _, tie, mu, s in exact}, newton, free
+
+
+class TestVertexRoots:
+    """A full stratum, of m rows for m coordinate classes, has its root at the
+    one vertex of R where it is tight, solved in Fractions; Newton on the same
+    stratum is the second route."""
+
+    @pytest.mark.parametrize("row", KLT_GOLDEN_ROWS, ids=lambda row: row["label"])
+    def test_newton_agrees_with_the_vertex_root(self, row):
+        exact, newton, free = _full_strata_both_routes(row["label"])
+        assert not free  # s = n, where the multipliers are free, never occurs here
+        # a valid root on one side only would show as a stratum missing on the other
+        assert set(newton) == set(exact)
+        for stratum, roots in newton.items():
+            mu, s = exact[stratum]
+            assert sum(mu) == 1 and min(mu) >= 0 and s > 0
+            for float_mu, float_s in roots:
+                assert abs(math.log(float_s) - math.log(s)) <= 1e-9, stratum
+                assert np.max(np.abs(float_mu - np.array(mu, dtype=float))) <= 1e-9, stratum
+
+    def test_valid_root_count(self):
+        # 139 full strata on the 130 klt rows; 72 have a valid root, 30 of them on the A-D-E rows
+        counts = [len(_full_strata_both_routes(row["label"])[0]) for row in KLT_GOLDEN_ROWS]
+        assert (len(counts), sum(counts)) == (130, 72)
+
+    def test_only_smaller_strata_reach_newton(self, monkeypatch):
+        # on every klt golden row: no s = n stratum occurs, so Newton sees
+        # only strata of fewer than m rows, while starts_used counts them all
+        newton, sizes = optimize._newton, []
+
+        def recorded(tie, sizes_, n, mu, size, stratum):
+            sizes.append((len(sizes_), max(size)))
+            return newton(tie, sizes_, n, mu, size, stratum)
+
+        monkeypatch.setattr(optimize, "_newton", recorded)
+        for row in KLT_GOLDEN_ROWS:
+            minimize_hvol(_golden_model(row))
+        assert sizes and all(top < m for m, top in sizes)
+
+    def test_free_multipliers_go_to_newton(self):
+        # the plane x + y + z: its one class has the vertex w = 1 with s = 2 = n,
+        # where every multiplier solves the stratum, so Newton takes it and
+        # reads the smooth surface's minimum 4 at (1, 1, 1)
+        model = Hypersurface(((1, 0, 0), (0, 1, 0), (0, 0, 1)), allow_smooth_germ=True)
+        problem = optimize._build_problem(model)
+        assert optimize._vertex_roots(problem, optimize._vertices(problem.rows)[1]) == ([], {(0,)})
+        result = minimize_hvol(model)
+        assert (result.weight, result.value, result.status) == ((1, 1, 1), 4, "converged")
+
+    @pytest.mark.parametrize("k", [1826, 20000, 27397080, 2**30, 2**53 - 1])
+    def test_a_family_surfaces(self, k):
+        # x^2 + y^2 + z^k: the full stratum {x^2 + y^2, z^k} of the two classes
+        # gives the weight (1, 1, 2/k) and the value 4/k; Newton missed it or
+        # printed floats
+        result = minimize_hvol(a_singularity(2, k))
+        assert result.status == "converged"
+        assert result.weight == (1, 1, F(2, k))
+        assert result.exact and result.value == F(4, k)
+
+    @pytest.mark.parametrize("k", [76, 100, 30000, 2**30])
+    def test_d_family_surfaces(self, k):
+        # x^2 + y^2 z + z^k: the full stratum {x^2, y^2 z, z^k} gives the
+        # weight (1, (k - 1)/k, 2/k) and the value 1/(k - 1)
+        model = d_singularity(1, k)
+        result = minimize_hvol(model)
+        assert result.status == "converged"
+        assert result.weight == (1, F(k - 1, k), F(2, k))
+        assert result.exact and result.value == F(1, k - 1)
+        assert result.value == core.normalized_volume(model, result.weight).normalized_volume
 
 
 def _scalar_string(value):
@@ -386,7 +479,6 @@ class TestGolden:
         assert result.status == row["status"]
         assert result.starts_used == row["starts_used"]
         assert [list(e) for e in result.active_monomials] == row["active_monomials"]
-        assert result.first_order_residual == pytest.approx(row["first_order_residual"], rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("family", sorted(GOLDEN["tables"]))
     def test_table_csv_bytes(self, family, capsys):
@@ -432,9 +524,9 @@ class TestFinalize:
 
 
 def _winning_root(model):
-    """The problem and the winning (u, ebar, tie, mu, s) of minimize_hvol's batch."""
+    """The problem and the winning (u, tie, mu, s) of a Newton batch over every stratum."""
     problem = optimize._build_problem(model)
-    roots, _ = optimize._stationary_points(problem, _strata(problem))
+    roots = optimize._stationary_points(problem, _strata(problem))
     return problem, optimize._select_best(problem, roots)
 
 
@@ -493,7 +585,7 @@ class TestPolish:
         # residual vanishes exactly there, else the same polished doubles
         model = _golden_model(_golden_row(label))
         expected = minimize_hvol(model)
-        problem, (u, _, tie, _, _) = _winning_root(model)
+        problem, (u, tie, _, _) = _winning_root(model)
         k = len(tie)
         floats = []
         for start in [[1.0 / k] * k] + (np.eye(k).tolist() if k > 1 else []):
