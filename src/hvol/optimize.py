@@ -147,9 +147,9 @@ def minimize_hvol(model: Model, seed: int = 0) -> MinimizationResult:
         raise UnsupportedModelError(f"unknown model kind {model!r}")
     problem = _build_problem(model)
     vertices, bases = _vertices(problem.rows)
-    roots, free = _vertex_roots(problem, bases)
+    roots = _vertex_roots(problem, bases)
     strata = _strata(problem.rows, vertices)
-    roots += _stationary_points(problem, [sub for sub in strata if len(sub) < len(problem.sizes) or sub in free])
+    roots += _stationary_points(problem, [sub for sub in strata if len(sub) < len(problem.sizes)])
     if roots:
         u, *root = _select_best(problem, roots)
     else:  # as on x^3 + y^5 + xy + z^62284456; A > 0 at (1, ..., 1), as (1, ..., 1) / multiplicity lies in R
@@ -340,14 +340,14 @@ def _vertex_roots(problem: _Problem, bases: np.ndarray):
     its root A = 1 and v = 1/s put w = u / v on the boundary of R, so
     s = sum(w) - 1, u = w / s, ebar_c = size_c (s / w_c - n) / (s - n) and
     mu = B^-T ebar, with sum(mu) = <ebar, w> = 1; as w in R makes no other
-    monomial cheaper, the root is valid iff mu >= 0.  Returns these roots
-    (u, tie, mu, s), exact but for u, and the strata at s = n, where ebar is
-    free, for Newton.
+    monomial cheaper, the root is valid iff mu >= 0.  At s = n, D_c = n size_c
+    for every ebar, so the barycentre is a root.  Returns these roots
+    (u, tie, mu, s), exact but for u.
     """
     count, m = problem.rows.shape
     n, sizes, rows = problem.model.dim, [int(c) for c in problem.sizes], problem.rows.astype(int).tolist()
     constraints = np.vstack([problem.rows, np.eye(m)])
-    roots, free = [], set()
+    roots = []
     for basis in bases.tolist():
         inverse = inverse_fraction(constraints[basis].tolist())
         w = [sum(row[j] for j, i in enumerate(basis) if i < count) for row in inverse]
@@ -360,14 +360,14 @@ def _vertex_roots(problem: _Problem, bases: np.ndarray):
         s = total - 1
         if basis[-1] >= count or min(w) <= 0 or any(sum(a * x for a, x in zip(e, w)) < 1 for e in rows):
             continue  # not a full stratum, or w is no vertex of R with u > 0
-        if s == n:
-            free.add(tuple(basis))
-            continue
-        ebar = [size * (s / x - n) / (s - n) for size, x in zip(sizes, w)]
-        mu = [sum(b * row[j] for b, row in zip(ebar, inverse)) for j in range(m)]
+        if s == n:  # only at w = (1, ..., 1), as a tight row with e_c >= 1 on each class gives w <= 1
+            mu = [Fraction(1, m)] * m
+        else:
+            ebar = [size * (s / x - n) / (s - n) for size, x in zip(sizes, w)]
+            mu = [sum(b * row[j] for b, row in zip(ebar, inverse)) for j in range(m)]
         if min(mu) >= 0:
             roots.append((np.array([float(x / s) for x in w]), problem.rows[basis], mu, s))
-    return roots, free
+    return roots
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")

@@ -199,7 +199,7 @@ class TestMinimize:
             return mu, s, found & False
 
         monkeypatch.setattr(optimize, "_newton", unconverged)
-        monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: ([], vertex_roots(*args)[1]))
+        monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: vertex_roots(*args)[:0])
 
     def test_non_convergence_exit_4(self, tmp_path, capsys):
         # x^3 + y^5 + xy + z^62284456: no stratum has a root that the solve reaches

@@ -343,7 +343,7 @@ class TestKltCheck:
             return mu, s, found & False
 
         monkeypatch.setattr(optimize, "_newton", no_root)
-        monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: ([], vertex_roots(*args)[1]))
+        monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: vertex_roots(*args)[:0])
         model = e_singularity(7, 2)
         result = minimize_hvol(model)
         assert result.status == "not-converged"
@@ -374,13 +374,13 @@ def _full_strata_both_routes(label):
     row = next(row for row in KLT_GOLDEN_ROWS if row["label"] == label)
     problem = optimize._build_problem(_golden_model(row))
     vertices, bases = optimize._vertices(problem.rows)
-    exact, free = optimize._vertex_roots(problem, bases)
+    exact = optimize._vertex_roots(problem, bases)
     full = [sub for sub in optimize._strata(problem.rows, vertices) if len(sub) == len(problem.sizes)]
     key = lambda tie: tuple(map(tuple, tie.astype(int).tolist()))  # noqa: E731
     newton = {}
     for _, tie, mu, s in optimize._stationary_points(problem, full):
         newton.setdefault(key(tie), []).append((mu, s))
-    return {key(tie): (mu, s) for _, tie, mu, s in exact}, newton, free
+    return {key(tie): (mu, s) for _, tie, mu, s in exact}, newton
 
 
 class TestVertexRoots:
@@ -390,8 +390,7 @@ class TestVertexRoots:
 
     @pytest.mark.parametrize("row", KLT_GOLDEN_ROWS, ids=lambda row: row["label"])
     def test_newton_agrees_with_the_vertex_root(self, row):
-        exact, newton, free = _full_strata_both_routes(row["label"])
-        assert not free  # s = n, where the multipliers are free, never occurs here
+        exact, newton = _full_strata_both_routes(row["label"])
         # a valid root on one side only would show as a stratum missing on the other
         assert set(newton) == set(exact)
         for stratum, roots in newton.items():
@@ -407,8 +406,8 @@ class TestVertexRoots:
         assert (len(counts), sum(counts)) == (130, 72)
 
     def test_only_smaller_strata_reach_newton(self, monkeypatch):
-        # on every klt golden row: no s = n stratum occurs, so Newton sees
-        # only strata of fewer than m rows, while starts_used counts them all
+        # on every klt golden row Newton sees only strata of fewer than m
+        # rows, while starts_used counts them all
         newton, sizes = optimize._newton, []
 
         def recorded(tie, sizes_, n, mu, size, stratum):
@@ -420,13 +419,14 @@ class TestVertexRoots:
             minimize_hvol(_golden_model(row))
         assert sizes and all(top < m for m, top in sizes)
 
-    def test_free_multipliers_go_to_newton(self):
+    def test_free_multipliers_are_solved_exactly(self):
         # the plane x + y + z: its one class has the vertex w = 1 with s = 2 = n,
-        # where every multiplier solves the stratum, so Newton takes it and
-        # reads the smooth surface's minimum 4 at (1, 1, 1)
+        # where every multiplier solves the stratum, so the barycentre is its
+        # exact root, at the smooth surface's minimum 4 at (1, 1, 1)
         model = Hypersurface(((1, 0, 0), (0, 1, 0), (0, 0, 1)), allow_smooth_germ=True)
         problem = optimize._build_problem(model)
-        assert optimize._vertex_roots(problem, optimize._vertices(problem.rows)[1]) == ([], {(0,)})
+        [(u, tie, mu, s)] = optimize._vertex_roots(problem, optimize._vertices(problem.rows)[1])
+        assert (u.tolist(), tie.tolist(), mu, s) == ([0.5], [[1.0]], [1], 2)
         result = minimize_hvol(model)
         assert (result.weight, result.value, result.status) == ((1, 1, 1), 4, "converged")
 
