@@ -86,6 +86,28 @@ def inverse_fraction(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]
     return [row[n:] for row in m]
 
 
+def fraction_free_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Gauss-Jordan elimination of integer rows of full row rank, fraction-free (Bareiss,
+    Math. Comp. 22, 1968), in which every division is exact.
+
+    Returns the pivot column of each row and the reduced rows: R = M A for the row
+    operations M, with R's pivot columns D times the identity, D = +-det of A's pivot
+    columns.
+    """
+    m, previous, pivots = [list(row) for row in rows], 1, []
+    for i in range(len(m)):
+        col = next(c for c in range(pivots[-1] + 1 if pivots else 0, len(m[0])) if any(row[c] for row in m[i:]))
+        r = next(r for r in range(i, len(m)) if m[r][col])
+        m[i], m[r] = m[r], m[i]
+        for r in range(len(m)):
+            if r != i:
+                factor = m[r][col]
+                m[r] = [(x * m[i][col] - factor * y) // previous for x, y in zip(m[r], m[i])]
+        previous = m[i][col]
+        pivots.append(col)
+    return pivots, m
+
+
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to the primitive integer vector on its ray."""
     fracs = [Fraction(v) for v in vec]

@@ -46,6 +46,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
+from . import poly
 from .exact import Scalar
 from .models import (
     DomainError,
@@ -96,12 +97,12 @@ class VolumeCurve:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "vol_at_zero", vol0)
-        if _poly_eval(pieces[0], bps[0]) != vol0:
+        if poly.value(pieces[0], bps[0]) != vol0:
             raise InvalidCurveError("curve value at 0 must equal vol_at_zero")
         for b, left, right in zip(bps[1:-1], pieces, pieces[1:]):
-            if _poly_eval(left, b) != _poly_eval(right, b):
+            if poly.value(left, b) != poly.value(right, b):
                 raise InvalidCurveError(f"curve is discontinuous at breakpoint {b}")
-        if _poly_eval(pieces[-1], bps[-1]) != 0:
+        if poly.value(pieces[-1], bps[-1]) != 0:
             raise InvalidCurveError("curve must reach exactly 0 at the final breakpoint")
         self._check_non_increasing()
 
@@ -110,7 +111,7 @@ class VolumeCurve:
         that makes the curve non-negative too."""
         for (a, b), piece in zip(zip(self.breakpoints, self.breakpoints[1:]), self.pieces):
             scale = math.lcm(*(c.denominator for c in piece))  # scale * -P' has integer coefficients
-            neg_slope = _poly_derivative([-c.numerator * (scale // c.denominator) for c in piece])
+            neg_slope = poly.derivative([-c.numerator * (scale // c.denominator) for c in piece])
             if not _nonnegative_on(neg_slope, a, b):
                 raise InvalidCurveError(f"curve increases somewhere on [{a}, {b}]")
 
@@ -127,7 +128,7 @@ class VolumeCurve:
             return Fraction(0) if isinstance(x, Fraction) else 0.0
         for b, piece in zip(self.breakpoints[1:], self.pieces):
             if x < b:  # x < tau, so some piece holds x
-                return _poly_eval(piece, x)
+                return poly.value(piece, x)
 
     def degree(self) -> int:
         return max(len(piece) - 1 for piece in self.pieces)
@@ -135,7 +136,7 @@ class VolumeCurve:
     def integral(self) -> Fraction:
         """Exact integral of the curve over [0, tau]."""
         spans = zip(self.breakpoints, self.breakpoints[1:])
-        return sum(_poly_integral(piece, a, b) for (a, b), piece in zip(spans, self.pieces))
+        return sum(poly.integral(piece, a, b) for (a, b), piece in zip(spans, self.pieces))
 
 
 @dataclass(frozen=True)
@@ -265,9 +266,9 @@ def f_of_t_slope_form(cone: ConeModel, t) -> Scalar:
     d, c = r * exact, r + 1 - exact
     total = 0
     for (a, b), piece in zip(zip(curve.breakpoints, curve.breakpoints[1:]), curve.pieces):
-        neg_slope = tuple(-v for v in _poly_derivative(piece))
+        neg_slope = tuple(-v for v in poly.derivative(piece))
         if d == 0:
-            total += _poly_integral(neg_slope, a, b) / c**n
+            total += poly.integral(neg_slope, a, b) / c**n
         else:
             # 1 / (c + d x)^n = d^{-n} / (x + c/d)^n
             total += _integral_poly_over_power(neg_slope, a, b, c / d, n) / d**n
@@ -279,10 +280,10 @@ def convexity_check(cone: ConeModel) -> bool:
     """f'' >= 0 on [0, 1], decided exactly: with D > 0 there, f'' has the sign of D^3 f'' =
     N''D^2 - 2N'D'D - ND''D + 2ND'^2.  f is convex, so False would mean (N, D) is not f."""
     n0, d0 = cone._f
-    n1, d1 = _poly_derivative(n0), _poly_derivative(d0)
-    n2, d2 = _poly_derivative(n1), _poly_derivative(d1)
+    n1, d1 = poly.derivative(n0), poly.derivative(d0)
+    n2, d2 = poly.derivative(n1), poly.derivative(d1)
     terms = ((1, (n2, d0, d0)), (-2, (n1, d1, d0)), (-1, (n0, d2, d0)), (2, (n0, d1, d1)))
-    return _nonnegative_on(_poly_sum((s, reduce(_poly_mul, fs)) for s, fs in terms), Fraction(0), Fraction(1))
+    return _nonnegative_on(poly.combine((s, reduce(poly.mul, fs)) for s, fs in terms), Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,120 +337,19 @@ def catalog() -> dict[str, ConeModel]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials: ascending coefficient lists; the exact kit runs on integers
-
-
-def _poly_eval(coeffs: Sequence, x):
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _poly_hom(coeffs: Sequence[int], u: int, w: int) -> int:
-    """Sum_k c_k u^k w^(d-k) with d + 1 = len(coeffs): w^d f(u/w), of the sign of f(u/w) for w > 0."""
-    total, w_power = 0, 1
-    for c in reversed(coeffs):
-        total = total * u + c * w_power
-        w_power *= w
-    return total
-
-
-def _poly_integral(coeffs: Sequence, a, b):
-    """Exact integral of the polynomial over [a, b]."""
-    anti = [0] + [c / (i + 1) for i, c in enumerate(coeffs)]
-    return _poly_eval(anti, b) - _poly_eval(anti, a)
-
-
-def _poly_derivative(coeffs: Sequence) -> tuple:
-    return tuple(c * (i + 1) for i, c in enumerate(coeffs[1:]))
-
-
-def _poly_trim(coeffs: Sequence) -> list:
-    """The coefficients without trailing zeros; the zero polynomial is []."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_quotient(f: Sequence[int], g: Sequence[int]):
-    """f / g over Z for a trimmed g != 0, or None when g does not divide f over Z; for a
-    primitive g that is division over Q (Gauss's lemma)."""
-    rem, quo = list(f), [0] * max(len(f) - len(g) + 1, 0)
-    for k in reversed(range(len(quo))):
-        quo[k], r = divmod(rem[k + len(g) - 1], g[-1])
-        if r:
-            return None
-        for j, c in enumerate(g):
-            rem[k + j] -= quo[k] * c
-    return None if any(rem) else quo
-
-
-def _pseudo_rem(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """A positive multiple of f mod g, made primitive, for trimmed f and g != 0: Sturm signs are kept."""
-    rem, lead = list(f), abs(g[-1])
-    for k in reversed(range(len(f) - len(g) + 1)):  # rem has k + len(g) entries
-        top = rem.pop() if g[-1] > 0 else -rem.pop()
-        rem = [c * lead for c in rem]
-        for j, c in enumerate(g[:-1]):
-            rem[k + j] -= top * c
-    content = math.gcd(*rem) or 1
-    return _poly_trim([c // content for c in rem])
-
-
-def _poly_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Primitive gcd, with lc > 0, of f and g not both zero: the primitive PRS (Brown-Traub, 1971)."""
-    f, g = _poly_trim(f), _poly_trim(g)
-    while g:
-        f, g = g, _pseudo_rem(f, g)
-    content = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
-    return [c // content for c in f]
-
-
-def _odd_part(f: Sequence[int]) -> list[int]:
-    """Product of the factors of odd multiplicity of a trimmed, non-zero integer f.
-
-    Yun's square-free factorization writes f = c prod h_i^i with square-free,
-    pairwise coprime, primitive h_i of positive leading coefficient (so c has
-    the sign of that of f); the result is the product of the h_i with i odd.
-    """
-    fp = _poly_derivative(f)
-    common = _poly_gcd(f, fp)
-    b, d = _poly_quotient(f, common), _poly_quotient(fp, common)
-    odd, i = [1], 1
-    while len(b) > 1:
-        d = _poly_sum([(1, d), (-1, _poly_derivative(b))])
-        h = _poly_gcd(b, d)
-        if i % 2:
-            odd = _poly_mul(odd, h)
-        b, d, i = _poly_quotient(b, h), _poly_quotient(d, h), i + 1
-    return odd
-
-
-def _sturm_count(f: Sequence[int], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of the square-free integer f in (a, b], a < b (Sturm)."""
-    chain = [list(f), _poly_trim(_poly_derivative(f))]
-    while len(chain[-1]) > 1:
-        chain.append([-c for c in _pseudo_rem(chain[-2], chain[-1])])
-
-    def sign_changes(x: Fraction) -> int:
-        signs = [v > 0 for v in (_poly_hom(p, *x.as_integer_ratio()) for p in chain) if v != 0]
-        return sum(u != v for u, v in zip(signs, signs[1:]))
-
-    return sign_changes(a) - sign_changes(b)
+# signs and integrals of polynomials (``poly`` holds the integer kit)
 
 
 def _nonnegative_on(f: Sequence[int], a: Fraction, b: Fraction) -> bool:
-    """Whether the integer polynomial f is >= 0 on [a, b], a < b: f = c prod h_i^i (``_odd_part``),
+    """Whether the integer polynomial f is >= 0 on [a, b], a < b: f = c prod h_i^i (``poly.odd_part``),
     c of the sign of lc(f), changes sign exactly at the roots of the product h of its odd-power
     factors, so iff h has no root in (a, b) and c h > 0 between."""
-    f = _poly_trim(f)
+    f = poly.trim(f)
     if not f:
         return True
-    odd = _odd_part(f)
-    inside = _sturm_count(odd, a, b) - (_poly_eval(odd, b) == 0)  # roots in (a, b)
-    return not inside and f[-1] * _poly_eval(odd, Fraction(a + b, 2)) > 0
+    odd = poly.odd_part(f)
+    inside = poly.sturm_count(odd, a, b) - (poly.value(odd, b) == 0)  # roots in (a, b)
+    return not inside and f[-1] * poly.value(odd, Fraction(a + b, 2)) > 0
 
 
 def _integral_poly_over_power(coeffs: Sequence, a, b, c, power: int):
@@ -472,24 +372,6 @@ def _integral_poly_over_power(coeffs: Sequence, a, b, c, power: int):
     return sum(qj * (hi**k - lo**k) / k for k, qj in enumerate(shifted, 1 - power) if qj)
 
 
-def _poly_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sum(terms) -> list[int]:
-    """Sum of s * f over the pairs (s, f) of ``terms``, each f an integer coefficient list."""
-    out = []
-    for s, f in terms:
-        out += [0] * (len(f) - len(out))
-        for i, c in enumerate(f):
-            out[i] += s * c
-    return out
-
-
 def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Integer coefficients (N, D) of f = N/D, ascending in t and of one length.
 
@@ -509,7 +391,7 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     -lnum l D_c b^{n-1} of the absent piece left of 0, where w = 1 and E = a.
     f(0) is finite, so the numerator vanishes to the order n-1 of b^{n-1},
     and dividing out that power of t leaves D(0) != 0 (every E(0) = w (p+q)
-    is positive).  One ``_poly_gcd(N, D)`` and two exact quotients put the
+    is positive).  One ``poly.gcd(N, D)`` and two exact quotients put the
     pair in lowest terms, and it is stored with D(0) > 0 and integer
     content 1, which makes it unique.
     """
@@ -518,12 +400,12 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     lnum, lden = curve.vol_at_zero.as_integer_ratio()
     dc = math.lcm(*(c.denominator for piece in curve.pieces for c in piece))
     lcm = math.lcm(*range(1, n + 1))
-    neg_a = [reduce(_poly_mul, [(-(p + q), q)] * k, [1]) for k in range(n)]  # (-a)^k
+    neg_a = [reduce(poly.mul, [(-(p + q), q)] * k, [1]) for k in range(n)]  # (-a)^k
     anti = [[[0] * (n - 1) + [-lnum * lcm * dc * p ** (n - 1)]] + [[]] * (n - 1)]
     for piece in curve.pieces:
         coeffs = [n * lden * lcm * c.numerator * (dc // c.denominator) for c in piece]
         anti.append([
-            _poly_sum(  # b^{n-1-k} = p^{n-1-k} t^{n-1-k}; j - n divides lcm(1..n)
+            poly.combine(  # b^{n-1-k} = p^{n-1-k} t^{n-1-k}; j - n divides lcm(1..n)
                 (c * math.comb(k, j) * p ** (n - 1 - k) // (j - n), [0] * (n - 1 - k) + neg_a[k - j])
                 for k, c in enumerate(coeffs) if k >= j
             )
@@ -536,13 +418,13 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
         e = (w * (p + q), p * u - q * w)
         h = []
         for j in reversed(range(n)):
-            h = _poly_sum([(1, _poly_mul(h, e)), (w ** (n - j), left[j]), (-(w ** (n - j)), right[j])])
-        en = reduce(_poly_mul, [e] * n)
-        total, den = _poly_sum([(1, _poly_mul(total, en)), (1, _poly_mul(h, den))]), _poly_mul(den, en)
-    numer = _poly_trim([-p * (p + q) ** n * c for c in total[n - 1 :]])  # t^{n-1} of b^{n-1} divided out
-    denom = _poly_trim([q**n * lden * lcm * dc * c for c in den])
-    common = _poly_gcd(numer, denom)
-    numer, denom = _poly_quotient(numer, common), _poly_quotient(denom, common)
+            h = poly.combine([(1, poly.mul(h, e)), (w ** (n - j), left[j]), (-(w ** (n - j)), right[j])])
+        en = reduce(poly.mul, [e] * n)
+        total, den = poly.combine([(1, poly.mul(total, en)), (1, poly.mul(h, den))]), poly.mul(den, en)
+    numer = poly.trim([-p * (p + q) ** n * c for c in total[n - 1 :]])  # t^{n-1} of b^{n-1} divided out
+    denom = poly.trim([q**n * lden * lcm * dc * c for c in den])
+    common = poly.gcd(numer, denom)
+    numer, denom = poly.quotient(numer, common), poly.quotient(denom, common)
     size, g = max(len(numer), len(denom)), math.gcd(*numer, *denom) * (1 if denom[0] > 0 else -1)
     return tuple(tuple(c // g for c in f) + (0,) * (size - len(f)) for f in (numer, denom))
 
@@ -550,4 +432,4 @@ def _f_coefficients(cone: ConeModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _f_ratio(cone: ConeModel, i: int, m: int) -> tuple[int, int]:
     """(num, den) = (Sum_k N_k i^k m^{d-k}, Sum_k D_k i^k m^{d-k}), so num/den = f(i/m), m > 0."""
     numer, denom = cone._f
-    return _poly_hom(numer, i, m), _poly_hom(denom, i, m)
+    return poly.hom(numer, i, m), poly.hom(denom, i, m)

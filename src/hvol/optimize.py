@@ -20,44 +20,52 @@ play identical roles in f (``symmetrize``) get equal weights.  The
 vertices of R = {u >= 0 : <e, u> >= 1} give the strata worth solving, and
 one exact pass over them (``_vertex_roots``) decides klt-ness and solves
 each full stratum, of m rows for m coordinate classes, in Fractions at
-the one vertex where it is tight.  Newton solves the smaller strata.
-A one-monomial stratum {e} with e_c >= size_c on every class it touches
-has no root, unless e is linear, and is settled before Newton runs; it
-still counts in ``starts_used``, which counts every stratum.  The others
-are solved by one batch of damped Newton runs, each stratum padded in
-front to the largest size, and the lowest klt-valid root wins.  Each
-step takes its first acceptable halving: every run tries its first
-halving within the cap, and only the runs it fails try the smaller ones,
-all in a second pass.  A run ends when it converges, when another start
-of its stratum converges (every start that converges reaches the one root
-of its stratum), when it runs off toward s = 0 or infinity (next to the
-cap on |log s| its step still points past it), when its multipliers leave
-|mu| <= 10^3, when an accepted step leaves it bitwise where it was (a
-fixed point, which an exactly zero step reaches at once), or when no
-halving of its step is acceptable; the batch stops when no run is live,
-or after 60 iterations.  Weights are max-normalized.  A vertex root is
-exact; a Newton root's floats (mu, s) are rounded to the nearest
-rationals with denominator at most (2 _STEP_TOL)^(-1/2) = 22360, and are
-the root where the stratum's residual is exactly zero there.  At an exact
-root the weight and value are exact.  Otherwise, as on the irrational D
-rows, the winning root is polished by Newton steps in fixed-point
-integers and enclosed in a box proved to hold one root, and the weight
-and value are the correctly rounded doubles there.  The answer depends on
-the model alone: not on which start reached the root, nor on numpy's
-kernels.
+the one vertex where it is tight.  A stratum of one row, or of m - 1 rows,
+is one equation in one unknown, s or a parameter t of the line that S
+cuts out; ``_univariate_roots`` clears it to an integer polynomial and
+finds its roots by Sturm sequences, a rational root exactly, and decides
+each root's validity by exact signs.  Every stratum of the A-D-E rows,
+which have m <= 3, is of these kinds.  Newton solves the rest: the strata
+of 2 to m - 2 rows, those holding a linear monomial (the flat families)
+and those whose polynomial vanishes identically.  ``starts_used`` counts
+every stratum.  Newton's strata are solved by one batch of damped Newton
+runs, each stratum padded in front to the largest size, and the lowest
+klt-valid root of all wins.  Each step takes its first acceptable
+halving: every run tries its first halving within the cap, and only the
+runs it fails try the smaller ones, all in a second pass.  A run ends
+when it converges, when another start of its stratum converges (every
+start that converges reaches the one root of its stratum), when it runs
+off toward s = 0 or infinity (next to the cap on |log s| its step still
+points past it), when its multipliers leave |mu| <= 10^3, when an
+accepted step leaves it bitwise where it was (a fixed point, which an
+exactly zero step reaches at once), or when no halving of its step is
+acceptable; the batch stops when no run is live, or after 60 iterations.
+Weights are max-normalized.  A vertex root and a rational root of a
+one-unknown stratum are exact; a Newton root's floats (mu, s) are rounded
+to the nearest rationals with denominator at most
+(2 _STEP_TOL)^(-1/2) = 22360, and are the root where the stratum's
+residual is exactly zero there.  At an exact root the weight and value
+are exact.  Otherwise, as on the irrational D rows, the winning root is
+polished by Newton steps in fixed-point integers and enclosed in a box
+proved to hold one root, and the weight and value are the correctly
+rounded doubles there.  The answer depends on the model alone: not on
+which start reached the root, nor on numpy's kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import core, polish
-from .exact import Scalar, inverse_fraction
+from . import core, polish, poly
+from .exact import Scalar, fraction_free_reduce, inverse_fraction
 from .models import (
     DomainError,
     Hypersurface,
@@ -96,15 +104,16 @@ class MinimizationResult:
     """Outcome of one minimization run.
 
     ``weight`` is max-normalized; ``value`` is the normalized volume there
-    (exact when the winning root is a vertex of R or the stratum's residual
-    vanishes exactly at the rationals nearest its Newton root; otherwise
+    (exact when the winning root is a vertex of R, a rational root of a
+    stratum in one unknown, or one where the stratum's residual vanishes
+    exactly at the rationals nearest its Newton root; otherwise
     each float is the correctly rounded double of its value at that root,
     wherever ``polish.polish_root`` decides it, as on every tested
     support).  ``active_monomials`` lists the support exponents attaining
     the weighted order at the minimizer.  ``status`` is "not-converged"
     when no stratum has a klt-valid root, exact or from Newton; the weight
     is then (1, ..., 1), which need not minimize.  ``starts_used`` counts
-    the tie strata, solved or settled (0 for the closed forms).
+    the tie strata, solved exactly or by Newton (0 for the closed forms).
     """
 
     weight: tuple[Scalar, ...]
@@ -149,10 +158,11 @@ def minimize_hvol(model: Model, seed: int = 0) -> MinimizationResult:
     vertices, bases = _vertices(problem.rows)
     roots = _vertex_roots(problem, bases)
     strata = _strata(problem.rows, vertices)
-    roots += _stationary_points(problem, [sub for sub in strata if len(sub) < len(problem.sizes)])
+    exact, rest = _univariate_roots(problem, [sub for sub in strata if len(sub) < len(problem.sizes)])
+    roots += exact + _stationary_points(problem, rest)
     if roots:
         u, *root = _select_best(problem, roots)
-    else:  # as on x^3 + y^5 + xy + z^62284456; A > 0 at (1, ..., 1), as (1, ..., 1) / multiplicity lies in R
+    else:  # as on x^3749 + y^34 + z^298140 + w^16 + yw; A > 0 at (1, ..., 1), as (1, ..., 1) / multiplicity lies in R
         u, root = np.ones(len(problem.sizes)), None
     weight, value = _finalize(problem, u, root)
     return MinimizationResult(
@@ -236,17 +246,19 @@ def _build_problem(model: Hypersurface, trivial_classes: bool = False) -> _Probl
 
 
 def _stationary_points(problem: _Problem, strata: list):
-    """The klt-valid roots of the tie strata that Newton solves.
+    """The klt-valid roots that Newton finds on the given tie strata.
 
+    ``minimize_hvol`` passes the strata that no exact solve takes: those of
+    2 to m - 2 rows, and those of one row or m - 1 rows that hold a linear
+    monomial or whose polynomial vanishes identically (``_univariate_roots``).
     Newton starts at the barycentre and the vertices of each multiplier
     simplex, and a stratum's first root ends its other starts.  A root
     counts if no monomial outside S is cheaper and, for |S| >= 2, the
-    multipliers are nonnegative.  Each root is (u, tie, mu, s), with the
-    stratum's rows and multipliers unpadded.
+    multipliers are nonnegative, both within _TIE_TOL.  Each root is
+    (u, tie, mu, s), with the stratum's rows and multipliers unpadded.
     """
     n, sizes = problem.model.dim, problem.sizes
-    rootless = _rootless_monomials(problem.rows, sizes)
-    solvable = sorted((subset for subset in strata if len(subset) > 1 or not rootless[subset[0]]), key=len)
+    solvable = sorted(strata, key=len)
     if not solvable:
         return []
     rows = np.vstack([problem.rows, np.zeros(len(sizes))])  # the last row pads
@@ -263,19 +275,6 @@ def _stationary_points(problem: _Problem, strata: list):
     keep = (mu.min(axis=1) >= -_TIE_TOL) | (size == 1)
     keep &= s * np.min(u @ problem.rows.T, axis=1) >= 1 - _TIE_TOL
     return [(u[i], tie[i, top - size[i] :], mu[i, top - size[i] :], s[i]) for i in np.flatnonzero(keep)]
-
-
-def _rootless_monomials(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Which rows e make a one-monomial stratum with no root, known before Newton.
-
-    For S = {e} the system is F(s) = sum_c size_c psi(a_c, s) = 1 with
-    a_c = e_c / size_c and psi(a, s) = a s / D, D = n (1 - a) + a s > 0.
-    As psi - 1 = n (a - 1) / D, psi >= 1 when a >= 1, so e_c >= size_c on
-    every class e touches gives F >= the total size touched >= 1.  Equality
-    throughout holds only for a linear monomial, where F = 1 at every s
-    (the flat families); every other such row has no root.
-    """
-    return np.all((rows == 0) | (rows >= sizes), axis=1) & (rows.sum(axis=1) > 1)
 
 
 def _strata(rows: np.ndarray, vertices: np.ndarray):
@@ -368,6 +367,184 @@ def _vertex_roots(problem: _Problem, bases: np.ndarray):
         if min(mu) >= 0:
             roots.append((np.array([float(x / s) for x in w]), problem.rows[basis], mu, s))
     return roots
+
+
+class _System(NamedTuple):
+    """A stratum's stationarity system in one unknown x, cleared to f(x) = 0.
+
+    The roots worth reading lie in [lo, hi], where a bound of None is no
+    bound.  ``solve`` maps a root x to (mu, s), or to None where the system
+    has no root, and the root is valid where every polynomial of
+    ``conditions()`` is >= 0.  At an irrational root each affine quantity
+    c0 + c1 x of ``quantities`` is read to 2^-55 of itself.
+    """
+
+    f: list
+    lo: Fraction | None
+    hi: Fraction | None
+    conditions: Callable[[], list]
+    quantities: list
+    solve: Callable
+
+
+def _univariate_roots(problem: _Problem, strata: list):
+    """Solve exactly the strata of one row or of m - 1 rows, one equation in one unknown each.
+
+    Either system (``_one_row``, ``_line``) clears to an integer polynomial f,
+    whose real roots in an exact interval are isolated by Sturm counts on the
+    square-free part g.  A rational root of g has a denominator dividing
+    lc(g), so once its interval is at most 1 / lc(g) wide, the one multiple
+    of 1 / lc(g) there is tested exactly; such a root is exact, with no bound
+    on its denominators.  Each root's validity, mu >= 0 and no monomial
+    cheaper, is the sign of polynomials there, decided exactly at an
+    irrational root too (``poly.sign_at``).  An irrational root is then read
+    in floats where its quantities are known to 2^-55 of themselves.  A
+    stratum that holds a linear monomial (a flat family, whose answer is the
+    point Newton reaches), or whose f vanishes identically, is left to
+    Newton.  Returns the roots, as ``_stationary_points`` gives them, and the
+    strata left.
+    """
+    m = len(problem.sizes)
+    n, sizes, rows = problem.model.dim, [int(c) for c in problem.sizes], problem.rows.astype(int).tolist()
+    roots, rest = [], []
+    for subset in strata:
+        if len(subset) not in (1, m - 1) or any(sum(rows[i]) == 1 for i in subset):
+            rest.append(subset)
+            continue
+        system = (_one_row if len(subset) == 1 else _line)(rows, subset, sizes, n)
+        if system is None:  # R misses the stratum's line
+            continue
+        if not (f := poly.trim(system.f)):
+            rest.append(subset)
+            continue
+        if len(g := poly.squarefree(f)) < 2:
+            continue
+        bound = poly.root_bound(g)
+        lo = -bound if system.lo is None else max(system.lo, -bound)
+        hi = bound if system.hi is None else min(system.hi, bound)
+        found = [(lo, lo)] if lo <= hi and not poly.hom(g, *lo.as_integer_ratio()) else []
+        for a, b in poly.isolate(g, lo, hi) if lo < hi else ():
+            a, b = poly.narrow(g, a, b, Fraction(1, g[-1]))
+            root = a if a == b else poly.rational_root(g, a, b)
+            found.append((a, b) if root is None else (root, root))
+        conditions = None
+        for a, b in found:
+            if a == b and system.solve(a) is None:
+                continue
+            conditions = system.conditions() if conditions is None else conditions
+            if all(poly.sign_at(h, g, a, b) >= 0 for h in conditions):
+                mu, s = system.solve(a if a == b else _refine(g, a, b, system.quantities))
+                roots.append(_root(problem, rows, subset, mu, s, a == b))
+    return roots, rest
+
+
+def _products(factors):
+    """For pairs (a_i, l_i) of polynomials: prod_i l_i and sum_i a_i prod_{j != i} l_j."""
+    lines = [line for _, line in factors]
+    partial = [functools.reduce(poly.mul, lines[:i] + lines[i + 1 :], [1]) for i in range(len(lines))]
+    sums = poly.combine((1, poly.mul(a, rest)) for (a, _), rest in zip(factors, partial))
+    return functools.reduce(poly.mul, lines, [1]), sums
+
+
+def _one_row(rows, subset, sizes, n):
+    """The system of S = {e}: mu = 1, ebar = e and, with D_c = e_c s + n (size_c - e_c),
+    s <e, u> = s sum_c e_c size_c / D_c = 1, a polynomial in s once cleared over the
+    classes e touches, of that degree at most.  Every D_c > 0 and s > 0 bound s below.
+    No monomial e' is cheaper where s <e', u> - 1 >= 0, cleared alike.
+    """
+    e = rows[subset[0]]
+    denom = [[n * (size - x), x] for size, x in zip(sizes, e)]
+
+    def cleared(other):  # s <other, u> - 1 times the D_c of the classes e or other touches
+        product, sums = _products([([x * size], d) for x, y, size, d in zip(other, e, sizes, denom) if x or y])
+        return poly.combine([(1, [0, *sums]), (-1, product)])
+
+    lo = max([Fraction(0)] + [Fraction(-d[0], d[1]) for d in denom if d[1]])
+    return _System(
+        cleared(e), lo, None, lambda: [cleared(other) for other in rows if other is not e],
+        [[0, 1], *(d for d in denom if d[1])], lambda s: ([Fraction(1)], s) if s > lo else None,
+    )
+
+
+def _line(rows, subset, sizes, n):
+    """The system of m - 1 rows S: a polynomial in t.
+
+    The rows are independent (``_vertex_roots``).  Fraction-free elimination
+    of [S | 1 | I] leaves D times the identity on the block B of pivot
+    columns, so <e, w> = 1 on S is the line w = (p + t d) / q, with p the
+    reduced right side on B, d = (D at the free column j, the negated
+    reduced column j on B) and q = |D|, and the row operations are
+    M = D B^-1.  At a root w = u / v lies on the line in R, and
+    s = sum(size w) - 1; from u, ebar_c = size_c (s / w_c - n) / (s - n),
+    and as sum(size) = n + 1, <ebar, w> = 1 at every w.  So the root
+    condition, ebar in span S or <ebar, d> = 0, reads
+    s sum_c d_c size_c / w_c = n <d, size>, cleared over the classes d
+    touches.  Then mu solves sum_e mu_e e_B = ebar_B, so
+    mu_k = sum_i M_ik ebar_{B_i} / D, and sum(mu) = <ebar, w> = 1.  R cuts
+    the line where w >= 0 and <e, w> >= 1 for every row, so a root there
+    makes no monomial cheaper; it needs w > 0, s != n (which holds only at
+    w = (1, ..., 1), where S would hold a linear monomial) and mu >= 0.
+    """
+    m, k = len(sizes), len(subset)
+    block, reduced = fraction_free_reduce([rows[i] + [1] + [int(i == r) for r in subset] for i in subset])
+    top = reduced[0][block[0]]
+    j = next(c for c in range(m) if c not in block)
+    p, d = [0] * m, [0] * m
+    d[j] = top
+    for row, c in zip(reduced, block):
+        p[c], d[c] = row[m] if top > 0 else -row[m], -row[j]
+    q, ops = abs(top), [row[m + 1 :] for row in reduced]
+    s0, s1 = sum(map(operator.mul, sizes, p)) - q, sum(map(operator.mul, sizes, d))
+    product, sums = _products([([x * size], [a, x]) for a, x, size in zip(p, d, sizes) if x])
+    bounds = [*zip(p, d), *((sum(map(operator.mul, e, p)) - q, sum(map(operator.mul, e, d))) for e in rows)]
+    if any(c0 < 0 for c0, c1 in bounds if not c1):
+        return None
+
+    def conditions():  # mu_k q^(m + 1) (s - n)^2 prod_B w_c, of the sign of mu_k
+        numerators = [[sizes[c] * (s0 - n * p[c]), sizes[c] * (s1 - n * d[c])] for c in block]
+        out = []
+        for r in range(k):
+            weights = [row[r] if top > 0 else -row[r] for row in ops]
+            _, terms = _products([([x * a for a in part], [p[c], d[c]]) for c, x, part in zip(block, weights, numerators)])
+            out.append(poly.mul([s0 - n * q, s1], terms))
+        return out
+
+    def solve(t):
+        w, s = [(a + t * x) / q for a, x in zip(p, d)], (s0 + t * s1) / q
+        if min(w) <= 0 or s == n:
+            return None
+        ebar = [size * (s / x - n) / (s - n) for size, x in zip(sizes, w)]
+        return [sum(row[r] * ebar[c] for row, c in zip(ops, block)) / top for r in range(k)], s
+
+    return _System(
+        poly.combine([(1, poly.mul([s0, s1], sums)), (-n * s1, product)]),
+        max((Fraction(-c0, c1) for c0, c1 in bounds if c1 > 0), default=None),
+        min((Fraction(-c0, c1) for c0, c1 in bounds if c1 < 0), default=None),
+        conditions, [[a, x] for a, x in zip(p, d) if x] + [[s0, s1], [s0 - n * q, s1]], solve,
+    )
+
+
+def _refine(f, a: Fraction, b: Fraction, quantities) -> Fraction:
+    """A point of (a, b], which holds one irrational root of the square-free integer f, at
+    which every quantity c0 + c1 x with c1 != 0 is within 2^-55 of itself at the root."""
+    while True:
+        width = b - a
+        for c0, c1 in (q for q in quantities if q[1]):
+            left, right = c0 + c1 * a, c0 + c1 * b
+            width = min(width, min(abs(left), abs(right)) / abs(c1) / 2**55 if left * right > 0 else (b - a) / 2)
+        if width == b - a:
+            return (a + b) / 2
+        a, b = poly.narrow(f, a, b, width)
+
+
+def _root(problem: _Problem, rows, subset, mu, s, exact: bool):
+    """The root (u, tie, mu, s) at (mu, s): exact, or in floats read off an irrational root."""
+    n, sizes = problem.model.dim, [int(c) for c in problem.sizes]
+    ebar = [sum(x * rows[i][c] for x, i in zip(mu, subset)) for c in range(len(sizes))]
+    u = np.array([size / (n * size + (s - n) * b) for size, b in zip(sizes, ebar)], dtype=float)
+    if exact:
+        return u, problem.rows[list(subset)], mu, s
+    return u, problem.rows[list(subset)], np.array(mu, dtype=float), float(s)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -501,11 +678,12 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
 def _finalize(problem: _Problem, u: np.ndarray, root):
     """The winning weight, max-normalized, and its value.
 
-    A float root (tie, mu, s) from Newton is rounded to the nearest
-    rationals with denominator at most (2 _STEP_TOL)^(-1/2), which lie
-    2 _STEP_TOL apart or more; an exact root from a vertex of R is taken as
-    it is.  Where the stratum's residual is exactly zero there, with every
-    D_c > 0, the weight u / max(u) and the value
+    A float root (tie, mu, s), from Newton or read off an irrational root,
+    is rounded to the nearest rationals with denominator at most
+    (2 _STEP_TOL)^(-1/2), which lie 2 _STEP_TOL apart or more; an exact
+    root, from a vertex of R or a rational root of a one-unknown stratum,
+    is taken as it is.  Where the stratum's residual is exactly zero there,
+    with every D_c > 0, the weight u / max(u) and the value
     prod((D_c / size_c)^size_c) / s (A = 1 and v = 1/s at a root) are
     exact; otherwise ``polish.polish_root`` gives the correctly rounded
     doubles at the root or, undecided, the float answer stands.

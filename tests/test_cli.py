@@ -191,8 +191,8 @@ class TestMinimize:
     @pytest.fixture
     def no_root(self, monkeypatch):
         # klt models whose strata yield no root, forced by dropping the exact
-        # vertex roots and reporting every Newton run unconverged
-        newton, vertex_roots = optimize._newton, optimize._vertex_roots
+        # vertex and one-unknown roots and reporting every Newton run unconverged
+        newton, vertex_roots, univariate_roots = optimize._newton, optimize._vertex_roots, optimize._univariate_roots
 
         def unconverged(*args):
             mu, s, found = newton(*args)
@@ -200,14 +200,16 @@ class TestMinimize:
 
         monkeypatch.setattr(optimize, "_newton", unconverged)
         monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: vertex_roots(*args)[:0])
+        monkeypatch.setattr(optimize, "_univariate_roots", lambda *args: ([], univariate_roots(*args)[1]))
 
     def test_non_convergence_exit_4(self, tmp_path, capsys):
-        # x^3 + y^5 + xy + z^62284456: no stratum has a root that the solve reaches
-        path = write_model(tmp_path, "noroot.json", Hypersurface(((3, 0, 0), (0, 5, 0), (1, 1, 0), (0, 0, 62284456))))
+        # x^3749 + y^34 + z^298140 + w^16 + yw: no stratum has a root that the solve reaches
+        support = ((3749, 0, 0, 0), (0, 34, 0, 0), (0, 0, 298140, 0), (0, 0, 0, 16), (0, 1, 0, 1))
+        path = write_model(tmp_path, "noroot.json", Hypersurface(support))
         code, out, _ = run(capsys, ["minimize", path, "--seed", "1"])
         assert code == 4
         payload = json.loads(out)
-        assert (payload["status"], payload["weight"], payload["value"]) == ("not-converged", ["1"] * 3, "2")
+        assert (payload["status"], payload["weight"], payload["value"]) == ("not-converged", ["1"] * 4, "16")
 
     def test_no_root_is_not_converged_at_a_stationary_weight(self, tmp_path, capsys, no_root):
         # (1, 1, 1) is stationary on x^2 + y^2 + z^2, but no stratum root

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from hvol import DomainError, InvalidCurveError, fujita
+from hvol import DomainError, InvalidCurveError, fujita, poly
 from hvol.cli import main
 from hvol.fujita import (
     ConeModel,
@@ -110,12 +110,12 @@ class TestVolumeCurve:
         deriv = [F(-1)]
         for r, m in roots:
             for _ in range(m):
-                deriv = fujita._poly_mul(deriv, [-r, F(1)])
+                deriv = poly.mul(deriv, [-r, F(1)])
         anti = [F(0)] + [c / (i + 1) for i, c in enumerate(deriv)]
-        coeffs = [-fujita._poly_eval(anti, 1)] + anti[1:]  # P(1) = 0
+        coeffs = [-poly.value(anti, 1)] + anti[1:]  # P(1) = 0
         cuts = sorted({F(0), F(1)} | {r for r, _ in roots if 0 < r < 1})
         probes = cuts + [(u + v) / 2 for u, v in zip(cuts, cuts[1:])]
-        falling = all(fujita._poly_eval(deriv, x) <= 0 for x in probes)
+        falling = all(poly.value(deriv, x) <= 0 for x in probes)
         if falling:
             assert unit_interval_curve(coeffs, vol0=coeffs[0]).value(0) == coeffs[0]
         else:
@@ -140,14 +140,14 @@ class TestVolumeCurve:
         f = [constant]
         for factor, multiplicity in powers:
             for _ in range(multiplicity):
-                f = fujita._poly_mul(f, factor)
-        assert fujita._odd_part(f) == odd
+                f = poly.mul(f, factor)
+        assert poly.odd_part(f) == odd
         ends = [F(k, 4) for k in range(-12, 13)]
         for a, b in zip(ends, ends[1:] + [F(4)]):
             for lo, hi in ((a, b), (ends[0], b)):
                 expected = sum(lo < root <= hi for root in roots)
-                assert fujita._sturm_count(odd, lo, hi) == expected
-                assert fujita._sturm_count([-c for c in odd], lo, hi) == expected
+                assert poly.sturm_count(odd, lo, hi) == expected
+                assert poly.sturm_count([-c for c in odd], lo, hi) == expected
 
     @pytest.mark.parametrize("f, expected", [
         ([], True),  # the zero polynomial
@@ -447,7 +447,7 @@ class TestGridKernel:
         for u, w in (b.as_integer_ratio() for b in cone.curve.breakpoints):
             if p * u != q * w:
                 root = F(-w * (p + q), p * u - q * w)
-                assert fujita._poly_eval(numer, root) or fujita._poly_eval(denom, root)
+                assert poly.value(numer, root) or poly.value(denom, root)
         assert denom[0] > 0 and math.gcd(*numer, *denom) == 1
         assert convexity_check(cone)
 

@@ -1,5 +1,6 @@
 """Optimizer behavior: exact recoveries, diagnostics, determinism, edge cases."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -277,7 +278,8 @@ class TestFrozenSupports:
             checked += 1
 
 
-NO_ROOT_SUPPORT = ((3, 0, 0), (0, 5, 0), (1, 1, 0), (0, 0, 62284456))
+# x^3749 + y^34 + z^298140 + w^16 + yw: four classes, and no stratum has a root that the solve reaches
+NO_ROOT_SUPPORT = ((3749, 0, 0, 0), (0, 34, 0, 0), (0, 0, 298140, 0), (0, 0, 0, 16), (0, 1, 0, 1))
 
 BRIESKORN_PHAM = [
     exponents for d in (3, 4) for exponents in itertools.combinations_with_replacement(range(2, 8), d)
@@ -334,9 +336,9 @@ class TestKltCheck:
             minimize_hvol(model)
 
     def test_no_root_on_a_klt_model(self, monkeypatch):
-        # with no exact vertex root and no converged Newton run the answer is
-        # (1, ..., 1), klt-valid as (1, ..., 1) / multiplicity lies in R
-        newton, vertex_roots = optimize._newton, optimize._vertex_roots
+        # with no exact vertex or one-unknown root and no converged Newton run
+        # the answer is (1, ..., 1), klt-valid as (1, ..., 1) / multiplicity lies in R
+        newton, vertex_roots, univariate_roots = optimize._newton, optimize._vertex_roots, optimize._univariate_roots
 
         def no_root(*args):
             mu, s, found = newton(*args)
@@ -344,6 +346,7 @@ class TestKltCheck:
 
         monkeypatch.setattr(optimize, "_newton", no_root)
         monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: vertex_roots(*args)[:0])
+        monkeypatch.setattr(optimize, "_univariate_roots", lambda *args: ([], univariate_roots(*args)[1]))
         model = e_singularity(7, 2)
         result = minimize_hvol(model)
         assert result.status == "not-converged"
@@ -351,13 +354,14 @@ class TestKltCheck:
         assert log_discrepancy(model, result.weight) > 0
 
     def test_no_root_unpatched(self):
-        # x^3 + y^5 + xy + z^N with N = 62284456: no full stratum has a valid
-        # root, and Newton reaches none on the smaller strata, such as
-        # {xy, z^N}, so the answer is (1, 1, 1) with value 2; the CLI side is
+        # x^3749 + y^34 + z^298140 + w^16 + yw: no full stratum has a valid
+        # root, the strata of one and three rows have none either, and Newton
+        # reaches none on the two-row strata, so the answer is (1, 1, 1, 1)
+        # with value 16; the CLI side is
         # tests/test_cli.py::TestMinimize::test_non_convergence_exit_4
         result = minimize_hvol(Hypersurface(NO_ROOT_SUPPORT))
         assert result.status == "not-converged"
-        assert (result.weight, result.value) == ((F(1),) * 3, 2)
+        assert (result.weight, result.value) == ((F(1),) * 4, 16)
 
 
 KLT_GOLDEN_ROWS = [row for row in GOLDEN_ROWS if "error" not in row]
@@ -450,6 +454,190 @@ class TestVertexRoots:
         assert result.weight == (1, F(k - 1, k), F(2, k))
         assert result.exact and result.value == F(1, k - 1)
         assert result.value == core.normalized_volume(model, result.weight).normalized_volume
+
+
+@functools.cache
+def _univariate_both_routes(label):
+    """Per one-unknown stratum of a golden row, of one row or of m - 1 rows and
+    no linear monomial: its exact roots (mu, s), and the valid roots that
+    Newton converges to on the same strata."""
+    row = next(row for row in KLT_GOLDEN_ROWS if row["label"] == label)
+    problem = optimize._build_problem(_golden_model(row))
+    m = len(problem.sizes)
+    strata = [sub for sub in _strata(problem) if len(sub) in (1, m - 1) and len(sub) < m]
+    exact, rest = optimize._univariate_roots(problem, strata)
+    key = lambda tie: tuple(map(tuple, tie.astype(int).tolist()))  # noqa: E731
+    routes, newton = ({}, {}), optimize._stationary_points(problem, [sub for sub in strata if sub not in rest])
+    for side, roots in zip(routes, (exact, newton)):
+        for _, tie, mu, s in roots:
+            side.setdefault(key(tie), []).append((np.array(mu, dtype=float), math.log(s), mu, s))
+    return problem, len(strata) - len(rest), routes
+
+
+def _same_root(a, b):
+    return abs(a[1] - b[1]) <= 1e-9 and np.max(np.abs(a[0] - b[0])) <= 1e-9
+
+
+# x^3 + y^5 + xy + z^N with N = 62284456, which took the no-root path before
+# its strata of one row and of m - 1 = 2 rows were solved exactly
+FORMER_NO_ROOT_SUPPORT = ((3, 0, 0), (0, 5, 0), (1, 1, 0), (0, 0, 62284456))
+
+
+def large_exponent_supports(count, seed=5):
+    """Random supports with large exponents, the kind that took the no-root path.
+
+    In 3-4 variables: a pure power of each variable with exponent
+    round(10^U(0.3, 9)), plus 1-3 monomials x_i^a x_j^b in two distinct
+    variables with a, b in 1..3 (numpy ``default_rng(seed)``).  About a
+    quarter of them are klt.
+    """
+    rng, supports = np.random.default_rng(seed), []
+    for _ in range(count):
+        d = int(rng.integers(3, 5))
+        support = [tuple(round(10 ** rng.uniform(0.3, 9)) * (j == i) for j in range(d)) for i in range(d)]
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = (int(x) for x in rng.choice(d, size=2, replace=False))
+            a, b = (int(x) for x in rng.integers(1, 4, size=2))
+            support.append(tuple(a * (k == i) + b * (k == j) for k in range(d)))
+        supports.append(tuple(dict.fromkeys(support)))  # a monomial drawn twice counts once
+    return supports
+
+
+class TestUnivariateStrata:
+    """A stratum of one row, or of m - 1 rows for m coordinate classes, is one
+    equation in one unknown, solved exactly; Newton on the same stratum is
+    the second route."""
+
+    @pytest.mark.parametrize("row", KLT_GOLDEN_ROWS, ids=lambda row: row["label"])
+    def test_newton_agrees_with_the_exact_roots(self, row):
+        _, _, (exact, newton) = _univariate_both_routes(row["label"])
+        # a valid root on one side only would show as a stratum missing on the other
+        assert set(newton) == set(exact)
+        for stratum, roots in exact.items():
+            for root in roots:
+                assert any(_same_root(root, other) for other in newton[stratum]), stratum
+            for root in newton[stratum]:
+                assert any(_same_root(root, other) for other in roots), stratum
+
+    def test_root_counts_and_exact_residuals(self):
+        # 681 one-unknown strata on the 130 klt rows hold 59 valid roots, 49 of
+        # them rational; the stratum's residual is exactly 0 at each of those
+        counts = [0, 0, 0]
+        for row in KLT_GOLDEN_ROWS:
+            problem, solved, (exact, _) = _univariate_both_routes(row["label"])
+            sizes = [int(c) for c in problem.sizes]
+            counts[0] += solved
+            for stratum, roots in exact.items():
+                for *_, mu, s in roots:
+                    counts[1] += 1
+                    if isinstance(s, F):
+                        counts[2] += 1
+                        g, _, denom, _ = polish._residual([list(e) for e in stratum], sizes, problem.model.dim, mu, s)
+                        assert not any(g) and min(denom) > 0, stratum
+        assert counts == [681, 59, 49]
+
+    def test_newton_runs_only_beside_a_linear_monomial(self, monkeypatch):
+        # of the 65 A-D-E rows, only the five A rows with k = 1, whose z is
+        # linear, still reach Newton; E7 n=1's {y^3 z, x^2} runs no longer wander
+        ade = [row for row in GOLDEN["minimizers"] if row["label"][0] in "ADE"]
+        newton, current, reached = optimize._newton, [None], set()
+
+        def recorded(*args):
+            reached.add(current[0])
+            return newton(*args)
+
+        monkeypatch.setattr(optimize, "_newton", recorded)
+        for row in ade:
+            current[0] = row["label"]
+            minimize_hvol(_golden_model(row))
+        assert len(ade) == 65
+        assert reached == {f"A n={n} k=1" for n in range(2, 7)}
+
+    @pytest.mark.parametrize(
+        "support, weight, value, former",
+        [
+            (
+                ((306696263, 0, 0), (0, 43, 0), (0, 0, 129800), (0, 3, 3), (1, 1, 0)),
+                (1, 1, F(1, 64900)),
+                F(1, 32450),
+                3.081664098613251e-05,
+            ),
+            (
+                ((29834, 0, 0, 0), (0, 15135, 0, 0), (0, 0, 179, 0), (0, 0, 0, 5), (0, 0, 1, 1), (1, 0, 0, 2)),
+                (F(1, 14917), F(2, 15135), 1, 1),
+                F(90936804705209, 50971548795752025),
+                0.0017840698753259718,
+            ),
+            (
+                ((2804, 0, 0, 0), (0, 374986746, 0, 0), (0, 0, 1114488, 0), (0, 0, 0, 139814), (2, 0, 0, 1), (0, 0, 1, 1)),
+                (F(1, 2802), F(1, 5604), F(1, 1401), 1),
+                F(6309, 1868),
+                3.377408993576017,
+            ),
+        ],
+        ids=["xy", "zw-and-xw2", "x2w-and-zw"],
+    )
+    def test_float_answers_read_exactly(self, support, weight, value, former):
+        # answers that came as polished doubles of a Newton root, whose
+        # rationals have denominators past 22360, now read exactly at a
+        # rational root of a one-unknown stratum: the same double, and the
+        # closed form at the weight gives the same value
+        model = Hypersurface(support)
+        result = minimize_hvol(model)
+        assert (result.status, result.weight, result.value) == ("converged", weight, value)
+        assert value == core.normalized_volume(model, weight).normalized_volume
+        assert float(value) == former
+
+    def test_former_no_root_support(self):
+        # the stratum {xy, z^N} gives the weight (1, 1, 2/N) and the value 4/N
+        model = Hypersurface(FORMER_NO_ROOT_SUPPORT)
+        result = minimize_hvol(model)
+        assert result.status == "converged"
+        assert (result.weight, result.value) == ((1, 1, F(2, 62284456)), F(1, 15571114))
+        assert result.active_monomials == ((0, 0, 62284456), (1, 1, 0))
+        assert result.value == core.normalized_volume(model, result.weight).normalized_volume
+
+    @pytest.mark.parametrize(
+        "support, weight, value",
+        [
+            (
+                ((17587572, 0, 0, 0), (0, 100292, 0, 0), (0, 0, 120495555, 0), (0, 0, 0, 2568427), (0, 1, 2, 0),
+                 (0, 0, 1, 1), (3, 0, 2, 0)),
+                (9.970885015753998e-06, 1.9941770031507997e-05, 1.0, 1.0),
+                0.00026921389542535796,
+            ),
+            (
+                ((294610007, 0, 0, 0), (0, 2297112, 0, 0), (0, 0, 177, 0), (0, 0, 0, 6), (0, 0, 1, 1), (2, 0, 0, 2)),
+                (4.3532923079066236e-07, 8.706584615813247e-07, 1.0, 1.0),
+                1.1753889231347884e-05,
+            ),
+        ],
+        ids=["newton-took-it", "exact-would-take-it"],
+    )
+    def test_negative_multiplier_rejected_exactly(self, support, weight, value):
+        # each support has an irrational root of a three-row stratum with one
+        # multiplier about -1e-10 (first) or -2e-13 (second), within the
+        # tolerance that a Newton root gets, and a slightly lower root of {zw}
+        # and a pure power with positive multipliers.  The exact sign test
+        # rejects the three-row root, so the lower root wins.  On the first
+        # support Newton had reached the three-row root, and the answer was
+        # its polished value 0.0002692138954521228, higher by 1e-10 relative
+        result = minimize_hvol(Hypersurface(support))
+        assert (result.status, result.weight, result.value) == ("converged", weight, value)
+        assert len(result.active_monomials) == 2
+
+    def test_no_root_count_on_a_fixed_draw(self):
+        # of 400 draws, 92 are klt; 1 of those takes the no-root path (8
+        # before the strata of one row and of m - 1 rows were solved exactly)
+        klt = no_root = 0
+        for support in large_exponent_supports(400):
+            try:
+                result = minimize_hvol(Hypersurface(support))
+            except NonKltModelError:
+                continue
+            klt += 1
+            no_root += result.status == "not-converged"
+        assert (klt, no_root) == (92, 1)
 
 
 def _scalar_string(value):
@@ -800,36 +988,50 @@ class TestNewtonStops:
 
 
 class TestRootlessStrata:
-    """One-monomial strata that have no root are settled before Newton runs."""
+    """One-monomial strata are solved exactly, so those without a root never reach Newton."""
 
     def test_dropped_rows_have_no_root(self):
-        # the golden minimizers hold all 65 A-D-E reference rows and the
-        # frozen and seeded supports
+        # a row e with e_c >= size_c on every class it touches, other than a
+        # linear monomial, has no root: with a_c = e_c / size_c and
+        # D = n (1 - a) + a s > 0, s <e, u> = sum_c size_c a_c s / D_c, and
+        # a s / D - 1 = n (a - 1) / D >= 0, so it is at least the total size
+        # touched, >= 1, with equality throughout only for a linear monomial.
+        # The exact solve finds no root and leaves nothing to Newton, and
+        # Newton finds none either.  The golden minimizers hold all 65 A-D-E
+        # reference rows and the frozen and seeded supports
         models = [_golden_model(row) for row in GOLDEN_ROWS]
         checked = set()
         for model in models:
             for trivial in (False, True):
                 problem = optimize._build_problem(model, trivial_classes=trivial)
-                rootless = optimize._rootless_monomials(problem.rows, problem.sizes)
                 for subset in _strata(problem):
                     row = problem.rows[subset[0]]
                     key = (tuple(row), tuple(problem.sizes), problem.model.dim)
-                    if len(subset) == 1 and rootless[subset[0]] and key not in checked:
+                    rootless = np.all((row == 0) | (row >= problem.sizes)) and row.sum() > 1
+                    if len(subset) == 1 and rootless and key not in checked:
                         checked.add(key)
+                        assert optimize._univariate_roots(problem, [subset]) == ([], []), key
                         assert not _newton_runs(problem, [[row]], [[1.0]])[2][0], key
         assert checked
 
     def test_rootless_rows(self):
-        # classes of sizes (3, 1, 1) as in D n=3 k=4: the squares' row and a
-        # linear monomial (a flat family, F = 1 at every s) stay; z^4, y^2 z
-        # and x1 x2 x3 have every e_c >= size_c and F > 1
-        rows = np.array([(2, 0, 0), (0, 0, 1), (0, 0, 4), (0, 2, 1), (3, 0, 0)], dtype=float)
-        rootless = optimize._rootless_monomials(rows, np.array([3.0, 1.0, 1.0]))
-        assert rootless.tolist() == [False, False, True, True, True]
+        # classes of sizes (3, 1, 1) as in D n=3 k=4, each row alone: the
+        # squares' row (2, 0, 0) has its root at s = 1; z^4, y^2 z and x1 x2 x3
+        # have every e_c >= size_c and no root; a linear monomial (a flat
+        # family, s <e, u> = 1 at every s) is left to Newton
+        problem = optimize._build_problem(d_singularity(3, 4))
+        found = {}
+        for row in [(2, 0, 0), (0, 0, 1), (0, 0, 4), (0, 2, 1), (3, 0, 0)]:
+            alone = dataclasses.replace(problem, rows=np.array([row], dtype=float))
+            roots, rest = optimize._univariate_roots(alone, [(0,)])
+            found[row] = "newton" if rest else [s for *_, s in roots]
+        assert found == {(2, 0, 0): [1], (0, 0, 1): "newton", (0, 0, 4): [], (0, 2, 1): [], (3, 0, 0): []}
 
     def test_rootless_strata_skip_newton(self, monkeypatch):
         # on D n=3 k=4 the one-monomial strata are z^4 and y^2 z, which have
-        # no root, and the squares' row (2, 0, 0), which has one
+        # no root, and the squares' row (2, 0, 0), which has one; all three
+        # are solved exactly, so no singleton reaches Newton, while
+        # starts_used still counts every stratum
         model = d_singularity(3, 4)
         problem = optimize._build_problem(model)
         strata = _strata(problem)
@@ -844,6 +1046,5 @@ class TestRootlessStrata:
 
         monkeypatch.setattr(optimize, "_newton", recorded)
         result = minimize_hvol(model)
-        assert ((2, 0, 0),) in seen
-        assert not {((0, 0, 4),), ((0, 2, 1),)} & seen
+        assert not any(len(stratum) == 1 for stratum in seen)
         assert result.starts_used == len(strata)
