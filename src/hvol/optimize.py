@@ -487,6 +487,8 @@ def _line(rows, subset, sizes, n):
     """
     m, k = len(sizes), len(subset)
     block, reduced = fraction_free_reduce([rows[i] + [1] + [int(i == r) for r in subset] for i in subset])
+    if block[-1] >= m:  # dependent rows, which _strata's float rank test might let pass
+        return _System([], None, None, list, [], None)
     top = reduced[0][block[0]]
     j = next(c for c in range(m) if c not in block)
     p, d = [0] * m, [0] * m

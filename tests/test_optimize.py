@@ -588,6 +588,14 @@ class TestUnivariateStrata:
         assert value == core.normalized_volume(model, weight).normalized_volume
         assert float(value) == former
 
+    def test_dependent_rows_go_to_newton(self):
+        # two proportional rows of three classes cut out no line; were the
+        # float rank test of _strata to let such a pair pass as a stratum, it
+        # would go to Newton as before
+        problem = optimize._build_problem(d_singularity(3, 4))
+        fake = dataclasses.replace(problem, rows=np.array([(2, 0, 0), (4, 0, 0), (0, 0, 4)], dtype=float))
+        assert optimize._univariate_roots(fake, [(0, 1)]) == ([], [(0, 1)])
+
     def test_former_no_root_support(self):
         # the stratum {xy, z^N} gives the weight (1, 1, 2/N) and the value 4/N
         model = Hypersurface(FORMER_NO_ROOT_SUPPORT)
