@@ -69,43 +69,31 @@ def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def inverse_fraction(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact matrix inverse via Gauss-Jordan; raises on singular input."""
+    """Exact matrix inverse; raises ZeroDivisionError on singular input.
+
+    Each row is scaled to integers by the lcm s_i of its denominators, and
+    [S A | I] is reduced by fraction-free Gauss-Jordan elimination (Bareiss,
+    Math. Comp. 22, 1968), in which every division is exact, to
+    [D I | D (S A)^-1] for D = +-det(S A); then A^-1 = (S A)^-1 S.
+    """
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    scale = [common_denominator(row) for row in fracs]
+    m = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(fracs, scale)]
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             raise ZeroDivisionError("matrix is singular")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+        head = m[col][col]
         for r in range(n):
-            if r != col and m[r][col]:
+            if r != col:
                 factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def fraction_free_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Gauss-Jordan elimination of integer rows of full row rank, fraction-free (Bareiss,
-    Math. Comp. 22, 1968), in which every division is exact.
-
-    Returns the pivot column of each row and the reduced rows: R = M A for the row
-    operations M, with R's pivot columns D times the identity, D = +-det of A's pivot
-    columns.
-    """
-    m, previous, pivots = [list(row) for row in rows], 1, []
-    for i in range(len(m)):
-        col = next(c for c in range(pivots[-1] + 1 if pivots else 0, len(m[0])) if any(row[c] for row in m[i:]))
-        r = next(r for r in range(i, len(m)) if m[r][col])
-        m[i], m[r] = m[r], m[i]
-        for r in range(len(m)):
-            if r != i:
-                factor = m[r][col]
-                m[r] = [(x * m[i][col] - factor * y) // previous for x, y in zip(m[r], m[i])]
-        previous = m[i][col]
-        pivots.append(col)
-    return pivots, m
+                m[r] = [(x * head - factor * y) // previous for x, y in zip(m[r], m[col])]
+        previous = head
+    return [[Fraction(x * s, previous) for x, s in zip(row[n:], scale)] for row in m]
 
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:

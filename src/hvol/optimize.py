@@ -40,9 +40,13 @@ points past it), when its multipliers leave |mu| <= 10^3, when an
 accepted step leaves it bitwise where it was (a fixed point, which an
 exactly zero step reaches at once), or when no halving of its step is
 acceptable; the batch stops when no run is live, or after 60 iterations.
-Weights are max-normalized.  A vertex root and a rational root of a
-one-unknown stratum are exact; a Newton root's floats (mu, s) are rounded
-to the nearest rationals with denominator at most
+A run that stalls, at a fixed point or still live at the end, in a
+stratum where no run converged, counts where ``polish.proven_root``
+proves a box around one root from where it stopped, and takes that root:
+near a root of a large exponent the float residual can rest above the
+tolerance.  Weights are max-normalized.  A vertex root and a rational
+root of a one-unknown stratum are exact; a Newton root's floats (mu, s)
+are rounded to the nearest rationals with denominator at most
 (2 _STEP_TOL)^(-1/2) = 22360, and are the root where the stratum's
 residual is exactly zero there.  At an exact root the weight and value
 are exact.  Otherwise, as on the irrational D rows, the winning root is
@@ -65,7 +69,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import core, polish, poly
-from .exact import Scalar, fraction_free_reduce, inverse_fraction
+from .exact import Scalar, inverse_fraction
 from .models import (
     DomainError,
     Hypersurface,
@@ -252,7 +256,9 @@ def _stationary_points(problem: _Problem, strata: list):
     2 to m - 2 rows, and those of one row or m - 1 rows that hold a linear
     monomial or whose polynomial vanishes identically (``_univariate_roots``).
     Newton starts at the barycentre and the vertices of each multiplier
-    simplex, and a stratum's first root ends its other starts.  A root
+    simplex, and a stratum's first root ends its other starts.  A stalled
+    run of a stratum with no converged run gives the root that
+    ``polish.proven_root`` proves from where it stopped, if any.  A root
     counts if no monomial outside S is cheaper and, for |S| >= 2, the
     multipliers are nonnegative, both within _TIE_TOL.  Each root is
     (u, tie, mu, s), with the stratum's rows and multipliers unpadded.
@@ -268,7 +274,15 @@ def _stationary_points(problem: _Problem, strata: list):
         starts = [[1.0 / k] * k] + (np.eye(k).tolist() if k > 1 else [])
         runs += [(label, k, [0.0] * (top - k) + start, rows[[-1] * (top - k) + list(subset)]) for start in starts]
     stratum, size, mu, tie = (np.array(x) for x in zip(*runs))
-    mu, s, found = _newton(tie, sizes, n, mu, size, stratum)
+    mu, s, found, stalled = _newton(tie, sizes, n, mu, size, stratum)
+    # a stalled run, at a fixed point or still live at the iteration cap, in a
+    # stratum that no run solved counts where polish proves a root from it,
+    # and takes that root
+    for i in np.flatnonzero(stalled):
+        lead = top - size[i]
+        if not found[stratum == stratum[i]].any():
+            if (root := polish.proven_root(tie[i, lead:], mu[i, lead:], s[i], sizes, n)) is not None:
+                mu[i, lead:], s[i], found[i] = root[:-1], root[-1], True
     mu, s, tie, size = mu[found], s[found], tie[found], size[found]
     ebar = np.einsum("bk,bkm->bm", mu, tie)
     u = sizes / (n * sizes + (s - n)[:, None] * ebar)
@@ -348,7 +362,7 @@ def _vertex_roots(problem: _Problem, bases: np.ndarray):
     constraints = np.vstack([problem.rows, np.eye(m)])
     roots = []
     for basis in bases.tolist():
-        inverse = inverse_fraction(constraints[basis].tolist())
+        inverse = inverse_fraction(constraints[basis].astype(int).tolist())
         w = [sum(row[j] for j, i in enumerate(basis) if i < count) for row in inverse]
         total = sum(size * x for size, x in zip(sizes, w))
         if total <= 1 and problem.model.multiplicity >= 2:  # a linear monomial makes the germ smooth
@@ -469,46 +483,46 @@ def _one_row(rows, subset, sizes, n):
 def _line(rows, subset, sizes, n):
     """The system of m - 1 rows S: a polynomial in t.
 
-    The rows are independent (``_vertex_roots``).  Fraction-free elimination
-    of [S | 1 | I] leaves D times the identity on the block B of pivot
-    columns, so <e, w> = 1 on S is the line w = (p + t d) / q, with p the
-    reduced right side on B, d = (D at the free column j, the negated
-    reduced column j on B) and q = |D|, and the row operations are
-    M = D B^-1.  At a root w = u / v lies on the line in R, and
-    s = sum(size w) - 1; from u, ebar_c = size_c (s / w_c - n) / (s - n),
-    and as sum(size) = n + 1, <ebar, w> = 1 at every w.  So the root
-    condition, ebar in span S or <ebar, d> = 0, reads
-    s sum_c d_c size_c / w_c = n <d, size>, cleared over the classes d
-    touches.  Then mu solves sum_e mu_e e_B = ebar_B, so
-    mu_k = sum_i M_ik ebar_{B_i} / D, and sum(mu) = <ebar, w> = 1.  R cuts
-    the line where w >= 0 and <e, w> >= 1 for every row, so a root there
-    makes no monomial cheaper; it needs w > 0, s != n (which holds only at
-    w = (1, ..., 1), where S would hold a linear monomial) and mu >= 0.
+    The rows are independent (``_vertex_roots``), so B = [S; e_j] is
+    invertible for some column j, the last one tried from the end.  Then
+    <e, w> = 1 on S is the line w = B^-1 (1, ..., 1, t) = (p + t d) / q with
+    t = w_j, for M = q B^-1 over the lcm q of its denominators, p the sum
+    of M's first m - 1 columns and d its last.  At a root w = u / v lies on
+    the line in R, and s = sum(size w) - 1; from u,
+    ebar_c = size_c (s / w_c - n) / (s - n), and as sum(size) = n + 1,
+    <ebar, w> = 1 at every w.  So the root condition, ebar in span S or
+    <ebar, d> = 0, reads s sum_c d_c size_c / w_c = n <d, size>, cleared
+    over the classes d touches.  Then (mu, 0) = B^-T ebar, so
+    mu_k = sum_c M_ck ebar_c / q, where row j of B^-1 is e_m and leaves out
+    ebar_j, and sum(mu) = <ebar, w> = 1.  R cuts the line where w >= 0 and
+    <e, w> >= 1 for every row, so a root there makes no monomial cheaper;
+    it needs w > 0, s != n (which holds only at w = (1, ..., 1), where S
+    would hold a linear monomial) and mu >= 0.
     """
     m, k = len(sizes), len(subset)
-    block, reduced = fraction_free_reduce([rows[i] + [1] + [int(i == r) for r in subset] for i in subset])
-    if block[-1] >= m:  # dependent rows, which _strata's float rank test might let pass
+    for j in reversed(range(m)):
+        try:
+            inverse = inverse_fraction([rows[i] for i in subset] + [[int(c == j) for c in range(m)]])
+            break
+        except ZeroDivisionError:
+            continue
+    else:  # dependent rows, which _strata's float rank test might let pass
         return _System([], None, None, list, [], None)
-    top = reduced[0][block[0]]
-    j = next(c for c in range(m) if c not in block)
-    p, d = [0] * m, [0] * m
-    d[j] = top
-    for row, c in zip(reduced, block):
-        p[c], d[c] = row[m] if top > 0 else -row[m], -row[j]
-    q, ops = abs(top), [row[m + 1 :] for row in reduced]
+    q = math.lcm(*(x.denominator for row in inverse for x in row))
+    ops = [[x.numerator * (q // x.denominator) for x in row] for row in inverse]
+    p, d, block = [sum(row[:k]) for row in ops], [row[k] for row in ops], [c for c in range(m) if c != j]
     s0, s1 = sum(map(operator.mul, sizes, p)) - q, sum(map(operator.mul, sizes, d))
     product, sums = _products([([x * size], [a, x]) for a, x, size in zip(p, d, sizes) if x])
     bounds = [*zip(p, d), *((sum(map(operator.mul, e, p)) - q, sum(map(operator.mul, e, d))) for e in rows)]
     if any(c0 < 0 for c0, c1 in bounds if not c1):
         return None
 
-    def conditions():  # mu_k q^(m + 1) (s - n)^2 prod_B w_c, of the sign of mu_k
+    def conditions():  # mu_k q^2 (s - n)^2 prod_{c != j} w_c, of the sign of mu_k
         numerators = [[sizes[c] * (s0 - n * p[c]), sizes[c] * (s1 - n * d[c])] for c in block]
         out = []
         for r in range(k):
-            weights = [row[r] if top > 0 else -row[r] for row in ops]
-            _, terms = _products([([x * a for a in part], [p[c], d[c]]) for c, x, part in zip(block, weights, numerators)])
-            out.append(poly.mul([s0 - n * q, s1], terms))
+            parts = [([ops[c][r] * a for a in part], [p[c], d[c]]) for c, part in zip(block, numerators)]
+            out.append(poly.mul([s0 - n * q, s1], _products(parts)[1]))
         return out
 
     def solve(t):
@@ -516,7 +530,7 @@ def _line(rows, subset, sizes, n):
         if min(w) <= 0 or s == n:
             return None
         ebar = [size * (s / x - n) / (s - n) for size, x in zip(sizes, w)]
-        return [sum(row[r] * ebar[c] for row, c in zip(ops, block)) / top for r in range(k)], s
+        return [sum(ops[c][r] * ebar[c] for c in block) / q for r in range(k)], s
 
     return _System(
         poly.combine([(1, poly.mul([s0, s1], sums)), (-n * s1, product)]),
@@ -589,10 +603,12 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
 
     A run whose step no halving down to 1e-12 makes acceptable stops too.
     The batch stops when no run is live, or after 60 iterations.  Returns
-    the last (mu, s) of every run and which runs converged.
+    the last (mu, s) of every run, which runs converged, and which stalled:
+    ended at a fixed point or were still live after 60 iterations.
     """
     runs, top = mu.shape
-    out_mu, out_s, found = np.empty_like(mu), np.empty(runs), np.zeros(runs, dtype=bool)
+    out_mu, out_s = np.empty_like(mu), np.empty(runs)
+    found, stalled = np.zeros(runs, dtype=bool), np.zeros(runs, dtype=bool)
 
     def evaluate(mu, t, tie, padded):
         s = np.exp(t)
@@ -651,13 +667,15 @@ def _newton(tie: np.ndarray, sizes: np.ndarray, n: int, mu: np.ndarray, size: np
                 held[miss[moved]] = new[first]
             ok[miss[moved]] = True
         # accepted values are finite and never -0.0, so == compares bits
-        keep = go_on & ok & ~((trial[1] == t) & (trial[0] == mu).all(axis=1))
+        still = go_on & ok & (trial[1] == t) & (trial[0] == mu).all(axis=1)
+        stalled[index[still]] = True
+        keep = go_on & ok & ~still
         if not keep.all():  # the runs that end keep their last (mu, s)
             out_mu[index[~keep]], out_s[index[~keep]] = mu[~keep], s[~keep]
             index, size, stratum, tie, padded, *trial = (a[keep] for a in (index, size, stratum, tie, padded, *trial))
         mu, t, g, denom, u, s, ebar = trial
-    out_mu[index], out_s[index] = mu, s
-    return out_mu, out_s, found
+    out_mu[index], out_s[index], stalled[index] = mu, s, True
+    return out_mu, out_s, found, stalled
 
 
 def _select_best(problem: _Problem, candidates: list) -> tuple:

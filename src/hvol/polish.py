@@ -20,7 +20,9 @@ evaluated over B in interval arithmetic, and each is kept when both ends
 of its interval round to one double.  The answer depends on the stratum
 alone: not on the start, the float bits or numpy's kernels.  A root whose
 test fails (a singular Jacobian, a D_c that is not positive on B, B too
-wide to decide a double) gives None.
+wide to decide a double) gives None.  ``proven_root`` runs the same proof
+from a Newton run that stalled short of its tolerances, and gives the
+floats at the centre of B, or None where no box is proved.
 """
 
 from __future__ import annotations
@@ -141,16 +143,9 @@ def _inverse(matrix: list) -> list:
     return [[_Interval(a) for a in row[size:]] for row in rows]
 
 
-def polish_root(tie, mu, s, sizes, owner, n: int):
-    """The max-normalized weight and value at the stratum root near the float
-    (mu, s), as their correctly rounded doubles, or None if undecided.
-
-    ``tie`` holds the stratum's rows on the coordinate classes, of sizes
-    ``sizes``; ``owner`` maps each coordinate to its class, and n is the
-    dimension of the germ.
-    """
-    sizes = [int(c) for c in sizes]
-    tie = [[int(e) for e in row] for row in tie]
+def _enclose(tie, mu, s, sizes, n: int):
+    """The box proved to hold one root of the stratum, reached from the float
+    (mu, s), with ``_residual``'s ebar, D_c and u_c over it, or None."""
 
     def residual(x):
         return _residual(tie, sizes, n, x[:-1], x[-1])
@@ -169,11 +164,38 @@ def polish_root(tie, mu, s, sizes, owner, n: int):
         box = [_Interval(v.lo - radius, v.lo + radius) for v in x]
         _, *parts = residual(box)
         jac, one = _jacobian(tie, n, box[-1], *parts), 1 << _PRECISION
-        for i, row in enumerate(inverse):
-            spread = [int(i == j) - sum(a * b[j] for a, b in zip(row, jac)) for j in range(len(x))]
-            if 2 * sum(v.magnitude() for v in spread) > one:
-                return None
-        _, denom, u = parts
+    except ZeroDivisionError:
+        return None
+    for i, row in enumerate(inverse):
+        spread = [int(i == j) - sum(a * b[j] for a, b in zip(row, jac)) for j in range(len(x))]
+        if 2 * sum(v.magnitude() for v in spread) > one:
+            return None
+    return box, parts
+
+
+def proven_root(tie, mu, s, sizes, n: int):
+    """The floats (mu, s) nearest the centre of a box proved to hold one root
+    of the stratum, reached from the float (mu, s), or None."""
+    enclosed = _enclose([[int(e) for e in row] for row in tie], mu, s, [int(c) for c in sizes], n)
+    if enclosed is None:
+        return None
+    return [(v.lo + v.hi) / (2 << _PRECISION) for v in enclosed[0]]
+
+
+def polish_root(tie, mu, s, sizes, owner, n: int):
+    """The max-normalized weight and value at the stratum root near the float
+    (mu, s), as their correctly rounded doubles, or None if undecided.
+
+    ``tie`` holds the stratum's rows on the coordinate classes, of sizes
+    ``sizes``; ``owner`` maps each coordinate to its class, and n is the
+    dimension of the germ.
+    """
+    sizes = [int(c) for c in sizes]
+    enclosed = _enclose([[int(e) for e in row] for row in tie], mu, s, sizes, n)
+    if enclosed is None:
+        return None
+    box, (_, denom, u) = enclosed
+    try:
         top = max(u, key=lambda v: v.lo + v.hi)
         weight = [(v / top).rounded() for v in u]
         value = 1 / box[-1]

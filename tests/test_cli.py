@@ -195,8 +195,8 @@ class TestMinimize:
         newton, vertex_roots, univariate_roots = optimize._newton, optimize._vertex_roots, optimize._univariate_roots
 
         def unconverged(*args):
-            mu, s, found = newton(*args)
-            return mu, s, found & False
+            mu, s, found, stalled = newton(*args)
+            return mu, s, found & False, stalled & False
 
         monkeypatch.setattr(optimize, "_newton", unconverged)
         monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: vertex_roots(*args)[:0])

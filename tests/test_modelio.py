@@ -1,6 +1,7 @@
 """Model files: the file-level rules, exact parsing, canonical round-trips."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import hvol.modelio as modelio
 from hvol import Hypersurface, InvalidModelError, SmoothPoint, ToricCone
 from hvol.cli import main
-from hvol.exact import format_scalar, parse_rational
+from hvol.exact import det_fraction, format_scalar, inverse_fraction, parse_rational
 from hvol.fujita import ConeModel, projective_space_cone
 
 
@@ -28,6 +29,27 @@ class TestRationals:
         assert format_scalar(F(250, 27)) == "250/27"
         assert format_scalar(F(6, 3)) == "2"
         assert format_scalar(0.5) == 0.5
+
+    def test_inverse(self):
+        # the fraction-free inverse against the identity, on square matrices
+        # of ints, Fractions and integer floats, and singular ones raise
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            pick = [
+                lambda: rng.randint(-4, 4),
+                lambda: F(rng.randint(-9, 9), rng.randint(1, 6)),
+                lambda: float(rng.randint(-3, 3)),
+            ]
+            matrix = [[rng.choice(pick)() for _ in range(n)] for _ in range(n)]
+            if det_fraction([[F(x) for x in row] for row in matrix]) == 0:
+                with pytest.raises(ZeroDivisionError):
+                    inverse_fraction(matrix)
+                continue
+            inverse = inverse_fraction(matrix)
+            assert all(isinstance(x, F) for row in inverse for x in row)
+            product = [[sum(F(a) * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in matrix]
+            assert product == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 class TestSchema:

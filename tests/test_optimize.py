@@ -341,8 +341,8 @@ class TestKltCheck:
         newton, vertex_roots, univariate_roots = optimize._newton, optimize._vertex_roots, optimize._univariate_roots
 
         def no_root(*args):
-            mu, s, found = newton(*args)
-            return mu, s, found & False
+            mu, s, found, stalled = newton(*args)
+            return mu, s, found & False, stalled & False
 
         monkeypatch.setattr(optimize, "_newton", no_root)
         monkeypatch.setattr(optimize, "_vertex_roots", lambda *args: vertex_roots(*args)[:0])
@@ -785,7 +785,7 @@ class TestPolish:
         k = len(tie)
         floats = []
         for start in [[1.0 / k] * k] + (np.eye(k).tolist() if k > 1 else []):
-            mu, s, found = _newton_runs(problem, [tie], [start])
+            mu, s, found, _ = _newton_runs(problem, [tie], [start])
             if found[0]:
                 floats.append((mu[0], s[0]))
         # some starts reach the root with different last bits
@@ -811,6 +811,47 @@ class TestPolish:
         assert np.allclose(result.weight, polished.weight, rtol=1e-14, atol=0)
         assert abs(result.value - polished.value) <= 1e-14 * polished.value
 
+    def test_stalled_run_counts_where_polish_proves_its_root(self, monkeypatch):
+        # on {yz, x^191229} of this support the Newton run from mu = (1, 0)
+        # ends its 60 iterations next to the root with a residual of about
+        # 2e-11, short of the 1e-12 tolerance, and no other stratum has a
+        # valid root.  Polish proves the root from where the run stalled, and
+        # the answer is its polished doubles, as when the run converged in a
+        # batch padded 3 wide; without the proof it was the no-root (1, 1, 1, 1)
+        model = Hypersurface(STALLED_SUPPORT)
+        proven, proof = [], polish.proven_root
+
+        def recorded(*args):
+            proven.append(proof(*args))
+            return proven[-1]
+
+        monkeypatch.setattr(polish, "proven_root", recorded)
+        result = minimize_hvol(model)
+        assert (result.status, result.weight, result.value) == (
+            "converged",
+            (1.0458664742272355e-05, 1.0, 1.0, 5.229332371136177e-06),
+            0.0001411919740206768,
+        )
+        assert result.active_monomials == ((0, 1, 1, 0), (191229, 0, 0, 0))
+        assert STALLED_ROOT in proven
+
+    def test_proven_root(self):
+        # from points up to 1e-6 relative off the root of {yz, x^191229} the
+        # proof gives the same floats; from 1e-3 off, and from the run of that
+        # stratum that ran off to log s = 19.6, it proves no root
+        problem = optimize._build_problem(Hypersurface(STALLED_SUPPORT))
+        tie, sizes, n = [(0, 1, 1, 0), (191229, 0, 0, 0)], problem.sizes, problem.model.dim
+        (a, b, s) = STALLED_ROOT
+        for eps in (0, 1e-12, -1e-10, 1e-8, 1e-6):
+            assert polish.proven_root(tie, [a * (1 + eps), b * (1 - eps)], s * (1 + eps), sizes, n) == STALLED_ROOT
+        assert polish.proven_root(tie, [a * 1.001, b * 0.999], s * 1.001, sizes, n) is None
+        assert polish.proven_root(tie, [0.066, 0.934], math.exp(19.58), sizes, n) is None
+
+
+# draw 1388 of large_exponent_supports, and the (mu, s) of its winning root
+STALLED_SUPPORT = ((191229, 0, 0, 0), (0, 3680, 0, 0), (0, 0, 240, 0), (0, 0, 0, 29838697), (3, 0, 2, 0), (0, 1, 1, 0))
+STALLED_ROOT = [0.9999973853269779, 2.6146730220652257e-06, 7.843998556704266e-06]
+
 
 class TestOneRootPerStratum:
     """Every start of a stratum that converges reaches one root, so the first
@@ -829,7 +870,7 @@ class TestOneRootPerStratum:
                 starts += [[1.0 / k] * k] + np.eye(k).tolist()
         if not ties:
             return
-        mu, s, found = _newton_runs(problem, ties, starts, stratum=np.arange(len(ties)))
+        mu, s, found, _ = _newton_runs(problem, ties, starts, stratum=np.arange(len(ties)))
         roots = {}
         for i in np.flatnonzero(found):
             root = np.append(mu[i][len(mu[i]) - len(starts[i]) :], math.log(s[i]))
@@ -864,7 +905,7 @@ class TestNewtonStops:
         # of the sibling that stopped it.  Returns the number stopped
         stopped = 0
         for i, (tie, start) in enumerate(zip(ties, starts)):
-            mu, s, found = _newton_runs(problem, [tie], [start])
+            mu, s, found, _ = _newton_runs(problem, [tie], [start])
             padding = len(batch[0][i]) - len(start)
             assert not batch[0][i][:padding].any()
             j = i
@@ -885,7 +926,7 @@ class TestNewtonStops:
         # 0 at s = n
         problem = optimize._build_problem(d_singularity(3, 4))
         ties, starts = [[(2, 0, 0)], [(0, 0, 4)], [(3, 0, 0)]], [[1.0]] * 3
-        batch = mu, s, found = _newton_runs(problem, ties, starts)
+        batch = mu, s, found, _ = _newton_runs(problem, ties, starts)
         assert found.tolist() == [True, False, False]
         assert abs(s[0] - 1) <= 1e-12
         # the run-off ends within the last unit below the cap, not walked up to it
@@ -900,7 +941,7 @@ class TestNewtonStops:
         problem = optimize._build_problem(d_singularity(2, 5))
         ties = [[(0, 0, 5), (2, 0, 0)], [(0, 0, 5), (0, 2, 1)]]
         starts = [[0.5, 0.5], [0.0, 1.0]]
-        batch = mu, s, found = _newton_runs(problem, ties, starts)
+        batch = mu, s, found, _ = _newton_runs(problem, ties, starts)
         assert found.tolist() == [True, False]
         assert np.max(np.abs(mu[1])) > optimize._MU_BOUND
         self._assert_runs_alone_agree(problem, ties, starts, batch)
@@ -913,7 +954,7 @@ class TestNewtonStops:
         # same iteration, which stops the run from (1, 0)
         problem = optimize._build_problem(d_singularity(2, 5))
         ties, starts = [[(0, 0, 5), (2, 0, 0)]] * 3, [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
-        batch = mu, s, found = _newton_runs(problem, ties, starts)
+        batch = mu, s, found, _ = _newton_runs(problem, ties, starts)
         assert found.tolist() == [True, False, True]
         assert np.all(np.abs(s[found] - 0.3) <= 1e-12)
         assert self._assert_runs_alone_agree(problem, ties, starts, batch) == 1
@@ -984,8 +1025,8 @@ class TestNewtonStops:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        mu, s, found = _newton_runs(problem, ties, starts)
-        assert not found.any()
+        mu, s, found, stalled = _newton_runs(problem, ties, starts)
+        assert not found.any() and stalled.all()
         assert 0 < len(calls) < 60
         assert np.all(np.log(s) < -10)
         monkeypatch.setattr(np.linalg, "svd", svd)
