@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Scalar, det_fraction, is_exact
+from .exact import Scalar, common_denominator, det_fraction, is_exact
 from .models import (
     DomainError,
     ExponentVector,
@@ -70,7 +70,8 @@ def check_weight_exact(model: Model, weight: Sequence[Scalar]):
 
 def weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> Scalar:
     """min over the support of <x, e>: the weight of f under v_x."""
-    return min(_pairings(x, support)[2])
+    scale, _, values = _pairings(x, support)
+    return min(values) if scale is None else Fraction(min(values), scale)
 
 
 def _weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> Scalar:
@@ -80,9 +81,9 @@ def _weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> S
 
 def active_monomials(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> tuple[ExponentVector, ...]:
     """The exponent vectors attaining the weighted order (exactly; on floats within _ACTIVE_RTOL)."""
-    x, support, values = _pairings(x, support)
+    scale, support, values = _pairings(x, support)
     low = min(values)
-    if is_exact(x):
+    if scale is not None:
         hits = [e for e, v in zip(support, values) if v == low]
     else:
         cut = low * (1 + _ACTIVE_RTOL) + _ACTIVE_RTOL * 1e-300
@@ -91,12 +92,14 @@ def active_monomials(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> 
 
 
 def _pairings(x, support):
-    """The weight as ``as_scalars`` reads it, the support as ``_integer_rows`` reads it,
-    and the pairing of the weight with each exponent vector."""
+    """The common denominator of an exact weight (else None), the support as ``_integer_rows``
+    reads it, and the weight's pairing with each exponent vector, exact ones times it."""
     support = _integer_rows(support, "support")
     if not support:
         raise InvalidModelError("empty support has no weighted order")
     x = as_scalars(x, "weight")
+    scale = common_denominator(x) if is_exact(x) else None
+    x = x if scale is None else [xi.numerator * (scale // xi.denominator) for xi in x]  # integers
     values = []
     for e in support:
         if len(e) != len(x):
@@ -107,7 +110,7 @@ def _pairings(x, support):
     for xi in x:
         if not 0 < xi < math.inf:  # NaN too
             raise DomainError("weighted order needs strictly positive finite weights")
-    return x, support, values
+    return scale, support, values
 
 
 def log_discrepancy(model: Model, weight: Sequence[Scalar]) -> Scalar:

@@ -4,7 +4,8 @@ All closed-form operations in this package run on ``fractions.Fraction``
 when given rational inputs and fall back to floats otherwise (``models``
 decides which inputs are numbers).  The helpers here tell the two apart,
 write the "p/q" text form of the CLI and the model files, and hold the
-exact linear algebra needed for toric dual cones and tie-stratum bases.
+exact linear algebra needed for toric dual cones and tie-stratum bases,
+all read from one fraction-free elimination (``adjugate``).
 """
 
 from __future__ import annotations
@@ -46,54 +47,56 @@ def common_denominator(values: Sequence[Fraction]) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
-def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+def adjugate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list], Scalar]:
+    """The adjugate and determinant of B, with adj B = det I, by one fraction-free elimination.
+
+    Each row is scaled to integers by the lcm s_i of its denominators, and
+    [S B | I] is reduced by fraction-free Gauss-Jordan elimination (Bareiss,
+    Math. Comp. 22, 1968), in which every division is exact, to
+    [D I | D (S B)^-1] for D = +-det(S B).  Both are integers when every entry
+    is, Fractions otherwise.  Given k < m rows of length m, B is the rows
+    completed by the unit rows e_c of the columns c that hold no pivot of
+    their echelon form, as the elimination meets them; a singular B, or rows
+    of rank below k, raise ZeroDivisionError.
+    """
+    m = len(rows[0]) if rows else 0
+    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    scale = [common_denominator(row) for row in fracs]
+    mat = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(fracs, scale)]
+    mat = [row + [int(i == j) for j in range(m)] for i, row in enumerate(mat)]
+    previous, sign = 1, 1
+    for col in range(m):
+        pivot = next((r for r in range(col, len(mat)) if mat[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            if len(mat) == m:
+                raise ZeroDivisionError("matrix is singular")
+            # e_col, scaled as the elimination so far has scaled every row of factor 0
+            pivot = len(mat)
+            mat.append([previous * (c in (col, m + pivot)) for c in range(2 * m)])
+            scale.append(1)
         if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+            mat[col], mat[pivot], sign = mat[pivot], mat[col], -sign
+        lead, head = mat[col], mat[col][col]
+        mat = [r if r is lead else [(x * head - r[col] * y) // previous for x, y in zip(r, lead)] for r in mat]
+        previous = head
+    if (den := math.prod(scale)) == 1:
+        return [[sign * x for x in row[m:]] for row in mat], sign * previous
+    adj = [[Fraction(sign * x * s, den) for x, s in zip(row[m:], scale)] for row in mat]
+    return adj, Fraction(sign * previous, den)
+
+
+def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """The determinant of ``adjugate``, 0 for a singular matrix."""
+    try:
+        return Fraction(adjugate(rows)[1])
+    except ZeroDivisionError:
+        return Fraction(0)
 
 
 def inverse_fraction(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact matrix inverse; raises ZeroDivisionError on singular input.
-
-    Each row is scaled to integers by the lcm s_i of its denominators, and
-    [S A | I] is reduced by fraction-free Gauss-Jordan elimination (Bareiss,
-    Math. Comp. 22, 1968), in which every division is exact, to
-    [D I | D (S A)^-1] for D = +-det(S A); then A^-1 = (S A)^-1 S.
-    """
-    n = len(rows)
-    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
-    scale = [common_denominator(row) for row in fracs]
-    m = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(fracs, scale)]
-    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    previous = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        head = m[col][col]
-        for r in range(n):
-            if r != col:
-                factor = m[r][col]
-                m[r] = [(x * head - factor * y) // previous for x, y in zip(m[r], m[col])]
-        previous = head
-    return [[Fraction(x * s, previous) for x, s in zip(row[n:], scale)] for row in m]
+    """Exact matrix inverse adj / det (``adjugate``); raises ZeroDivisionError on singular input."""
+    adj, det = adjugate(rows)
+    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:

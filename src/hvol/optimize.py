@@ -17,14 +17,15 @@ S, ebar = sum_{e in S} mu_e e, A normalized to 1 and s = 1/v,
 
 which is |S| unknowns whatever the ambient dimension.  Coordinates that
 play identical roles in f (``symmetrize``) get equal weights.  The
-vertices of R = {u >= 0 : <e, u> >= 1} give the strata worth solving, and
-one exact pass over them (``_vertex_roots``) decides klt-ness and solves
-each full stratum, of m rows for m coordinate classes, in Fractions at
-the one vertex where it is tight.  A stratum of one row, or of m - 1 rows,
-is one equation in one unknown, s or a parameter t of the line that S
-cuts out; ``_univariate_roots`` clears it to an integer polynomial and
-finds its roots by Sturm sequences, a rational root exactly, and decides
-each root's validity by exact signs.  Every stratum of the A-D-E rows,
+vertices of R = {u >= 0 : <e, u> >= 1}, integers over one determinant
+(``exact.adjugate``), give the strata worth solving, and one exact pass
+over them (``_vertex_roots``) decides klt-ness and solves each full
+stratum, of m rows for m coordinate classes, at the one vertex where it is
+tight.  A stratum of one row, or of m - 1 rows, is one equation in one
+unknown, s or a parameter t of the line that S cuts out;
+``_univariate_roots`` clears it to an integer polynomial, reads a linear
+one's root, finds the others by Sturm sequences, a rational root exactly,
+and decides validity by exact signs.  Every stratum of the A-D-E rows,
 which have m <= 3, is of these kinds.  Newton solves the rest: the strata
 of 2 to m - 2 rows, those holding a linear monomial (the flat families)
 and those whose polynomial vanishes identically.  ``starts_used`` counts
@@ -69,7 +70,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import core, polish, poly
-from .exact import Scalar, inverse_fraction
+from .exact import Scalar, adjugate
 from .models import (
     DomainError,
     Hypersurface,
@@ -159,8 +160,8 @@ def minimize_hvol(model: Model, seed: int = 0) -> MinimizationResult:
     if not isinstance(model, Hypersurface):
         raise UnsupportedModelError(f"unknown model kind {model!r}")
     problem = _build_problem(model)
-    vertices, bases = _vertices(problem.rows)
-    roots = _vertex_roots(problem, bases)
+    vertices = _vertices(problem.rows)
+    roots = _vertex_roots(problem, vertices)
     strata = _strata(problem.rows, vertices)
     exact, rest = _univariate_roots(problem, [sub for sub in strata if len(sub) < len(problem.sizes)])
     roots += exact + _stationary_points(problem, rest)
@@ -207,6 +208,11 @@ class _Problem:
         """The objective at a positive u with A > 0, which every root is."""
         v = float(np.min(self.rows @ u))
         return (float(self.sizes @ u) - v) ** self.model.dim * v / float(np.prod(u**self.sizes))
+
+    def root_value(self, tie: np.ndarray, mu, s) -> float:
+        """The objective at a root (tie, mu, s), prod((D_c / size_c)^size_c) / s as A = 1 there."""
+        denom = self.model.dim * self.sizes + (float(s) - self.model.dim) * (np.asarray(mu, dtype=float) @ tie)
+        return float(np.prod((denom / self.sizes) ** self.sizes)) / float(s)
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=float)[self.owner]
@@ -291,7 +297,7 @@ def _stationary_points(problem: _Problem, strata: list):
     return [(u[i], tie[i, top - size[i] :], mu[i, top - size[i] :], s[i]) for i in np.flatnonzero(keep)]
 
 
-def _strata(rows: np.ndarray, vertices: np.ndarray):
+def _strata(rows: np.ndarray, vertices: list):
     """Index sets of at most m affinely independent rows tight at one vertex of R.
 
     The face {w in R : <e, w> = 1 for e in F} of R, for the active set F
@@ -299,8 +305,8 @@ def _strata(rows: np.ndarray, vertices: np.ndarray):
     By Caratheodory ebar lies in the hull of an affinely independent
     subset of F, and m + 1 independent ties in m variables force u = 0.
     """
-    m = rows.shape[1]
-    tight = {tuple(np.flatnonzero(np.abs(rows @ w - 1) <= 1e-9)) for w in vertices}
+    m, ints = rows.shape[1], rows.astype(int).tolist()
+    tight = {tuple(i for i, e in enumerate(ints) if sum(map(operator.mul, e, w)) == det) for *_, det, w in vertices}
     subsets = sorted({sub for t in tight for k in range(min(m, len(t))) for sub in itertools.combinations(t, k + 1)})
     rank = {}
     for size in {len(sub) for sub in subsets} - {1}:  # one stacked rank test per size
@@ -310,27 +316,31 @@ def _strata(rows: np.ndarray, vertices: np.ndarray):
 
 
 def _vertices(rows: np.ndarray):
-    """The vertices of R = {u >= 0 : rows @ u >= 1} and a basis of each.
+    """The vertices W / det of R = {u >= 0 : rows @ u >= 1}, a basis of each, det > 0.
 
     A basis indexes m independent tight constraints, rows before the
-    coordinates u_c = 0, and holds a row.  Batches bound the memory.
+    coordinates u_c = 0, and holds a row.  Batches bound the memory.  Each
+    feasible basis gives (basis, adj, det, W) with W = adj 1 over its rows.
     """
     count, m = rows.shape
     constraints = np.vstack([rows, np.eye(m)])
     rhs = np.concatenate([np.ones(count), np.zeros(m)])
     bases = (b for b in itertools.combinations(range(count + m), m) if b[0] < count)
-    vertices, kept = [], []
+    kept = []
     while batch := list(itertools.islice(bases, 1 << 14)):
         batch = np.array(batch)
         batch = batch[np.abs(np.linalg.det(constraints[batch])) > 0.5]  # integer dets
         u = np.linalg.solve(constraints[batch], rhs[batch][..., None])[..., 0]
-        feasible = np.all(u >= -1e-12, axis=1) & np.all(u @ rows.T >= 1 - 1e-9, axis=1)
-        vertices.append(u[feasible])
-        kept.append(batch[feasible])
-    return np.concatenate(vertices), np.concatenate(kept)
+        kept.append(batch[np.all(u >= -1e-12, axis=1) & np.all(u @ rows.T >= 1 - 1e-9, axis=1)])
+    ints, vertices = constraints.astype(int).tolist(), []
+    for basis in np.concatenate(kept).tolist():
+        adj, det = adjugate([ints[i] for i in basis])
+        adj, det = (adj, det) if det > 0 else ([[-x for x in row] for row in adj], -det)
+        vertices.append((basis, adj, det, [sum(row[j] for j, i in enumerate(basis) if i < count) for row in adj]))
+    return vertices
 
 
-def _vertex_roots(problem: _Problem, bases: np.ndarray):
+def _vertex_roots(problem: _Problem, vertices: list):
     """Decide klt-ness at the vertices of R, and solve the full strata there exactly.
 
     Unless sum(w) > 1 at every vertex w of R, raise NonKltModelError.
@@ -354,32 +364,32 @@ def _vertex_roots(problem: _Problem, bases: np.ndarray):
     s = sum(w) - 1, u = w / s, ebar_c = size_c (s / w_c - n) / (s - n) and
     mu = B^-T ebar, with sum(mu) = <ebar, w> = 1; as w in R makes no other
     monomial cheaper, the root is valid iff mu >= 0.  At s = n, D_c = n size_c
-    for every ebar, so the barycentre is a root.  Returns these roots
-    (u, tie, mu, s), exact but for u.
+    for every ebar, so the barycentre is a root.  On the integers of
+    w = W / det, this returns the roots (u, tie, mu, s), exact but for u.
     """
     count, m = problem.rows.shape
     n, sizes, rows = problem.model.dim, [int(c) for c in problem.sizes], problem.rows.astype(int).tolist()
-    constraints = np.vstack([problem.rows, np.eye(m)])
     roots = []
-    for basis in bases.tolist():
-        inverse = inverse_fraction(constraints[basis].astype(int).tolist())
-        w = [sum(row[j] for j, i in enumerate(basis) if i < count) for row in inverse]
-        total = sum(size * x for size, x in zip(sizes, w))
-        if total <= 1 and problem.model.multiplicity >= 2:  # a linear monomial makes the germ smooth
-            full = ", ".join(str(w[c]) for c in problem.owner)
+    for basis, adj, det, w in vertices:
+        total = sum(map(operator.mul, sizes, w))  # det sum(size w)
+        if total <= det and problem.model.multiplicity >= 2:  # a linear monomial makes the germ smooth
+            full, total = ", ".join(str(Fraction(w[c], det)) for c in problem.owner), Fraction(total, det)
             raise NonKltModelError(
                 f"the germ is not klt: w = ({full}) has <e, w> >= 1 for every monomial e and sum(w) = {total} <= 1"
             )
-        s = total - 1
-        if basis[-1] >= count or min(w) <= 0 or any(sum(a * x for a, x in zip(e, w)) < 1 for e in rows):
+        s = total - det  # det s
+        if basis[-1] >= count or min(w) <= 0 or any(sum(map(operator.mul, e, w)) < det for e in rows):
             continue  # not a full stratum, or w is no vertex of R with u > 0
-        if s == n:  # only at w = (1, ..., 1), as a tight row with e_c >= 1 on each class gives w <= 1
+        if s == n * det:  # only at w = (1, ..., 1), as a tight row with e_c >= 1 on each class gives w <= 1
             mu = [Fraction(1, m)] * m
-        else:
-            ebar = [size * (s / x - n) / (s - n) for size, x in zip(sizes, w)]
-            mu = [sum(b * row[j] for b, row in zip(ebar, inverse)) for j in range(m)]
-        if min(mu) >= 0:
-            roots.append((np.array([float(x / s) for x in w]), problem.rows[basis], mu, s))
+        else:  # mu_j = sum_c size_c (s - n w_c) adj_cj / (w_c (s - n det)), over the product of w
+            product = math.prod(w)
+            parts = [size * (s - n * x) * (product // x) for size, x in zip(sizes, w)]
+            top = [sum(map(operator.mul, parts, column)) for column in zip(*adj)]
+            if min(x * (s - n * det) for x in top) < 0:
+                continue
+            mu = [Fraction(x, product * (s - n * det)) for x in top]
+        roots.append((np.array([x / s for x in w]), problem.rows[basis], mu, Fraction(s, det)))
     return roots
 
 
@@ -387,10 +397,10 @@ class _System(NamedTuple):
     """A stratum's stationarity system in one unknown x, cleared to f(x) = 0.
 
     The roots worth reading lie in [lo, hi], where a bound of None is no
-    bound.  ``solve`` maps a root x to (mu, s), or to None where the system
-    has no root, and the root is valid where every polynomial of
-    ``conditions()`` is >= 0.  At an irrational root each affine quantity
-    c0 + c1 x of ``quantities`` is read to 2^-55 of itself.
+    bound.  ``solve`` maps a root x = a / b, b > 0, to (mu, s, u), u in
+    floats, or to None where the system has no root, and the root is valid
+    where every polynomial of ``conditions()`` is >= 0.  At an irrational
+    root each affine quantity c0 + c1 x of ``quantities`` is read to 2^-55.
     """
 
     f: list
@@ -405,18 +415,18 @@ def _univariate_roots(problem: _Problem, strata: list):
     """Solve exactly the strata of one row or of m - 1 rows, one equation in one unknown each.
 
     Either system (``_one_row``, ``_line``) clears to an integer polynomial f,
-    whose real roots in an exact interval are isolated by Sturm counts on the
-    square-free part g.  A rational root of g has a denominator dividing
-    lc(g), so once its interval is at most 1 / lc(g) wide, the one multiple
-    of 1 / lc(g) there is tested exactly; such a root is exact, with no bound
-    on its denominators.  Each root's validity, mu >= 0 and no monomial
-    cheaper, is the sign of polynomials there, decided exactly at an
-    irrational root too (``poly.sign_at``).  An irrational root is then read
-    in floats where its quantities are known to 2^-55 of themselves.  A
-    stratum that holds a linear monomial (a flat family, whose answer is the
-    point Newton reaches), or whose f vanishes identically, is left to
-    Newton.  Returns the roots, as ``_stationary_points`` gives them, and the
-    strata left.
+    with square-free part g; ``_roots_in`` reads a linear g's root and
+    isolates the others by Sturm counts.  A rational root of g has a
+    denominator dividing lc(g), so once its interval is at most 1 / lc(g)
+    wide, the one multiple of 1 / lc(g) there is tested exactly; such a root
+    is exact, with no bound on its denominators, and solved on integers.
+    Each root's validity, mu >= 0 and no monomial cheaper, is the sign of
+    polynomials there, decided exactly at an irrational root too
+    (``poly.sign_at``), which is then read in floats where its quantities
+    are known to 2^-55 of themselves.  A stratum that holds a linear
+    monomial (a flat family, whose answer is the point Newton reaches), or
+    whose f vanishes identically, is left to Newton.  Returns the roots, as
+    ``_stationary_points`` gives them, and the strata left.
     """
     m = len(problem.sizes)
     n, sizes, rows = problem.model.dim, [int(c) for c in problem.sizes], problem.rows.astype(int).tolist()
@@ -433,23 +443,33 @@ def _univariate_roots(problem: _Problem, strata: list):
             continue
         if len(g := poly.squarefree(f)) < 2:
             continue
-        bound = poly.root_bound(g)
-        lo = -bound if system.lo is None else max(system.lo, -bound)
-        hi = bound if system.hi is None else min(system.hi, bound)
-        found = [(lo, lo)] if lo <= hi and not poly.hom(g, *lo.as_integer_ratio()) else []
-        for a, b in poly.isolate(g, lo, hi) if lo < hi else ():
-            a, b = poly.narrow(g, a, b, Fraction(1, g[-1]))
-            root = a if a == b else poly.rational_root(g, a, b)
-            found.append((a, b) if root is None else (root, root))
-        conditions = None
-        for a, b in found:
-            if a == b and system.solve(a) is None:
+        conditions, tie = None, problem.rows[list(subset)]
+        for a, b in _roots_in(g, system.lo, system.hi):
+            if a == b and (root := system.solve(*a.as_integer_ratio())) is None:
                 continue
             conditions = system.conditions() if conditions is None else conditions
             if all(poly.sign_at(h, g, a, b) >= 0 for h in conditions):
-                mu, s = system.solve(a if a == b else _refine(g, a, b, system.quantities))
-                roots.append(_root(problem, rows, subset, mu, s, a == b))
+                if a != b:  # read in floats near the irrational root
+                    mu, s, u = system.solve(*_refine(g, a, b, system.quantities).as_integer_ratio())
+                    root = np.array(mu, dtype=float), float(s), u
+                roots.append((np.array(root[2]), tie, *root[:2]))
     return roots, rest
+
+
+def _roots_in(g, lo, hi):
+    """The roots of the square-free integer g in [lo, hi], None unbounded: (x, x) if rational, else (a, b]."""
+    if len(g) == 2:
+        x = Fraction(-g[0], g[1])
+        return [(x, x)] if (lo is None or lo <= x) and (hi is None or x <= hi) else []
+    bound = poly.root_bound(g)
+    lo = -bound if lo is None else max(lo, -bound)
+    hi = bound if hi is None else min(hi, bound)
+    found = [(lo, lo)] if lo <= hi and not poly.hom(g, *lo.as_integer_ratio()) else []
+    for a, b in poly.isolate(g, lo, hi) if lo < hi else ():
+        a, b = poly.narrow(g, a, b, Fraction(1, g[-1]))
+        root = a if a == b else poly.rational_root(g, a, b)
+        found.append((a, b) if root is None else (root, root))
+    return found
 
 
 def _products(factors):
@@ -476,7 +496,9 @@ def _one_row(rows, subset, sizes, n):
     lo = max([Fraction(0)] + [Fraction(-d[0], d[1]) for d in denom if d[1]])
     return _System(
         cleared(e), lo, None, lambda: [cleared(other) for other in rows if other is not e],
-        [[0, 1], *(d for d in denom if d[1])], lambda s: ([Fraction(1)], s) if s > lo else None,
+        [[0, 1], *(d for d in denom if d[1])],  # u_c = size_c / D_c at s = a / b > lo
+        lambda a, b: ([Fraction(1)], Fraction(a, b), [size * b / (x * a + c * b) for size, (c, x) in zip(sizes, denom)])
+        if a * lo.denominator > lo.numerator * b else None,
     )
 
 
@@ -484,53 +506,51 @@ def _line(rows, subset, sizes, n):
     """The system of m - 1 rows S: a polynomial in t.
 
     The rows are independent (``_vertex_roots``), so B = [S; e_j] is
-    invertible for some column j, the last one tried from the end.  Then
+    invertible for the column j of S's echelon form without a pivot, and one
+    elimination (``adjugate``) gives M = q B^-1 for q = +-det(B) > 0.  Then
     <e, w> = 1 on S is the line w = B^-1 (1, ..., 1, t) = (p + t d) / q with
-    t = w_j, for M = q B^-1 over the lcm q of its denominators, p the sum
-    of M's first m - 1 columns and d its last.  At a root w = u / v lies on
-    the line in R, and s = sum(size w) - 1; from u,
+    t = w_j, for p the sum of M's first m - 1 columns and d its last.  At a
+    root w = u / v lies on the line in R, and s = sum(size w) - 1; from u,
     ebar_c = size_c (s / w_c - n) / (s - n), and as sum(size) = n + 1,
     <ebar, w> = 1 at every w.  So the root condition, ebar in span S or
     <ebar, d> = 0, reads s sum_c d_c size_c / w_c = n <d, size>, cleared
     over the classes d touches.  Then (mu, 0) = B^-T ebar, so
-    mu_k = sum_c M_ck ebar_c / q, where row j of B^-1 is e_m and leaves out
-    ebar_j, and sum(mu) = <ebar, w> = 1.  R cuts the line where w >= 0 and
+    mu_k = sum_c M_ck ebar_c / q, where row j of M is q e_m, and
+    sum(mu) = <ebar, w> = 1.  R cuts the line where w >= 0 and
     <e, w> >= 1 for every row, so a root there makes no monomial cheaper;
     it needs w > 0, s != n (which holds only at w = (1, ..., 1), where S
     would hold a linear monomial) and mu >= 0.
     """
-    m, k = len(sizes), len(subset)
-    for j in reversed(range(m)):
-        try:
-            inverse = inverse_fraction([rows[i] for i in subset] + [[int(c == j) for c in range(m)]])
-            break
-        except ZeroDivisionError:
-            continue
-    else:  # dependent rows, which _strata's float rank test might let pass
+    k = len(subset)
+    try:
+        ops, q = adjugate([rows[i] for i in subset])
+    except ZeroDivisionError:  # dependent rows, which _strata's float rank test might let pass
         return _System([], None, None, list, [], None)
-    q = math.lcm(*(x.denominator for row in inverse for x in row))
-    ops = [[x.numerator * (q // x.denominator) for x in row] for row in inverse]
-    p, d, block = [sum(row[:k]) for row in ops], [row[k] for row in ops], [c for c in range(m) if c != j]
+    ops, q = (ops, q) if q > 0 else ([[-x for x in row] for row in ops], -q)
+    p, d = [sum(row[:k]) for row in ops], [row[k] for row in ops]
     s0, s1 = sum(map(operator.mul, sizes, p)) - q, sum(map(operator.mul, sizes, d))
     product, sums = _products([([x * size], [a, x]) for a, x, size in zip(p, d, sizes) if x])
     bounds = [*zip(p, d), *((sum(map(operator.mul, e, p)) - q, sum(map(operator.mul, e, d))) for e in rows)]
     if any(c0 < 0 for c0, c1 in bounds if not c1):
         return None
 
-    def conditions():  # mu_k q^2 (s - n)^2 prod_{c != j} w_c, of the sign of mu_k
-        numerators = [[sizes[c] * (s0 - n * p[c]), sizes[c] * (s1 - n * d[c])] for c in block]
+    def conditions():  # mu_k (q (s - n))^2 prod_c q w_c, of the sign of mu_k
+        numerators = [[size * (s0 - n * a), size * (s1 - n * x)] for size, a, x in zip(sizes, p, d)]
         out = []
         for r in range(k):
-            parts = [([ops[c][r] * a for a in part], [p[c], d[c]]) for c, part in zip(block, numerators)]
+            parts = [([ops[c][r] * a for a in part], [p[c], d[c]]) for c, part in enumerate(numerators)]
             out.append(poly.mul([s0 - n * q, s1], _products(parts)[1]))
         return out
 
-    def solve(t):
-        w, s = [(a + t * x) / q for a, x in zip(p, d)], (s0 + t * s1) / q
-        if min(w) <= 0 or s == n:
+    def solve(a, b):  # at t = a / b, w = x / (q b), s = y / (q b) and u = w / s
+        x, y = [c0 * b + c1 * a for c0, c1 in zip(p, d)], s0 * b + s1 * a
+        if min(x) <= 0 or y == n * q * b:
             return None
-        ebar = [size * (s / x - n) / (s - n) for size, x in zip(sizes, w)]
-        return [sum(ops[c][r] * ebar[c] for c in block) / q for r in range(k)], s
+        # mu_r = b sum_c M_cr size_c (y - n x_c) / (x_c (y - n q b)), over the product of x
+        product = math.prod(x)
+        parts = [b * size * (y - n * c) * (product // c) for size, c in zip(sizes, x)]
+        top = [sum(map(operator.mul, parts, column)) for column in list(zip(*ops))[:k]]
+        return [Fraction(v, product * (y - n * q * b)) for v in top], Fraction(y, q * b), [c / y for c in x]
 
     return _System(
         poly.combine([(1, poly.mul([s0, s1], sums)), (-n * s1, product)]),
@@ -551,16 +571,6 @@ def _refine(f, a: Fraction, b: Fraction, quantities) -> Fraction:
         if width == b - a:
             return (a + b) / 2
         a, b = poly.narrow(f, a, b, width)
-
-
-def _root(problem: _Problem, rows, subset, mu, s, exact: bool):
-    """The root (u, tie, mu, s) at (mu, s): exact, or in floats read off an irrational root."""
-    n, sizes = problem.model.dim, [int(c) for c in problem.sizes]
-    ebar = [sum(x * rows[i][c] for x, i in zip(mu, subset)) for c in range(len(sizes))]
-    u = np.array([size / (n * size + (s - n) * b) for size, b in zip(sizes, ebar)], dtype=float)
-    if exact:
-        return u, problem.rows[list(subset)], mu, s
-    return u, problem.rows[list(subset)], np.array(mu, dtype=float), float(s)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -684,8 +694,9 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
     Minimizers need not be unique (one monomial can stay active along a
     whole ray), so near-ties go to the lexicographically smallest
     max-normalized weight, which lands on the most degenerate stratum.
+    Each value is read off its root (``_Problem.root_value``).
     """
-    values = [problem.value(u) for u, *_ in candidates]
+    values = [problem.root_value(*root) for _, *root in candidates]
     window = min(values) + 1e-9 * max(1.0, abs(min(values)))
     ties = [(tuple(problem.expand(u) / np.max(u)), i) for i, (u, *_) in enumerate(candidates)]
     return candidates[min(tie for tie in ties if values[tie[1]] <= window)[1]]
@@ -708,22 +719,25 @@ def _finalize(problem: _Problem, u: np.ndarray, root):
     exact; otherwise ``polish.polish_root`` gives the correctly rounded
     doubles at the root or, undecided, the float answer stands.
     """
-    model = problem.model
+    model, n = problem.model, problem.model.dim
     if root is None:
         weight = (Fraction(1),) * model.ambient_dim
         return weight, core.normalized_volume(model, weight).normalized_volume
     tie, mu, s = root
     sizes, bound = [int(c) for c in problem.sizes], int((2 * _STEP_TOL) ** -0.5)
-    *exact_mu, exact_s = (*mu, s)
-    if not isinstance(s, Fraction):  # a float root from Newton
-        *exact_mu, exact_s = (Fraction(float(v)).limit_denominator(bound) for v in (*mu, s))
-    try:
-        g, _, denom, exact_u = polish._residual(tie.astype(int).tolist(), sizes, model.dim, exact_mu, exact_s)
-    except ZeroDivisionError:  # a D_c of 0: no root
-        denom = [0]
-    if min(denom) > 0 and not any(g):
-        top = max(exact_u)
-        value = math.prod((d / c) ** c for c, d in zip(sizes, denom)) / exact_s
+    exact = [*mu, s] if isinstance(s, Fraction) else [Fraction(float(v)).limit_denominator(bound) for v in (*mu, s)]
+    # on integers, L mu, L s and L^2 D_c for the lcm L of the denominators, where sum(mu) = 1,
+    # every D_c > 0 and s <e, u> = 1 on the stratum, for u_c = size_c / D_c
+    scale, rows = math.lcm(*(x.denominator for x in exact)), tie.astype(int).tolist()
+    *lmu, ls = (x.numerator * (scale // x.denominator) for x in exact)
+    ebar = [sum(x * e[c] for x, e in zip(lmu, rows)) for c in range(len(sizes))]
+    denom = [n * size * scale**2 + (ls - n * scale) * b for size, b in zip(sizes, ebar)]
+    product = math.prod(denom)
+    cleared = (ls * scale * sum(x * size * product // d for x, size, d in zip(e, sizes, denom)) for e in rows)
+    if sum(lmu) == scale and min(denom) > 0 and all(x == product for x in cleared):
+        exact_u = [Fraction(size, d) for size, d in zip(sizes, denom)]
+        top, value = max(exact_u), math.prod(map(pow, denom, sizes)) * scale
+        value = Fraction(value, math.prod(map(pow, sizes, sizes)) * scale ** (2 * n + 2) * ls)
         return tuple(exact_u[c] / top for c in problem.owner), value
     float_answer = tuple(problem.expand(u / np.max(u)).tolist()), problem.value(u)
     return polish.polish_root(tie, mu, s, problem.sizes, problem.owner, model.dim) or float_answer

@@ -1,6 +1,8 @@
 """Model files: the file-level rules, exact parsing, canonical round-trips."""
 
+import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,7 +11,7 @@ import pytest
 import hvol.modelio as modelio
 from hvol import Hypersurface, InvalidModelError, SmoothPoint, ToricCone
 from hvol.cli import main
-from hvol.exact import det_fraction, format_scalar, inverse_fraction, parse_rational
+from hvol.exact import adjugate, det_fraction, format_scalar, inverse_fraction, parse_rational
 from hvol.fujita import ConeModel, projective_space_cone
 
 
@@ -50,6 +52,51 @@ class TestRationals:
             assert all(isinstance(x, F) for row in inverse for x in row)
             product = [[sum(F(a) * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in matrix]
             assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+    def test_adjugate(self):
+        # adj A = det(A) I against the cofactors of the Leibniz determinant, on
+        # seeded square matrices of size 1-5 with int or Fraction entries:
+        # integers stay integers, and a singular matrix raises
+        rng = random.Random(5)
+
+        def leibniz(matrix):
+            total = 0
+            for perm in itertools.permutations(range(len(matrix))):
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                total += (-1) ** inversions * math.prod(row[j] for row, j in zip(matrix, perm))
+            return total
+
+        def minor(matrix, i, j):
+            return [row[:j] + row[j + 1 :] for k, row in enumerate(matrix) if k != i]
+
+        singular = 0
+        for trial in range(300):
+            n = rng.randint(1, 5)
+            entry = (lambda: rng.randint(-2, 2)) if trial % 2 else (lambda: F(rng.randint(-3, 3), rng.randint(1, 4)))
+            matrix = [[entry() for _ in range(n)] for _ in range(n)]
+            det = leibniz(matrix)
+            if det == 0:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    adjugate(matrix)
+                assert det_fraction(matrix) == 0
+                continue
+            cofactors = [[(-1) ** (i + j) * leibniz(minor(matrix, j, i)) for j in range(n)] for i in range(n)]
+            assert adjugate(matrix) == (cofactors, det)
+            assert det_fraction(matrix) == det
+            assert inverse_fraction(matrix) == [[F(x) / det for x in row] for row in cofactors]
+            if trial % 2:
+                assert type(det) is int and {type(x) for row in adjugate(matrix)[0] for x in row} <= {int}
+        assert 20 <= singular <= 150
+
+    def test_adjugate_completes_rows_at_their_free_columns(self):
+        # k < m rows are completed by the unit rows of the columns where their
+        # echelon form has no pivot; rows of rank below k raise
+        assert adjugate([[1, 1, 0], [0, 0, 1]]) == adjugate([[1, 1, 0], [0, 0, 1], [0, 1, 0]])
+        assert adjugate([[0, 2, 1]]) == adjugate([[0, 2, 1], [1, 0, 0], [0, 0, 1]])
+        with pytest.raises(ZeroDivisionError):
+            adjugate([[1, 2, 3], [2, 4, 6]])
 
 
 class TestSchema:

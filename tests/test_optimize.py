@@ -29,7 +29,7 @@ from hvol import (
     orthant_cone,
     symmetrize,
 )
-from hvol import cli, core, optimize, polish
+from hvol import cli, core, optimize, polish, poly
 from hvol.tables import alpha_star
 
 
@@ -184,7 +184,7 @@ ADE_UP_TO_AMBIENT_4 = {
 
 
 def _strata(problem):
-    return optimize._strata(problem.rows, optimize._vertices(problem.rows)[0])
+    return optimize._strata(problem.rows, optimize._vertices(problem.rows))
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "minimizer_golden.json").read_text())
@@ -377,8 +377,8 @@ def _full_strata_both_routes(label):
     """
     row = next(row for row in KLT_GOLDEN_ROWS if row["label"] == label)
     problem = optimize._build_problem(_golden_model(row))
-    vertices, bases = optimize._vertices(problem.rows)
-    exact = optimize._vertex_roots(problem, bases)
+    vertices = optimize._vertices(problem.rows)
+    exact = optimize._vertex_roots(problem, vertices)
     full = [sub for sub in optimize._strata(problem.rows, vertices) if len(sub) == len(problem.sizes)]
     key = lambda tie: tuple(map(tuple, tie.astype(int).tolist()))  # noqa: E731
     newton = {}
@@ -429,7 +429,7 @@ class TestVertexRoots:
         # exact root, at the smooth surface's minimum 4 at (1, 1, 1)
         model = Hypersurface(((1, 0, 0), (0, 1, 0), (0, 0, 1)), allow_smooth_germ=True)
         problem = optimize._build_problem(model)
-        [(u, tie, mu, s)] = optimize._vertex_roots(problem, optimize._vertices(problem.rows)[1])
+        [(u, tie, mu, s)] = optimize._vertex_roots(problem, optimize._vertices(problem.rows))
         assert (u.tolist(), tie.tolist(), mu, s) == ([0.5], [[1.0]], [1], 2)
         result = minimize_hvol(model)
         assert (result.weight, result.value, result.status) == ((1, 1, 1), 4, "converged")
@@ -587,6 +587,60 @@ class TestUnivariateStrata:
         assert (result.status, result.weight, result.value) == ("converged", weight, value)
         assert value == core.normalized_volume(model, weight).normalized_volume
         assert float(value) == former
+
+    def test_one_elimination_per_line_stratum(self, monkeypatch):
+        # each stratum of m - 1 rows eliminates [S; e_j] once, for the column j
+        # of S's echelon form without a pivot: 105 line strata on the 65 A-D-E
+        # rows (trying j from the last column, each inverted twice)
+        ade = [row for row in GOLDEN["minimizers"] if row["label"][0] in "ADE"]
+        adjugate, line, calls, counts = optimize.adjugate, optimize._line, [0], []
+
+        def counted(rows):
+            calls[0] += 1
+            return adjugate(rows)
+
+        def recorded(*args):
+            before = calls[0]
+            system = line(*args)
+            counts.append(calls[0] - before)
+            return system
+
+        monkeypatch.setattr(optimize, "adjugate", counted)
+        monkeypatch.setattr(optimize, "_line", recorded)
+        for row in ade:
+            minimize_hvol(_golden_model(row))
+        assert (len(ade), len(counts), set(counts)) == (65, 105, {1})
+
+    def test_linear_root_read_off(self):
+        # the root -g_0 / g_1 of a linear square-free g, against Sturm isolation,
+        # narrowing to width 1 / lc(g) and the rational root test, on seeded g
+        # and intervals, with roots exactly at lo and at hi and open bounds
+        def sturm(g, lo, hi):
+            bound = poly.root_bound(g)
+            lo = -bound if lo is None else max(lo, -bound)
+            hi = bound if hi is None else min(hi, bound)
+            found = [(lo, lo)] if lo <= hi and not poly.hom(g, *lo.as_integer_ratio()) else []
+            for a, b in poly.isolate(g, lo, hi) if lo < hi else ():
+                a, b = poly.narrow(g, a, b, F(1, g[-1]))
+                root = a if a == b else poly.rational_root(g, a, b)
+                found.append((a, b) if root is None else (root, root))
+            return found
+
+        rng, kinds = np.random.default_rng(11), set()
+        for trial in range(600):
+            g = poly.gcd([int(rng.integers(-300, 301)), int(rng.integers(1, 60))], [])
+            root, shift = F(-g[0], g[1]), F(int(rng.integers(0, 20)), int(rng.integers(1, 20)))
+            lo, hi = [
+                (root, root + shift),
+                (root - shift, root),
+                (root - shift, root + F(int(rng.integers(-20, 20)), int(rng.integers(1, 20)))),
+                (None, root + shift * int(rng.integers(-1, 2))),
+                (root - shift * int(rng.integers(-1, 2)), None),
+            ][trial % 5]
+            found = optimize._roots_in(g, lo, hi)
+            assert found == sturm(g, lo, hi), (g, lo, hi)
+            kinds.add((trial % 5, bool(found)))
+        assert kinds == {(k, hit) for k in range(5) for hit in (False, True)} - {(0, False), (1, False)}
 
     def test_dependent_rows_go_to_newton(self):
         # two proportional rows of three classes cut out no line; were the
@@ -799,6 +853,24 @@ class TestPolish:
             else:
                 answer = polish.polish_root(tie, mu, s, problem.sizes, problem.owner, problem.model.dim)
             assert repr(answer) == repr((expected.weight, expected.value))
+
+    def test_candidates_ranked_by_the_value_at_the_root(self):
+        # draw 386 of large_exponent_supports wins on {zw, y^2297112}, where
+        # s is about 6.5e-7 and u_z = u_w about 7.7e5.  At the root polish
+        # proves, the objective at u loses its digits as A = sum(size u) - v
+        # cancels; prod((D_c / size_c)^size_c) / s keeps the relative error
+        # of the D_c, within 1e-9 of the polished value
+        model = Hypersurface(
+            ((294610007, 0, 0, 0), (0, 2297112, 0, 0), (0, 0, 177, 0), (0, 0, 0, 6), (0, 0, 1, 1), (2, 0, 0, 2))
+        )
+        problem = optimize._build_problem(model)
+        tie = np.array([[0, 0, 1, 1], [0, 2297112, 0, 0]], dtype=float)
+        *mu, s = polish.proven_root(tie, [0.9999997823, 2.176647e-07], 6.52993846e-07, problem.sizes, model.dim)
+        _, value = polish.polish_root(tie, mu, s, problem.sizes, problem.owner, model.dim)
+        assert value == 1.1753889231347884e-05
+        u = problem.sizes / (model.dim * problem.sizes + (s - model.dim) * (np.array(mu) @ tie))
+        assert abs(problem.root_value(tie, mu, s) / value - 1) < 1e-9
+        assert abs(problem.value(u) / value - 1) > 1e-6
 
     def test_undecided_polish_keeps_the_float_root(self, monkeypatch):
         # where the enclosure test cannot decide the doubles, the float root's
