@@ -99,7 +99,7 @@ def _pairings(x, support):
         raise InvalidModelError("empty support has no weighted order")
     x = as_scalars(x, "weight")
     scale = common_denominator(x) if is_exact(x) else None
-    x = x if scale is None else [xi.numerator * (scale // xi.denominator) for xi in x]  # integers
+    x = x if scale is None else [xi.numerator * (scale // xi.denominator) for xi in x]
     values = []
     for e in support:
         if len(e) != len(x):
