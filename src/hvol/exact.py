@@ -59,11 +59,12 @@ def adjugate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list], Scalar]:
     their echelon form, as the elimination meets them; a singular B, or rows
     of rank below k, raise ZeroDivisionError.
     """
-    m = len(rows[0]) if rows else 0
-    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
-    scale = [common_denominator(row) for row in fracs]
-    mat = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(fracs, scale)]
-    mat = [row + [int(i == j) for j in range(m)] for i, row in enumerate(mat)]
+    m, scale = (len(rows[0]) if rows else 0), [1] * len(rows)
+    if not all(isinstance(x, int) for row in rows for x in row):  # scaled to integers row by row
+        fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+        scale = [common_denominator(row) for row in fracs]
+        rows = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(fracs, scale)]
+    mat = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
     previous, sign = 1, 1
     for col in range(m):
         pivot = next((r for r in range(col, len(mat)) if mat[r][col]), None)

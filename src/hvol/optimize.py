@@ -18,14 +18,15 @@ S, ebar = sum_{e in S} mu_e e, A normalized to 1 and s = 1/v,
 which is |S| unknowns whatever the ambient dimension.  Coordinates that
 play identical roles in f (``symmetrize``) get equal weights.  The
 vertices of R = {u >= 0 : <e, u> >= 1}, integers over one determinant
-(``exact.adjugate``), give the strata worth solving, and one exact pass
-over them (``_vertex_roots``) decides klt-ness and solves each full
-stratum, of m rows for m coordinate classes, at the one vertex where it is
-tight.  A stratum of one row, or of m - 1 rows, is one equation in one
-unknown, s or a parameter t of the line that S cuts out;
-``_univariate_roots`` clears it to an integer polynomial, reads a linear
-one's root, finds the others by Sturm sequences, a rational root exactly,
-and decides validity by exact signs.  Every stratum of the A-D-E rows,
+(``exact.adjugate``), give the strata worth solving (``_strata``, on
+integers too), and one exact pass over them (``_vertex_roots``) decides
+klt-ness and solves each full stratum, of m rows for m coordinate
+classes, at the one vertex where it is tight.  A stratum of one row, or
+of m - 1 rows, is one equation in one unknown, s or a parameter t of the
+line that S cuts out; ``_univariate_roots`` clears it to an integer
+polynomial, reads a linear one's root, finds the others by Sturm
+sequences, a rational root exactly, and decides validity exactly, at a
+rational root on its own integers.  Every stratum of the A-D-E rows,
 which have m <= 3, is of these kinds.  Newton solves the rest: the strata
 of 2 to m - 2 rows, those holding a linear monomial (the flat families)
 and those whose polynomial vanishes identically.  ``starts_used`` counts
@@ -211,8 +212,20 @@ class _Problem:
 
     def root_value(self, tie: np.ndarray, mu, s) -> float:
         """The objective at a root (tie, mu, s), prod((D_c / size_c)^size_c) / s as A = 1 there."""
+        if isinstance(s, Fraction):  # one correctly rounded int / int
+            return operator.truediv(*self.exact_parts(tie.astype(int).tolist(), [*mu, s])[-1])
         denom = self.model.dim * self.sizes + (float(s) - self.model.dim) * (np.asarray(mu, dtype=float) @ tie)
         return float(np.prod((denom / self.sizes) ** self.sizes)) / float(s)
+
+    def exact_parts(self, rows: list, exact: list):
+        """L, L mu, L s, L^2 D_c and the value as (p, q), for exact = (*mu, s) and the lcm L of its denominators."""
+        n, sizes = self.model.dim, [int(c) for c in self.sizes]
+        scale = math.lcm(*(x.denominator for x in exact))
+        *lmu, ls = (x.numerator * (scale // x.denominator) for x in exact)
+        ebar = [sum(x * e[c] for x, e in zip(lmu, rows)) for c in range(len(sizes))]
+        denom = [n * size * scale**2 + (ls - n * scale) * b for size, b in zip(sizes, ebar)]
+        value = math.prod(map(pow, denom, sizes)) * scale, math.prod(map(pow, sizes, sizes)) * scale ** (2 * n + 2) * ls
+        return scale, lmu, ls, denom, value
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=float)[self.owner]
@@ -304,15 +317,20 @@ def _strata(rows: np.ndarray, vertices: list):
     of a minimizer u, holds u / v(u) and, being pointed, a vertex of R.
     By Caratheodory ebar lies in the hull of an affinely independent
     subset of F, and m + 1 independent ties in m variables force u = 0.
+    Distinct rows are independent in pairs; more are tested on integers,
+    and rows tight at w are then linearly independent too.
     """
     m, ints = rows.shape[1], rows.astype(int).tolist()
     tight = {tuple(i for i, e in enumerate(ints) if sum(map(operator.mul, e, w)) == det) for *_, det, w in vertices}
     subsets = sorted({sub for t in tight for k in range(min(m, len(t))) for sub in itertools.combinations(t, k + 1)})
-    rank = {}
-    for size in {len(sub) for sub in subsets} - {1}:  # one stacked rank test per size
-        group = np.array([sub for sub in subsets if len(sub) == size])
-        rank.update(zip(map(tuple, group.tolist()), np.linalg.matrix_rank(rows[group[:, 1:]] - rows[group[:, :1]])))
-    return [sub for sub in subsets if rank.get(sub, 0) == len(sub) - 1]
+
+    def independent(sub):  # ``adjugate`` raises on k difference rows of rank below k
+        try:
+            return bool(adjugate([[x - y for x, y in zip(ints[i], ints[sub[0]])] for i in sub[1:]]))
+        except ZeroDivisionError:
+            return False
+
+    return [sub for sub in subsets if len(sub) < 3 or independent(sub)]
 
 
 def _vertices(rows: np.ndarray):
@@ -409,28 +427,28 @@ class _System(NamedTuple):
     conditions: Callable[[], list]
     quantities: list
     solve: Callable
+    holds: Callable  # holds(root, a, b) decides conditions() at a rational root on its own integers
 
 
 def _univariate_roots(problem: _Problem, strata: list):
     """Solve exactly the strata of one row or of m - 1 rows, one equation in one unknown each.
 
     Either system (``_one_row``, ``_line``) clears to an integer polynomial f,
-    with square-free part g; ``_roots_in`` reads a linear g's root and
-    isolates the others by Sturm counts.  A rational root of g has a
-    denominator dividing lc(g), so once its interval is at most 1 / lc(g)
-    wide, the one multiple of 1 / lc(g) there is tested exactly; such a root
-    is exact, with no bound on its denominators, and solved on integers.
-    Each root's validity, mu >= 0 and no monomial cheaper, is the sign of
-    polynomials there, decided exactly at an irrational root too
-    (``poly.sign_at``), which is then read in floats where its quantities
+    with square-free part g (f itself if linear); ``_roots_in`` reads a
+    linear g's root and isolates the others by Sturm counts.  A rational
+    root of g has a denominator dividing lc(g), so once its interval is at
+    most 1 / lc(g) wide, the one multiple of 1 / lc(g) there is tested
+    exactly; such a root is exact, with no bound on its denominators, and
+    solved and judged valid (mu >= 0, no monomial cheaper) on integers.  At
+    an irrational root validity is the sign of polynomials, decided exactly
+    (``poly.sign_at``), and the root is read in floats where its quantities
     are known to 2^-55 of themselves.  A stratum that holds a linear
     monomial (a flat family, whose answer is the point Newton reaches), or
     whose f vanishes identically, is left to Newton.  Returns the roots, as
     ``_stationary_points`` gives them, and the strata left.
     """
-    m = len(problem.sizes)
+    m, roots, rest = len(problem.sizes), [], []
     n, sizes, rows = problem.model.dim, [int(c) for c in problem.sizes], problem.rows.astype(int).tolist()
-    roots, rest = [], []
     for subset in strata:
         if len(subset) not in (1, m - 1) or any(sum(rows[i]) == 1 for i in subset):
             rest.append(subset)
@@ -441,17 +459,16 @@ def _univariate_roots(problem: _Problem, strata: list):
         if not (f := poly.trim(system.f)):
             rest.append(subset)
             continue
-        if len(g := poly.squarefree(f)) < 2:
+        if len(g := f if len(f) < 3 else poly.squarefree(f)) < 2:  # a linear f is square-free
             continue
         conditions, tie = None, problem.rows[list(subset)]
         for a, b in _roots_in(g, system.lo, system.hi):
-            if a == b and (root := system.solve(*a.as_integer_ratio())) is None:
-                continue
-            conditions = system.conditions() if conditions is None else conditions
-            if all(poly.sign_at(h, g, a, b) >= 0 for h in conditions):
-                if a != b:  # read in floats near the irrational root
+            if a != b:  # read in floats near an irrational root where the signs hold
+                conditions = conditions or system.conditions()
+                if all(poly.sign_at(h, g, a, b) >= 0 for h in conditions):
                     mu, s, u = system.solve(*_refine(g, a, b, system.quantities).as_integer_ratio())
-                    root = np.array(mu, dtype=float), float(s), u
+                    roots.append((np.array(u), tie, np.array(mu, dtype=float), float(s)))
+            elif (root := system.solve(*(x := a.as_integer_ratio()))) is not None and system.holds(root, *x):
                 roots.append((np.array(root[2]), tie, *root[:2]))
     return roots, rest
 
@@ -493,19 +510,25 @@ def _one_row(rows, subset, sizes, n):
         product, sums = _products([([x * size], d) for x, y, size, d in zip(other, e, sizes, denom) if x or y])
         return poly.combine([(1, [0, *sums]), (-1, product)])
 
+    def holds(root, a, b):  # a sum_c e'_c size_c / (b D_c) >= 1 for every row e', times prod_c b D_c > 0
+        product = math.prod(scaled := [x * a + c * b for c, x in denom])
+        parts = [size * (product // x) for size, x in zip(sizes, scaled)]
+        return all(a * sum(map(operator.mul, other, parts)) >= product for other in rows)
+
     lo = max([Fraction(0)] + [Fraction(-d[0], d[1]) for d in denom if d[1]])
     return _System(
         cleared(e), lo, None, lambda: [cleared(other) for other in rows if other is not e],
         [[0, 1], *(d for d in denom if d[1])],  # u_c = size_c / D_c at s = a / b > lo
         lambda a, b: ([Fraction(1)], Fraction(a, b), [size * b / (x * a + c * b) for size, (c, x) in zip(sizes, denom)])
         if a * lo.denominator > lo.numerator * b else None,
+        holds,
     )
 
 
 def _line(rows, subset, sizes, n):
     """The system of m - 1 rows S: a polynomial in t.
 
-    The rows are independent (``_vertex_roots``), so B = [S; e_j] is
+    The rows are independent (``_strata``), so B = [S; e_j] is
     invertible for the column j of S's echelon form without a pivot, and one
     elimination (``adjugate``) gives M = q B^-1 for q = +-det(B) > 0.  Then
     <e, w> = 1 on S is the line w = B^-1 (1, ..., 1, t) = (p + t d) / q with
@@ -521,11 +544,7 @@ def _line(rows, subset, sizes, n):
     it needs w > 0, s != n (which holds only at w = (1, ..., 1), where S
     would hold a linear monomial) and mu >= 0.
     """
-    k = len(subset)
-    try:
-        ops, q = adjugate([rows[i] for i in subset])
-    except ZeroDivisionError:  # dependent rows, which _strata's float rank test might let pass
-        return _System([], None, None, list, [], None)
+    k, (ops, q) = len(subset), adjugate([rows[i] for i in subset])
     ops, q = (ops, q) if q > 0 else ([[-x for x in row] for row in ops], -q)
     p, d = [sum(row[:k]) for row in ops], [row[k] for row in ops]
     s0, s1 = sum(map(operator.mul, sizes, p)) - q, sum(map(operator.mul, sizes, d))
@@ -557,6 +576,7 @@ def _line(rows, subset, sizes, n):
         max((Fraction(-c0, c1) for c0, c1 in bounds if c1 > 0), default=None),
         min((Fraction(-c0, c1) for c0, c1 in bounds if c1 < 0), default=None),
         conditions, [[a, x] for a, x in zip(p, d) if x] + [[s0, s1], [s0 - n * q, s1]], solve,
+        lambda root, a, b: min(root[0]) >= 0,
     )
 
 
@@ -694,7 +714,7 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
     Minimizers need not be unique (one monomial can stay active along a
     whole ray), so near-ties go to the lexicographically smallest
     max-normalized weight, which lands on the most degenerate stratum.
-    Each value is read off its root (``_Problem.root_value``).
+    Each value is read off its root (``_Problem.root_value``), exactly at an exact root.
     """
     values = [problem.root_value(*root) for _, *root in candidates]
     window = min(values) + 1e-9 * max(1.0, abs(min(values)))
@@ -719,25 +739,19 @@ def _finalize(problem: _Problem, u: np.ndarray, root):
     exact; otherwise ``polish.polish_root`` gives the correctly rounded
     doubles at the root or, undecided, the float answer stands.
     """
-    model, n = problem.model, problem.model.dim
+    model = problem.model
     if root is None:
         weight = (Fraction(1),) * model.ambient_dim
         return weight, core.normalized_volume(model, weight).normalized_volume
     tie, mu, s = root
     sizes, bound = [int(c) for c in problem.sizes], int((2 * _STEP_TOL) ** -0.5)
     exact = [*mu, s] if isinstance(s, Fraction) else [Fraction(float(v)).limit_denominator(bound) for v in (*mu, s)]
-    # on integers, L mu, L s and L^2 D_c for the lcm L of the denominators, where sum(mu) = 1,
-    # every D_c > 0 and s <e, u> = 1 on the stratum, for u_c = size_c / D_c
-    scale, rows = math.lcm(*(x.denominator for x in exact)), tie.astype(int).tolist()
-    *lmu, ls = (x.numerator * (scale // x.denominator) for x in exact)
-    ebar = [sum(x * e[c] for x, e in zip(lmu, rows)) for c in range(len(sizes))]
-    denom = [n * size * scale**2 + (ls - n * scale) * b for size, b in zip(sizes, ebar)]
+    # a root exactly where sum(mu) = 1, every D_c > 0 and s <e, u> = 1 on the stratum, u_c = size_c / D_c
+    scale, lmu, ls, denom, value = problem.exact_parts(rows := tie.astype(int).tolist(), exact)
     product = math.prod(denom)
     cleared = (ls * scale * sum(x * size * product // d for x, size, d in zip(e, sizes, denom)) for e in rows)
     if sum(lmu) == scale and min(denom) > 0 and all(x == product for x in cleared):
-        exact_u = [Fraction(size, d) for size, d in zip(sizes, denom)]
-        top, value = max(exact_u), math.prod(map(pow, denom, sizes)) * scale
-        value = Fraction(value, math.prod(map(pow, sizes, sizes)) * scale ** (2 * n + 2) * ls)
-        return tuple(exact_u[c] / top for c in problem.owner), value
+        top = max(exact_u := [Fraction(size, d) for size, d in zip(sizes, denom)])
+        return tuple(exact_u[c] / top for c in problem.owner), Fraction(*value)
     float_answer = tuple(problem.expand(u / np.max(u)).tolist()), problem.value(u)
     return polish.polish_root(tie, mu, s, problem.sizes, problem.owner, model.dim) or float_answer

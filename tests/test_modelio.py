@@ -90,6 +90,27 @@ class TestRationals:
                 assert type(det) is int and {type(x) for row in adjugate(matrix)[0] for x in row} <= {int}
         assert 20 <= singular <= 150
 
+    def test_adjugate_integer_path(self):
+        # all-int rows skip the per-row scaling to integers; on seeded integer
+        # matrices of size 1-5, square or of k < m rows, the answer is that of
+        # the same rows as Fractions, and rows of rank below k raise on both
+        rng, singular = random.Random(9), 0
+        for trial in range(400):
+            m = rng.randint(1, 5)
+            k = m if trial % 2 else rng.randint(1, m)
+            rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)]
+            fractions = [[F(x) for x in row] for row in rows]
+            try:
+                expected = adjugate(fractions)
+            except ZeroDivisionError:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    adjugate(rows)
+                continue
+            assert adjugate(rows) == expected
+            assert {type(x) for row in adjugate(rows)[0] for x in row} | {type(adjugate(rows)[1])} == {int}
+        assert 30 <= singular <= 200
+
     def test_adjugate_completes_rows_at_their_free_columns(self):
         # k < m rows are completed by the unit rows of the columns where their
         # echelon form has no pivot; rows of rank below k raise

@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
@@ -642,14 +643,6 @@ class TestUnivariateStrata:
             kinds.add((trial % 5, bool(found)))
         assert kinds == {(k, hit) for k in range(5) for hit in (False, True)} - {(0, False), (1, False)}
 
-    def test_dependent_rows_go_to_newton(self):
-        # two proportional rows of three classes cut out no line; were the
-        # float rank test of _strata to let such a pair pass as a stratum, it
-        # would go to Newton as before
-        problem = optimize._build_problem(d_singularity(3, 4))
-        fake = dataclasses.replace(problem, rows=np.array([(2, 0, 0), (4, 0, 0), (0, 0, 4)], dtype=float))
-        assert optimize._univariate_roots(fake, [(0, 1)]) == ([], [(0, 1)])
-
     def test_former_no_root_support(self):
         # the stratum {xy, z^N} gives the weight (1, 1, 2/N) and the value 4/N
         model = Hypersurface(FORMER_NO_ROOT_SUPPORT)
@@ -700,6 +693,133 @@ class TestUnivariateStrata:
             klt += 1
             no_root += result.status == "not-converged"
         assert (klt, no_root) == (92, 1)
+
+
+def seeded_supports(count, seed=7):
+    """Random small supports in 3-5 variables (numpy ``default_rng(seed)``).
+
+    Each variable x_i gets a pure power x_i^a with a in 2..7, then 1-3
+    monomials with exponents in 0..2 are drawn, and each of total degree 2
+    or more is added; a monomial drawn twice counts once.  About three
+    quarters of them are klt.
+    """
+    rng, supports = np.random.default_rng(seed), []
+    for _ in range(count):
+        d = int(rng.integers(3, 6))
+        support = [tuple(int(rng.integers(2, 8)) * (j == i) for j in range(d)) for i in range(d)]
+        for _ in range(int(rng.integers(1, 4))):
+            e = tuple(int(x) for x in rng.integers(0, 3, size=d))
+            if sum(e) >= 2:
+                support.append(e)
+        supports.append(tuple(dict.fromkeys(support)))
+    return supports
+
+
+def _float_rank_strata(rows, vertices):
+    """The strata as ``_strata`` chose them before its test was exact: one
+    stacked float ``np.linalg.matrix_rank`` of the difference rows per size."""
+    m, ints = rows.shape[1], rows.astype(int).tolist()
+    tight = {tuple(i for i, e in enumerate(ints) if sum(map(operator.mul, e, w)) == det) for *_, det, w in vertices}
+    subsets = sorted({sub for t in tight for k in range(min(m, len(t))) for sub in itertools.combinations(t, k + 1)})
+    rank = {}
+    for size in {len(sub) for sub in subsets} - {1}:
+        group = np.array([sub for sub in subsets if len(sub) == size])
+        rank.update(zip(map(tuple, group.tolist()), np.linalg.matrix_rank(rows[group[:, 1:]] - rows[group[:, :1]])))
+    return [sub for sub in subsets if rank.get(sub, 0) == len(sub) - 1], len(subsets)
+
+
+class TestExactStrata:
+    """Affine independence of the rows tight at a vertex is decided on integers."""
+
+    def test_same_strata_as_the_float_rank(self):
+        # the 142 golden rows and 4000 draws, klt or not: the exact test keeps
+        # the 88592 strata that the float rank kept, and rejects the same 20
+        # affinely dependent subsets
+        models = [_golden_model(row) for row in GOLDEN_ROWS] + [Hypersurface(s) for s in large_exponent_supports(4000)]
+        counts = [0, 0]
+        for model in models:
+            problem = optimize._build_problem(model)
+            vertices = optimize._vertices(problem.rows)
+            strata = optimize._strata(problem.rows, vertices)
+            floats, subsets = _float_rank_strata(problem.rows, vertices)
+            assert strata == floats, model.support
+            counts[0] += len(strata)
+            counts[1] += subsets - len(strata)
+        assert (len(models), counts) == (4142, [88592, 20])
+
+    def test_dependent_rows_are_no_stratum(self):
+        # x^2 + y^2 + xy + z^2, one class per coordinate: all four rows are
+        # tight at w = (1/2, 1/2, 1/2), and xy is the midpoint of x^2 and y^2,
+        # so that triple is no stratum, while every other subset of at most
+        # three rows is one; _line never sees dependent rows
+        problem = optimize._build_problem(Hypersurface(((2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 2))), True)
+        x2, xy, y2 = (problem.rows.astype(int).tolist().index(e) for e in ([2, 0, 0], [1, 1, 0], [0, 2, 0]))
+        strata = optimize._strata(problem.rows, optimize._vertices(problem.rows))
+        subsets = {sub for k in (1, 2, 3) for sub in itertools.combinations(range(4), k)}
+        assert set(strata) == subsets - {tuple(sorted((x2, xy, y2)))}
+        with pytest.raises(ZeroDivisionError):
+            optimize.adjugate([[1, -1, 0], [2, -2, 0]])  # the difference rows xy - x^2 and y^2 - x^2
+
+
+def _rational_roots(problem):
+    """Each rational root (system, g, root, a) of the strata that
+    ``_univariate_roots`` solves, where the system has a root."""
+    m, n, sizes = len(problem.sizes), problem.model.dim, [int(c) for c in problem.sizes]
+    rows = problem.rows.astype(int).tolist()
+    for subset in _strata(problem):
+        if len(subset) not in (1, m - 1) or len(subset) == m or any(sum(rows[i]) == 1 for i in subset):
+            continue
+        system = (optimize._one_row if len(subset) == 1 else optimize._line)(rows, subset, sizes, n)
+        if system is None or not (f := poly.trim(system.f)) or len(g := poly.squarefree(f)) < 2:
+            continue
+        for a, b in optimize._roots_in(g, system.lo, system.hi):
+            if a == b and (root := system.solve(*a.as_integer_ratio())) is not None:
+                yield system, g, root, a
+
+
+class TestExactRoots:
+    """A rational root is judged, and an exact candidate valued, on its own integers."""
+
+    def test_holds_agrees_with_the_signs(self):
+        # at every rational root of the 130 klt golden rows, the 400 seeded
+        # supports and the first 400 draws, klt or not, the integer decision
+        # holds(root, a, b) is the exact sign test on conditions() it replaces,
+        # on 276 valid and 382 invalid roots
+        models = [_golden_model(row) for row in KLT_GOLDEN_ROWS]
+        models += [Hypersurface(s) for s in seeded_supports(400) + large_exponent_supports(400)]
+        counts = {True: 0, False: 0}
+        for model in models:
+            for system, g, root, a in _rational_roots(optimize._build_problem(model)):
+                signs = all(poly.sign_at(h, g, a, a) >= 0 for h in system.conditions())
+                assert system.holds(root, *a.as_integer_ratio()) is signs, model.support
+                counts[signs] += 1
+        assert counts == {True: 276, False: 382}
+
+    def test_exact_candidates_valued_exactly(self):
+        # a vertex root and a rational root are ranked by their exact value,
+        # rounded once: the value of core.normalized_volume at the exact weight
+        # size_c / D_c; the float formula misses it in the last bits on about
+        # half of the 121 exact candidates of the klt golden rows (69 on
+        # numpy's default kernels, 70 on its baseline ones)
+        counts = [0, 0]
+        for row in KLT_GOLDEN_ROWS:
+            model = _golden_model(row)
+            problem = optimize._build_problem(model)
+            vertices = optimize._vertices(problem.rows)
+            strata = [sub for sub in optimize._strata(problem.rows, vertices) if len(sub) < len(problem.sizes)]
+            roots = optimize._vertex_roots(problem, vertices) + optimize._univariate_roots(problem, strata)[0]
+            for _, tie, mu, s in roots:
+                if not isinstance(s, F):
+                    continue
+                ebar = [sum(x * e for x, e in zip(mu, column)) for column in zip(*tie.astype(int).tolist())]
+                sizes = problem.sizes.astype(int).tolist()
+                u = [size / (model.dim * size + (s - model.dim) * b) for size, b in zip(sizes, ebar)]
+                value = core.normalized_volume(model, tuple(u[c] for c in problem.owner)).normalized_volume
+                assert problem.root_value(tie, mu, s) == float(value), row["label"]
+                denom = model.dim * problem.sizes + (float(s) - model.dim) * (np.asarray(mu, dtype=float) @ tie)
+                counts[0] += 1
+                counts[1] += float(np.prod((denom / problem.sizes) ** problem.sizes)) / float(s) != float(value)
+        assert counts[0] == 121 and 50 <= counts[1] <= 90
 
 
 def _scalar_string(value):
