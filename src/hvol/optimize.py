@@ -26,7 +26,9 @@ of m - 1 rows, is one equation in one unknown, s or a parameter t of the
 line that S cuts out; ``_univariate_roots`` clears it to an integer
 polynomial, reads a linear one's root, finds the others by Sturm
 sequences, a rational root exactly, and decides validity exactly, at a
-rational root on its own integers.  Every stratum of the A-D-E rows,
+rational root on its own integers; a one-row stratum whose row, not a
+linear monomial, meets every class c in 0 or at least size_c is proved
+rootless and skipped (``_rootless``).  Every stratum of the A-D-E rows,
 which have m <= 3, is of these kinds.  Newton solves the rest: the strata
 of 2 to m - 2 rows, those holding a linear monomial (the flat families)
 and those whose polynomial vanishes identically.  ``starts_used`` counts
@@ -47,15 +49,19 @@ stratum where no run converged, counts where ``polish.proven_root``
 proves a box around one root from where it stopped, and takes that root:
 near a root of a large exponent the float residual can rest above the
 tolerance.  Weights are max-normalized.  A vertex root and a rational
-root of a one-unknown stratum are exact; a Newton root's floats (mu, s)
-are rounded to the nearest rationals with denominator at most
-(2 _STEP_TOL)^(-1/2) = 22360, and are the root where the stratum's
-residual is exactly zero there.  At an exact root the weight and value
-are exact.  Otherwise, as on the irrational D rows, the winning root is
-polished by Newton steps in fixed-point integers and enclosed in a box
-proved to hold one root, and the weight and value are the correctly
-rounded doubles there.  The answer depends on the model alone: not on
-which start reached the root, nor on numpy's kernels.
+root of a one-unknown stratum are exact, and so are the weight and value
+there.  At an irrational root of one, as on the irrational D rows, the
+weight ratios and the value are products of powers of affine forms in
+the unknown, bounded on the root's isolating interval by their values at
+its ends, and they are the correctly rounded doubles where both bounds
+round to one (``_rounded``).  A Newton root's floats (mu, s) are rounded
+to the nearest rationals with denominator at most (2 _STEP_TOL)^(-1/2) =
+22360, and are the root where the stratum's residual is exactly zero
+there; otherwise the winning root is polished by Newton steps in
+fixed-point integers and enclosed in a box proved to hold one root
+(``polish``), and the weight and value are the correctly rounded doubles
+there.  The answer depends on the model alone: not on which start
+reached the root, nor on numpy's kernels.
 """
 
 from __future__ import annotations
@@ -91,6 +97,9 @@ _LOG_S_CAP = 20.0
 # supports |mu| stayed below 54, about a twentieth of this bound, while runs
 # that never converge drift on to 1e7 and beyond
 _MU_BOUND = 1e3
+# narrowings of an irrational root's isolating interval, each by 2^-32, before
+# its answer is left to polish
+_ROUNDS = 4
 _EPS = float(np.finfo(float).eps)
 
 
@@ -112,13 +121,15 @@ class MinimizationResult:
     ``weight`` is max-normalized; ``value`` is the normalized volume there
     (exact when the winning root is a vertex of R, a rational root of a
     stratum in one unknown, or one where the stratum's residual vanishes
-    exactly at the rationals nearest its Newton root; otherwise
-    each float is the correctly rounded double of its value at that root,
-    wherever ``polish.polish_root`` decides it, as on every tested
-    support).  ``active_monomials`` lists the support exponents attaining
-    the weighted order at the minimizer.  ``status`` is "not-converged"
-    when no stratum has a klt-valid root, exact or from Newton; the weight
-    is then (1, ..., 1), which need not minimize.  ``starts_used`` counts
+    exactly at the rationals nearest its Newton root; otherwise each float
+    is the correctly rounded double of its value at that root, wherever the
+    isolating interval of an irrational root or, for a Newton root,
+    ``polish.polish_root`` decides it, as on every tested support).
+    ``active_monomials`` lists the support exponents attaining the weighted
+    order at the minimizer, exactly at an exact weight.  ``status`` is
+    "not-converged" when no stratum has a klt-valid root, exact or from
+    Newton; the weight is then (1, ..., 1), which need not minimize.
+    ``starts_used`` counts
     the tie strata, solved exactly or by Newton (0 for the closed forms).
     """
 
@@ -167,14 +178,22 @@ def minimize_hvol(model: Model, seed: int = 0) -> MinimizationResult:
     exact, rest = _univariate_roots(problem, [sub for sub in strata if len(sub) < len(problem.sizes)])
     roots += exact + _stationary_points(problem, rest)
     if roots:
-        u, *root = _select_best(problem, roots)
+        u, *root = best = _select_best(problem, roots)
     else:  # as on x^3749 + y^34 + z^298140 + w^16 + yw; A > 0 at (1, ..., 1), as (1, ..., 1) / multiplicity lies in R
-        u, root = np.ones(len(problem.sizes)), None
-    weight, value = _finalize(problem, u, root)
+        u, root, best = np.ones(len(problem.sizes)), None, None
+    weight, value = _finalize(problem, u, root, getattr(best, "rounded", None))
+    if isinstance(value, Fraction):  # the rows of the sorted, validated support at the least <e, weight>
+        scale = math.lcm(*(w.denominator for w in weight))
+        scaled = [w.numerator * (scale // w.denominator) for w in weight]
+        pairings = [sum(map(operator.mul, e, scaled)) for e in model.support]
+        low = min(pairings)
+        active = tuple(e for e, v in zip(model.support, pairings) if v == low)
+    else:
+        active = core.active_monomials(weight, model.support)
     return MinimizationResult(
         weight=weight,
         value=value,
-        active_monomials=core.active_monomials(weight, model.support),
+        active_monomials=active,
         status="converged" if roots else "not-converged",
         starts_used=len(strata),
     )
@@ -419,6 +438,9 @@ class _System(NamedTuple):
     floats, or to None where the system has no root, and the root is valid
     where every polynomial of ``conditions()`` is >= 0.  At an irrational
     root each affine quantity c0 + c1 x of ``quantities`` is read to 2^-55.
+    ``parts()`` gives u_c, up to one positive factor, for each class c and
+    the value prod((D_c / size_c)^size_c) / s, each as (coef, factors) for
+    coef prod (c0 + c1 x)^k over the pairs ((c0, c1), k) of factors.
     """
 
     f: list
@@ -428,6 +450,24 @@ class _System(NamedTuple):
     quantities: list
     solve: Callable
     holds: Callable  # holds(root, a, b) decides conditions() at a rational root on its own integers
+    parts: Callable[[], tuple]
+
+
+class _Isolated(tuple):
+    """A candidate (u, tie, mu, s) at an irrational root, with ``rounded``: ``_rounded`` on its interval."""
+
+
+def _rootless(e, sizes) -> bool:
+    """Whether the stratum of the one row e, not a linear monomial, has no root:
+    e_c = 0 or e_c >= size_c on every class c.
+
+    With a_c = e_c / size_c, D_c = size_c D(a_c) for D(a) = n (1 - a) + a s,
+    so s <e, u> = sum_c size_c a_c s / D(a_c), over the classes e touches.
+    Where every D_c > 0, a s / D(a) - 1 = n (a - 1) / D(a) >= 0 for a >= 1,
+    so s <e, u> is at least the total size touched, which is > 1 unless e
+    is linear: one class of size 1, with a = 1.
+    """
+    return all(x == 0 or x >= size for x, size in zip(e, sizes))
 
 
 def _univariate_roots(problem: _Problem, strata: list):
@@ -442,7 +482,9 @@ def _univariate_roots(problem: _Problem, strata: list):
     solved and judged valid (mu >= 0, no monomial cheaper) on integers.  At
     an irrational root validity is the sign of polynomials, decided exactly
     (``poly.sign_at``), and the root is read in floats where its quantities
-    are known to 2^-55 of themselves.  A stratum that holds a linear
+    are known to 2^-55 of themselves; the candidate keeps g and that
+    interval (``_Isolated``).  A stratum of one row that ``_rootless``
+    proves to have no root is skipped.  A stratum that holds a linear
     monomial (a flat family, whose answer is the point Newton reaches), or
     whose f vanishes identically, is left to Newton.  Returns the roots, as
     ``_stationary_points`` gives them, and the strata left.
@@ -452,6 +494,8 @@ def _univariate_roots(problem: _Problem, strata: list):
     for subset in strata:
         if len(subset) not in (1, m - 1) or any(sum(rows[i]) == 1 for i in subset):
             rest.append(subset)
+            continue
+        if len(subset) == 1 and _rootless(rows[subset[0]], sizes):
             continue
         system = (_one_row if len(subset) == 1 else _line)(rows, subset, sizes, n)
         if system is None:  # R misses the stratum's line
@@ -466,8 +510,10 @@ def _univariate_roots(problem: _Problem, strata: list):
             if a != b:  # read in floats near an irrational root where the signs hold
                 conditions = conditions or system.conditions()
                 if all(poly.sign_at(h, g, a, b) >= 0 for h in conditions):
-                    mu, s, u = system.solve(*_refine(g, a, b, system.quantities).as_integer_ratio())
-                    roots.append((np.array(u), tie, np.array(mu, dtype=float), float(s)))
+                    a, b = _refine(g, a, b, system.quantities)
+                    mu, s, u = system.solve(*((a + b) / 2).as_integer_ratio())
+                    roots.append(root := _Isolated((np.array(u), tie, np.array(mu, dtype=float), float(s))))
+                    root.rounded = functools.partial(_rounded, system.parts, g, a, b, int(np.argmax(u)))
             elif (root := system.solve(*(x := a.as_integer_ratio()))) is not None and system.holds(root, *x):
                 roots.append((np.array(root[2]), tie, *root[:2]))
     return roots, rest
@@ -515,6 +561,10 @@ def _one_row(rows, subset, sizes, n):
         parts = [size * (product // x) for size, x in zip(sizes, scaled)]
         return all(a * sum(map(operator.mul, other, parts)) >= product for other in rows)
 
+    def parts():  # u_c = size_c / D_c
+        value = Fraction(1, math.prod(map(pow, sizes, sizes))), [*zip(denom, sizes), ([0, 1], -1)]
+        return [(size, [(d, -1)]) for size, d in zip(sizes, denom)], value
+
     lo = max([Fraction(0)] + [Fraction(-d[0], d[1]) for d in denom if d[1]])
     return _System(
         cleared(e), lo, None, lambda: [cleared(other) for other in rows if other is not e],
@@ -522,6 +572,7 @@ def _one_row(rows, subset, sizes, n):
         lambda a, b: ([Fraction(1)], Fraction(a, b), [size * b / (x * a + c * b) for size, (c, x) in zip(sizes, denom)])
         if a * lo.denominator > lo.numerator * b else None,
         holds,
+        parts,
     )
 
 
@@ -577,20 +628,60 @@ def _line(rows, subset, sizes, n):
         min((Fraction(-c0, c1) for c0, c1 in bounds if c1 < 0), default=None),
         conditions, [[a, x] for a, x in zip(p, d) if x] + [[s0, s1], [s0 - n * q, s1]], solve,
         lambda root, a, b: min(root[0]) >= 0,
+        lambda: (  # u_c = w_c / s, so the value is q (s0 + s1 t)^n / prod((p_c + t d_c)^size_c)
+            [(1, [([a, x], 1)]) for a, x in zip(p, d)],
+            (q, [([s0, s1], n), *(([a, x], -size) for a, x, size in zip(p, d, sizes))]),
+        ),
     )
 
 
-def _refine(f, a: Fraction, b: Fraction, quantities) -> Fraction:
-    """A point of (a, b], which holds one irrational root of the square-free integer f, at
-    which every quantity c0 + c1 x with c1 != 0 is within 2^-55 of itself at the root."""
+def _refine(f, a: Fraction, b: Fraction, quantities) -> tuple[Fraction, Fraction]:
+    """A part of (a, b], which holds one irrational root of the square-free integer f, on
+    which every quantity c0 + c1 x with c1 != 0 keeps its sign and is within 2^-55 of
+    itself at the root."""
     while True:
         width = b - a
         for c0, c1 in (q for q in quantities if q[1]):
             left, right = c0 + c1 * a, c0 + c1 * b
             width = min(width, min(abs(left), abs(right)) / abs(c1) / 2**55 if left * right > 0 else (b - a) / 2)
         if width == b - a:
-            return (a + b) / 2
+            return a, b
         a, b = poly.narrow(f, a, b, width)
+
+
+def _rounded(parts, g, a: Fraction, b: Fraction, top: int, owner):
+    """The max-normalized weight and the value at the irrational root of g in (a, b], as
+    correctly rounded doubles, or None if _ROUNDS narrowings leave them undecided.
+
+    The affine factors of ``_System.parts`` keep their sign on [a, b]
+    (``_refine``) and are positive at a valid root, so each integer power of
+    one is monotone there and its values at a and b bound it; so they bound
+    u_c, u_c / u_top for the class top largest in floats, and the value.
+    float(Fraction) is correctly rounded, so where both bounds round to one
+    double, that is the answer.  The weight counts only where u_c <= u_top
+    for every class, unless u_c and u_top are one product.
+    """
+    weights, value = parts()
+
+    def bounds(coef, factors):  # of coef prod f^k on [a, b], or None where a factor f is not positive
+        lo = hi = Fraction(coef)
+        for (c0, c1), k in factors:
+            if min(ends := (c0 + c1 * a, c0 + c1 * b)) <= 0:
+                return None
+            low, high = sorted(x**k for x in ends)
+            lo, hi = lo * low, hi * high
+        return lo, hi
+
+    for _ in range(_ROUNDS):
+        if None in (ranges := [bounds(*product) for product in (*weights, value)]):
+            return None
+        low, high = ranges[top]
+        ratios = [(1, 1) if own == weights[top] else (lo / high, hi / low) for own, (lo, hi) in zip(weights, ranges)]
+        *weight, value_at = [float(lo) for lo, _ in ratios + ranges[-1:]]
+        if [float(hi) for _, hi in ratios + ranges[-1:]] == [*weight, value_at] and max(hi for _, hi in ratios) <= 1:
+            return tuple(weight[c] for c in owner), value_at
+        a, b = poly.narrow(g, a, b, (b - a) / 2**32)
+    return None
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -726,12 +817,16 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
 # exact answers
 
 
-def _finalize(problem: _Problem, u: np.ndarray, root):
+def _finalize(problem: _Problem, u: np.ndarray, root, rounded=None):
     """The winning weight, max-normalized, and its value.
 
-    A float root (tie, mu, s), from Newton or read off an irrational root,
-    is rounded to the nearest rationals with denominator at most
-    (2 _STEP_TOL)^(-1/2), which lie 2 _STEP_TOL apart or more; an exact
+    At an irrational root of a one-unknown stratum, ``rounded`` (of the
+    ``_Isolated`` candidate) gives the correctly rounded doubles from the
+    interval that isolates the root; no rationals near it can zero the
+    residual, so it skips the step below.  Past its narrowings, or at a
+    Newton root, a float root (tie, mu, s) is rounded to the nearest
+    rationals with denominator at most (2 _STEP_TOL)^(-1/2), which lie
+    2 _STEP_TOL apart or more; an exact
     root, from a vertex of R or a rational root of a one-unknown stratum,
     is taken as it is.  Where the stratum's residual is exactly zero there,
     with every D_c > 0, the weight u / max(u) and the value
@@ -743,6 +838,8 @@ def _finalize(problem: _Problem, u: np.ndarray, root):
     if root is None:
         weight = (Fraction(1),) * model.ambient_dim
         return weight, core.normalized_volume(model, weight).normalized_volume
+    if rounded is not None and (answer := rounded(problem.owner)) is not None:
+        return answer
     tie, mu, s = root
     sizes, bound = [int(c) for c in problem.sizes], int((2 * _STEP_TOL) ** -0.5)
     exact = [*mu, s] if isinstance(s, Fraction) else [Fraction(float(v)).limit_denominator(bound) for v in (*mu, s)]

@@ -1,10 +1,12 @@
-"""Correctly rounded doubles at a root of one stratum system of ``optimize``.
+"""Correctly rounded doubles at a Newton root of one stratum system of ``optimize``.
 
 ``optimize._newton`` finds a float root (mu, s) of the stationarity system
 of a tie stratum S: for e in S, s <e, u> = 1 with u_c = size_c / D_c and
 D_c = n size_c + (s - n) ebar_c, ebar = sum_{e in S} mu_e e, and
 sum(mu) = 1.  Its last bits depend on the start that reached it and on
-numpy's kernels.  ``polish_root`` takes Newton steps on the same system in
+numpy's kernels.  (An irrational root of a stratum in one unknown is
+rounded on the interval that isolates it, ``optimize._rounded``, and comes
+here only where that interval leaves a double undecided.)  ``polish_root`` takes Newton steps on the same system in
 x = (mu, s), in _PRECISION-bit fixed point on Python integers, until a
 step is below 2^(-_PRECISION/2).  At the last iterate x~, with Y the
 inverse of the last Jacobian, the simplified Newton map G(x) = x - Y F(x)

@@ -9,6 +9,7 @@ import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -994,10 +995,14 @@ class TestPolish:
 
     def test_undecided_polish_keeps_the_float_root(self, monkeypatch):
         # where the enclosure test cannot decide the doubles, the float root's
-        # weight and value stand, a few ulp from the polished ones
-        polished = minimize_hvol(d_singularity(2, 4))
-        monkeypatch.setattr(polish, "polish_root", lambda *args: None)
-        result = minimize_hvol(d_singularity(2, 4))
+        # weight and value stand, a few ulp from the polished ones.  Seeded
+        # support 47, in 5 classes, wins on a Newton root (value about
+        # 19.2506), which still reaches polish
+        model = Hypersurface(seeded_supports(400)[47])
+        polished, calls = minimize_hvol(model), []
+        monkeypatch.setattr(polish, "polish_root", lambda *args: calls.append(args))  # None: undecided
+        result = minimize_hvol(model)
+        assert len(calls) == 1 and abs(polished.value - 19.2506) < 1e-4
         assert result.status == "converged" and not result.exact
         assert result.active_monomials == polished.active_monomials
         assert np.allclose(result.weight, polished.weight, rtol=1e-14, atol=0)
@@ -1038,6 +1043,88 @@ class TestPolish:
             assert polish.proven_root(tie, [a * (1 + eps), b * (1 - eps)], s * (1 + eps), sizes, n) == STALLED_ROOT
         assert polish.proven_root(tie, [a * 1.001, b * 0.999], s * 1.001, sizes, n) is None
         assert polish.proven_root(tie, [0.066, 0.934], math.exp(19.58), sizes, n) is None
+
+
+@functools.cache
+def _finalized():
+    """Per klt model of the golden rows, the 400 seeded supports and the first
+    1000 draws: the model, its answer and the arguments that ``_finalize`` took."""
+    models = [_golden_model(row) for row in KLT_GOLDEN_ROWS]
+    models += [Hypersurface(s) for s in seeded_supports(400) + large_exponent_supports(1000)]
+    answers = []
+    with mock.patch.object(optimize, "_finalize", wraps=optimize._finalize) as finalize:
+        for model in models:
+            try:
+                answers.append((model, minimize_hvol(model)))
+            except NonKltModelError:  # raised before _finalize runs
+                continue
+    return [(*answer, call.args) for answer, call in zip(answers, finalize.call_args_list, strict=True)]
+
+
+FLOAT_GOLDEN_ROWS = [row for row in KLT_GOLDEN_ROWS if "." in row["value"]]
+ADE_GOLDEN_ROWS = [row for row in GOLDEN["minimizers"] if row["label"][0] in "ADE" and " n=" in row["label"]]
+
+
+class TestIsolatedRounding:
+    """An irrational root of a one-unknown stratum is rounded on the interval that
+    isolates it; polish at the same root is the second route."""
+
+    def test_polish_agrees_at_every_isolated_winner(self):
+        # 23 irrational winners: the 10 float golden rows, 3 of the seeded
+        # supports and 10 of the draws; polish at the same float root gives
+        # the bytes of the interval answer, which minimize_hvol returns
+        labels = []
+        for model, result, (problem, u, root, rounded) in _finalized():
+            if rounded is None:
+                continue
+            tie, mu, s = root
+            answer = rounded(problem.owner)
+            assert repr(answer) == repr((result.weight, result.value)), model.support
+            polished = polish.polish_root(tie, mu, s, problem.sizes, problem.owner, problem.model.dim)
+            assert repr(polished) == repr(answer), model.support
+            labels.append(model.support)
+        assert all(_golden_model(row).support in labels for row in FLOAT_GOLDEN_ROWS)
+        assert (len(FLOAT_GOLDEN_ROWS), len(labels)) == (10, 23)
+
+    def test_no_polish_on_the_reference_and_float_golden_rows(self, monkeypatch):
+        # the 65 A-D-E rows and the 10 float golden rows, 4 of them outside
+        # A-D-E, take no polish_root call
+        calls = []
+        monkeypatch.setattr(polish, "polish_root", lambda *args: calls.append(args))
+        rows = ADE_GOLDEN_ROWS + [row for row in FLOAT_GOLDEN_ROWS if row not in ADE_GOLDEN_ROWS]
+        for row in rows:
+            result = minimize_hvol(_golden_model(row))
+            assert ([_scalar_string(w) for w in result.weight], _scalar_string(result.value)) == (
+                row["weight"],
+                row["value"],
+            )
+        assert (len(rows), calls) == (69, [])
+
+    def test_past_the_cap_the_former_path_gives_the_same_bytes(self, monkeypatch):
+        # with no narrowing allowed, every isolated winner is left undecided
+        # and takes the path from before interval rounding, the snap to small
+        # rationals and then polish, which gives the same bytes
+        calls, polish_root = [], polish.polish_root
+        monkeypatch.setattr(polish, "polish_root", lambda *args: calls.append(args) or polish_root(*args))
+        monkeypatch.setattr(optimize, "_ROUNDS", 0)
+        isolated = [(result, args) for _, result, args in _finalized() if args[-1] is not None]
+        for result, (problem, u, root, rounded) in isolated:
+            assert rounded(problem.owner) is None
+            assert repr(optimize._finalize(problem, u, root, rounded)) == repr((result.weight, result.value))
+        assert len(calls) == len(isolated) == 23
+
+
+class TestActiveMonomials:
+    def test_exact_pairing_matches_core(self):
+        # an exact answer's active monomials are read off the weight's integer
+        # numerators over their lcm; core.active_monomials, which validates its
+        # input and pairs on Fractions (on floats within its tolerance), gives
+        # the same rows on every answer, exact or float
+        counts = {True: 0, False: 0}
+        for model, result, _ in _finalized():
+            assert result.active_monomials == core.active_monomials(result.weight, model.support), model.support
+            counts[result.exact] += 1
+        assert counts == {True: 607, False: 55}
 
 
 # draw 1388 of large_exponent_supports, and the (mu, s) of its winning root
@@ -1229,31 +1316,72 @@ class TestNewtonStops:
 
 
 class TestRootlessStrata:
-    """One-monomial strata are solved exactly, so those without a root never reach Newton."""
+    """One-monomial strata are proved rootless or solved exactly, so none reaches Newton."""
 
     def test_dropped_rows_have_no_root(self):
-        # a row e with e_c >= size_c on every class it touches, other than a
+        # a row e with e_c = 0 or e_c >= size_c on every class, other than a
         # linear monomial, has no root: with a_c = e_c / size_c and
         # D = n (1 - a) + a s > 0, s <e, u> = sum_c size_c a_c s / D_c, and
         # a s / D - 1 = n (a - 1) / D >= 0, so it is at least the total size
         # touched, >= 1, with equality throughout only for a linear monomial.
-        # The exact solve finds no root and leaves nothing to Newton, and
-        # Newton finds none either.  The golden minimizers hold all 65 A-D-E
-        # reference rows and the frozen and seeded supports
-        models = [_golden_model(row) for row in GOLDEN_ROWS]
-        checked = set()
-        for model in models:
-            for trivial in (False, True):
-                problem = optimize._build_problem(model, trivial_classes=trivial)
-                for subset in _strata(problem):
-                    row = problem.rows[subset[0]]
-                    key = (tuple(row), tuple(problem.sizes), problem.model.dim)
-                    rootless = np.all((row == 0) | (row >= problem.sizes)) and row.sum() > 1
-                    if len(subset) == 1 and rootless and key not in checked:
-                        checked.add(key)
-                        assert optimize._univariate_roots(problem, [subset]) == ([], []), key
-                        assert not _newton_runs(problem, [[row]], [[1.0]])[2][0], key
-        assert checked
+        # _univariate_roots skips such a stratum unsolved (_rootless), so the
+        # second route is the polynomial solve it would have run: _one_row,
+        # _roots_in, then holds at a rational root or the signs at an
+        # irrational one.  On the golden rows (all 65 A-D-E reference rows, the
+        # frozen and seeded supports) under both classings, the 400 seeded
+        # supports and the first 1000 draws, klt or not, it runs on the 3481
+        # distinct rows of the 7996 dropped strata and finds 81 roots, none
+        # valid, and Newton finds none either
+        golden = [_golden_model(row) for row in GOLDEN_ROWS]
+        cases = [(model, trivial) for model in golden for trivial in (False, True)]
+        cases += [(Hypersurface(s), False) for s in seeded_supports(400) + large_exponent_supports(1000)]
+        checked, dropped, newton, found = set(), 0, {}, 0
+        for model, trivial in cases:
+            problem = optimize._build_problem(model, trivial_classes=trivial)
+            n, sizes, rows = model.dim, problem.sizes.astype(int).tolist(), problem.rows.astype(int).tolist()
+            for subset in _strata(problem):
+                row = rows[subset[0]]
+                if len(subset) > 1 or len(subset) == len(sizes) or sum(row) == 1 or not optimize._rootless(row, sizes):
+                    continue
+                assert optimize._univariate_roots(problem, [subset]) == ([], []), model.support
+                dropped += 1
+                if (key := (tuple(row), tuple(sizes), n)) in checked:
+                    continue
+                checked.add(key)
+                system = optimize._one_row(rows, subset, sizes, n)
+                g = poly.squarefree(poly.trim(system.f))
+                for a, b in optimize._roots_in(g, system.lo, system.hi) if len(g) > 1 else ():
+                    found += 1
+                    if a == b:
+                        root = system.solve(*a.as_integer_ratio())
+                        assert root is None or not system.holds(root, *a.as_integer_ratio()), key
+                    else:
+                        assert any(poly.sign_at(h, g, a, b) < 0 for h in system.conditions()), key
+                newton.setdefault(key[1:], (problem, []))[1].append(row)
+        for problem, rows in newton.values():  # one batch per class sizes and n, each run alone in its stratum
+            assert not _newton_runs(problem, [[row] for row in rows], [[1.0]] * len(rows))[2].any()
+        assert (dropped, len(checked), found) == (7996, 3481, 81)
+
+    def test_rootless_rows_never_build_a_system(self, monkeypatch):
+        # on the 65 A-D-E reference rows, 109 one-row strata without a linear
+        # monomial are rootless, and none of them reaches _one_row, which
+        # builds the systems of the 41 others
+        built, one_row = [], optimize._one_row
+
+        def recorded(rows, subset, sizes, n):
+            built.append(optimize._rootless(rows[subset[0]], sizes))
+            return one_row(rows, subset, sizes, n)
+
+        monkeypatch.setattr(optimize, "_one_row", recorded)
+        skipped = 0
+        for row in ADE_GOLDEN_ROWS:
+            model = _golden_model(row)
+            problem = optimize._build_problem(model)
+            sizes, rows = problem.sizes.astype(int).tolist(), problem.rows.astype(int).tolist()
+            singles = [sub for sub in _strata(problem) if len(sub) == 1 < len(sizes) and sum(rows[sub[0]]) > 1]
+            skipped += sum(optimize._rootless(rows[sub[0]], sizes) for sub in singles)
+            minimize_hvol(model)
+        assert (skipped, len(built), any(built)) == (109, 41, False)
 
     def test_rootless_rows(self):
         # classes of sizes (3, 1, 1) as in D n=3 k=4, each row alone: the
