@@ -23,12 +23,15 @@ integers too), and one exact pass over them (``_vertex_roots``) decides
 klt-ness and solves each full stratum, of m rows for m coordinate
 classes, at the one vertex where it is tight.  A stratum of one row, or
 of m - 1 rows, is one equation in one unknown, s or a parameter t of the
-line that S cuts out; ``_univariate_roots`` clears it to an integer
-polynomial, reads a linear one's root, finds the others by Sturm
-sequences, a rational root exactly, and decides validity exactly, at a
-rational root on its own integers; a one-row stratum whose row, not a
-linear monomial, meets every class c in 0 or at least size_c is proved
-rootless and skipped (``_rootless``).  Every stratum of the A-D-E rows,
+line that S cuts out.  Where that line runs along a class S leaves
+untouched it is a ray, and its root is one linear equation (``_ray``);
+``_univariate_roots`` clears the others to an integer polynomial, reads
+the roots of a linear or quadratic one in closed form, finds those of
+degree 3 and up by Sturm sequences, a rational root exactly, and decides
+validity exactly, at a rational root on its own integers; a one-row
+stratum whose row, not a linear monomial, meets every class c in 0 or at
+least size_c is proved rootless and skipped (``_rootless``).  Every
+stratum of the A-D-E rows, whose polynomials have degree 2 at most and
 which have m <= 3, is of these kinds.  Newton solves the rest: the strata
 of 2 to m - 2 rows, those holding a linear monomial (the flat families)
 and those whose polynomial vanishes identically.  ``starts_used`` counts
@@ -473,9 +476,12 @@ def _rootless(e, sizes) -> bool:
 def _univariate_roots(problem: _Problem, strata: list):
     """Solve exactly the strata of one row or of m - 1 rows, one equation in one unknown each.
 
-    Either system (``_one_row``, ``_line``) clears to an integer polynomial f,
-    with square-free part g (f itself if linear); ``_roots_in`` reads a
-    linear g's root and isolates the others by Sturm counts.  A rational
+    A stratum of m - 1 rows that are all 0 on one class is a ray, whose root
+    is one linear equation (``_ray``).  Otherwise either system (``_one_row``,
+    ``_line``) clears to an integer polynomial f, with square-free part g
+    (f itself if linear); ``_roots_in`` reads the roots of a linear or
+    quadratic g in closed form and isolates those of higher degree by Sturm
+    counts.  A rational
     root of g has a denominator dividing lc(g), so once its interval is at
     most 1 / lc(g) wide, the one multiple of 1 / lc(g) there is tested
     exactly; such a root is exact, with no bound on its denominators, and
@@ -497,6 +503,11 @@ def _univariate_roots(problem: _Problem, strata: list):
             continue
         if len(subset) == 1 and _rootless(rows[subset[0]], sizes):
             continue
+        tie = problem.rows[list(subset)]
+        if len(subset) > 1 and (untouched := [c for c in range(m) if not any(rows[i][c] for i in subset)]):
+            if (root := _ray(rows, subset, sizes, n, untouched[0])) is not None:
+                roots.append((np.array(root[2]), tie, *root[:2]))
+            continue
         system = (_one_row if len(subset) == 1 else _line)(rows, subset, sizes, n)
         if system is None:  # R misses the stratum's line
             continue
@@ -505,7 +516,7 @@ def _univariate_roots(problem: _Problem, strata: list):
             continue
         if len(g := f if len(f) < 3 else poly.squarefree(f)) < 2:  # a linear f is square-free
             continue
-        conditions, tie = None, problem.rows[list(subset)]
+        conditions = None
         for a, b in _roots_in(g, system.lo, system.hi):
             if a != b:  # read in floats near an irrational root where the signs hold
                 conditions = conditions or system.conditions()
@@ -520,10 +531,17 @@ def _univariate_roots(problem: _Problem, strata: list):
 
 
 def _roots_in(g, lo, hi):
-    """The roots of the square-free integer g in [lo, hi], None unbounded: (x, x) if rational, else (a, b]."""
+    """The roots of the square-free integer g in [lo, hi], None unbounded: (x, x) if rational, else (a, b].
+
+    A linear g's root is -g_0 / g_1 and a quadratic's come from its discriminant
+    (``poly.quadratic_roots``); from degree 3 on, Sturm counts isolate the roots,
+    each narrowed to width 1 / lc(g) for the rational root test.
+    """
     if len(g) == 2:
         x = Fraction(-g[0], g[1])
         return [(x, x)] if (lo is None or lo <= x) and (hi is None or x <= hi) else []
+    if len(g) == 3:
+        return poly.quadratic_roots(g, lo, hi)
     bound = poly.root_bound(g)
     lo = -bound if lo is None else max(lo, -bound)
     hi = bound if hi is None else min(hi, bound)
@@ -574,6 +592,42 @@ def _one_row(rows, subset, sizes, n):
         holds,
         parts,
     )
+
+
+def _ray(rows, subset, sizes, n, j):
+    """The root (mu, s, u) of the stratum of m - 1 rows S that are all 0 on class j, or None.
+
+    S cuts out the ray w_K = S_K^-1 1, w_j = t, for the other classes K, and
+    one elimination of the square S_K (``adjugate``) gives w_K = W / q with
+    q = |det S_K|.  The root condition of ``_line`` for the direction e_j,
+    <ebar, e_j> = 0, reads s = n t, and with s = sum_K size w + size_j t - 1
+    it is linear: t = (sum_K size_c w_c - 1) / N for N = n - size_j, which is
+    sum_K size - 1 >= 1 as S has m - 1 >= 2 rows.  Over N q, w_K = N W,
+    w_j = T and s = n T for T = sum_K size W - q.  The root is valid under
+    ``_line``'s checks: w > 0, <e, w> >= 1 for every row, and
+    mu = S_K^-T ebar_K >= 0, where ebar_c = size_c (s / w_c - n) / (s - n).
+    Its last check, s != n, holds for S without a linear monomial: every
+    class c of K meets a row e of S, where e_c w_c <= <e, w> = 1, so w_K <= 1
+    and t = 1 would need w_K = 1, each row of S then summing to 1.
+    """
+    others = [c for c in range(len(sizes)) if c != j]
+    adj, q = adjugate([[rows[i][c] for c in others] for i in subset])
+    adj, q = (adj, q) if q > 0 else ([[-x for x in row] for row in adj], -q)
+    w, big = [sum(row) for row in adj], n - sizes[j]  # w_c = W_c / q on K, and N
+    t = sum(sizes[c] * x for c, x in zip(others, w)) - q  # T, for the root t = T / (N q)
+    if min(w) <= 0 or t <= 0:
+        return None
+    if any(big * sum(e[c] * x for c, x in zip(others, w)) + e[j] * t < big * q for e in rows):
+        return None
+    # mu_r = sum_c adj_cr size_c (T - N W_c) / (W_c (T - N q)), over the product of W
+    product = math.prod(w)
+    parts = [sizes[c] * (t - big * x) * (product // x) for c, x in zip(others, w)]
+    top = [sum(map(operator.mul, parts, column)) for column in zip(*adj)]
+    if min(x * (t - big * q) for x in top) < 0:
+        return None
+    u = [big * x / (n * t) for x in w]  # u = w / s
+    u.insert(j, 1 / n)
+    return [Fraction(x, product * (t - big * q)) for x in top], Fraction(n * t, big * q), u
 
 
 def _line(rows, subset, sizes, n):

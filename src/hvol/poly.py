@@ -2,10 +2,16 @@
 
 ``fujita`` decides the sign of integer polynomials on an interval with it,
 and ``optimize`` finds the roots of a tie stratum's stationarity system in
-one unknown: ``isolate`` separates the real roots of a square-free integer
-polynomial by Sturm's theorem, ``narrow`` bisects an isolating interval,
-``rational_root`` decides exactly whether the root there is rational, and
-``sign_at`` gives the exact sign of another polynomial at that root.
+one unknown.  A quadratic's roots are closed forms: ``quadratic_roots``
+reads them off the discriminant with one integer square root, rational
+exactly when it is a square, and ``narrow`` and ``squarefree`` take a
+quadratic from it too.  Degree 3 and up goes by Sturm's theorem:
+``isolate`` separates the real roots of a square-free integer polynomial,
+``narrow`` bisects an isolating interval and ``rational_root`` decides
+exactly whether the root there is rational.  ``sign_at`` gives the exact
+sign of another polynomial at such a root, of any degree, from its
+remainder modulo the first: in closed form when that is constant or
+linear, by Sturm sequences otherwise.
 """
 
 from __future__ import annotations
@@ -123,7 +129,10 @@ def odd_part(f: Sequence[int]) -> list[int]:
 
 def squarefree(f: Sequence[int]) -> list[int]:
     """The primitive square-free part, with lc > 0, of a trimmed, non-zero integer f: it has
-    the real roots of f, each simple."""
+    the real roots of f, each simple.  A quadratic c + b x + a x^2 is square-free unless its
+    discriminant b^2 - 4ac is 0, where it is a (x + b / 2a)^2."""
+    if len(f) == 3:
+        return gcd(f if f[1] ** 2 != 4 * f[0] * f[2] else [f[1], 2 * f[2]], [])
     return gcd(quotient(f, gcd(f, derivative(f))), [])
 
 
@@ -161,15 +170,74 @@ def isolate(f: Sequence[int], lo: Fraction, hi: Fraction) -> list[tuple[Fraction
     return out
 
 
-def narrow(f: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve the interval (a, b] holding the one root of the square-free integer f in it
-    until b - a <= width; a root met exactly at a midpoint or at b gives (root, root).
+def _conjugates(f: Sequence[int]) -> tuple[int, int, int]:
+    """(p, disc, q), q > 0, with the roots of the integer quadratic f at (p -+ sqrt(disc)) / q."""
+    c, b, a = f
+    return (-b, b * b - 4 * a * c, 2 * a) if a > 0 else (b, b * b - 4 * a * c, -2 * a)
 
-    f changes sign at its simple root alone, so a point of (a, b] lies past the root
-    exactly when f has the sign there that it has at b.  The halving runs on integers:
-    with x = a + (b - a) t, L^deg f(x) = h(t) for an integer h and the least common
-    denominator L of a and b - a, and t = k / 2^i.
+
+def _beyond(x: Fraction, p: int, disc: int, q: int, sign: int) -> int:
+    """The sign of x - (p + sign sqrt(disc)) / q, for disc >= 0 and q > 0, by squaring."""
+    num, den = (q * x - p).as_integer_ratio()
+    if num * sign <= 0:
+        return -sign
+    diff = num * num - disc * den * den
+    return sign * ((diff > 0) - (diff < 0))
+
+
+def _quadratic_interval(p: int, disc: int, q: int, sign: int, steps: int) -> tuple[Fraction, Fraction]:
+    """(a, a + 1 / (q 2^steps)) holding (p + sign sqrt(disc)) / q for a disc that is no square,
+    from r = isqrt(disc 4^steps) < 2^steps sqrt(disc) < r + 1."""
+    r = math.isqrt(disc << 2 * steps)
+    low = Fraction((p << steps) + sign * r + min(sign, 0), q << steps)
+    return low, low + Fraction(1, q << steps)
+
+
+def quadratic_roots(f: Sequence[int], lo, hi) -> list[tuple[Fraction, Fraction]]:
+    """The roots of the square-free integer quadratic f in [lo, hi], a bound of None being no
+    bound, ascending: (x, x) at a rational root x, else an interval (a, b] inside [lo, hi]
+    that holds the root and is at most 1 / |2 lc(f)| wide.
+
+    The roots are (p -+ sqrt(disc)) / q for the discriminant disc and q = |2 lc(f)|
+    (``_conjugates``); they are rational iff disc is a square, and an irrational one is
+    compared with lo and hi exactly, by squaring (``_beyond``).
     """
+    p, disc, q = _conjugates(f)
+    if disc < 0:
+        return []
+    r, out = math.isqrt(disc), []
+    for sign in (-1, 1):
+        if r * r == disc:
+            x = Fraction(p + sign * r, q)
+            if (lo is None or lo <= x) and (hi is None or x <= hi):
+                out.append((x, x))
+        elif (lo is None or _beyond(lo, p, disc, q, sign) < 0) and (hi is None or _beyond(hi, p, disc, q, sign) > 0):
+            a, b = _quadratic_interval(p, disc, q, sign, 0)
+            out.append((a if lo is None else max(a, lo), b if hi is None else min(b, hi)))
+    return out
+
+
+def narrow(f: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """A part of the interval (a, b], at most width wide, holding the one root of the
+    square-free integer f in (a, b]; a root met exactly gives (root, root).
+
+    A quadratic's root is read off its discriminant (``quadratic_roots``): it is the
+    larger root iff a is not below the smaller, and an isqrt places it in an interval of
+    width 1 / (q 2^k) for the least k that is narrow enough; a rational one is exact.
+    Otherwise (a, b] is halved until b - a <= width, and a root met at a midpoint or at b
+    gives (root, root).  f changes sign at its simple root alone, so a point of (a, b]
+    lies past the root exactly when f has the sign there that it has at b.  The halving
+    runs on integers: with x = a + (b - a) t, L^deg f(x) = h(t) for an integer h and the
+    least common denominator L of a and b - a, and t = k / 2^i.
+    """
+    if len(f) == 3:
+        p, disc, q = _conjugates(f)
+        sign, r = 1 if _beyond(a, p, disc, q, -1) >= 0 else -1, math.isqrt(disc)
+        if r * r == disc:
+            return (root := Fraction(p + sign * r, q)), root
+        ratio = 1 / (q * width)
+        low, high = _quadratic_interval(p, disc, q, sign, ((ratio.numerator - 1) // ratio.denominator).bit_length())
+        return max(a, low), min(b, high)
     side, span = hom(f, *b.as_integer_ratio()), b - a
     ratio = span / width
     steps = ((ratio.numerator - 1) // ratio.denominator).bit_length()  # the least with 2^steps >= ratio
@@ -207,16 +275,30 @@ def sign_at(h: Sequence[int], f: Sequence[int], a: Fraction, b: Fraction) -> int
     """The sign of the integer polynomial h at the one root of the square-free integer f in
     (a, b], or at a when a == b is that root.
 
-    The root is one of h iff it is one of gcd(f, h); otherwise (a, b] is halved until it
-    holds no root of h, and h has one sign on it.
+    h is first reduced modulo f: ``pseudo_rem`` gives an r that is a positive multiple of h
+    at every root of f, so a constant r is settled at once.  A linear r = r1 (x - z) has the
+    sign of r1 at the root where z <= a and the other where z > b; for z in (a, b], f
+    changes sign at its simple root alone, so z lies past the root exactly when f has the
+    sign there that it has at b, and f(z) = 0 puts the root at z.  A root at b is read
+    there.  For deg r >= 2 the root is one of r iff it is one of gcd(f, r); otherwise
+    (a, b] is halved until it holds no root of r, and r has one sign on it (Sturm).
     """
-    h = trim(h)
-    if a != b and h:
-        if sturm_count(gcd(f, h), a, b):
-            return 0
-        chain = _sturm_chain(squarefree(h))
-        while _sign_changes(chain, a) != _sign_changes(chain, b):
-            a, b = narrow(f, a, b, (b - a) / 2)
+    if a != b and (side := hom(f, *b.as_integer_ratio())):
+        h = pseudo_rem(trim(h), f)
+        if len(h) == 2:
+            z = Fraction(-h[0], h[1])
+            if a < z <= b:
+                at = hom(f, *z.as_integer_ratio())
+                past = 0 if not at else 1 if (at > 0) == (side > 0) else -1
+            else:
+                past = 1 if z > b else -1
+            return -past if h[1] > 0 else past
+        if len(h) > 2:
+            if sturm_count(gcd(f, h), a, b):
+                return 0
+            chain = _sturm_chain(squarefree(h))
+            while _sign_changes(chain, a) != _sign_changes(chain, b):
+                a, b = narrow(f, a, b, (b - a) / 2)
     value = hom(h, *b.as_integer_ratio())
     return (value > 0) - (value < 0)
 

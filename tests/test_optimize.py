@@ -480,6 +480,20 @@ def _same_root(a, b):
     return abs(a[1] - b[1]) <= 1e-9 and np.max(np.abs(a[0] - b[0])) <= 1e-9
 
 
+def _bisect(g, a, b, width):
+    """Sturm-only narrowing, the reference for a quadratic's closed form: halve
+    (a, b], which holds one root of the square-free g, by the sign of g until
+    b - a <= width; a root met exactly gives (root, root)."""
+    if not (side := poly.hom(g, *b.as_integer_ratio())):
+        return b, b
+    while b - a > width:
+        mid = (a + b) / 2
+        if not (value := poly.hom(g, *mid.as_integer_ratio())):
+            return mid, mid
+        a, b = (a, mid) if (value > 0) == (side > 0) else (mid, b)
+    return a, b
+
+
 # x^3 + y^5 + xy + z^N with N = 62284456, which took the no-root path before
 # its strata of one row and of m - 1 = 2 rows were solved exactly
 FORMER_NO_ROOT_SUPPORT = ((3, 0, 0), (0, 5, 0), (1, 1, 0), (0, 0, 62284456))
@@ -591,31 +605,39 @@ class TestUnivariateStrata:
         assert float(value) == former
 
     def test_one_elimination_per_line_stratum(self, monkeypatch):
-        # each stratum of m - 1 rows eliminates [S; e_j] once, for the column j
-        # of S's echelon form without a pivot: 105 line strata on the 65 A-D-E
-        # rows (trying j from the last column, each inverted twice)
+        # each stratum of m - 1 rows takes one elimination: _line eliminates
+        # [S; e_j] for the column j of S's echelon form without a pivot, and
+        # _ray, where S is 0 on class j, the square S without that column.  The
+        # 105 line strata of the 65 A-D-E rows are 25 lines and 80 rays
         ade = [row for row in GOLDEN["minimizers"] if row["label"][0] in "ADE"]
-        adjugate, line, calls, counts = optimize.adjugate, optimize._line, [0], []
+        adjugate, calls, counts = optimize.adjugate, [0], {"_line": [], "_ray": []}
 
         def counted(rows):
             calls[0] += 1
             return adjugate(rows)
 
-        def recorded(*args):
-            before = calls[0]
-            system = line(*args)
-            counts.append(calls[0] - before)
-            return system
+        def recorder(name):
+            solver = getattr(optimize, name)
+
+            def recorded(*args):
+                before = calls[0]
+                out = solver(*args)
+                counts[name].append(calls[0] - before)
+                return out
+
+            return recorded
 
         monkeypatch.setattr(optimize, "adjugate", counted)
-        monkeypatch.setattr(optimize, "_line", recorded)
+        for name in counts:
+            monkeypatch.setattr(optimize, name, recorder(name))
         for row in ade:
             minimize_hvol(_golden_model(row))
-        assert (len(ade), len(counts), set(counts)) == (65, 105, {1})
+        lines, rays = counts["_line"], counts["_ray"]
+        assert (len(ade), len(lines), len(rays), set(lines + rays)) == (65, 25, 80, {1})
 
     def test_linear_root_read_off(self):
         # the root -g_0 / g_1 of a linear square-free g, against Sturm isolation,
-        # narrowing to width 1 / lc(g) and the rational root test, on seeded g
+        # bisection to width 1 / lc(g) and the rational root test, on seeded g
         # and intervals, with roots exactly at lo and at hi and open bounds
         def sturm(g, lo, hi):
             bound = poly.root_bound(g)
@@ -623,26 +645,56 @@ class TestUnivariateStrata:
             hi = bound if hi is None else min(hi, bound)
             found = [(lo, lo)] if lo <= hi and not poly.hom(g, *lo.as_integer_ratio()) else []
             for a, b in poly.isolate(g, lo, hi) if lo < hi else ():
-                a, b = poly.narrow(g, a, b, F(1, g[-1]))
+                a, b = _bisect(g, a, b, F(1, abs(g[-1])))
                 root = a if a == b else poly.rational_root(g, a, b)
                 found.append((a, b) if root is None else (root, root))
             return found
+
+        def bounds(case, root, other, shift, rng):
+            return [
+                (root, root + shift),
+                (root - shift, root),
+                (min(root, other) - shift, max(root, other) + F(int(rng.integers(-20, 20)), int(rng.integers(1, 20)))),
+                (None, root + shift * int(rng.integers(-1, 2))),
+                (root - shift * int(rng.integers(-1, 2)), None),
+            ][case]
 
         rng, kinds = np.random.default_rng(11), set()
         for trial in range(600):
             g = poly.gcd([int(rng.integers(-300, 301)), int(rng.integers(1, 60))], [])
             root, shift = F(-g[0], g[1]), F(int(rng.integers(0, 20)), int(rng.integers(1, 20)))
-            lo, hi = [
-                (root, root + shift),
-                (root - shift, root),
-                (root - shift, root + F(int(rng.integers(-20, 20)), int(rng.integers(1, 20)))),
-                (None, root + shift * int(rng.integers(-1, 2))),
-                (root - shift * int(rng.integers(-1, 2)), None),
-            ][trial % 5]
+            lo, hi = bounds(trial % 5, root, root, shift, rng)
             found = optimize._roots_in(g, lo, hi)
             assert found == sturm(g, lo, hi), (g, lo, hi)
             kinds.add((trial % 5, bool(found)))
         assert kinds == {(k, hit) for k in range(5) for hit in (False, True)} - {(0, False), (1, False)}
+
+        # a square-free quadratic of either sign, its roots a rational pair or
+        # conjugate irrationals, read off its discriminant: the same rational
+        # roots as the Sturm route, and for an irrational one an interval in
+        # [lo, hi] at most 1 / |2 lc(g)| wide sharing the root of Sturm's
+        kinds = set()
+        for trial, g in enumerate(_seeded_quadratics(rng, 1000)):
+            # the bounds sit at a rational root, or at an end of the interval
+            # that isolates an irrational one
+            (root, _), (other, _) = sturm(g, None, None)[:: 1 if trial % 4 < 2 else -1]
+            shift = F(int(rng.integers(0, 20)), int(rng.integers(1, 20)))
+            lo, hi = bounds(trial // 2 % 5, root, other, shift, rng)
+            found, reference = optimize._roots_in(g, lo, hi), sturm(g, lo, hi)
+            assert len(found) == len(reference), (g, lo, hi)
+            for (a, b), (c, d) in zip(found, reference):
+                if c == d:
+                    assert (a, b) == (c, d), (g, lo, hi)
+                    continue
+                assert a < b <= a + F(1, 2 * abs(g[-1])) and (lo is None or lo <= a) and (hi is None or b <= hi)
+                left, right = max(a, c), min(b, d)
+                assert left < right and poly.hom(g, *left.as_integer_ratio()) * poly.hom(g, *right.as_integer_ratio()) < 0
+            kinds.add((trial // 2 % 5, trial % 2, len(found)))
+        # every bound case of both kinds of pair meets 0, 1 and 2 roots, but a
+        # rational root at lo or at hi is always met, and hi at the lower end
+        # of an irrational root's interval leaves that root out
+        everything = {(case, rational, count) for case in range(5) for rational in (0, 1) for count in range(3)}
+        assert kinds == everything - {(0, 1, 0), (1, 1, 0), (1, 0, 2)}
 
     def test_former_no_root_support(self):
         # the stratum {xy, z^N} gives the weight (1, 1, 2/N) and the value 4/N
@@ -694,6 +746,175 @@ class TestUnivariateStrata:
             klt += 1
             no_root += result.status == "not-converged"
         assert (klt, no_root) == (92, 1)
+
+
+def _sturm_sign_at(h, f, a, b):
+    """``poly.sign_at`` by Sturm sequences alone, with no reduction of h modulo f
+    and no closed form for a quadratic h: the second route for it."""
+    h = poly.trim(h)
+    if a != b and h:
+        if poly.sturm_count(poly.gcd(f, h), a, b):
+            return 0
+        chain = poly._sturm_chain(poly.gcd(poly.quotient(h, poly.gcd(h, poly.derivative(h))), []))
+        while poly._sign_changes(chain, a) != poly._sign_changes(chain, b):
+            a, b = poly.narrow(f, a, b, (b - a) / 2)
+    value = poly.hom(h, *b.as_integer_ratio())
+    return (value > 0) - (value < 0)
+
+
+def _seeded_quadratics(rng, count):
+    """Integer quadratics with two distinct real roots and either sign of lc,
+    every other one (odd places) a rational pair."""
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            x, y = (F(*rng.integers((-40, 1), (41, 13)).tolist()) for _ in range(2))
+            g = poly.mul([-x.numerator, x.denominator], [-y.numerator, y.denominator])
+        else:
+            g = rng.integers((-60, -60, 1), (61, 61, 30)).tolist()
+        disc = g[1] ** 2 - 4 * g[0] * g[2]
+        if disc > 0 and (math.isqrt(disc) ** 2 == disc) == bool(len(out) % 2):
+            out.append(g if rng.integers(2) else [-c for c in g])
+    return out
+
+
+class TestClosedFormStrata:
+    """A quadratic stratum polynomial is solved from its discriminant, and a line
+    stratum that leaves a class untouched is one ray; Sturm sequences, bisection,
+    100-digit decimals and ``_line`` are the second routes."""
+
+    def test_quadratic_narrow_and_squarefree(self):
+        # at each root of 300 seeded quadratics, in the interval Sturm isolates
+        # and in a bisected part of it, narrow to widths from twice the interval
+        # down to 2^-200 of it gives a part of (a, b], no wider than asked, on
+        # which g changes sign, and the rational root itself where there is
+        # one; squarefree of a quadratic, square-free or a square, is the gcd
+        # route's
+        rng, counts = np.random.default_rng(23), [0, 0]
+        for g in _seeded_quadratics(rng, 300):
+            bound = poly.root_bound(g)
+            for whole in poly.isolate(g, -bound, bound):
+                for a, b in {whole, _bisect(g, *whole, (whole[1] - whole[0]) / 1000)}:
+                    for k in () if a == b else (-1, 0, 1, 2, 7, 31, 60, 200):
+                        width = (b - a) * F(int(rng.integers(1, 100)), 99) / F(2) ** k
+                        low, high = poly.narrow(g, a, b, width)
+                        if low == high:
+                            assert a < low <= b and not poly.hom(g, *low.as_integer_ratio()), (g, a, b)
+                        else:
+                            assert a <= low < high <= b and high - low <= width, (g, a, b, width)
+                            assert poly.hom(g, *low.as_integer_ratio()) * poly.hom(g, *high.as_integer_ratio()) < 0
+                        counts[low == high] += 1
+            square = poly.mul(*[[int(rng.integers(-9, 10)), int(rng.integers(1, 9))]] * 2)
+            for f in (g, [3 * c for c in g], square, [-2 * c for c in square]):
+                assert poly.squarefree(f) == poly.gcd(poly.quotient(f, poly.gcd(f, poly.derivative(f))), []), f
+        assert counts == [4800, 4624]
+
+    def test_sign_at_quadratic_roots(self):
+        # the sign of h at each root of 200 seeded quadratics, on its Sturm
+        # interval and on a narrower one, for random h of degree 0 to 5, h = 0,
+        # multiples of g with and without a linear remainder, and linear h
+        # whose root sits at a, at b, on either side of the root inside (a, b]
+        # and outside: against h at the root in 100-digit decimals, or exactly
+        # at a rational root; 5797 cases, 1006 of them zeros
+        rng, counts = np.random.default_rng(29), {-1: 0, 0: 0, 1: 0}
+        with localcontext() as ctx:
+            ctx.prec = 100
+            for g in _seeded_quadratics(rng, 200):
+                (c, b, a), bound = g, poly.root_bound(g)
+                disc = Decimal(b * b - 4 * a * c).sqrt()
+                for lo, hi in poly.isolate(g, -bound, bound):
+                    near = poly.narrow(g, lo, hi, (hi - lo) / 2**40)
+                    exact = near[0] if near[0] == near[1] else None
+                    root = next(
+                        x for x in ((-b + sign * disc) / (2 * a) for sign in (-1, 1))
+                        if Decimal(lo.numerator) / lo.denominator < x <= Decimal(hi.numerator) / hi.denominator
+                    )
+                    tests = [rng.integers(-50, 51, size=int(rng.integers(1, 7))).tolist() for _ in range(6)]
+                    tests += [[], poly.mul(g, rng.integers(-9, 10, size=3).tolist())]
+                    tests += [poly.combine([(int(rng.integers(1, 9)), g), (1, [int(rng.integers(-9, 10)), 1])])]
+                    for z in {lo, hi, *near, lo - 1, hi + 1}:
+                        tests.append([-z.numerator, z.denominator])
+                    for h in tests:
+                        if exact is not None:
+                            value = poly.value(h, exact)
+                        else:
+                            value = poly.value([Decimal(x) for x in h], root) if h else Decimal(0)
+                            value = 0 if abs(value) < Decimal(10) ** -60 else value
+                        expected = (value > 0) - (value < 0)
+                        for ends in {(lo, hi), near}:
+                            assert poly.sign_at(h, g, *ends) == expected, (g, h, ends)
+                        counts[expected] += 1
+        assert counts == {-1: 2397, 0: 1006, 1: 2394}
+
+    def test_sign_at_matches_sturm_beyond_quadratics(self):
+        # at each real root, in or out of range, of a one-unknown stratum
+        # polynomial of degree 3 or more on the 400 seeded supports, on the
+        # interval Sturm isolates it in, the sign of every condition is the
+        # Sturm-only sign's: 140 roots, and 162 signs -1, 122 zeros and 257 +1
+        counts = [0, 0, 0, 0]
+        for support in seeded_supports(400):
+            problem = optimize._build_problem(Hypersurface(support))
+            m, n, sizes = len(problem.sizes), problem.model.dim, problem.sizes.astype(int).tolist()
+            rows = problem.rows.astype(int).tolist()
+            for subset in _strata(problem):
+                if len(subset) not in (1, m - 1) or len(subset) == m or any(sum(rows[i]) == 1 for i in subset):
+                    continue
+                system = (optimize._one_row if len(subset) == 1 else optimize._line)(rows, subset, sizes, n)
+                if system is None or len(f := poly.trim(system.f)) < 4 or len(g := poly.squarefree(f)) < 4:
+                    continue
+                bound = poly.root_bound(g)
+                for a, b in poly.isolate(g, -bound, bound):
+                    counts[0] += 1
+                    for h in system.conditions():
+                        assert poly.sign_at(h, g, a, b) == (sign := _sturm_sign_at(h, g, a, b)), (support, subset)
+                        counts[2 + sign] += 1
+        assert counts == [140, 162, 122, 257]
+
+    def test_ray_matches_line(self):
+        # every line stratum that leaves a class untouched, on the golden rows
+        # under both classings, the 400 seeded supports and the first 1000
+        # draws, klt or not: the ray's root is the valid root that _line finds
+        # through _roots_in, solve and holds, the same mu and s as Fractions and
+        # the same float u, and it has none where that route has none: 74 roots
+        # on 8988 such strata
+        golden = [_golden_model(row) for row in GOLDEN_ROWS]
+        cases = [(model, trivial) for model in golden for trivial in (False, True)]
+        cases += [(Hypersurface(s), False) for s in seeded_supports(400) + large_exponent_supports(1000)]
+        counts = [0, 0]
+        for model, trivial in cases:
+            problem = optimize._build_problem(model, trivial_classes=trivial)
+            n, sizes, rows = model.dim, problem.sizes.astype(int).tolist(), problem.rows.astype(int).tolist()
+            m = len(sizes)
+            for subset in _strata(problem):
+                if len(subset) != m - 1 or m < 3 or any(sum(rows[i]) == 1 for i in subset):
+                    continue
+                if not (untouched := [c for c in range(m) if not any(rows[i][c] for i in subset)]):
+                    continue
+                line, system = None, optimize._line(rows, subset, sizes, n)
+                for a, _ in optimize._roots_in(poly.trim(system.f), system.lo, system.hi) if system else ():
+                    root = system.solve(*(x := a.as_integer_ratio()))
+                    if root is not None and system.holds(root, *x):
+                        line = root
+                ray = optimize._ray(rows, subset, sizes, n, *untouched)
+                assert repr(ray) == repr(line), (model.support, subset)
+                counts[0] += 1
+                counts[1] += ray is not None
+        assert counts == [8988, 74]
+
+    def test_no_sturm_on_the_ade_rows(self, monkeypatch):
+        # every stratum polynomial of the 65 A-D-E rows has degree 2 at most, so
+        # none builds a Sturm chain or isolates roots (the former path built 52
+        # chains and isolated 20 times), and each answer keeps its golden bytes
+        calls = []
+        for name in ("_sturm_chain", "isolate"):
+            monkeypatch.setattr(poly, name, lambda *args, name=name: calls.append(name))
+        for row in ADE_GOLDEN_ROWS:
+            result = minimize_hvol(_golden_model(row))
+            assert ([_scalar_string(w) for w in result.weight], _scalar_string(result.value)) == (
+                row["weight"],
+                row["value"],
+            )
+        assert (len(ADE_GOLDEN_ROWS), calls) == (65, [])
 
 
 def seeded_supports(count, seed=7):
