@@ -23,7 +23,9 @@ integers too), and one exact pass over them (``_vertex_roots``) decides
 klt-ness and solves each full stratum, of m rows for m coordinate
 classes, at the one vertex where it is tight.  A stratum of one row, or
 of m - 1 rows, is one equation in one unknown, s or a parameter t of the
-line that S cuts out.  Where that line runs along a class S leaves
+line that S cuts out.  A linear monomial's row has its root at the
+standard blow-up, s = n and u = 1/n (on a class of size 1 every s is a
+root: a flat family).  Where the line runs along a class S leaves
 untouched it is a ray, and its root is one linear equation (``_ray``);
 ``_univariate_roots`` clears the others to an integer polynomial, reads
 the roots of a linear or quadratic one in closed form, finds those of
@@ -32,39 +34,28 @@ validity exactly, at a rational root on its own integers; a one-row
 stratum whose row, not a linear monomial, meets every class c in 0 or at
 least size_c is proved rootless and skipped (``_rootless``).  Every
 stratum of the A-D-E rows, whose polynomials have degree 2 at most and
-which have m <= 3, is of these kinds.  Newton solves the rest: the strata
-of 2 to m - 2 rows, those holding a linear monomial (the flat families)
-and those whose polynomial vanishes identically.  ``starts_used`` counts
-every stratum.  Newton's strata are solved by one batch of damped Newton
-runs, each stratum padded in front to the largest size, and the lowest
-klt-valid root of all wins.  Each step takes its first acceptable
-halving: every run tries its first halving within the cap, and only the
-runs it fails try the smaller ones, all in a second pass.  A run ends
-when it converges, when another start of its stratum converges (every
-start that converges reaches the one root of its stratum), when it runs
-off toward s = 0 or infinity (next to the cap on |log s| its step still
-points past it), when its multipliers leave |mu| <= 10^3, when an
-accepted step leaves it bitwise where it was (a fixed point, which an
-exactly zero step reaches at once), or when no halving of its step is
-acceptable; the batch stops when no run is live, or after 60 iterations.
-A run that stalls, at a fixed point or still live at the end, in a
-stratum where no run converged, counts where ``polish.proven_root``
-proves a box around one root from where it stopped, and takes that root:
-near a root of a large exponent the float residual can rest above the
-tolerance.  Weights are max-normalized.  A vertex root and a rational
-root of a one-unknown stratum are exact, and so are the weight and value
-there.  At an irrational root of one, as on the irrational D rows, the
-weight ratios and the value are products of powers of affine forms in
-the unknown, bounded on the root's isolating interval by their values at
-its ends, and they are the correctly rounded doubles where both bounds
-round to one (``_rounded``).  A Newton root's floats (mu, s) are rounded
-to the nearest rationals with denominator at most (2 _STEP_TOL)^(-1/2) =
-22360, and are the root where the stratum's residual is exactly zero
-there; otherwise the winning root is polished by Newton steps in
-fixed-point integers and enclosed in a box proved to hold one root
-(``polish``), and the weight and value are the correctly rounded doubles
-there.  The answer depends on the model alone: not on which start
-reached the root, nor on numpy's kernels.
+which have m <= 3, is of these kinds, so Newton runs on none of them.  It
+solves the rest, the strata of 2 to m - 2 rows and those of m - 1 rows
+holding a linear monomial or whose polynomial vanishes identically, in
+one batch of damped runs, each stratum padded in front to the largest
+size (``_newton`` says when a run ends).  A run that stalls in a stratum
+where no run converged counts where ``polish.proven_root`` proves a box
+around one root from where it stopped.  ``starts_used`` counts every
+stratum, and the lowest klt-valid root of all wins; weights are
+max-normalized.  A vertex root and a rational root of a one-unknown
+stratum are exact, and so are the weight and value there.  At an
+irrational root of one, as on the irrational D rows, the weight ratios
+and the value are products of powers of affine forms in the unknown; the
+root's isolating interval is narrowed once, until each form keeps its
+sign and both bounds from its ends round to one double, and the candidate
+carries those doubles (``_rounded``).  A Newton root's floats (mu, s) are
+rounded to the nearest rationals with denominator at most
+(2 _STEP_TOL)^(-1/2) = 22360, and are the root where the stratum's
+residual is exactly zero there; otherwise the winning root is polished
+by Newton steps in fixed-point integers and enclosed in a box proved to
+hold one root (``polish``), and the weight and value are the correctly
+rounded doubles there.  The answer depends on the model alone: not on
+which start reached the root, nor on numpy's kernels.
 """
 
 from __future__ import annotations
@@ -100,8 +91,8 @@ _LOG_S_CAP = 20.0
 # supports |mu| stayed below 54, about a twentieth of this bound, while runs
 # that never converge drift on to 1e7 and beyond
 _MU_BOUND = 1e3
-# narrowings of an irrational root's isolating interval, each by 2^-32, before
-# its answer is left to polish
+# narrowings of an irrational root's isolating interval, each by 2^-32 once every
+# factor keeps its sign, before its answer is left to polish
 _ROUNDS = 4
 _EPS = float(np.finfo(float).eps)
 
@@ -123,11 +114,14 @@ class MinimizationResult:
 
     ``weight`` is max-normalized; ``value`` is the normalized volume there
     (exact when the winning root is a vertex of R, a rational root of a
-    stratum in one unknown, or one where the stratum's residual vanishes
-    exactly at the rationals nearest its Newton root; otherwise each float
-    is the correctly rounded double of its value at that root, wherever the
+    stratum in one unknown, such as the standard blow-up on a linear
+    monomial, or one where the stratum's residual vanishes exactly at the
+    rationals nearest its Newton root; otherwise each float is the
+    correctly rounded double of its value at that root, wherever the
     isolating interval of an irrational root or, for a Newton root,
-    ``polish.polish_root`` decides it, as on every tested support).
+    ``polish.polish_root`` decides it, as on every tested support).  Where
+    roots tie within 1e-9 of the least value, as on the flat families of a
+    linear monomial, the lexicographically least weight wins.
     ``active_monomials`` lists the support exponents attaining the weighted
     order at the minimizer, exactly at an exact weight.  ``status`` is
     "not-converged" when no stratum has a klt-valid root, exact or from
@@ -180,11 +174,7 @@ def minimize_hvol(model: Model, seed: int = 0) -> MinimizationResult:
     strata = _strata(problem.rows, vertices)
     exact, rest = _univariate_roots(problem, [sub for sub in strata if len(sub) < len(problem.sizes)])
     roots += exact + _stationary_points(problem, rest)
-    if roots:
-        u, *root = best = _select_best(problem, roots)
-    else:  # as on x^3749 + y^34 + z^298140 + w^16 + yw; A > 0 at (1, ..., 1), as (1, ..., 1) / multiplicity lies in R
-        u, root, best = np.ones(len(problem.sizes)), None, None
-    weight, value = _finalize(problem, u, root, getattr(best, "rounded", None))
+    weight, value = _finalize(problem, _select_best(problem, roots) if roots else None)
     if isinstance(value, Fraction):  # the rows of the sorted, validated support at the least <e, weight>
         scale = math.lcm(*(w.denominator for w in weight))
         scaled = [w.numerator * (scale // w.denominator) for w in weight]
@@ -294,15 +284,15 @@ def _stationary_points(problem: _Problem, strata: list):
     """The klt-valid roots that Newton finds on the given tie strata.
 
     ``minimize_hvol`` passes the strata that no exact solve takes: those of
-    2 to m - 2 rows, and those of one row or m - 1 rows that hold a linear
-    monomial or whose polynomial vanishes identically (``_univariate_roots``).
-    Newton starts at the barycentre and the vertices of each multiplier
-    simplex, and a stratum's first root ends its other starts.  A stalled
-    run of a stratum with no converged run gives the root that
-    ``polish.proven_root`` proves from where it stopped, if any.  A root
-    counts if no monomial outside S is cheaper and, for |S| >= 2, the
-    multipliers are nonnegative, both within _TIE_TOL.  Each root is
-    (u, tie, mu, s), with the stratum's rows and multipliers unpadded.
+    2 to m - 2 rows, and those of m - 1 rows that hold a linear monomial or
+    whose polynomial vanishes identically (``_univariate_roots``).  Newton
+    starts at the barycentre and the vertices of each multiplier simplex,
+    and a stratum's first root ends its other starts.  A stalled run of a
+    stratum with no converged run gives the root that ``polish.proven_root``
+    proves from where it stopped, if any.  A root counts if no monomial
+    outside S is cheaper and the multipliers are nonnegative, both within
+    _TIE_TOL.  Each root is (u, tie, mu, s), with the stratum's rows and
+    multipliers unpadded.
     """
     n, sizes = problem.model.dim, problem.sizes
     solvable = sorted(strata, key=len)
@@ -312,7 +302,7 @@ def _stationary_points(problem: _Problem, strata: list):
     top, runs = len(solvable[-1]), []
     for label, subset in enumerate(solvable):  # one batch, each stratum padded in front to the largest size
         k = len(subset)
-        starts = [[1.0 / k] * k] + (np.eye(k).tolist() if k > 1 else [])
+        starts = [[1.0 / k] * k] + np.eye(k).tolist()
         runs += [(label, k, [0.0] * (top - k) + start, rows[[-1] * (top - k) + list(subset)]) for start in starts]
     stratum, size, mu, tie = (np.array(x) for x in zip(*runs))
     mu, s, found, stalled = _newton(tie, sizes, n, mu, size, stratum)
@@ -327,7 +317,7 @@ def _stationary_points(problem: _Problem, strata: list):
     mu, s, tie, size = mu[found], s[found], tie[found], size[found]
     ebar = np.einsum("bk,bkm->bm", mu, tie)
     u = sizes / (n * sizes + (s - n)[:, None] * ebar)
-    keep = (mu.min(axis=1) >= -_TIE_TOL) | (size == 1)
+    keep = mu.min(axis=1) >= -_TIE_TOL
     keep &= s * np.min(u @ problem.rows.T, axis=1) >= 1 - _TIE_TOL
     return [(u[i], tie[i, top - size[i] :], mu[i, top - size[i] :], s[i]) for i in np.flatnonzero(keep)]
 
@@ -439,10 +429,9 @@ class _System(NamedTuple):
     The roots worth reading lie in [lo, hi], where a bound of None is no
     bound.  ``solve`` maps a root x = a / b, b > 0, to (mu, s, u), u in
     floats, or to None where the system has no root, and the root is valid
-    where every polynomial of ``conditions()`` is >= 0.  At an irrational
-    root each affine quantity c0 + c1 x of ``quantities`` is read to 2^-55.
-    ``parts()`` gives u_c, up to one positive factor, for each class c and
-    the value prod((D_c / size_c)^size_c) / s, each as (coef, factors) for
+    where every polynomial of ``conditions()`` is >= 0.  ``parts()`` gives
+    u_c, up to one positive factor, for each class c and the value
+    prod((D_c / size_c)^size_c) / s, each as (coef, factors) for
     coef prod (c0 + c1 x)^k over the pairs ((c0, c1), k) of factors.
     """
 
@@ -450,14 +439,13 @@ class _System(NamedTuple):
     lo: Fraction | None
     hi: Fraction | None
     conditions: Callable[[], list]
-    quantities: list
     solve: Callable
     holds: Callable  # holds(root, a, b) decides conditions() at a rational root on its own integers
     parts: Callable[[], tuple]
 
 
 class _Isolated(tuple):
-    """A candidate (u, tie, mu, s) at an irrational root, with ``rounded``: ``_rounded`` on its interval."""
+    """A candidate (u, tie, mu, s) at an irrational root, with ``answer`` from ``_rounded`` (None: undecided)."""
 
 
 def _rootless(e, sizes) -> bool:
@@ -481,29 +469,33 @@ def _univariate_roots(problem: _Problem, strata: list):
     ``_line``) clears to an integer polynomial f, with square-free part g
     (f itself if linear); ``_roots_in`` reads the roots of a linear or
     quadratic g in closed form and isolates those of higher degree by Sturm
-    counts.  A rational
-    root of g has a denominator dividing lc(g), so once its interval is at
-    most 1 / lc(g) wide, the one multiple of 1 / lc(g) there is tested
-    exactly; such a root is exact, with no bound on its denominators, and
-    solved and judged valid (mu >= 0, no monomial cheaper) on integers.  At
-    an irrational root validity is the sign of polynomials, decided exactly
-    (``poly.sign_at``), and the root is read in floats where its quantities
-    are known to 2^-55 of themselves; the candidate keeps g and that
-    interval (``_Isolated``).  A stratum of one row that ``_rootless``
-    proves to have no root is skipped.  A stratum that holds a linear
-    monomial (a flat family, whose answer is the point Newton reaches), or
-    whose f vanishes identically, is left to Newton.  Returns the roots, as
-    ``_stationary_points`` gives them, and the strata left.
+    counts.  A rational root of g has a denominator dividing lc(g), so once
+    its interval is at most 1 / lc(g) wide, the one multiple of 1 / lc(g)
+    there is tested exactly; such a root is exact, with no bound on its
+    denominators, and solved and judged valid (mu >= 0, no monomial
+    cheaper) on integers.  At an irrational root validity is the sign of
+    polynomials, decided exactly (``poly.sign_at``), and the root is read
+    once on its narrowed interval: in floats at its midpoint, and as the
+    correctly rounded answer that the candidate carries (``_rounded``,
+    ``_Isolated``).  The row e of a linear monomial has the root mu = (1),
+    s = n: there D_c = n size_c, u_c = 1/n and s <e', u> = deg e' >= 1 for
+    every row.  A stratum of one row that ``_rootless`` proves to have no
+    root is skipped.  A stratum of m - 1 rows that holds a linear monomial,
+    or whose f vanishes identically, is left to Newton.  Returns the roots,
+    as ``_stationary_points`` gives them, and the strata left.
     """
     m, roots, rest = len(problem.sizes), [], []
     n, sizes, rows = problem.model.dim, [int(c) for c in problem.sizes], problem.rows.astype(int).tolist()
     for subset in strata:
+        tie = problem.rows[list(subset)]
+        if len(subset) == 1 and sum(rows[subset[0]]) == 1:
+            roots.append((np.full(m, 1 / n), tie, [Fraction(1)], Fraction(n)))
+            continue
         if len(subset) not in (1, m - 1) or any(sum(rows[i]) == 1 for i in subset):
             rest.append(subset)
             continue
         if len(subset) == 1 and _rootless(rows[subset[0]], sizes):
             continue
-        tie = problem.rows[list(subset)]
         if len(subset) > 1 and (untouched := [c for c in range(m) if not any(rows[i][c] for i in subset)]):
             if (root := _ray(rows, subset, sizes, n, untouched[0])) is not None:
                 roots.append((np.array(root[2]), tie, *root[:2]))
@@ -521,10 +513,10 @@ def _univariate_roots(problem: _Problem, strata: list):
             if a != b:  # read in floats near an irrational root where the signs hold
                 conditions = conditions or system.conditions()
                 if all(poly.sign_at(h, g, a, b) >= 0 for h in conditions):
-                    a, b = _refine(g, a, b, system.quantities)
+                    a, b, answer = _rounded(system.parts, g, a, b, problem.owner)
                     mu, s, u = system.solve(*((a + b) / 2).as_integer_ratio())
                     roots.append(root := _Isolated((np.array(u), tie, np.array(mu, dtype=float), float(s))))
-                    root.rounded = functools.partial(_rounded, system.parts, g, a, b, int(np.argmax(u)))
+                    root.answer = answer
             elif (root := system.solve(*(x := a.as_integer_ratio()))) is not None and system.holds(root, *x):
                 roots.append((np.array(root[2]), tie, *root[:2]))
     return roots, rest
@@ -586,7 +578,6 @@ def _one_row(rows, subset, sizes, n):
     lo = max([Fraction(0)] + [Fraction(-d[0], d[1]) for d in denom if d[1]])
     return _System(
         cleared(e), lo, None, lambda: [cleared(other) for other in rows if other is not e],
-        [[0, 1], *(d for d in denom if d[1])],  # u_c = size_c / D_c at s = a / b > lo
         lambda a, b: ([Fraction(1)], Fraction(a, b), [size * b / (x * a + c * b) for size, (c, x) in zip(sizes, denom)])
         if a * lo.denominator > lo.numerator * b else None,
         holds,
@@ -680,7 +671,7 @@ def _line(rows, subset, sizes, n):
         poly.combine([(1, poly.mul([s0, s1], sums)), (-n * s1, product)]),
         max((Fraction(-c0, c1) for c0, c1 in bounds if c1 > 0), default=None),
         min((Fraction(-c0, c1) for c0, c1 in bounds if c1 < 0), default=None),
-        conditions, [[a, x] for a, x in zip(p, d) if x] + [[s0, s1], [s0 - n * q, s1]], solve,
+        conditions, solve,
         lambda root, a, b: min(root[0]) >= 0,
         lambda: (  # u_c = w_c / s, so the value is q (s0 + s1 t)^n / prod((p_c + t d_c)^size_c)
             [(1, [([a, x], 1)]) for a, x in zip(p, d)],
@@ -689,53 +680,45 @@ def _line(rows, subset, sizes, n):
     )
 
 
-def _refine(f, a: Fraction, b: Fraction, quantities) -> tuple[Fraction, Fraction]:
-    """A part of (a, b], which holds one irrational root of the square-free integer f, on
-    which every quantity c0 + c1 x with c1 != 0 keeps its sign and is within 2^-55 of
-    itself at the root."""
-    while True:
-        width = b - a
-        for c0, c1 in (q for q in quantities if q[1]):
-            left, right = c0 + c1 * a, c0 + c1 * b
-            width = min(width, min(abs(left), abs(right)) / abs(c1) / 2**55 if left * right > 0 else (b - a) / 2)
-        if width == b - a:
-            return a, b
-        a, b = poly.narrow(f, a, b, width)
+def _rounded(parts, g, a: Fraction, b: Fraction, owner):
+    """Narrow (a, b], which holds one irrational root of the square-free integer g, and
+    read the max-normalized weight and the value there as correctly rounded doubles.
 
-
-def _rounded(parts, g, a: Fraction, b: Fraction, top: int, owner):
-    """The max-normalized weight and the value at the irrational root of g in (a, b], as
-    correctly rounded doubles, or None if _ROUNDS narrowings leave them undecided.
-
-    The affine factors of ``_System.parts`` keep their sign on [a, b]
-    (``_refine``) and are positive at a valid root, so each integer power of
-    one is monotone there and its values at a and b bound it; so they bound
-    u_c, u_c / u_top for the class top largest in floats, and the value.
-    float(Fraction) is correctly rounded, so where both bounds round to one
-    double, that is the answer.  The weight counts only where u_c <= u_top
-    for every class, unless u_c and u_top are one product.
+    The interval is halved, with no cap, until every affine factor
+    c0 + c1 x, c1 != 0, of ``_System.parts`` keeps its sign on [a, b].  The
+    factors are positive at a valid root, so each integer power of one is
+    monotone on [a, b] and its values at a and b bound it; so they bound
+    u_c, u_c / u_top for the class top of the largest lower bound, and the
+    value.  float(Fraction) is
+    correctly rounded, so where both bounds round to one double, that is the
+    answer.  The weight counts only where u_c <= u_top for every class,
+    unless u_c and u_top are one product.  Returns the interval and the
+    answer, or None for it if _ROUNDS narrowings, each by 2^-32, leave it
+    undecided.
     """
     weights, value = parts()
+    products = (*weights, value)
+    factors = {tuple(f) for _, product in products for f, _ in product if f[1]}
+    while any((c0 + c1 * a) * (c0 + c1 * b) <= 0 for c0, c1 in factors):
+        a, b = poly.narrow(g, a, b, (b - a) / 2)
 
-    def bounds(coef, factors):  # of coef prod f^k on [a, b], or None where a factor f is not positive
+    def bounds(coef, factors):  # of coef prod f^k on [a, b]
         lo = hi = Fraction(coef)
         for (c0, c1), k in factors:
-            if min(ends := (c0 + c1 * a, c0 + c1 * b)) <= 0:
-                return None
-            low, high = sorted(x**k for x in ends)
+            low, high = sorted((c0 + c1 * x) ** k for x in (a, b))
             lo, hi = lo * low, hi * high
         return lo, hi
 
     for _ in range(_ROUNDS):
-        if None in (ranges := [bounds(*product) for product in (*weights, value)]):
-            return None
+        ranges = [bounds(*product) for product in products]
+        top = max(range(len(weights)), key=lambda c: ranges[c][0])
         low, high = ranges[top]
         ratios = [(1, 1) if own == weights[top] else (lo / high, hi / low) for own, (lo, hi) in zip(weights, ranges)]
         *weight, value_at = [float(lo) for lo, _ in ratios + ranges[-1:]]
         if [float(hi) for _, hi in ratios + ranges[-1:]] == [*weight, value_at] and max(hi for _, hi in ratios) <= 1:
-            return tuple(weight[c] for c in owner), value_at
+            return a, b, (tuple(weight[c] for c in owner), value_at)
         a, b = poly.narrow(g, a, b, (b - a) / 2**32)
-    return None
+    return a, b, None
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -871,16 +854,17 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
 # exact answers
 
 
-def _finalize(problem: _Problem, u: np.ndarray, root, rounded=None):
-    """The winning weight, max-normalized, and its value.
+def _finalize(problem: _Problem, best):
+    """The weight of the winning candidate (u, tie, mu, s), max-normalized, and its value.
 
-    At an irrational root of a one-unknown stratum, ``rounded`` (of the
-    ``_Isolated`` candidate) gives the correctly rounded doubles from the
-    interval that isolates the root; no rationals near it can zero the
-    residual, so it skips the step below.  Past its narrowings, or at a
-    Newton root, a float root (tie, mu, s) is rounded to the nearest
-    rationals with denominator at most (2 _STEP_TOL)^(-1/2), which lie
-    2 _STEP_TOL apart or more; an exact
+    With no candidate (``best`` None, as on x^3749 + y^34 + z^298140 + w^16
+    + yw) the weight is (1, ..., 1), where A > 0 as (1, ..., 1) / multiplicity
+    lies in R.  An ``_Isolated`` candidate carries the correctly rounded
+    doubles that the interval isolating its irrational root decided; no
+    rationals near it can zero the residual, so it skips the step below.
+    Past those narrowings, or at a Newton root, a float root (tie, mu, s) is
+    rounded to the nearest rationals with denominator at most
+    (2 _STEP_TOL)^(-1/2), which lie 2 _STEP_TOL apart or more; an exact
     root, from a vertex of R or a rational root of a one-unknown stratum,
     is taken as it is.  Where the stratum's residual is exactly zero there,
     with every D_c > 0, the weight u / max(u) and the value
@@ -889,12 +873,12 @@ def _finalize(problem: _Problem, u: np.ndarray, root, rounded=None):
     doubles at the root or, undecided, the float answer stands.
     """
     model = problem.model
-    if root is None:
+    if best is None:
         weight = (Fraction(1),) * model.ambient_dim
         return weight, core.normalized_volume(model, weight).normalized_volume
-    if rounded is not None and (answer := rounded(problem.owner)) is not None:
-        return answer
-    tie, mu, s = root
+    if getattr(best, "answer", None):  # an _Isolated candidate that _rounded decided
+        return best.answer
+    u, tie, mu, s = best
     sizes, bound = [int(c) for c in problem.sizes], int((2 * _STEP_TOL) ** -0.5)
     exact = [*mu, s] if isinstance(s, Fraction) else [Fraction(float(v)).limit_denominator(bound) for v in (*mu, s)]
     # a root exactly where sum(mu) = 1, every D_c > 0 and s <e, u> = 1 on the stratum, u_c = size_c / D_c

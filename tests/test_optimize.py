@@ -77,13 +77,45 @@ class TestMinimizeHypersurface:
         # at the minimizer all four monomials tie
         assert len(result.active_monomials) == 4
 
-    def test_flat_family_reports_most_tied_point(self):
-        # k = 1: any last coordinate in (0, 2] minimizes; the reported
+    @pytest.mark.parametrize(
+        "model, weight",
+        [
+            (a_singularity(3, 1), (F(1, 2), F(1, 2), F(1, 2), F(1))),
+            *(("seeded " + str(i), (F(1), F(1, 2), F(1, 2), F(1, 2))) for i in (8, 13, 22, 38, 47)),
+        ],
+        ids=["A n=3 k=1", *("seeded " + str(i) for i in (8, 13, 22, 38, 47))],
+    )
+    def test_flat_family_reports_most_tied_point(self, model, weight):
+        # A n=3 k=1: any last coordinate in (0, 2] minimizes; the reported
         # weight is the lexicographically smallest normalized one, where
-        # the quadratic monomials tie with the linear one
-        result = minimize_hvol(a_singularity(3, 1), seed=0)
-        assert result.weight == (F(1, 2), F(1, 2), F(1, 2), F(1))
+        # the quadratic monomials tie with the linear one.  On the seeded
+        # flat families the linear monomial's own root (1, 1, 1, 1) ties with
+        # a two-row root (1, 1/2, 1/2, 1/2) at the value 27, which must win;
+        # a Newton root on the linear monomial, (0.9999999999999998, 1, 1, 1),
+        # won by its last bit
+        if isinstance(model, str):
+            model = _golden_model(_golden_row(model))
+        result = minimize_hvol(model, seed=0)
+        assert result.weight == weight
         assert result.value == 27
+
+    def test_least_weight_among_the_least_finalized_values(self):
+        # the second route for _select_best, on every 20th of the 1216 flat
+        # families made by adding a linear monomial on each coordinate in turn
+        # to seeded_supports(300, seed=13): every candidate root finalized
+        # alone, the answer is the least finalized value and, among the
+        # candidates of that value, the lexicographically least weight
+        for support in linear_augmented_supports(seeded_supports(300, seed=13))[::20]:
+            model = Hypersurface(support, allow_smooth_germ=True)
+            problem = optimize._build_problem(model)
+            vertices = optimize._vertices(problem.rows)
+            strata = optimize._strata(problem.rows, vertices)
+            exact, rest = optimize._univariate_roots(problem, [sub for sub in strata if len(sub) < len(problem.sizes)])
+            roots = optimize._vertex_roots(problem, vertices) + exact + optimize._stationary_points(problem, rest)
+            answers = [optimize._finalize(problem, root) for root in roots]
+            least = min(value for _, value in answers)
+            result = minimize_hvol(model)
+            assert repr((result.weight, result.value)) == repr(min(a for a in answers if a[1] == least)), support
 
     def test_irrational_d_entry(self):
         n = 2
@@ -460,9 +492,9 @@ class TestVertexRoots:
 
 @functools.cache
 def _univariate_both_routes(label):
-    """Per one-unknown stratum of a golden row, of one row or of m - 1 rows and
-    no linear monomial: its exact roots (mu, s), and the valid roots that
-    Newton converges to on the same strata."""
+    """Per stratum of a golden row that ``_univariate_roots`` solves exactly,
+    of one row or of m - 1 rows without a linear monomial: its exact roots
+    (mu, s), and the valid roots that Newton converges to on the same strata."""
     row = next(row for row in KLT_GOLDEN_ROWS if row["label"] == label)
     problem = optimize._build_problem(_golden_model(row))
     m = len(problem.sizes)
@@ -536,8 +568,9 @@ class TestUnivariateStrata:
                 assert any(_same_root(root, other) for other in roots), stratum
 
     def test_root_counts_and_exact_residuals(self):
-        # 681 one-unknown strata on the 130 klt rows hold 59 valid roots, 49 of
-        # them rational; the stratum's residual is exactly 0 at each of those
+        # 697 one-unknown strata on the 130 klt rows hold 75 valid roots, 65 of
+        # them rational, 16 of those at s = n on a linear monomial; the
+        # stratum's residual is exactly 0 at each rational root
         counts = [0, 0, 0]
         for row in KLT_GOLDEN_ROWS:
             problem, solved, (exact, _) = _univariate_both_routes(row["label"])
@@ -550,11 +583,12 @@ class TestUnivariateStrata:
                         counts[2] += 1
                         g, _, denom, _ = polish._residual([list(e) for e in stratum], sizes, problem.model.dim, mu, s)
                         assert not any(g) and min(denom) > 0, stratum
-        assert counts == [681, 59, 49]
+        assert counts == [697, 75, 65]
 
-    def test_newton_runs_only_beside_a_linear_monomial(self, monkeypatch):
-        # of the 65 A-D-E rows, only the five A rows with k = 1, whose z is
-        # linear, still reach Newton; E7 n=1's {y^3 z, x^2} runs no longer wander
+    def test_newton_runs_on_no_ade_row(self, monkeypatch):
+        # no A-D-E row reaches Newton: the five A rows with k = 1, whose z is
+        # linear, took it for their one-row stratum {z}, which is now solved at
+        # s = n; E7 n=1's {y^3 z, x^2} runs no longer wander
         ade = [row for row in GOLDEN["minimizers"] if row["label"][0] in "ADE"]
         newton, current, reached = optimize._newton, [None], set()
 
@@ -566,8 +600,15 @@ class TestUnivariateStrata:
         for row in ade:
             current[0] = row["label"]
             minimize_hvol(_golden_model(row))
-        assert len(ade) == 65
-        assert reached == {f"A n={n} k=1" for n in range(2, 7)}
+        assert (len(ade), reached) == (65, set())
+
+    def test_no_one_row_stratum_reaches_newton(self):
+        # a one-row stratum is solved at s = n (a linear monomial), proved
+        # rootless or solved as one polynomial, so no Newton run on the golden
+        # rows, the 400 seeded supports or the first 1000 draws holds one;
+        # Newton still runs on strata of two rows and more there
+        sizes = {size for *_, runs in _finalized() for size in runs}
+        assert min(sizes) == 2
 
     @pytest.mark.parametrize(
         "support, weight, value, former",
@@ -937,6 +978,15 @@ def seeded_supports(count, seed=7):
     return supports
 
 
+def linear_augmented_supports(supports):
+    """Each support with one linear monomial x_i added, for each coordinate i in turn."""
+    return [
+        tuple(dict.fromkeys(support + (tuple(int(j == i) for j in range(len(support[0]))),)))
+        for support in supports
+        for i in range(len(support[0]))
+    ]
+
+
 def _float_rank_strata(rows, vertices):
     """The strata as ``_strata`` chose them before its test was exact: one
     stacked float ``np.linalg.matrix_rank`` of the difference rows per size."""
@@ -1021,7 +1071,7 @@ class TestExactRoots:
         # a vertex root and a rational root are ranked by their exact value,
         # rounded once: the value of core.normalized_volume at the exact weight
         # size_c / D_c; the float formula misses it in the last bits on about
-        # half of the 121 exact candidates of the klt golden rows (69 on
+        # half of the 137 exact candidates of the klt golden rows (69 on
         # numpy's default kernels, 70 on its baseline ones)
         counts = [0, 0]
         for row in KLT_GOLDEN_ROWS:
@@ -1041,7 +1091,7 @@ class TestExactRoots:
                 denom = model.dim * problem.sizes + (float(s) - model.dim) * (np.asarray(mu, dtype=float) @ tie)
                 counts[0] += 1
                 counts[1] += float(np.prod((denom / problem.sizes) ** problem.sizes)) / float(s) != float(value)
-        assert counts[0] == 121 and 50 <= counts[1] <= 90
+        assert counts[0] == 137 and 50 <= counts[1] <= 90
 
 
 def _scalar_string(value):
@@ -1191,7 +1241,7 @@ class TestPolish:
             floats.append((mu + ulps * np.spacing(mu), s - ulps * np.spacing(s)))
         for mu, s in floats:
             if expected.exact:
-                answer = optimize._finalize(problem, u, (tie, mu, s))
+                answer = optimize._finalize(problem, (u, tie, mu, s))
             else:
                 answer = polish.polish_root(tie, mu, s, problem.sizes, problem.owner, problem.model.dim)
             assert repr(answer) == repr((expected.weight, expected.value))
@@ -1269,17 +1319,25 @@ class TestPolish:
 @functools.cache
 def _finalized():
     """Per klt model of the golden rows, the 400 seeded supports and the first
-    1000 draws: the model, its answer and the arguments that ``_finalize`` took."""
+    1000 draws: the model, its answer, the arguments that ``_finalize`` took
+    and the stratum size of every run that ``_newton`` took."""
     models = [_golden_model(row) for row in KLT_GOLDEN_ROWS]
     models += [Hypersurface(s) for s in seeded_supports(400) + large_exponent_supports(1000)]
     answers = []
-    with mock.patch.object(optimize, "_finalize", wraps=optimize._finalize) as finalize:
+    with (
+        mock.patch.object(optimize, "_finalize", wraps=optimize._finalize) as finalize,
+        mock.patch.object(optimize, "_newton", wraps=optimize._newton) as newton,
+    ):
         for model in models:
+            calls = finalize.call_count, newton.call_count
             try:
-                answers.append((model, minimize_hvol(model)))
-            except NonKltModelError:  # raised before _finalize runs
+                result = minimize_hvol(model)
+            except NonKltModelError:  # raised before _newton and _finalize run
                 continue
-    return [(*answer, call.args) for answer, call in zip(answers, finalize.call_args_list, strict=True)]
+            assert finalize.call_count == calls[0] + 1
+            runs = [size for call in newton.call_args_list[calls[1] :] for size in call.args[4].tolist()]
+            answers.append((model, result, finalize.call_args.args, runs))
+    return answers
 
 
 FLOAT_GOLDEN_ROWS = [row for row in KLT_GOLDEN_ROWS if "." in row["value"]]
@@ -1292,17 +1350,17 @@ class TestIsolatedRounding:
 
     def test_polish_agrees_at_every_isolated_winner(self):
         # 23 irrational winners: the 10 float golden rows, 3 of the seeded
-        # supports and 10 of the draws; polish at the same float root gives
-        # the bytes of the interval answer, which minimize_hvol returns
+        # supports and 10 of the draws; each carries the interval answer,
+        # which minimize_hvol returns, and polish at its float root gives
+        # the same bytes
         labels = []
-        for model, result, (problem, u, root, rounded) in _finalized():
-            if rounded is None:
+        for model, result, (problem, best), _ in _finalized():
+            if not isinstance(best, optimize._Isolated):
                 continue
-            tie, mu, s = root
-            answer = rounded(problem.owner)
-            assert repr(answer) == repr((result.weight, result.value)), model.support
+            assert repr(best.answer) == repr((result.weight, result.value)), model.support
+            _, tie, mu, s = best
             polished = polish.polish_root(tie, mu, s, problem.sizes, problem.owner, problem.model.dim)
-            assert repr(polished) == repr(answer), model.support
+            assert repr(polished) == repr(best.answer), model.support
             labels.append(model.support)
         assert all(_golden_model(row).support in labels for row in FLOAT_GOLDEN_ROWS)
         assert (len(FLOAT_GOLDEN_ROWS), len(labels)) == (10, 23)
@@ -1322,17 +1380,27 @@ class TestIsolatedRounding:
         assert (len(rows), calls) == (69, [])
 
     def test_past_the_cap_the_former_path_gives_the_same_bytes(self, monkeypatch):
-        # with no narrowing allowed, every isolated winner is left undecided
-        # and takes the path from before interval rounding, the snap to small
-        # rationals and then polish, which gives the same bytes
-        calls, polish_root = [], polish.polish_root
+        # an isolated winner left undecided takes the path from before
+        # interval rounding, the snap to small rationals and then polish, from
+        # its floats at the interval's midpoint: the same bytes.  With no
+        # narrowing allowed, _rounded leaves every interval of those models
+        # undecided
+        calls, polish_root, rounded, answers = [], polish.polish_root, optimize._rounded, []
         monkeypatch.setattr(polish, "polish_root", lambda *args: calls.append(args) or polish_root(*args))
-        monkeypatch.setattr(optimize, "_ROUNDS", 0)
-        isolated = [(result, args) for _, result, args in _finalized() if args[-1] is not None]
-        for result, (problem, u, root, rounded) in isolated:
-            assert rounded(problem.owner) is None
-            assert repr(optimize._finalize(problem, u, root, rounded)) == repr((result.weight, result.value))
+        isolated = [entry[:3] for entry in _finalized() if isinstance(entry[2][1], optimize._Isolated)]
+        for _, result, (problem, best) in isolated:
+            assert repr(optimize._finalize(problem, tuple(best))) == repr((result.weight, result.value))
         assert len(calls) == len(isolated) == 23
+
+        def recorded(*args):
+            answers.append((out := rounded(*args))[2])
+            return out
+
+        monkeypatch.setattr(optimize, "_ROUNDS", 0)
+        monkeypatch.setattr(optimize, "_rounded", recorded)
+        for model, _, _ in isolated:
+            minimize_hvol(model)
+        assert len(answers) >= len(isolated) and not any(answers)
 
 
 class TestActiveMonomials:
@@ -1342,7 +1410,7 @@ class TestActiveMonomials:
         # input and pairs on Fractions (on floats within its tolerance), gives
         # the same rows on every answer, exact or float
         counts = {True: 0, False: 0}
-        for model, result, _ in _finalized():
+        for model, result, *_ in _finalized():
             assert result.active_monomials == core.active_monomials(result.weight, model.support), model.support
             counts[result.exact] += 1
         assert counts == {True: 607, False: 55}
@@ -1608,14 +1676,14 @@ class TestRootlessStrata:
         # classes of sizes (3, 1, 1) as in D n=3 k=4, each row alone: the
         # squares' row (2, 0, 0) has its root at s = 1; z^4, y^2 z and x1 x2 x3
         # have every e_c >= size_c and no root; a linear monomial (a flat
-        # family, s <e, u> = 1 at every s) is left to Newton
+        # family, s <e, u> = 1 at every s) has its root at s = n = 4
         problem = optimize._build_problem(d_singularity(3, 4))
         found = {}
         for row in [(2, 0, 0), (0, 0, 1), (0, 0, 4), (0, 2, 1), (3, 0, 0)]:
             alone = dataclasses.replace(problem, rows=np.array([row], dtype=float))
             roots, rest = optimize._univariate_roots(alone, [(0,)])
             found[row] = "newton" if rest else [s for *_, s in roots]
-        assert found == {(2, 0, 0): [1], (0, 0, 1): "newton", (0, 0, 4): [], (0, 2, 1): [], (3, 0, 0): []}
+        assert found == {(2, 0, 0): [1], (0, 0, 1): [4], (0, 0, 4): [], (0, 2, 1): [], (3, 0, 0): []}
 
     def test_rootless_strata_skip_newton(self, monkeypatch):
         # on D n=3 k=4 the one-monomial strata are z^4 and y^2 z, which have
