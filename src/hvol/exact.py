@@ -48,18 +48,19 @@ def common_denominator(values: Sequence[Fraction]) -> int:
 
 
 def adjugate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list], Scalar]:
-    """The adjugate and determinant of B, with adj B = det I, by one fraction-free elimination.
+    """The adjugate and determinant of the square B, with adj B = det I, by one fraction-free elimination.
 
     Each row is scaled to integers by the lcm s_i of its denominators, and
     [S B | I] is reduced by fraction-free Gauss-Jordan elimination (Bareiss,
     Math. Comp. 22, 1968), in which every division is exact, to
-    [D I | D (S B)^-1] for D = +-det(S B).  Both are integers when every entry
-    is, Fractions otherwise.  Given k < m rows of length m, B is the rows
-    completed by the unit rows e_c of the columns c that hold no pivot of
-    their echelon form, as the elimination meets them; a singular B, or rows
-    of rank below k, raise ZeroDivisionError.
+    [D I | D (S B)^-1] for D = +-det(S B); a row already 0 in a pivot
+    column is only rescaled there.  Both are integers when every entry is,
+    Fractions otherwise.  A singular B raises ZeroDivisionError, and rows
+    that do not make a square matrix raise ValueError.
     """
-    m, scale = (len(rows[0]) if rows else 0), [1] * len(rows)
+    m, scale = len(rows), [1] * len(rows)
+    if any(len(row) != m for row in rows):
+        raise ValueError("adjugate needs a square matrix")
     if not all(isinstance(x, int) for row in rows for x in row):  # scaled to integers row by row
         fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
         scale = [common_denominator(row) for row in fracs]
@@ -67,18 +68,17 @@ def adjugate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list], Scalar]:
     mat = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
     previous, sign = 1, 1
     for col in range(m):
-        pivot = next((r for r in range(col, len(mat)) if mat[r][col]), None)
+        pivot = next((r for r in range(col, m) if mat[r][col]), None)
         if pivot is None:
-            if len(mat) == m:
-                raise ZeroDivisionError("matrix is singular")
-            # e_col, scaled as the elimination so far has scaled every row of factor 0
-            pivot = len(mat)
-            mat.append([previous * (c in (col, m + pivot)) for c in range(2 * m)])
-            scale.append(1)
+            raise ZeroDivisionError("matrix is singular")
         if pivot != col:
             mat[col], mat[pivot], sign = mat[pivot], mat[col], -sign
         lead, head = mat[col], mat[col][col]
-        mat = [r if r is lead else [(x * head - r[col] * y) // previous for x, y in zip(r, lead)] for r in mat]
+        for i, r in enumerate(mat):
+            if r is not lead and (factor := r[col]):
+                mat[i] = [(x * head - factor * y) // previous for x, y in zip(r, lead)]
+            elif r is not lead and head != previous:  # already 0 in the pivot column: only rescaled
+                mat[i] = [x * head // previous for x in r]
         previous = head
     if (den := math.prod(scale)) == 1:
         return [[sign * x for x in row[m:]] for row in mat], sign * previous

@@ -17,45 +17,48 @@ S, ebar = sum_{e in S} mu_e e, A normalized to 1 and s = 1/v,
 
 which is |S| unknowns whatever the ambient dimension.  Coordinates that
 play identical roles in f (``symmetrize``) get equal weights.  The
-vertices of R = {u >= 0 : <e, u> >= 1}, integers over one determinant
-(``exact.adjugate``), give the strata worth solving (``_strata``, on
-integers too), and one exact pass over them (``_vertex_roots``) decides
-klt-ness and solves each full stratum, of m rows for m coordinate
-classes, at the one vertex where it is tight.  A stratum of one row, or
-of m - 1 rows, is one equation in one unknown, s or a parameter t of the
-line that S cuts out.  A linear monomial's row has its root at the
-standard blow-up, s = n and u = 1/n (on a class of size 1 every s is a
-root: a flat family).  Where the line runs along a class S leaves
-untouched it is a ray, and its root is one linear equation (``_ray``);
-``_univariate_roots`` clears the others to an integer polynomial, reads
-the roots of a linear or quadratic one in closed form, finds those of
-degree 3 and up by Sturm sequences, a rational root exactly, and decides
-validity exactly, at a rational root on its own integers; a one-row
-stratum whose row, not a linear monomial, meets every class c in 0 or at
-least size_c is proved rootless and skipped (``_rootless``).  Every
-stratum of the A-D-E rows, whose polynomials have degree 2 at most and
-which have m <= 3, is of these kinds, so Newton runs on none of them.  It
-solves the rest, the strata of 2 to m - 2 rows and those of m - 1 rows
-holding a linear monomial or whose polynomial vanishes identically, in
-one batch of damped runs, each stratum padded in front to the largest
-size (``_newton`` says when a run ends).  A run that stalls in a stratum
-where no run converged counts where ``polish.proven_root`` proves a box
-around one root from where it stopped.  ``starts_used`` counts every
-stratum, and the lowest klt-valid root of all wins; weights are
-max-normalized.  A vertex root and a rational root of a one-unknown
-stratum are exact, and so are the weight and value there.  At an
-irrational root of one, as on the irrational D rows, the weight ratios
-and the value are products of powers of affine forms in the unknown; the
-root's isolating interval is narrowed once, until each form keeps its
-sign and both bounds from its ends round to one double, and the candidate
-carries those doubles (``_rounded``).  A Newton root's floats (mu, s) are
-rounded to the nearest rationals with denominator at most
-(2 _STEP_TOL)^(-1/2) = 22360, and are the root where the stratum's
-residual is exactly zero there; otherwise the winning root is polished
-by Newton steps in fixed-point integers and enclosed in a box proved to
-hold one root (``polish``), and the weight and value are the correctly
-rounded doubles there.  The answer depends on the model alone: not on
-which start reached the root, nor on numpy's kernels.
+vertices of R = {u >= 0 : <e, u> >= 1}, integers over one determinant,
+come with the adjugate of each feasible basis from one elimination
+(``exact.adjugate``), the only one on the exact path: the strata worth
+solving are the subsets of the bases' rows (``_strata``), and one exact
+pass over the vertices (``_vertex_roots``) decides klt-ness and solves
+each full stratum, of m rows for m coordinate classes, at the one vertex
+where it is tight.  A stratum of one row, or of m - 1 rows, is one
+equation in one unknown, s or a parameter t of the line that S cuts out,
+read off the adjugate of a basis that holds S (``_line_inverse``).  A
+linear monomial's row has its root at the standard blow-up, s = n and u =
+1/n (on a class of size 1 every s is a root: a flat family).  Where the
+line runs along a class S leaves untouched it is a ray, and its root is
+one linear equation (``_ray``); ``_univariate_roots`` clears the others
+to an integer polynomial, reads the roots of a linear or quadratic one in
+closed form, finds those of degree 3 and up by Sturm sequences, a
+rational root exactly, and decides validity exactly, at a rational root
+on its own integers; a one-row stratum whose row, not a linear monomial,
+meets every class c in 0 or at least size_c is proved rootless and
+skipped (``_rootless``).  Every stratum of the A-D-E rows, whose
+polynomials have degree 2 at most and which have m <= 3, is of these
+kinds, so Newton runs on none of them.  It solves the rest, the strata of
+2 to m - 2 rows and those of m - 1 rows holding a linear monomial or
+whose polynomial vanishes identically, in one batch of damped runs, each
+stratum padded in front to the largest size (``_newton`` says when a run
+ends).  A run that stalls in a stratum where no run converged counts
+where ``polish.proven_root`` proves a box around one root from where it
+stopped.  ``starts_used`` counts every stratum, and the lowest klt-valid
+root of all wins; weights are max-normalized.  A vertex root and a
+rational root of a one-unknown stratum are exact, and so are the weight
+and value there.  At an irrational root of one, as on the irrational D
+rows, the weight ratios and the value are products of powers of affine
+forms in the unknown; the root's isolating interval is narrowed once,
+until each form keeps its sign and both bounds from its ends, integer
+quotients, round to one double, and the candidate carries those doubles
+(``_rounded``).  A Newton root's floats (mu, s) are rounded to the
+nearest rationals with denominator at most (2 _STEP_TOL)^(-1/2) = 22360,
+and are the root where the stratum's residual is exactly zero there;
+otherwise the winning root is polished by Newton steps in fixed-point
+integers and enclosed in a box proved to hold one root (``polish``), and
+the weight and value are the correctly rounded doubles there.  The answer
+depends on the model alone: not on which start reached the root, nor on
+numpy's kernels.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def minimize_hvol(model: Model, seed: int = 0) -> MinimizationResult:
     vertices = _vertices(problem.rows)
     roots = _vertex_roots(problem, vertices)
     strata = _strata(problem.rows, vertices)
-    exact, rest = _univariate_roots(problem, [sub for sub in strata if len(sub) < len(problem.sizes)])
+    exact, rest = _univariate_roots(problem, {sub: v for sub, v in strata.items() if len(sub) < len(problem.sizes)})
     roots += exact + _stationary_points(problem, rest)
     weight, value = _finalize(problem, _select_best(problem, roots) if roots else None)
     if isinstance(value, Fraction):  # the rows of the sorted, validated support at the least <e, weight>
@@ -322,35 +325,37 @@ def _stationary_points(problem: _Problem, strata: list):
     return [(u[i], tie[i, top - size[i] :], mu[i, top - size[i] :], s[i]) for i in np.flatnonzero(keep)]
 
 
-def _strata(rows: np.ndarray, vertices: list):
-    """Index sets of at most m affinely independent rows tight at one vertex of R.
+def _strata(rows: np.ndarray, vertices: list) -> dict:
+    """The nonempty subsets of the rows of a basis of R's vertices, each with one such basis.
 
     The face {w in R : <e, w> = 1 for e in F} of R, for the active set F
-    of a minimizer u, holds u / v(u) and, being pointed, a vertex of R.
+    of a minimizer u, holds u / v(u) and, being pointed, a vertex w of R.
     By Caratheodory ebar lies in the hull of an affinely independent
     subset of F, and m + 1 independent ties in m variables force u = 0.
-    Distinct rows are independent in pairs; more are tested on integers,
-    and rows tight at w are then linearly independent too.
+    Rows tight at w are affinely independent iff linearly independent (a
+    linear dependence sum l_i e_i = 0 pairs with w to sum l_i = 0, so it is
+    affine), and the constraints tight at a vertex span R^m, so independent
+    tight rows extend by tight constraints to a basis of w, which
+    ``_vertices`` returns as it returns every feasible basis.  So the
+    strata are exactly the nonempty subsets of the bases' rows; each maps
+    to the last vertex (basis, adj, det, W) whose basis holds it, sorted by
+    subset.
     """
-    m, ints = rows.shape[1], rows.astype(int).tolist()
-    tight = {tuple(i for i, e in enumerate(ints) if sum(map(operator.mul, e, w)) == det) for *_, det, w in vertices}
-    subsets = sorted({sub for t in tight for k in range(min(m, len(t))) for sub in itertools.combinations(t, k + 1)})
-
-    def independent(sub):  # ``adjugate`` raises on k difference rows of rank below k
-        try:
-            return bool(adjugate([[x - y for x, y in zip(ints[i], ints[sub[0]])] for i in sub[1:]]))
-        except ZeroDivisionError:
-            return False
-
-    return [sub for sub in subsets if len(sub) < 3 or independent(sub)]
+    count, strata = len(rows), {}
+    for vertex in vertices:
+        tied = [i for i in vertex[0] if i < count]
+        strata.update((sub, vertex) for k in range(len(tied)) for sub in itertools.combinations(tied, k + 1))
+    return dict(sorted(strata.items()))
 
 
 def _vertices(rows: np.ndarray):
-    """The vertices W / det of R = {u >= 0 : rows @ u >= 1}, a basis of each, det > 0.
+    """The vertices W / det of R = {u >= 0 : rows @ u >= 1}, with every feasible basis of each, det > 0.
 
     A basis indexes m independent tight constraints, rows before the
     coordinates u_c = 0, and holds a row.  Batches bound the memory.  Each
-    feasible basis gives (basis, adj, det, W) with W = adj 1 over its rows.
+    feasible basis gives (basis, adj, det, W) with W = adj 1 over its rows,
+    from the one elimination (``adjugate``) that the strata and their
+    lines and rays read too.
     """
     count, m = rows.shape
     constraints = np.vstack([rows, np.eye(m)])
@@ -461,7 +466,7 @@ def _rootless(e, sizes) -> bool:
     return all(x == 0 or x >= size for x, size in zip(e, sizes))
 
 
-def _univariate_roots(problem: _Problem, strata: list):
+def _univariate_roots(problem: _Problem, strata: dict):
     """Solve exactly the strata of one row or of m - 1 rows, one equation in one unknown each.
 
     A stratum of m - 1 rows that are all 0 on one class is a ray, whose root
@@ -481,12 +486,14 @@ def _univariate_roots(problem: _Problem, strata: list):
     s = n: there D_c = n size_c, u_c = 1/n and s <e', u> = deg e' >= 1 for
     every row.  A stratum of one row that ``_rootless`` proves to have no
     root is skipped.  A stratum of m - 1 rows that holds a linear monomial,
-    or whose f vanishes identically, is left to Newton.  Returns the roots,
-    as ``_stationary_points`` gives them, and the strata left.
+    or whose f vanishes identically, is left to Newton.  ``strata`` maps
+    each stratum to a vertex whose basis holds it, as ``_strata`` does.
+    Returns the roots, as ``_stationary_points`` gives them, and the strata
+    left.
     """
     m, roots, rest = len(problem.sizes), [], []
     n, sizes, rows = problem.model.dim, [int(c) for c in problem.sizes], problem.rows.astype(int).tolist()
-    for subset in strata:
+    for subset, vertex in strata.items():
         tie = problem.rows[list(subset)]
         if len(subset) == 1 and sum(rows[subset[0]]) == 1:
             roots.append((np.full(m, 1 / n), tie, [Fraction(1)], Fraction(n)))
@@ -496,11 +503,11 @@ def _univariate_roots(problem: _Problem, strata: list):
             continue
         if len(subset) == 1 and _rootless(rows[subset[0]], sizes):
             continue
-        if len(subset) > 1 and (untouched := [c for c in range(m) if not any(rows[i][c] for i in subset)]):
-            if (root := _ray(rows, subset, sizes, n, untouched[0])) is not None:
+        if len(subset) > 1 and not all(any(rows[i][c] for i in subset) for c in range(m)):
+            if (root := _ray(rows, subset, sizes, n, vertex)) is not None:
                 roots.append((np.array(root[2]), tie, *root[:2]))
             continue
-        system = (_one_row if len(subset) == 1 else _line)(rows, subset, sizes, n)
+        system = _one_row(rows, subset, sizes, n) if len(subset) == 1 else _line(rows, subset, sizes, n, vertex)
         if system is None:  # R misses the stratum's line
             continue
         if not (f := poly.trim(system.f)):
@@ -585,14 +592,16 @@ def _one_row(rows, subset, sizes, n):
     )
 
 
-def _ray(rows, subset, sizes, n, j):
+def _ray(rows, subset, sizes, n, vertex):
     """The root (mu, s, u) of the stratum of m - 1 rows S that are all 0 on class j, or None.
 
-    S cuts out the ray w_K = S_K^-1 1, w_j = t, for the other classes K, and
-    one elimination of the square S_K (``adjugate``) gives w_K = W / q with
-    q = |det S_K|.  The root condition of ``_line`` for the direction e_j,
-    <ebar, e_j> = 0, reads s = n t, and with s = sum_K size w + size_j t - 1
-    it is linear: t = (sum_K size_c w_c - 1) / N for N = n - size_j, which is
+    S cuts out the ray w_K = S_K^-1 1, w_j = t, for the other classes K.
+    e_j spans the directions S leaves free, so j is the column that
+    ``_line_inverse`` finds, and the (K, S) block of its M = q [S; e_j]^-1
+    is q S_K^-1: w_K = W / q for W that block's row sums.  The root
+    condition of ``_line`` for the direction e_j, <ebar, e_j> = 0, reads
+    s = n t, and with s = sum_K size w + size_j t - 1 it is linear:
+    t = (sum_K size_c w_c - 1) / N for N = n - size_j, which is
     sum_K size - 1 >= 1 as S has m - 1 >= 2 rows.  Over N q, w_K = N W,
     w_j = T and s = n T for T = sum_K size W - q.  The root is valid under
     ``_line``'s checks: w > 0, <e, w> >= 1 for every row, and
@@ -601,9 +610,9 @@ def _ray(rows, subset, sizes, n, j):
     class c of K meets a row e of S, where e_c w_c <= <e, w> = 1, so w_K <= 1
     and t = 1 would need w_K = 1, each row of S then summing to 1.
     """
+    ops, q, j = _line_inverse(subset, vertex)
+    adj = [row[:-1] for c, row in enumerate(ops) if c != j]
     others = [c for c in range(len(sizes)) if c != j]
-    adj, q = adjugate([[rows[i][c] for c in others] for i in subset])
-    adj, q = (adj, q) if q > 0 else ([[-x for x in row] for row in adj], -q)
     w, big = [sum(row) for row in adj], n - sizes[j]  # w_c = W_c / q on K, and N
     t = sum(sizes[c] * x for c, x in zip(others, w)) - q  # T, for the root t = T / (N q)
     if min(w) <= 0 or t <= 0:
@@ -621,27 +630,50 @@ def _ray(rows, subset, sizes, n, j):
     return [Fraction(x, product * (t - big * q)) for x in top], Fraction(n * t, big * q), u
 
 
-def _line(rows, subset, sizes, n):
+def _line_inverse(subset, vertex):
+    """M = q [S; e_j]^-1, q > 0 and j for m - 1 rows S in the basis B = S + {c} of a
+    vertex (basis, adj, det, W), read off adj(B), with no elimination of its own.
+
+    The column a of adj(B) for c has S a = 0, so it spans the directions S
+    leaves free, and j = max{c' : a_c' != 0} is the column of S's echelon
+    form without a pivot.  With adj(B) B = det(B) I, det(B) > 0, the columns
+    of M for S are a_j adj(B)_S - a adj(B)_jS and its last is det(B) a, all
+    times the sign of a_j: then [S; e_j] M = q I for q = det(B) |a_j|.
+    """
+    basis, adj, det, _ = vertex
+    i = next(i for i, b in enumerate(basis) if b not in subset)
+    free = [row[i] for row in adj]
+    j = max(c for c, x in enumerate(free) if x)
+    sign, pivot = (1 if free[j] > 0 else -1), adj[j][:i] + adj[j][i + 1 :]
+    ops = [
+        [sign * (free[j] * x - y * z) for x, z in zip(row[:i] + row[i + 1 :], pivot)] + [sign * det * y]
+        for row, y in zip(adj, free)
+    ]
+    return ops, sign * det * free[j], j
+
+
+def _line(rows, subset, sizes, n, vertex):
     """The system of m - 1 rows S: a polynomial in t.
 
-    The rows are independent (``_strata``), so B = [S; e_j] is
-    invertible for the column j of S's echelon form without a pivot, and one
-    elimination (``adjugate``) gives M = q B^-1 for q = +-det(B) > 0.  Then
-    <e, w> = 1 on S is the line w = B^-1 (1, ..., 1, t) = (p + t d) / q with
-    t = w_j, for p the sum of M's first m - 1 columns and d its last.  At a
-    root w = u / v lies on the line in R, and s = sum(size w) - 1; from u,
+    B' = [S; e_j] is invertible for the column j of S's echelon form
+    without a pivot, and ``_line_inverse`` reads M = q B'^-1, q > 0, off the
+    adjugate of a basis of ``vertex`` that holds S.  Then <e, w> = 1 on S
+    is the line w = B'^-1 (1, ..., 1, t) = (p + t d) / q with t = w_j, for
+    p the sum of M's first m - 1 columns and d its last.  At a root
+    w = u / v lies on the line in R, and s = sum(size w) - 1; from u,
     ebar_c = size_c (s / w_c - n) / (s - n), and as sum(size) = n + 1,
     <ebar, w> = 1 at every w.  So the root condition, ebar in span S or
     <ebar, d> = 0, reads s sum_c d_c size_c / w_c = n <d, size>, cleared
-    over the classes d touches.  Then (mu, 0) = B^-T ebar, so
+    over the classes d touches.  Then (mu, 0) = B'^-T ebar, so
     mu_k = sum_c M_ck ebar_c / q, where row j of M is q e_m, and
     sum(mu) = <ebar, w> = 1.  R cuts the line where w >= 0 and
     <e, w> >= 1 for every row, so a root there makes no monomial cheaper;
     it needs w > 0, s != n (which holds only at w = (1, ..., 1), where S
-    would hold a linear monomial) and mu >= 0.
+    would hold a linear monomial) and mu >= 0.  M, p, d and q are fixed by
+    S and j up to one positive factor, in which every polynomial here is
+    homogeneous, so the basis chosen changes no answer.
     """
-    k, (ops, q) = len(subset), adjugate([rows[i] for i in subset])
-    ops, q = (ops, q) if q > 0 else ([[-x for x in row] for row in ops], -q)
+    (ops, q, _), k = _line_inverse(subset, vertex), len(subset)
     p, d = [sum(row[:k]) for row in ops], [row[k] for row in ops]
     s0, s1 = sum(map(operator.mul, sizes, p)) - q, sum(map(operator.mul, sizes, d))
     product, sums = _products([([x * size], [a, x]) for a, x, size in zip(p, d, sizes) if x])
@@ -689,33 +721,47 @@ def _rounded(parts, g, a: Fraction, b: Fraction, owner):
     factors are positive at a valid root, so each integer power of one is
     monotone on [a, b] and its values at a and b bound it; so they bound
     u_c, u_c / u_top for the class top of the largest lower bound, and the
-    value.  float(Fraction) is
-    correctly rounded, so where both bounds round to one double, that is the
-    answer.  The weight counts only where u_c <= u_top for every class,
-    unless u_c and u_top are one product.  Returns the interval and the
-    answer, or None for it if _ROUNDS narrowings, each by 2^-32, leave it
-    undecided.
+    value.  Each bound is an integer quotient, over powers of the common
+    denominator Q of a = A / Q and b = B / Q, and int / int is correctly
+    rounded, so where both bounds round to one double, that is the answer.
+    The weight counts only where u_c <= u_top for every class, unless u_c
+    and u_top are one product.  Returns the interval and the answer, or
+    None for it if _ROUNDS narrowings, each by 2^-32, leave it undecided.
     """
     weights, value = parts()
     products = (*weights, value)
     factors = {tuple(f) for _, product in products for f, _ in product if f[1]}
-    while any((c0 + c1 * a) * (c0 + c1 * b) <= 0 for c0, c1 in factors):
+
+    def at(c0, c1):  # Q and the sorted Q (c0 + c1 x) at x = a and x = b, for the common denominator Q of a and b
+        scale = math.lcm(a.denominator, b.denominator)
+        return scale, *sorted(c0 * scale + c1 * x.numerator * (scale // x.denominator) for x in (a, b))
+
+    while any(low * high <= 0 for _, low, high in (at(*f) for f in factors)):
         a, b = poly.narrow(g, a, b, (b - a) / 2)
 
-    def bounds(coef, factors):  # of coef prod f^k on [a, b]
-        lo = hi = Fraction(coef)
-        for (c0, c1), k in factors:
-            low, high = sorted((c0 + c1 * x) ** k for x in (a, b))
-            lo, hi = lo * low, hi * high
+    def bounds(coef, factors):  # of coef prod f^k on [a, b], each an integer (numerator, denominator)
+        lo = hi = coef.numerator, coef.denominator
+        for f, k in factors:
+            scale, low, high = at(*f)
+            (ln, ld), (hn, hd) = ((low, scale), (high, scale)) if k > 0 else ((scale, high), (scale, low))
+            lo, hi = (lo[0] * ln ** abs(k), lo[1] * ld ** abs(k)), (hi[0] * hn ** abs(k), hi[1] * hd ** abs(k))
         return lo, hi
 
+    def over(x, y):  # x / y, of (numerator, denominator) pairs
+        return x[0] * y[1], x[1] * y[0]
+
     for _ in range(_ROUNDS):
-        ranges = [bounds(*product) for product in products]
-        top = max(range(len(weights)), key=lambda c: ranges[c][0])
+        ranges, top = [bounds(*product) for product in products], 0
+        for c, (lo, _) in enumerate(ranges[: len(weights)]):  # the first largest lower bound
+            top = c if lo[0] * ranges[top][0][1] > ranges[top][0][0] * lo[1] else top
         low, high = ranges[top]
-        ratios = [(1, 1) if own == weights[top] else (lo / high, hi / low) for own, (lo, hi) in zip(weights, ranges)]
-        *weight, value_at = [float(lo) for lo, _ in ratios + ranges[-1:]]
-        if [float(hi) for _, hi in ratios + ranges[-1:]] == [*weight, value_at] and max(hi for _, hi in ratios) <= 1:
+        ratios = [
+            ((1, 1), (1, 1)) if own == weights[top] else (over(lo, high), over(hi, low))
+            for own, (lo, hi) in zip(weights, ranges)
+        ]
+        *weight, value_at = [num / den for (num, den), _ in ratios + ranges[-1:]]
+        highs = [num / den for _, (num, den) in ratios + ranges[-1:]]
+        if highs == [*weight, value_at] and all(num <= den for _, (num, den) in ratios):
             return a, b, (tuple(weight[c] for c in owner), value_at)
         a, b = poly.narrow(g, a, b, (b - a) / 2**32)
     return a, b, None
@@ -845,9 +891,10 @@ def _select_best(problem: _Problem, candidates: list) -> tuple:
     Each value is read off its root (``_Problem.root_value``), exactly at an exact root.
     """
     values = [problem.root_value(*root) for _, *root in candidates]
-    window = min(values) + 1e-9 * max(1.0, abs(min(values)))
-    ties = [(tuple(problem.expand(u) / np.max(u)), i) for i, (u, *_) in enumerate(candidates)]
-    return candidates[min(tie for tie in ties if values[tie[1]] <= window)[1]]
+    window, owner = min(values) + 1e-9 * max(1.0, abs(min(values))), problem.owner.tolist()
+    fulls = (root[0].tolist() for root in candidates)  # each full weight is u[c] / max(u), in plain floats
+    ties = ((tuple(u[c] / max(u) for c in owner), i) for i, u in enumerate(fulls) if values[i] <= window)
+    return candidates[min(ties)[1]]
 
 
 # ---------------------------------------------------------------------------

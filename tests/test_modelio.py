@@ -91,14 +91,13 @@ class TestRationals:
         assert 20 <= singular <= 150
 
     def test_adjugate_integer_path(self):
-        # all-int rows skip the per-row scaling to integers; on seeded integer
-        # matrices of size 1-5, square or of k < m rows, the answer is that of
-        # the same rows as Fractions, and rows of rank below k raise on both
+        # all-int rows skip the per-row scaling to integers; on seeded square
+        # integer matrices of size 1-5, the answer is that of the same rows as
+        # Fractions, and a singular matrix raises on both
         rng, singular = random.Random(9), 0
         for trial in range(400):
             m = rng.randint(1, 5)
-            k = m if trial % 2 else rng.randint(1, m)
-            rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)]
+            rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
             fractions = [[F(x) for x in row] for row in rows]
             try:
                 expected = adjugate(fractions)
@@ -111,13 +110,14 @@ class TestRationals:
             assert {type(x) for row in adjugate(rows)[0] for x in row} | {type(adjugate(rows)[1])} == {int}
         assert 30 <= singular <= 200
 
-    def test_adjugate_completes_rows_at_their_free_columns(self):
-        # k < m rows are completed by the unit rows of the columns where their
-        # echelon form has no pivot; rows of rank below k raise
-        assert adjugate([[1, 1, 0], [0, 0, 1]]) == adjugate([[1, 1, 0], [0, 0, 1], [0, 1, 0]])
-        assert adjugate([[0, 2, 1]]) == adjugate([[0, 2, 1], [1, 0, 0], [0, 0, 1]])
-        with pytest.raises(ZeroDivisionError):
-            adjugate([[1, 2, 3], [2, 4, 6]])
+    def test_adjugate_rejects_non_square(self):
+        # rows that do not make a square matrix raise ValueError, whatever
+        # their rank; det_fraction and inverse_fraction pass it on
+        shapes = ([[1, 1, 0], [0, 0, 1]], [[0, 2, 1]], [[1, 2, 3], [2, 4, 6]], [[1, 0], [0, 1], [1, 1]], [[1, 0], [0]])
+        for rows in shapes:
+            for call in (adjugate, det_fraction, inverse_fraction):
+                with pytest.raises(ValueError, match="square"):
+                    call(rows)
 
 
 class TestSchema:

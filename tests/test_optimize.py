@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -110,7 +111,8 @@ class TestMinimizeHypersurface:
             problem = optimize._build_problem(model)
             vertices = optimize._vertices(problem.rows)
             strata = optimize._strata(problem.rows, vertices)
-            exact, rest = optimize._univariate_roots(problem, [sub for sub in strata if len(sub) < len(problem.sizes)])
+            smaller = {sub: v for sub, v in strata.items() if len(sub) < len(problem.sizes)}
+            exact, rest = optimize._univariate_roots(problem, smaller)
             roots = optimize._vertex_roots(problem, vertices) + exact + optimize._stationary_points(problem, rest)
             answers = [optimize._finalize(problem, root) for root in roots]
             least = min(value for _, value in answers)
@@ -219,6 +221,13 @@ ADE_UP_TO_AMBIENT_4 = {
 
 def _strata(problem):
     return optimize._strata(problem.rows, optimize._vertices(problem.rows))
+
+
+def _system(rows, subset, sizes, n, vertex):
+    """The one-unknown system of a stratum of one row or of m - 1 rows."""
+    if len(subset) == 1:
+        return optimize._one_row(rows, subset, sizes, n)
+    return optimize._line(rows, subset, sizes, n, vertex)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "minimizer_golden.json").read_text())
@@ -498,7 +507,7 @@ def _univariate_both_routes(label):
     row = next(row for row in KLT_GOLDEN_ROWS if row["label"] == label)
     problem = optimize._build_problem(_golden_model(row))
     m = len(problem.sizes)
-    strata = [sub for sub in _strata(problem) if len(sub) in (1, m - 1) and len(sub) < m]
+    strata = {sub: v for sub, v in _strata(problem).items() if len(sub) in (1, m - 1) and len(sub) < m}
     exact, rest = optimize._univariate_roots(problem, strata)
     key = lambda tie: tuple(map(tuple, tie.astype(int).tolist()))  # noqa: E731
     routes, newton = ({}, {}), optimize._stationary_points(problem, [sub for sub in strata if sub not in rest])
@@ -645,13 +654,15 @@ class TestUnivariateStrata:
         assert value == core.normalized_volume(model, weight).normalized_volume
         assert float(value) == former
 
-    def test_one_elimination_per_line_stratum(self, monkeypatch):
-        # each stratum of m - 1 rows takes one elimination: _line eliminates
-        # [S; e_j] for the column j of S's echelon form without a pivot, and
-        # _ray, where S is 0 on class j, the square S without that column.  The
-        # 105 line strata of the 65 A-D-E rows are 25 lines and 80 rays
+    def test_one_elimination_per_vertex_basis(self, monkeypatch):
+        # the 65 A-D-E rows make 90 eliminations, one per feasible basis that
+        # _vertices returns: _strata reads the strata off those bases, and
+        # _line and _ray read each of the 105 line strata, 25 lines and 80
+        # rays, off the adjugate of a basis that holds it (230 eliminations
+        # before: 35 independence tests in _strata, and one per line stratum)
         ade = [row for row in GOLDEN["minimizers"] if row["label"][0] in "ADE"]
-        adjugate, calls, counts = optimize.adjugate, [0], {"_line": [], "_ray": []}
+        adjugate, calls = optimize.adjugate, [0]
+        counts = {name: [] for name in ("_vertices", "_strata", "_line", "_ray")}
 
         def counted(rows):
             calls[0] += 1
@@ -673,8 +684,9 @@ class TestUnivariateStrata:
             monkeypatch.setattr(optimize, name, recorder(name))
         for row in ade:
             minimize_hvol(_golden_model(row))
-        lines, rays = counts["_line"], counts["_ray"]
-        assert (len(ade), len(lines), len(rays), set(lines + rays)) == (65, 25, 80, {1})
+        made = {name: sum(calls) for name, calls in counts.items()}
+        assert (len(ade), calls[0], made) == (65, 90, {"_vertices": 90, "_strata": 0, "_line": 0, "_ray": 0})
+        assert (len(counts["_line"]), len(counts["_ray"])) == (25, 80)
 
     def test_linear_root_read_off(self):
         # the root -g_0 / g_1 of a linear square-free g, against Sturm isolation,
@@ -897,10 +909,10 @@ class TestClosedFormStrata:
             problem = optimize._build_problem(Hypersurface(support))
             m, n, sizes = len(problem.sizes), problem.model.dim, problem.sizes.astype(int).tolist()
             rows = problem.rows.astype(int).tolist()
-            for subset in _strata(problem):
+            for subset, vertex in _strata(problem).items():
                 if len(subset) not in (1, m - 1) or len(subset) == m or any(sum(rows[i]) == 1 for i in subset):
                     continue
-                system = (optimize._one_row if len(subset) == 1 else optimize._line)(rows, subset, sizes, n)
+                system = _system(rows, subset, sizes, n, vertex)
                 if system is None or len(f := poly.trim(system.f)) < 4 or len(g := poly.squarefree(f)) < 4:
                     continue
                 bound = poly.root_bound(g)
@@ -917,30 +929,41 @@ class TestClosedFormStrata:
         # draws, klt or not: the ray's root is the valid root that _line finds
         # through _roots_in, solve and holds, the same mu and s as Fractions and
         # the same float u, and it has none where that route has none: 74 roots
-        # on 8988 such strata
+        # on 8988 such strata.  On all 11641 line strata there, the M and
+        # q > 0 that both read off the adjugate of a vertex basis give
+        # M / q = adj / det for an explicit adjugate of [S; e_j], with j the
+        # last class where the line's direction d is not 0
         golden = [_golden_model(row) for row in GOLDEN_ROWS]
         cases = [(model, trivial) for model in golden for trivial in (False, True)]
         cases += [(Hypersurface(s), False) for s in seeded_supports(400) + large_exponent_supports(1000)]
-        counts = [0, 0]
+        counts = [0, 0, 0]
         for model, trivial in cases:
             problem = optimize._build_problem(model, trivial_classes=trivial)
             n, sizes, rows = model.dim, problem.sizes.astype(int).tolist(), problem.rows.astype(int).tolist()
             m = len(sizes)
-            for subset in _strata(problem):
-                if len(subset) != m - 1 or m < 3 or any(sum(rows[i]) == 1 for i in subset):
+            for subset, vertex in _strata(problem).items():
+                if len(subset) != m - 1:
                     continue
-                if not (untouched := [c for c in range(m) if not any(rows[i][c] for i in subset)]):
+                # M = q B^-1 and adj(B) = det(B) B^-1 for B = [S; e_j], with q > 0
+                ops, q, j = optimize._line_inverse(subset, vertex)
+                adj, det = optimize.adjugate([rows[i] for i in subset] + [[int(c == j) for c in range(m)]])
+                assert q > 0 and all(x * det == y * q for a, b in zip(ops, adj) for x, y in zip(a, b))
+                assert max(c for c in range(m) if ops[c][-1]) == j
+                counts[2] += 1
+                if m < 3 or any(sum(rows[i]) == 1 for i in subset):
                     continue
-                line, system = None, optimize._line(rows, subset, sizes, n)
+                if all(any(rows[i][c] for i in subset) for c in range(m)):
+                    continue
+                line, system = None, optimize._line(rows, subset, sizes, n, vertex)
                 for a, _ in optimize._roots_in(poly.trim(system.f), system.lo, system.hi) if system else ():
                     root = system.solve(*(x := a.as_integer_ratio()))
                     if root is not None and system.holds(root, *x):
                         line = root
-                ray = optimize._ray(rows, subset, sizes, n, *untouched)
+                ray = optimize._ray(rows, subset, sizes, n, vertex)
                 assert repr(ray) == repr(line), (model.support, subset)
                 counts[0] += 1
                 counts[1] += ray is not None
-        assert counts == [8988, 74]
+        assert counts == [8988, 74, 11641]
 
     def test_no_sturm_on_the_ade_rows(self, monkeypatch):
         # every stratum polynomial of the 65 A-D-E rows has degree 2 at most, so
@@ -1001,36 +1024,44 @@ def _float_rank_strata(rows, vertices):
 
 
 class TestExactStrata:
-    """Affine independence of the rows tight at a vertex is decided on integers."""
+    """The strata are the subsets of the rows of R's vertex bases, affinely
+    independent tight rows; a float rank of the tight sets' subsets is the
+    second route."""
 
     def test_same_strata_as_the_float_rank(self):
-        # the 142 golden rows and 4000 draws, klt or not: the exact test keeps
-        # the 88592 strata that the float rank kept, and rejects the same 20
-        # affinely dependent subsets
-        models = [_golden_model(row) for row in GOLDEN_ROWS] + [Hypersurface(s) for s in large_exponent_supports(4000)]
+        # the 142 golden rows, the 400 seeded supports (m up to 5) and 4000
+        # draws, klt or not: the subsets of the bases' rows are the 97674
+        # strata that the float rank keeps, and it rejects 46 affinely
+        # dependent subsets of the tight sets (20 of them on the golden rows
+        # and the draws)
+        models = [_golden_model(row) for row in GOLDEN_ROWS]
+        models += [Hypersurface(s) for s in seeded_supports(400) + large_exponent_supports(4000)]
         counts = [0, 0]
         for model in models:
             problem = optimize._build_problem(model)
             vertices = optimize._vertices(problem.rows)
-            strata = optimize._strata(problem.rows, vertices)
+            strata = list(optimize._strata(problem.rows, vertices))
             floats, subsets = _float_rank_strata(problem.rows, vertices)
             assert strata == floats, model.support
             counts[0] += len(strata)
             counts[1] += subsets - len(strata)
-        assert (len(models), counts) == (4142, [88592, 20])
+        assert (len(models), counts) == (4542, [97674, 46])
 
     def test_dependent_rows_are_no_stratum(self):
         # x^2 + y^2 + xy + z^2, one class per coordinate: all four rows are
         # tight at w = (1/2, 1/2, 1/2), and xy is the midpoint of x^2 and y^2,
         # so that triple is no stratum, while every other subset of at most
-        # three rows is one; _line never sees dependent rows
+        # three rows is one; _line never sees dependent rows.  The triple is
+        # singular, so no basis of _vertices holds it
         problem = optimize._build_problem(Hypersurface(((2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 2))), True)
         x2, xy, y2 = (problem.rows.astype(int).tolist().index(e) for e in ([2, 0, 0], [1, 1, 0], [0, 2, 0]))
-        strata = optimize._strata(problem.rows, optimize._vertices(problem.rows))
+        vertices = optimize._vertices(problem.rows)
+        strata = optimize._strata(problem.rows, vertices)
         subsets = {sub for k in (1, 2, 3) for sub in itertools.combinations(range(4), k)}
         assert set(strata) == subsets - {tuple(sorted((x2, xy, y2)))}
+        assert not any({x2, xy, y2} <= set(basis) for basis, *_ in vertices)
         with pytest.raises(ZeroDivisionError):
-            optimize.adjugate([[1, -1, 0], [2, -2, 0]])  # the difference rows xy - x^2 and y^2 - x^2
+            optimize.adjugate([[2, 0, 0], [1, 1, 0], [0, 2, 0]])  # xy = (x^2 + y^2) / 2
 
 
 def _rational_roots(problem):
@@ -1038,10 +1069,10 @@ def _rational_roots(problem):
     ``_univariate_roots`` solves, where the system has a root."""
     m, n, sizes = len(problem.sizes), problem.model.dim, [int(c) for c in problem.sizes]
     rows = problem.rows.astype(int).tolist()
-    for subset in _strata(problem):
+    for subset, vertex in _strata(problem).items():
         if len(subset) not in (1, m - 1) or len(subset) == m or any(sum(rows[i]) == 1 for i in subset):
             continue
-        system = (optimize._one_row if len(subset) == 1 else optimize._line)(rows, subset, sizes, n)
+        system = _system(rows, subset, sizes, n, vertex)
         if system is None or not (f := poly.trim(system.f)) or len(g := poly.squarefree(f)) < 2:
             continue
         for a, b in optimize._roots_in(g, system.lo, system.hi):
@@ -1078,7 +1109,8 @@ class TestExactRoots:
             model = _golden_model(row)
             problem = optimize._build_problem(model)
             vertices = optimize._vertices(problem.rows)
-            strata = [sub for sub in optimize._strata(problem.rows, vertices) if len(sub) < len(problem.sizes)]
+            strata = optimize._strata(problem.rows, vertices)
+            strata = {sub: v for sub, v in strata.items() if len(sub) < len(problem.sizes)}
             roots = optimize._vertex_roots(problem, vertices) + optimize._univariate_roots(problem, strata)[0]
             for _, tie, mu, s in roots:
                 if not isinstance(s, F):
@@ -1338,6 +1370,16 @@ def _finalized():
             runs = [size for call in newton.call_args_list[calls[1] :] for size in call.args[4].tolist()]
             answers.append((model, result, finalize.call_args.args, runs))
     return answers
+
+
+class TestPinnedBytes:
+    def test_repr_of_every_finalized_answer(self):
+        # repr(minimize_hvol(model)) of every model of _finalized(), pinned by
+        # the first 16 hex digits of its sha256 in tests/data/minimizer_repr.json:
+        # a change of the minimizer's path that keeps its answers keeps these
+        pinned = json.loads((Path(__file__).parent / "data" / "minimizer_repr.json").read_text())["repr_sha256"]
+        digests = [hashlib.sha256(repr(result).encode()).hexdigest()[:16] for _, result, *_ in _finalized()]
+        assert (len(digests), [i for i, (a, b) in enumerate(zip(digests, pinned)) if a != b]) == (len(pinned), [])
 
 
 FLOAT_GOLDEN_ROWS = [row for row in KLT_GOLDEN_ROWS if "." in row["value"]]
@@ -1632,7 +1674,7 @@ class TestRootlessStrata:
                 row = rows[subset[0]]
                 if len(subset) > 1 or len(subset) == len(sizes) or sum(row) == 1 or not optimize._rootless(row, sizes):
                     continue
-                assert optimize._univariate_roots(problem, [subset]) == ([], []), model.support
+                assert optimize._univariate_roots(problem, {subset: None}) == ([], []), model.support
                 dropped += 1
                 if (key := (tuple(row), tuple(sizes), n)) in checked:
                     continue
@@ -1681,7 +1723,7 @@ class TestRootlessStrata:
         found = {}
         for row in [(2, 0, 0), (0, 0, 1), (0, 0, 4), (0, 2, 1), (3, 0, 0)]:
             alone = dataclasses.replace(problem, rows=np.array([row], dtype=float))
-            roots, rest = optimize._univariate_roots(alone, [(0,)])
+            roots, rest = optimize._univariate_roots(alone, {(0,): None})
             found[row] = "newton" if rest else [s for *_, s in roots]
         assert found == {(2, 0, 0): [1], (0, 0, 1): [4], (0, 0, 4): [], (0, 2, 1): [], (3, 0, 0): []}
 
