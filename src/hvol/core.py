@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Scalar, common_denominator, det_fraction, is_exact
+from .exact import Scalar, det_fraction, integer_numerators, is_exact
 from .models import (
     DomainError,
     ExponentVector,
@@ -36,6 +36,8 @@ from .models import (
     NonKltWeightError,
     SmoothPoint,
     _integer_rows,
+    _ratio,
+    _row_pairings,
     as_scalars,
     check_weight,
 )
@@ -76,7 +78,8 @@ def weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> Sc
 
 def _weighted_order(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> Scalar:
     """``weighted_order`` for a weight ``check_weight`` returned and a model's own support."""
-    return min(sum(xi * ei for xi, ei in zip(x, e) if ei) for e in support)
+    values, scale = _row_pairings(support, x)
+    return _ratio(min(values), scale)
 
 
 def active_monomials(x: Sequence[Scalar], support: Sequence[ExponentVector]) -> tuple[ExponentVector, ...]:
@@ -98,8 +101,7 @@ def _pairings(x, support):
     if not support:
         raise InvalidModelError("empty support has no weighted order")
     x = as_scalars(x, "weight")
-    scale = common_denominator(x) if is_exact(x) else None
-    x = x if scale is None else [xi.numerator * (scale // xi.denominator) for xi in x]
+    x, scale = integer_numerators(x) if is_exact(x) else (x, None)
     values = []
     for e in support:
         if len(e) != len(x):
@@ -125,7 +127,11 @@ def log_discrepancy(model: Model, weight: Sequence[Scalar]) -> Scalar:
                 f"log discrepancy {a} <= 0 at weight {x}: the weight left the klt-valid region"
             )
         return a
-    return sum(g * xi for g, xi in zip(model.gorenstein_vector, x))
+    if not is_exact(x):
+        return sum(g * xi for g, xi in zip(model.gorenstein_vector, x))
+    gamma, den = integer_numerators(model.gorenstein_vector)
+    (value,), scale = _row_pairings([gamma], x)
+    return Fraction(value, den * scale)
 
 
 def volume(model: Model, weight: Sequence[Scalar]) -> Scalar:
@@ -137,8 +143,12 @@ def volume(model: Model, weight: Sequence[Scalar]) -> Scalar:
         vol = _weighted_order(x, model.support) / _product(x)
     else:
         rays = model.dual_rays()
-        det = abs(det_fraction([[Fraction(r) for r in ray] for ray in rays]))
-        vol = det / _product(tuple(sum(r * xi for r, xi in zip(ray, x)) for ray in rays))
+        det = abs(det_fraction(rays))
+        pairings, scale = _row_pairings(rays, x)
+        if scale is None:
+            vol = det / _product(tuple(pairings))
+        else:
+            vol = Fraction(det.numerator * scale ** len(rays), math.prod(pairings))
     return _in_float_range(vol)
 
 
@@ -151,7 +161,8 @@ def ideal_value(model: Model, weight: Sequence[Scalar]) -> Scalar:
     # (see ToricCone.parallelepiped_points); its pairing is at least that of
     # p when p != 0, and at least that of some w_i when p = 0
     points = model.dual_rays() + model.parallelepiped_points()
-    return min(sum(yk * xk for yk, xk in zip(y, x)) for y in points if any(y))
+    values, scale = _row_pairings([y for y in points if any(y)], x)
+    return _ratio(min(values), scale)
 
 
 def skewness(model: Model, weight: Sequence[Scalar]) -> Optional[Scalar]:

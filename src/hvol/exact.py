@@ -43,8 +43,11 @@ def format_scalar(value: Scalar) -> Union[str, float]:
     return float(f"{value:.12g}")
 
 
-def common_denominator(values: Sequence[Fraction]) -> int:
-    return math.lcm(*(v.denominator for v in values))
+def integer_numerators(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Rational values (floats read exactly) as integer numerators over their common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def adjugate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list], Scalar]:
@@ -63,8 +66,7 @@ def adjugate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list], Scalar]:
         raise ValueError("adjugate needs a square matrix")
     if not all(isinstance(x, int) for row in rows for x in row):  # scaled to integers row by row
         fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
-        scale = [common_denominator(row) for row in fracs]
-        rows = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(fracs, scale)]
+        rows, scale = zip(*map(integer_numerators, fracs))
     mat = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
     previous, sign = 1, 1
     for col in range(m):
@@ -102,10 +104,8 @@ def inverse_fraction(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to the primitive integer vector on its ray."""
-    fracs = [Fraction(v) for v in vec]
-    if all(v == 0 for v in fracs):
+    ints, _ = integer_numerators([Fraction(v) for v in vec])
+    if not any(ints):
         raise ValueError("zero vector has no primitive representative")
-    den = common_denominator(fracs)
-    ints = [int(v * den) for v in fracs]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)

@@ -19,15 +19,19 @@ coins c and shifts s:
   Discretely*, ch. 3).  The count is one term per p, with coins <w_i, x>
   and shift <p, x>.
 
-Counts are exact.  Coins and radii are cleared to a common integer scale
-(counts are invariant under simultaneous rescaling of coins and radius),
-and one count up to the largest scaled radius serves every radius and
-shift of a schedule, so the counting capacity is bounded by the scaled
-radius only.  The cumulative count over n coins is the series
-1 / ((1 - z) prod (1 - z^a_i)):
+Counts are exact, and the schedule is built on integers.  Weight and
+radii are read once as integer numerators over one denominator (floats
+exactly), so coins, shifts and cuts r - s are integers over it.  They are
+cleared to one integer scale, the lcm of the denominators of the coins and
+the positive cuts in lowest terms (counts are invariant under
+simultaneous rescaling of coins and radius), and one count up to the
+largest scaled radius serves every radius and shift of a schedule, so the
+counting capacity is bounded by the scaled radius only.  The cumulative
+count over n coins is the series 1 / ((1 - z) prod (1 - z^a_i)):
 
 * one coin is the closed form floor(s / a) + 1, and two coins a floor sum
-  (a Euclid-like reduction), a few vector steps over the bounds;
+  (a Euclid-like reduction), a few vector steps over the bounds, each
+  dividing by one integer with ``//`` (see ``_floor_sum``);
 * three coins a1 <= a2 <= a3 sum the two-coin count over the positions
   B - j a3 of every bound B, as one vector of floor sums whose length is
   the number of positions.  That costs (positions) x (Euclid steps of
@@ -59,23 +63,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import Scalar, common_denominator
+from .exact import Scalar, integer_numerators
 from .models import (
     CapacityError,
     DomainError,
     Hypersurface,
     Model,
     SmoothPoint,
+    _row_pairings,
     as_scalar,
     as_scalars,
     check_weight,
 )
-from .core import _weighted_order
 
 _COUNT_CAP = 1 << 62
 _SCALE_CAP = 20_000_000
@@ -146,43 +149,32 @@ def estimate_volume(
 
 
 def _schedule_counts(model, x, schedule):
-    """Colengths at every radius of the schedule, from one coin count."""
-    xs = _exact_fractions(x)
+    """Colengths at every radius of the schedule, from one coin count.
+
+    Every coin and cut r - s is N / D over one denominator D, the weight's
+    times the radii's.  The lcm of the denominators of the coins and the
+    positive cuts in lowest terms is D / g, g = gcd(D, those N), so a coin
+    scales to N / g and a positive cut to the strict bound N / g - 1.
+    Floats are read exactly, so their scale is usually beyond capacity.
+    """
+    xs, den = integer_numerators(x)
     if isinstance(model, SmoothPoint):
         coins, shifts = xs, [(1, 0)]
     elif isinstance(model, Hypersurface):
-        coins, shifts = xs, [(1, 0), (-1, _weighted_order(xs, model.support))]
+        coins, shifts = xs, [(1, 0), (-1, min(_row_pairings(model.support, xs)[0]))]
     else:
-        coins = [_pairing(ray, xs) for ray in model.dual_rays()]
-        shifts = [(1, _pairing(p, xs)) for p in model.parallelepiped_points()]
-    cuts = [r - shift for r in _exact_fractions(schedule) for _sign, shift in shifts]
-    counts = _smooth_counts(*_scaled_coins_and_bounds(coins, cuts))
+        coins = _row_pairings(model.dual_rays(), xs)[0]
+        shifts = [(1, shift) for shift in _row_pairings(model.parallelepiped_points(), xs)[0]]
+    radii, rden = integer_numerators(schedule)
+    coins = [c * rden for c in coins]
+    cuts = [r * den - shift * rden for r in radii for _sign, shift in shifts]
+    g = math.gcd(den * rden, *coins, *(c for c in cuts if c > 0))
+    counts = _smooth_counts([c // g for c in coins], [c // g - 1 if c > 0 else -1 for c in cuts])
     k = len(shifts)
     return [
         sum(sign * c for (sign, _shift), c in zip(shifts, counts[i * k : (i + 1) * k]))
         for i in range(len(schedule))
     ]
-
-
-def _pairing(y, x):
-    return sum(yk * xk for yk, xk in zip(y, x))
-
-
-def _exact_fractions(values):
-    return [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-
-
-def _scaled_coins_and_bounds(coins, cuts):
-    """Clear denominators: integer coins a_i and strict integer bounds.
-
-    The count for a cut c is #{ t : sum a_i t_i <= bound } with
-    bound = ceil(lcm * c) - 1; a non-positive cut gets bound -1 (empty
-    count).  Floats are converted exactly, so callers should prefer
-    rational inputs: their common scale is usually beyond capacity.
-    """
-    lcm = common_denominator(coins + [c for c in cuts if c > 0])
-    # strict inequality <c, t> < cut  <=>  sum a_i t_i <= ceil(lcm*cut) - 1
-    return [int(c * lcm) for c in coins], [math.ceil(c * lcm) - 1 if c > 0 else -1 for c in cuts]
 
 
 def _smooth_counts(a: Sequence[int], bounds: Sequence[int]) -> list[int]:
@@ -312,8 +304,9 @@ def _two_coin_counts(a1: int, a2: int, y: np.ndarray) -> np.ndarray:
     C_2(y) sums C_1(y - j a2) over j <= J = y // a2; with i = J - j the
     argument is a2 i + y % a2, so the sum is a floor sum plus J + 1.
     """
-    count = y // a2 + 1
-    return _floor_sum(count, a1, a2, y % a2) + count
+    quotient = y // a2
+    count = quotient + 1
+    return _floor_sum(count, a1, a2, y - quotient * a2) + count
 
 
 def _euclid_steps(m: int, a: int) -> int:
@@ -334,12 +327,20 @@ def _floor_sum(count: np.ndarray, m: int, a: int, b: np.ndarray) -> np.ndarray:
     Euclid sequence of (m, a) alone, so every position takes the same
     ``_euclid_steps(m, a)`` steps.  A position whose points are used up
     carries count 0 and adds nothing further.
+
+    Arrays are divided only by the scalar m, with ``//``, which numpy runs
+    as a precomputed multiply-and-shift (libdivide), several times faster
+    than its ``%`` or ``divmod``; each remainder is the multiply-subtract
+    b - (b // m) m, the same integers.
     """
     total = np.zeros_like(count)
     while True:
-        total += count * (count - 1) // 2 * (a // m) + count * (b // m)
-        a, b = a % m, b % m
+        quotient = b // m
+        total += count * (count - 1) // 2 * (a // m) + count * quotient
+        a, b = a % m, b - quotient * m
         if not a:
             return total
-        count, b = divmod(a * count + b, m)
+        b += a * count
+        count = b // m
+        b -= count * m
         m, a = a, m

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exact import Scalar, inverse_fraction, primitive_integer_vector
+from .exact import Scalar, integer_numerators, inverse_fraction, is_exact, primitive_integer_vector
 
 
 class HvolError(Exception):
@@ -335,18 +335,31 @@ def check_weight(model: Model, weight: Sequence) -> tuple[Scalar, ...]:
     if isinstance(model, ToricCone):
         if not all(-math.inf < x < math.inf for x in coords):  # NaN too
             raise DomainError(f"weight coordinates must be finite, got {coords}")
-        for ray in model.dual_rays():
-            pairing = sum(r * x for r, x in zip(ray, coords))
+        rays = model.dual_rays()
+        pairings, scale = _row_pairings(rays, coords)
+        for ray, pairing in zip(rays, pairings):
             if not pairing > 0:
                 raise DomainError(
                     f"weight {coords} is not in the interior of the cone "
-                    f"(pairing with dual ray {ray} is {pairing})"
+                    f"(pairing with dual ray {ray} is {_ratio(pairing, scale)})"
                 )
         return coords
     for x in coords:
         if not 0 < x < math.inf:
             raise DomainError(f"weight coordinates must be strictly positive and finite, got {coords}")
     return coords
+
+
+def _row_pairings(rows, x) -> tuple[list, Optional[int]]:
+    """<row, x> for each integer row, and the common denominator of an exact x (else None): as in
+    ``core._pairings``, an exact x is read as integer numerators over it, floats or ints as they come."""
+    x, scale = integer_numerators(x) if is_exact(x) else (x, None)
+    return [sum(r * v for r, v in zip(row, x)) for row in rows], scale
+
+
+def _ratio(value, scale: Optional[int]) -> Scalar:
+    """A pairing of ``_row_pairings`` as a number: value / scale, or the value itself."""
+    return value if scale is None else Fraction(value, scale)
 
 
 def _squares_plus(n: int, tails, allow_smooth_germ: bool = False) -> Hypersurface:

@@ -444,6 +444,166 @@ class TestCoinTable:
         assert series.colengths == tuple(line_sums(r) for r in series.radii)
 
 
+def line_sum(a1, a2, y):
+    """C_2(y) = #{ t >= 0 : a1 t1 + a2 t2 <= y }, one line t2 = j at a time, in int64 numpy."""
+    lines = y - a2 * np.arange(y // a2 + 1, dtype=np.int64)
+    return int((lines // a1 + 1).sum())
+
+
+def _kernel_cases():
+    """Seeded (a1, a2, y) with a1 <= a2: residues 0 and -1 mod a2, y < a2, a1 = 1 and a1 = a2."""
+    rng = np.random.default_rng(20260)
+    cases = []
+    for _ in range(40):
+        a2 = int(rng.integers(1, 400))
+        a1 = int(rng.choice([1, a2, int(rng.integers(1, a2 + 1))]))
+        q = int(rng.integers(0, 60))
+        ys = [q * a2, q * a2 + a2 - 1, int(rng.integers(0, a2)), int(rng.integers(0, 60 * a2))]
+        cases.append((a1, a2, ys))
+    return cases
+
+
+class TestFloorSumKernel:
+    @pytest.mark.parametrize("a1, a2, ys", _kernel_cases())
+    def test_two_coin_counts_against_line_sums(self, a1, a2, ys):
+        y = np.array(ys, dtype=np.int64)
+        assert lattice._two_coin_counts(a1, a2, y).tolist() == [line_sum(a1, a2, v) for v in ys]
+
+    @pytest.mark.parametrize("a1, a2, ys", _kernel_cases()[:12])
+    def test_floor_sum_against_its_definition(self, a1, a2, ys):
+        # sum_{i < count} floor((a i + b) / m) with count, b and (m, a) = (a1, a2) drawn alike
+        count = np.array([v % 97 for v in ys], dtype=np.int64)
+        b = np.array(ys, dtype=np.int64)
+        expected = [sum((a2 * i + bv) // a1 for i in range(c)) for c, bv in zip(count.tolist(), ys)]
+        assert lattice._floor_sum(count, a1, a2, b).tolist() == expected
+
+    @pytest.mark.parametrize("a1, a2", [(1, 1), (7, 7), (1, 10**7), (3, 10**7 + 19)])
+    def test_near_the_int64_capacity_guard(self, a1, a2):
+        # the largest positions whose count the guard admits (C_2(y) <= _COUNT_CAP): count * (count - 1)
+        # is within a factor 2 of 2^63 when a1 = a2
+        cap = lattice._COUNT_CAP
+        # bisect the last y with C_2(y) <= cap; C_2(y) is at least the area y^2 / (2 a1 a2) of its triangle
+        lo, hi = 0, math.isqrt(2 * cap * a1 * a2) + 2
+        count = (lambda y: math.comb(y // a1 + 2, 2)) if a1 == a2 else (lambda y: line_sum(a1, a2, y))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if count(mid) <= cap else (lo, mid)
+        ys = [lo - 2 * a2 - 1, lo - a2, lo - 1, lo]
+        got = lattice._two_coin_counts(a1, a2, np.array(ys, dtype=np.int64)).tolist()
+        assert got == [count(v) for v in ys]
+        assert cap // 2 < got[-1] <= cap
+
+    @pytest.mark.parametrize(
+        "coins, bounds",
+        [
+            ([3, 7, 9], [0, 1, 250, 2399, 2400]),
+            ([1, 1, 1], [1000, 999, -1]),
+            ([40, 47, 50], [10**5, 4999]),
+            ([1999, 3989, 4000], [2 * 10**6, 10**6 + 1]),
+            ([5, 5, 5], [6, 4, 5]),
+        ],
+    )
+    def test_both_three_coin_routes_agree(self, monkeypatch, coins, bounds):
+        routes = {}
+        for name, steps in (("floor sums", 0), ("table", 1 << 62)):
+            monkeypatch.setattr(lattice, "_euclid_steps", lambda m, a, steps=steps: steps)
+            routes[name] = _smooth_counts(coins, bounds)
+        assert routes["floor sums"] == routes["table"]
+        if max(bounds) < 3000:
+            assert routes["table"] == [reference_count(tuple(coins), b) for b in bounds]
+
+
+def _fraction_scaled_coins_and_bounds(coins, cuts):
+    """The Fraction scaling the oracle used before it read its schedule on integers: coins and
+    positive cuts cleared by the lcm of their denominators, a cut c bounded by ceil(lcm c) - 1."""
+    lcm = math.lcm(*(v.denominator for v in coins + [c for c in cuts if c > 0]))
+    return [int(c * lcm) for c in coins], [math.ceil(c * lcm) - 1 if c > 0 else -1 for c in cuts]
+
+
+def _fraction_schedule(model, x, schedule):
+    """Coins and cuts r - shift as Fractions, in the order the oracle counts them."""
+    xs = [F(v) for v in x]
+    pair = lambda y: sum(yk * xk for yk, xk in zip(y, xs))  # noqa: E731
+    if model.kind == "smooth":
+        coins, shifts = xs, [F(0)]
+    elif model.kind == "hypersurface":
+        coins, shifts = xs, [F(0), min(pair(e) for e in model.support)]
+    else:
+        coins = [pair(ray) for ray in model.dual_rays()]
+        shifts = [pair(p) for p in model.parallelepiped_points()]
+    return coins, [F(r) - s for r in schedule for s in shifts]
+
+
+def _integer_schedule(model, x, radii):
+    """The coins and bounds ``estimate_volume`` hands to ``_smooth_counts``, or the error it raises."""
+    seen = []
+    real = lattice._smooth_counts
+
+    def spy(a, bounds):
+        seen.append((list(a), list(bounds)))
+        return real(a, bounds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "_smooth_counts", spy)
+        try:
+            schedule = estimate_volume(model, x, radii).radii
+        except CapacityError:
+            schedule = None
+    return seen[0], schedule
+
+
+def _scale_cases():
+    rng = np.random.default_rng(4101)
+    models = [SmoothPoint(2), SmoothPoint(3), a_singularity(2, 4), a_singularity(3, 2), orthant_cone(2),
+              ToricCone(((1, 0), (1, 3)), (F(1), F(0))), ToricCone(((1, 0), (2, 5)), (F(1), F(-1, 5))), CONE3]
+    cases = []
+    for i, model in enumerate(models):
+        for j in range(4):
+            den = int(rng.choice([1, 4, 6, 35, 360]))
+            c = [F(int(rng.integers(den, 3 * den + 1)), den) for _ in range(model.ambient_dim)]
+            gens = getattr(model, "generators", None)
+            x = tuple(sum(ci * g[k] for ci, g in zip(c, gens)) for k in range(len(c))) if gens else tuple(c)
+            rden = int(rng.choice([1, 3, 8]))
+            radii = sorted({F(int(rng.integers(rden, 40 * rden)), rden) for _ in range(3)})
+            if j % 2:  # float weights and radii, read exactly
+                x, radii = tuple(float(v) for v in x), [float(r) for r in radii]
+            cases.append(pytest.param(model, x, radii if j < 2 else None, id=f"{model.kind}{i}-{j}"))
+    return cases
+
+
+class TestIntegerSchedule:
+    @pytest.mark.parametrize("model, x, radii", _scale_cases())
+    def test_same_coins_and_bounds_as_fractions(self, model, x, radii):
+        (coins, bounds), schedule = _integer_schedule(model, x, radii)
+        radii = lattice.default_radii(model, x) if radii is None else radii
+        expected = _fraction_scaled_coins_and_bounds(*_fraction_schedule(model, x, radii))
+        assert (coins, bounds) == expected
+        assert (schedule is None) == (max(bounds) > lattice._SCALE_CAP)
+
+    @pytest.mark.parametrize(
+        "model, x, radius",
+        [
+            (SmoothPoint(1), (F(1),), lambda top: top + 1),
+            (SmoothPoint(2), (F(1, 3), F(2, 7)), lambda top: F(top + 1, 21)),
+            (SmoothPoint(2), (0.25, 0.5), lambda top: (top + 1) / 4),
+            # coins 7, 7, 1000 at scale 5: the count estimate C(top // 7 + 3, 3) stays below _COUNT_CAP
+            (a_singularity(2, 2), (F(7, 5), F(7, 5), F(200)), lambda top: F(top + 1, 5)),
+            (ToricCone(((1, 0), (1, 3)), (F(1), F(0))), (F(4, 3), F(1)), lambda top: F(top + 1, 3)),
+        ],
+        ids=["smooth1", "smooth2-rational", "smooth2-float", "hypersurface", "toric"],
+    )
+    def test_capacity_error_just_past_the_scale_cap(self, model, x, radius):
+        # the radius whose largest scaled bound is exactly _SCALE_CAP counts; one unit more raises
+        cap = lattice._SCALE_CAP
+        for top, raises in ((cap, False), (cap + 1, True)):
+            r = radius(top)
+            (_coins, bounds), schedule = _integer_schedule(model, x, [r])
+            expected = _fraction_scaled_coins_and_bounds(*_fraction_schedule(model, x, [r]))
+            assert (_coins, bounds) == expected
+            assert max(bounds) == top
+            assert (schedule is None) == raises
+
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "colength_golden.json").read_text())
 
 
